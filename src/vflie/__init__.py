@@ -18,7 +18,6 @@ from .classify import (
 )
 from .errors import (
     ClosureCapExceeded,
-    ClosureRequired,
     ContextMismatch,
     DegreeCapExceeded,
     IdealNotAbelian,
@@ -52,7 +51,6 @@ __all__ = [
     "BuildResult",
     "ClassificationReport",
     "ClosureCapExceeded",
-    "ClosureRequired",
     "ContextMismatch",
     "CoordinateChange",
     "DEFAULT_CONTEXT",

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import combinations
+from typing import Mapping, Sequence, Union
 
 from .errors import (
     ClosureCapExceeded,
@@ -26,13 +27,17 @@ from .errors import (
 )
 from .fields import VariableContext, VectorField
 from .linalg import (
+    ZERO,
     CoordVector,
     EchelonBasis,
     Q,
+    SparseVector,
     coordinatize,
+    echelon_of,
     generic_rank,
-    null_space_dense,
-    rref_dense,
+    null_space,
+    to_dense,
+    to_sparse,
     uncoordinatize,
 )
 
@@ -40,6 +45,23 @@ DEFAULT_CAP_DIM = 64
 DEFAULT_CAP_ROUNDS = 32
 
 IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fraction]]]
+
+
+def center_of_tensor(
+    tensor: Mapping[tuple[int, int], Mapping[int, Fraction]], dim: int
+) -> list[list[Fraction]]:
+    """Center of the algebra with structure constants `tensor`, as the
+    canonical null space of the stacked adjoint maps.
+
+    `tensor` maps (a, b) with a < b to the coordinates of [e_a, e_b]; the
+    center is every x with sum_a x_a c(a, b, c) = 0 for all b and c.
+    """
+    rows: dict[tuple[int, int], SparseVector] = {}
+    for (a, b), comps in tensor.items():
+        for c, coeff in comps.items():
+            rows.setdefault((b, c), {})[a] = coeff
+            rows.setdefault((a, c), {})[b] = -coeff
+    return null_space(rows.values(), dim)
 
 
 def close(
@@ -54,8 +76,8 @@ def close(
     rows dirtied by echelon reduction are re-paired, so on termination every
     pairwise bracket of the final basis has been verified inside the span.
     Raises ClosureCapExceeded when the dimension or round cap is hit, or when
-    the ring degree cap fires inside the worklist (both signal a likely
-    infinite-dimensional closure).
+    the ring degree cap fires inside the worklist; the message names the cap
+    and how far the closure got.
     """
     gens = list(generators)
     if not gens:
@@ -70,6 +92,7 @@ def close(
     echelon = EchelonBasis()
     fields: list[VectorField] = []
     pending: set[tuple[int, int]] = set()
+    rounds = 0
 
     def add(vec: CoordVector) -> None:
         result = echelon.insert(vec)
@@ -77,8 +100,8 @@ def close(
             return
         if len(echelon) > cap_dim:
             raise ClosureCapExceeded(
-                f"closure dimension exceeded cap_dim={cap_dim}; "
-                "the generated algebra is likely infinite-dimensional"
+                f"closure exceeded cap_dim={cap_dim}: dimension {len(echelon)} "
+                f"reached in bracket round {rounds}; raise --cap-dim to continue"
             )
         new = result.index
         fields.append(uncoordinatize(echelon.rows[new], ctx))
@@ -90,7 +113,6 @@ def close(
     for g in gens:
         add(coordinatize(g))
 
-    rounds = 0
     while pending:
         rounds += 1
         if rounds > cap_rounds:
@@ -200,6 +222,11 @@ class LieAlgebra:
                 entry = {k: c for k, c in enumerate(coeffs) if c}
                 if entry:
                     self.structure[(i, j)] = entry
+        # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
+        self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]
+        for (i, j), comps in self.structure.items():
+            self._ad[i][j] = comps
+            self._ad[j][i] = {k: -c for k, c in comps.items()}
         self._center_coeffs: list[list[Fraction]] | None = None
 
     # -- basics --------------------------------------------------------------
@@ -210,23 +237,26 @@ class LieAlgebra:
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant: coefficient of e_k in [e_i, e_j]."""
-        if i == j:
-            return Q(0)
-        if i < j:
-            return self.structure.get((i, j), {}).get(k, Q(0))
-        return -self.structure.get((j, i), {}).get(k, Q(0))
+        return self._ad[i].get(j, {}).get(k, ZERO)
+
+    def _bracket(self, u: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> SparseVector:
+        """[u, w] for sparse basis coordinates, summed over the ad tables."""
+        out: SparseVector = {}
+        for i, a in u.items():
+            ad_i = self._ad[i]
+            for j, b in w.items():
+                col = ad_i.get(j)
+                if col:
+                    ab = a * b
+                    for k, c in col.items():
+                        out[k] = out.get(k, ZERO) + ab * c
+        return {k: c for k, c in out.items() if c}
 
     def bracket_coeffs(
         self, u: Sequence[Fraction], w: Sequence[Fraction]
     ) -> list[Fraction]:
         """[u, w] in basis coordinates, computed on the structure tensor."""
-        out = [Q(0)] * self.dim
-        for (i, j), comps in self.structure.items():
-            factor = u[i] * w[j] - u[j] * w[i]
-            if factor:
-                for k, coeff in comps.items():
-                    out[k] += factor * coeff
-        return out
+        return to_dense(self._bracket(to_sparse(u), to_sparse(w)), self.dim)
 
     def element(self, coeffs: Sequence[Fraction]) -> VectorField:
         out = self.ctx.field([self.ctx.zero_poly()] * self.ctx.nvars)
@@ -257,13 +287,7 @@ class LieAlgebra:
     def center_coeffs(self) -> list[list[Fraction]]:
         """Null space of the stacked adjoint maps, in basis coordinates."""
         if self._center_coeffs is None:
-            rows = []
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    row = [self.c(i, j, k) for i in range(self.dim)]
-                    if any(row):
-                        rows.append(row)
-            self._center_coeffs = null_space_dense(rows, self.dim)
+            self._center_coeffs = center_of_tensor(self.structure, self.dim)
         return self._center_coeffs
 
     def center(self) -> list[VectorField]:
@@ -271,34 +295,24 @@ class LieAlgebra:
 
     # -- series and flags -------------------------------------------------------
 
-    def _subspace_brackets(
-        self, left: list[list[Fraction]], right: list[list[Fraction]]
-    ) -> list[list[Fraction]]:
-        vecs = []
-        for u in left:
-            for w in right:
-                v = self.bracket_coeffs(u, w)
-                if any(v):
-                    vecs.append(v)
-        return rref_dense(vecs)[0]
-
     def series(self, kind: str) -> SeriesReport:
         """Lower-central (g, [g,g^k]) or derived (g^(k), [g^(k),g^(k)]) dims."""
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
-        full = [
-            [Q(1) if i == j else Q(0) for i in range(self.dim)] for j in range(self.dim)
-        ]
+        units = [{i: Q(1)} for i in range(self.dim)]
         dims = [self.dim]
-        current = full
+        current = units
         terminated = self.dim == 0
         while dims[-1] > 0:
-            left = full if kind == "lower-central" else current
-            nxt = self._subspace_brackets(left, current)
+            if kind == "lower-central":
+                pairs = ((u, w) for u in units for w in current)
+            else:
+                pairs = combinations(current, 2)
+            nxt = echelon_of(self._bracket(u, w) for u, w in pairs)
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))
-            current = nxt
+            current = nxt.rows
             if not nxt:
                 terminated = True
         return SeriesReport(kind, tuple(dims), terminated)
@@ -318,12 +332,11 @@ class LieAlgebra:
         """Matrix of ad(v) on the basis: entry [k][j] = e_k-coefficient of [v, e_j]."""
         x = self._coeffs_of(v)
         mat = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for (i, j), comps in self.structure.items():
-            for k, coeff in comps.items():
-                if x[i]:
-                    mat[k][j] += x[i] * coeff
-                if x[j]:
-                    mat[k][i] -= x[j] * coeff
+        for i, a in enumerate(x):
+            if a:
+                for j, comps in self._ad[i].items():
+                    for k, coeff in comps.items():
+                        mat[k][j] += a * coeff
         return mat
 
     # -- projection ---------------------------------------------------------------
@@ -364,19 +377,12 @@ class LieAlgebra:
             else LieAlgebra(sub_ctx, ())
         )
         # kernel: combinations of basis elements with vanishing kept components
-        keys = sorted(
-            {
-                (i, mono)
-                for b in self.basis
-                for i in indices
-                for mono in b.comps[i].term_map()
-            },
-            key=lambda km: (km[0], km[1].sort_key()),
-        )
-        rows = []
-        for i, mono in keys:
-            rows.append([b.comps[i].term_map().get(mono, Q(0)) for b in self.basis])
-        kernel_coeffs = null_space_dense(rows, self.dim)
+        rows: dict[tuple, SparseVector] = {}
+        for s, b in enumerate(self.basis):
+            for i in indices:
+                for mono, coeff in b.comps[i].term_map().items():
+                    rows.setdefault((i, mono), {})[s] = coeff
+        kernel_coeffs = null_space(rows.values(), self.dim)
         kernel_fields = tuple(self.element(v) for v in kernel_coeffs)
         if image.dim + len(kernel_fields) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")
@@ -390,71 +396,46 @@ class LieAlgebra:
 
     # -- ideals and quotients --------------------------------------------------------
 
-    def ideal_subspace(self, ideal: IdealLike) -> list[list[Fraction]]:
-        """Normalize an ideal given as basis indices, fields, or coefficient
-        vectors into echelonized coefficient rows (not yet verified)."""
+    def ideal_subspace(self, ideal: IdealLike) -> EchelonBasis:
+        """Span of an ideal given as basis indices, fields, or coefficient
+        vectors, as an integer-key echelon basis (not yet verified)."""
         items = list(ideal)
         if not items:
             raise ValueError("ideal must be nonempty")
-        vecs: list[list[Fraction]] = []
+        vecs: list[SparseVector] = []
         for item in items:
             if isinstance(item, VectorField):
-                vecs.append(self.express(item))
+                vecs.append(to_sparse(self.express(item)))
             elif isinstance(item, int):
                 if not 0 <= item < self.dim:
                     raise ValueError(f"basis index {item} out of range")
-                vec = [Q(0)] * self.dim
-                vec[item] = Q(1)
-                vecs.append(vec)
+                vecs.append({item: Q(1)})
             else:
-                vecs.append(self._coeffs_of(item))
-        return rref_dense(vecs)[0]
+                vecs.append(to_sparse(self._coeffs_of(item)))
+        return echelon_of(vecs)
 
-    def verify_ideal(self, rows: list[list[Fraction]]) -> None:
-        _, pivots = rref_dense(rows)
-
-        def reduce_mod(vec: list[Fraction]) -> list[Fraction]:
-            v = list(vec)
-            for r, c in enumerate(pivots):
-                if v[c]:
-                    coeff = v[c]
-                    v = [a - coeff * b for a, b in zip(v, rows[r])]
-            return v
-
+    def verify_ideal(self, ideal: IdealLike) -> EchelonBasis:
+        """Span of the ideal; raises NotAnIdeal unless [L, ideal] lies in it."""
+        span = self.ideal_subspace(ideal)
         for i in range(self.dim):
-            unit = [Q(1) if t == i else Q(0) for t in range(self.dim)]
-            for w in rows:
-                if any(reduce_mod(self.bracket_coeffs(unit, w))):
+            for w in span.rows:
+                if not span.contains(self._bracket({i: Q(1)}, w)):
                     raise NotAnIdeal(
                         f"[{self.basis[i]}, ideal] is not contained in the ideal"
                     )
+        return span
 
     def quotient_structure(self, ideal: IdealLike) -> QuotientStructure:
         """Structure constants of L/ideal on the complementary basis lines."""
-        rows = self.ideal_subspace(ideal)
-        self.verify_ideal(rows)
-        _, pivots = rref_dense(rows)
+        span = self.verify_ideal(ideal)
+        pivots = set(span.pivots)
         reps = tuple(i for i in range(self.dim) if i not in pivots)
-
-        def reduce_mod(vec: list[Fraction]) -> list[Fraction]:
-            v = list(vec)
-            for r, c in enumerate(pivots):
-                if v[c]:
-                    coeff = v[c]
-                    v = [a - coeff * b for a, b in zip(v, rows[r])]
-            return v
-
+        position = {rep: c for c, rep in enumerate(reps)}
         tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                ua = [Q(1) if t == reps[a] else Q(0) for t in range(self.dim)]
-                ub = [Q(1) if t == reps[b] else Q(0) for t in range(self.dim)]
-                reduced = reduce_mod(self.bracket_coeffs(ua, ub))
-                entry = {
-                    c: reduced[rep] for c, rep in enumerate(reps) if reduced[rep]
-                }
-                if entry:
-                    tensor[(a, b)] = entry
+        for a, b in combinations(range(len(reps)), 2):
+            reduced, _ = span.reduce(self._bracket({reps[a]: Q(1)}, {reps[b]: Q(1)}))
+            if reduced:
+                tensor[(a, b)] = {position[k]: c for k, c in sorted(reduced.items())}
         return QuotientStructure(reps, tensor)
 
     # -- reporting -----------------------------------------------------------------

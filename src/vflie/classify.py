@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import IdealLike, LieAlgebra
+from .algebra import IdealLike, LieAlgebra, center_of_tensor
 from .errors import (
     ContextMismatch,
     IdealNotAbelian,
@@ -29,7 +29,16 @@ from .errors import (
     ProjectionHypothesisViolated,
 )
 from .fields import VectorField
-from .linalg import Q, generic_rank, null_space_dense, rref_dense, solve_dense
+from .linalg import (
+    EchelonBasis,
+    Q,
+    echelon_of,
+    generic_rank,
+    null_space_dense,
+    solve_dense,
+    to_dense,
+    to_sparse,
+)
 from .ring import ExpPoly
 
 CASE_CENTER_RANK2 = "CenterRank2"
@@ -219,7 +228,7 @@ class JordanDecomposition:
             if not all(c.is_constant for c in t.comps):
                 return None
             rows.append([c.constant_coefficient() for c in t.comps])
-        if len(rref_dense(rows)[0]) != len(terms):
+        if len(echelon_of(map(to_sparse, rows))) != len(terms):
             return None
         matrix = [[rows[j][i] for j in range(len(terms))] for i in range(n)]
         result = []
@@ -254,21 +263,6 @@ class JordanDecomposition:
         }
 
 
-def _dense_insert(rows: list[list[Fraction]], pivots: list[int], vec: Sequence[Fraction]) -> bool:
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        if v[p]:
-            coeff = v[p]
-            v = [a - coeff * b for a, b in zip(v, row)]
-    lead = next((i for i, a in enumerate(v) if a), None)
-    if lead is None:
-        return False
-    scale = v[lead]
-    rows.append([a / scale for a in v])
-    pivots.append(lead)
-    return True
-
-
 def jordan_chains(
     algebra: LieAlgebra,
     operator: Union[VectorField, Sequence[Fraction]],
@@ -281,21 +275,16 @@ def jordan_chains(
     """
     op_coeffs = algebra._coeffs_of(operator)
     op_field = operator if isinstance(operator, VectorField) else algebra.element(op_coeffs)
-    rows = algebra.ideal_subspace(ideal)
-    _, pivots = rref_dense(rows)
+    span = algebra.ideal_subspace(ideal)
+    order = span.order()
+    rows = [to_dense(span.rows[i], algebra.dim) for i in order]
     m = len(rows)
 
     def to_ideal_coords(vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        coeffs = []
-        for row, p in zip(rows, pivots):
-            coeffs.append(v[p])
-            if v[p]:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
+        residual, coeffs = span.reduce(to_sparse(vec))
+        if residual:
             raise NotInvariant("subspace is not invariant under the operator")
-        return coeffs
+        return [coeffs.get(i, Q(0)) for i in order]
 
     # matrix of the restricted operator over the subspace basis
     n_mat = [[Q(0)] * m for _ in range(m)]
@@ -327,14 +316,12 @@ def jordan_chains(
 
     chains_vec: list[list[list[Fraction]]] = []
     for j in range(p, 0, -1):
-        ech_rows: list[list[Fraction]] = []
-        ech_pivots: list[int] = []
-        for w in null_spaces[j - 1]:
-            _dense_insert(ech_rows, ech_pivots, w)
-        for chain in chains_vec:  # carried images at height j
-            _dense_insert(ech_rows, ech_pivots, chain[len(chain) - j])
+        # kernel of N^(j-1) plus the carried images at height j
+        taken = echelon_of(map(to_sparse, null_spaces[j - 1]))
+        for chain in chains_vec:
+            taken.insert(to_sparse(chain[len(chain) - j]))
         for w in null_spaces[j]:
-            if _dense_insert(ech_rows, ech_pivots, w):
+            if taken.insert(to_sparse(w)).independent:
                 chain = [list(w)]
                 for _ in range(j - 1):
                     chain.append(apply_n(chain[-1]))
@@ -392,20 +379,7 @@ def one_dim_ideals_mod_center(algebra: LieAlgebra) -> OneDimIdealFamily:
         raise NotNilpotent("one-dimensional-ideal analysis requires nilpotency")
     center = algebra.center_coeffs()
     quotient = algebra.quotient_structure(center)
-    q = quotient.dim
-    rows = []
-    for b in range(q):
-        for c in range(q):
-            row = [Q(0)] * q
-            for a in range(q):
-                lo, hi = min(a, b), max(a, b)
-                coeff = quotient.tensor.get((lo, hi), {}).get(c, Q(0))
-                if a > b:
-                    coeff = -coeff
-                row[a] = coeff
-            if any(row):
-                rows.append(row)
-    qcenter = null_space_dense(rows, q)
+    qcenter = center_of_tensor(quotient.tensor, quotient.dim)
     lifts = []
     for vec in qcenter:
         coeffs = [Q(0)] * algebra.dim
@@ -476,8 +450,8 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     because the ideal is abelian.  Returns a verified complement or the
     infeasible system with the contradictory rows identified.
     """
-    rows_ideal = algebra.ideal_subspace(ideal)
-    algebra.verify_ideal(rows_ideal)
+    span = algebra.verify_ideal(ideal)
+    rows_ideal = [to_dense(row, algebra.dim) for row in span.rows_sorted()]
     for s in range(len(rows_ideal)):
         for t in range(s + 1, len(rows_ideal)):
             if any(algebra.bracket_coeffs(rows_ideal[s], rows_ideal[t])):
@@ -556,7 +530,7 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
                     for k in range(d):
                         coeffs[k] += s * rows_ideal[t][k]
             complement.append(algebra.element(coeffs))
-        _verify_complement(algebra, complement, rows_ideal)
+        _verify_complement(algebra, complement, span)
         return SplitVerdict(True, tuple(complement), None)
 
     conflicts: list[dict] = []
@@ -585,26 +559,18 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
 
 
 def _verify_complement(
-    algebra: LieAlgebra, complement: list[VectorField], rows_ideal: list[list[Fraction]]
+    algebra: LieAlgebra, complement: list[VectorField], ideal: EchelonBasis
 ) -> None:
-    comp_rows = rref_dense([algebra.express(v) for v in complement])[0]
-    if len(comp_rows) != len(complement):
+    coords = [algebra.express(v) for v in complement]
+    span = echelon_of(map(to_sparse, coords))
+    if len(span) != len(complement):
         raise InternalInvariantViolation("complement is not independent")
-    combined = rref_dense(comp_rows + rows_ideal)[0]
-    if len(combined) != algebra.dim:
+    if len(echelon_of(span.rows + ideal.rows)) != algebra.dim:
         raise InternalInvariantViolation("complement + ideal do not span the algebra")
     for i in range(len(complement)):
         for j in range(i + 1, len(complement)):
-            w = algebra.bracket_coeffs(
-                algebra.express(complement[i]), algebra.express(complement[j])
-            )
-            residual = list(w)
-            rows, pivots = rref_dense(comp_rows)
-            for row, p in zip(rows, pivots):
-                if residual[p]:
-                    c = residual[p]
-                    residual = [x - c * y for x, y in zip(residual, row)]
-            if any(residual):
+            w = algebra.bracket_coeffs(coords[i], coords[j])
+            if not span.contains(to_sparse(w)):
                 raise InternalInvariantViolation("complement is not a subalgebra")
 
 

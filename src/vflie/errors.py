@@ -55,7 +55,9 @@ class NotInSpan(VflieError):
 class ClosureCapExceeded(VflieError):
     """Bracket closure hit the dimension, round, or degree cap.
 
-    Signals a likely infinite-dimensional closure; never a silent truncation.
+    The message names the cap that fired and how far the closure got.  A cap
+    bounds the work, it does not prove the closure infinite-dimensional: a
+    higher cap may let it close.  Never a silent truncation.
     """
 
 
@@ -81,10 +83,6 @@ class NotNilpotentOperator(VflieError):
 
 class NotInvariant(VflieError):
     """The subspace is not invariant under the given operator."""
-
-
-class ClosureRequired(VflieError):
-    """The operation needs a bracket-closed algebra."""
 
 
 class InvalidSpec(VflieError):

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over Q.
 
-Vector fields are coordinatized over keys (component index, monomial); an
-EchelonBasis keeps a fully reduced row set with unit pivots, so span
-membership, residuals and coordinates are all exact.  Dense helpers on
-Fraction matrices back the null-space and solve steps used by the algebra
-layer, and generic_rank decides the pointwise-span dimension of a field
-family through symbolic minors.
+EchelonBasis is the one elimination routine: a fully reduced row set with
+unit pivots over sparse vectors, so span membership, residuals, coordinates
+and null spaces are all exact.  Its keys are either (component, monomial)
+pairs, which coordinatize vector fields, or integer basis coordinates,
+which the structure-constant layer uses; only the key order differs.  The
+dense helpers are thin list adapters over integer-key bases, and
+generic_rank decides the pointwise-span dimension of a field family through
+symbolic minors.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import NotInSpan
 from .fields import VariableContext, VectorField
@@ -21,6 +23,9 @@ from .ring import ExpMonomial, ExpPoly, Q
 
 Key = tuple[int, ExpMonomial]
 CoordVector = dict[Key, Fraction]
+SparseVector = dict[int, Fraction]
+
+ZERO = Q(0)
 
 
 def key_sort(key: Key):
@@ -44,14 +49,19 @@ def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
     return VectorField(ctx, tuple(ExpPoly(n, c) for c in comps))
 
 
-def _leading(vec: CoordVector) -> Key:
-    return min(vec, key=key_sort)
+def to_sparse(vec: Sequence[Fraction]) -> SparseVector:
+    """Integer-key sparse form of a dense coefficient list."""
+    return {i: Q(c) for i, c in enumerate(vec) if c}
 
 
-def _axpy(dst: CoordVector, src: CoordVector, scale: Fraction) -> None:
+def to_dense(vec: Mapping[int, Fraction], n: int) -> list[Fraction]:
+    return [vec.get(i, ZERO) for i in range(n)]
+
+
+def _axpy(dst: dict, src: Mapping, scale: Fraction) -> None:
     """dst += scale * src, dropping exact zeros."""
     for key, coeff in src.items():
-        acc = dst.get(key, Q(0)) + scale * coeff
+        acc = dst.get(key, ZERO) + scale * coeff
         if acc:
             dst[key] = acc
         else:
@@ -61,7 +71,7 @@ def _axpy(dst: CoordVector, src: CoordVector, scale: Fraction) -> None:
 @dataclass
 class InsertResult:
     independent: bool
-    residual: CoordVector
+    residual: dict
     index: int | None
     dirtied: tuple[int, ...]
 
@@ -69,25 +79,29 @@ class InsertResult:
 class EchelonBasis:
     """Mutable reduced row set with unit pivots, one owner at a time.
 
-    Rows are stored in insertion order so callers can keep stable indices
-    while the basis grows; `order()` gives the pivot-sorted (reduced
-    row-echelon) view.  Every pivot column is zero in all other rows and
-    the span is independent of insertion order.
+    A row's pivot is its least key under `order`: key_sort (the default)
+    for field keys (component, monomial), or None to compare the keys
+    themselves, as for integer basis coordinates.  Rows are stored in
+    insertion order so callers can keep stable indices while the basis
+    grows; `order()` gives the pivot-sorted (reduced row-echelon) view.
+    Every pivot column is zero in all other rows, so the sorted rows depend
+    only on the span, not on the insertion order.
     """
 
-    def __init__(self) -> None:
-        self.rows: list[CoordVector] = []
-        self.pivots: list[Key] = []
-        self._pivot_row: dict[Key, int] = {}
+    def __init__(self, order: Callable[[Any], Any] | None = key_sort) -> None:
+        self.rows: list[dict] = []
+        self.pivots: list = []
+        self._pivot_row: dict = {}
+        self._key = order
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: CoordVector) -> tuple[CoordVector, dict[int, Fraction]]:
+    def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
         """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
         v = dict(vec)
         coeffs: dict[int, Fraction] = {}
-        hits = sorted((k for k in v if k in self._pivot_row), key=key_sort)
+        hits = sorted((k for k in v if k in self._pivot_row), key=self._key)
         for key in hits:
             coeff = v.get(key)
             if not coeff:
@@ -97,15 +111,15 @@ class EchelonBasis:
             _axpy(v, self.rows[row_idx], -coeff)
         return v, coeffs
 
-    def contains(self, vec: CoordVector) -> bool:
+    def contains(self, vec: Mapping) -> bool:
         residual, _ = self.reduce(vec)
         return not residual
 
-    def insert(self, vec: CoordVector) -> InsertResult:
+    def insert(self, vec: Mapping) -> InsertResult:
         residual, _ = self.reduce(vec)
         if not residual:
             return InsertResult(False, {}, None, ())
-        lead = _leading(residual)
+        lead = min(residual, key=self._key)
         scale = residual[lead]
         row = {k: c / scale for k, c in residual.items()}
         index = len(self.rows)
@@ -120,62 +134,62 @@ class EchelonBasis:
         self._pivot_row[lead] = index
         return InsertResult(True, row, index, tuple(dirtied))
 
-    def express(self, vec: CoordVector) -> list[Fraction]:
+    def express(self, vec: Mapping) -> list[Fraction]:
         """Exact coordinates of vec over the rows (insertion order)."""
         residual, coeffs = self.reduce(vec)
         if residual:
             raise NotInSpan("vector is outside the span of the basis")
-        return [coeffs.get(i, Q(0)) for i in range(len(self.rows))]
+        return [coeffs.get(i, ZERO) for i in range(len(self.rows))]
 
     def order(self) -> list[int]:
         """Row indices sorted by pivot key (the reduced row-echelon order)."""
-        return sorted(range(len(self.rows)), key=lambda i: key_sort(self.pivots[i]))
+        key = self._key or (lambda k: k)
+        return sorted(range(len(self.rows)), key=lambda i: key(self.pivots[i]))
 
-    def rows_sorted(self) -> list[CoordVector]:
+    def rows_sorted(self) -> list[dict]:
         return [self.rows[i] for i in self.order()]
 
 
-# -- dense exact helpers ------------------------------------------------------
+def echelon_of(rows: Iterable[Mapping[int, Fraction]]) -> EchelonBasis:
+    """Integer-key echelon basis of the span of the given sparse rows."""
+    basis = EchelonBasis(order=None)
+    for row in rows:
+        basis.insert(row)
+    return basis
+
+
+def null_space(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Canonical null-space basis: one vector per free column, ascending."""
+    basis = echelon_of(rows)
+    pivots = set(basis.pivots)
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = Q(1)
+        for row, pivot in zip(basis.rows, basis.pivots):
+            vec[pivot] = -row.get(free, ZERO)
+        out.append(vec)
+    return out
+
+
+# -- dense adapters -------------------------------------------------------------
 
 
 def rref_dense(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a copy; returns (rows, pivot columns)."""
-    rows = [list(map(Q, r)) for r in matrix]
-    if not rows:
+    if not matrix:
         return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = rows[r][c]
-        rows[r] = [v / scale for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                coeff = rows[i][c]
-                rows[i] = [a - coeff * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    basis = echelon_of(map(to_sparse, matrix))
+    order = basis.order()
+    ncols = len(matrix[0])
+    return [to_dense(basis.rows[i], ncols) for i in order], [basis.pivots[i] for i in order]
 
 
 def null_space_dense(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical null-space basis: one vector per free column, ascending."""
-    rows, pivots = rref_dense(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Q(0)] * ncols
-        vec[f] = Q(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][f]
-        basis.append(vec)
-    return basis
+    return null_space(map(to_sparse, matrix), ncols)
 
 
 def solve_dense(
@@ -185,18 +199,13 @@ def solve_dense(
     if not matrix:
         return []
     ncols = len(matrix[0])
-    augmented = [list(map(Q, row)) + [Q(b)] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref_dense(augmented)
-    solution = [Q(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
+    basis = echelon_of(to_sparse([*row, b]) for row, b in zip(matrix, rhs))
+    solution = [ZERO] * ncols
+    for row, pivot in zip(basis.rows, basis.pivots):
+        if pivot == ncols:
             return None  # pivot in the constant column: inconsistent
-        solution[c] = rows[r][ncols]
+        solution[pivot] = row.get(ncols, ZERO)
     return solution
-
-
-def rank_dense(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref_dense(matrix)[0])
 
 
 # -- generic rank -------------------------------------------------------------

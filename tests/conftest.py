@@ -7,8 +7,10 @@ fresh Gaussian elimination, so cross-checks stay two-route.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,12 @@ from vflie import DEFAULT_CONTEXT, ExpPoly, VariableContext, VectorField
 from vflie.ring import ExpMonomial
 
 Q = Fraction
+
+# `python -m vflie` subprocesses import the same source tree as the tests
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture
@@ -107,6 +115,11 @@ def assert_poly_is(p: ExpPoly, naive: dict) -> None:
 
 
 def oracle_rank(matrix: list[list[Fraction]]) -> int:
+    return len(oracle_row_basis(matrix))
+
+
+def oracle_row_basis(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """A basis of the row space: the pivot rows left by the elimination."""
     rows = [list(r) for r in matrix]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -125,7 +138,7 @@ def oracle_rank(matrix: list[list[Fraction]]) -> int:
                 factor = rows[i][col] / head
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
 
 
 def oracle_member(span: list[list[Fraction]], vec: list[Fraction]) -> bool:

@@ -11,12 +11,15 @@ from vflie import (
     NotAnIdeal,
     NotInSpan,
     ProjectionHypothesisViolated,
+    RECIPES,
+    build,
     close,
     generic_rank,
+    random_spec,
 )
 from vflie.parser import parse_field
 
-from conftest import Q, naive_field_coords, oracle_member, oracle_rank, rng
+from conftest import Q, naive_field_coords, oracle_member, oracle_rank, oracle_row_basis, rng
 
 ctx = DEFAULT_CONTEXT
 
@@ -49,6 +52,37 @@ def center_oracle(L: LieAlgebra) -> int:
             rows.append([coords[L.dim + j * L.dim + i][col] for i in range(L.dim)])
     rows = [r for r in rows if any(r)]
     return L.dim - oracle_rank(rows) if rows else L.dim
+
+
+def series_oracle(L: LieAlgebra, kind: str) -> list[int]:
+    """Independent series dims: bracket vectors assembled from the structure
+    constants L.c(i, j, k), each term's span taken by the dense oracle."""
+    n = L.dim
+    nonzero = []
+    for i in range(n):
+        for j in range(n):
+            vec = [L.c(i, j, k) for k in range(n)]
+            if any(vec):
+                nonzero.append((i, j, vec))
+
+    def bracket(u, w):
+        out = [Q(0)] * n
+        for i, j, vec in nonzero:
+            if u[i] and w[j]:
+                out = [o + u[i] * w[j] * c for o, c in zip(out, vec)]
+        return out
+
+    units = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
+    current, dims = units, [n]
+    while dims[-1]:
+        left = units if kind == "lower-central" else current
+        vecs = [v for u in left for w in current if any(v := bracket(u, w))]
+        nxt = oracle_row_basis(vecs)
+        if len(nxt) == dims[-1]:
+            break
+        dims.append(len(nxt))
+        current = nxt
+    return dims
 
 
 # -- closure ------------------------------------------------------------------------
@@ -96,6 +130,18 @@ def test_closure_cap_exceeded_for_unbounded_growth():
 def test_closure_respects_small_dim_cap():
     with pytest.raises(ClosureCapExceeded):
         algebra(*EX_SPLIT_FAIL, cap_dim=5)
+
+
+def test_dim_cap_message_names_the_cap_without_claiming_infinite_dimension():
+    # finite: this draw closes at dim 88, above the default cap of 64
+    gens = build(random_spec("center-rank1", 7, 6)).generators
+    with pytest.raises(ClosureCapExceeded) as info:
+        close(gens)
+    message = str(info.value)
+    assert "cap_dim=64" in message and "dimension 65" in message
+    assert "round" in message and "--cap-dim" in message
+    assert "infinite" not in message
+    assert close(gens, cap_dim=200).dim == 88
 
 
 def test_closure_deterministic_and_generator_order_independent():
@@ -234,6 +280,18 @@ def test_abelian_series():
     assert L.series("derived").dims == (3, 0)
 
 
+def test_series_match_structure_constant_oracle():
+    algebras = [close(build(random_spec(recipe, 0, 3)).generators) for recipe in RECIPES]
+    large = close(build(random_spec("center-rank1", 10, 5)).generators)
+    assert large.dim >= 30
+    stalled = [algebra("Dx", "x*Dx"), algebra("Dx", "x*Dx", "x^2*Dx")]  # series stop above 0
+    for L in algebras + [large] + stalled:
+        for kind in ("lower-central", "derived"):
+            report = L.series(kind)
+            assert list(report.dims) == series_oracle(L, kind), (L.dim, kind)
+            assert report.terminated_at_zero == (report.dims[-1] == 0)
+
+
 def test_polynomial_example_is_nilpotent():
     L = algebra(*EX_SPLIT_FAIL)
     assert L.series("lower-central").terminated_at_zero
@@ -361,6 +419,23 @@ def test_polynomial_example_quotient_pattern():
     q = L.quotient_structure(list(proj.kernel_coeffs))
     assert q.dim == 3
     assert q.tensor == {(1, 2): {0: Q(-1)}}
+
+
+def test_quotient_by_central_line_off_the_basis():
+    # Dy + Dz is central, so its line is an ideal; modulo it [Dx, x*Dy] = Dy
+    # is -Dz, which only reducing by the ideal's row reveals
+    L = algebra("Dx", "x*Dy", "Dz")
+    assert [str(b) for b in L.basis] == ["Dx", "Dy", "x*Dy", "Dz"]
+    q = L.quotient_structure([F("Dy + Dz")])
+    assert q.rep_indices == (0, 2, 3)
+    assert q.tensor == {(0, 1): {2: Q(-1)}}
+    ideal = [L.express(F("Dy + Dz"))]
+    for a, b in [(0, 1), (0, 2), (1, 2)]:
+        unit = lambda r: [Q(int(t == q.rep_indices[r])) for t in range(L.dim)]
+        lifted = L.bracket_coeffs(unit(a), unit(b))
+        for c, coeff in q.tensor.get((a, b), {}).items():
+            lifted[q.rep_indices[c]] -= coeff
+        assert oracle_member(ideal, lifted)
 
 
 def test_not_an_ideal_detected():

@@ -133,6 +133,9 @@ def test_jordan_two_chain_example():
     L = algebra(*TWO_CHAIN)
     proj = L.project(["z"])
     jd = jordan_chains(L, F("Dz"), list(proj.kernel_coeffs))
+    # the chains depend on the ideal's span, not on the order it is given in
+    reordered = jordan_chains(L, F("Dz"), list(reversed(proj.kernel_coeffs)))
+    assert reordered.to_dict() == jd.to_dict()
     assert sorted(jd.lengths, reverse=True) == [3, 1]
     heads = {str(h) for h in jd.generators}
     assert "z^2*Dx + z*Dy" in heads

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
-from vflie import DEFAULT_CONTEXT
+from vflie import DEFAULT_CONTEXT, degree_cap, get_degree_cap
+from vflie.cli import main
 from vflie.parser import parse_field
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 EX_POLY = ["Dx", "y*Dx", "Dy + (x^2+y^2)*Dz", "(x+y)*Dz"]
 EX_EXP = ["Dx", "y*Dx + x^2*exp(y)*Dz", "x*Dz"]
@@ -186,3 +192,14 @@ def test_emitted_basis_strings_reparse():
     report = json.loads(run_cli("closure", *gens(EX_EXP), "--format", "json").stdout)
     for text in report["basis"] + report["center"]:
         assert str(parse_field(text, DEFAULT_CONTEXT)) == text
+
+
+def test_json_output_matches_golden_transcript():
+    # the criterion-10 commands plus the README's jordan, ideals, match and
+    # split --ideal commands: criterion 10 compares reruns of one build, this
+    # pins canonical bases, centers, kernels and certificates across changes
+    for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        out = io.StringIO()
+        with degree_cap(get_degree_cap()), redirect_stdout(out):
+            assert main(case["argv"]) == 0
+        assert out.getvalue() == case["stdout"], case["argv"]

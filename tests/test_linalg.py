@@ -13,7 +13,7 @@ from vflie import (
     generic_rank,
     uncoordinatize,
 )
-from vflie.linalg import null_space_dense, rank_dense, solve_dense
+from vflie.linalg import null_space_dense, rref_dense, solve_dense, to_sparse
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -116,29 +116,47 @@ def test_membership_agrees_with_dense_oracle():
         )
 
 
+def field_vectors(r, count):
+    return [coordinatize(rand_field(r, ctx, max_terms=2)) for _ in range(count)]
+
+
+def int_vectors(r, count):
+    return [to_sparse([Q(r.randint(-2, 2)) for _ in range(6)]) for _ in range(count)]
+
+
+# (basis factory, pivot order) for field keys and for integer basis coordinates
+FIELD_KEYS = (EchelonBasis, lambda k: (k[0], k[1].sort_key()))
+INT_KEYS = (lambda: EchelonBasis(order=None), lambda k: k)
+
+
 def test_span_invariant_under_insertion_order():
     r = rng(20240533)
-    fields = [rand_field(r, ctx, max_terms=2) for _ in range(5)]
-    forward, backward = EchelonBasis(), EchelonBasis()
-    for f in fields:
-        forward.insert(coordinatize(f))
-    for f in reversed(fields):
-        backward.insert(coordinatize(f))
-    assert forward.rows_sorted() == backward.rows_sorted()
+    for make, (new_basis, _) in ((field_vectors, FIELD_KEYS), (int_vectors, INT_KEYS)):
+        for _ in range(5):
+            vectors = make(r, 5)
+            forward, backward = new_basis(), new_basis()
+            for v in vectors:
+                forward.insert(v)
+            for v in reversed(vectors):
+                backward.insert(v)
+            assert forward.rows_sorted() == backward.rows_sorted()
 
 
 def test_echelon_invariants():
-    basis = EchelonBasis()
-    for text in ("Dx + y*Dz", "y*Dx + Dz", "Dz + x*Dz", "y*Dx"):
-        basis.insert(coordinatize(F(text)))
-    rows = basis.rows_sorted()
-    pivots = [min(r, key=lambda k: (k[0], k[1].sort_key())) for r in rows]
-    assert pivots == sorted(pivots, key=lambda k: (k[0], k[1].sort_key()))
-    for i, row in enumerate(rows):
-        assert row[pivots[i]] == 1
-        for j, other in enumerate(rows):
-            if i != j:
-                assert pivots[i] not in other
+    field_rows = [coordinatize(F(t)) for t in ("Dx + y*Dz", "y*Dx + Dz", "Dz + x*Dz", "y*Dx")]
+    int_rows = [to_sparse(v) for v in ([0, 2, 1, 0], [3, 0, 1, 5], [0, 0, 2, 4], [3, 2, 2, 5])]
+    for vectors, (new_basis, sort_key) in ((field_rows, FIELD_KEYS), (int_rows, INT_KEYS)):
+        basis = new_basis()
+        for v in vectors:
+            basis.insert(v)
+        rows = basis.rows_sorted()
+        pivots = [min(r, key=sort_key) for r in rows]
+        assert pivots == sorted(pivots, key=sort_key)
+        for i, row in enumerate(rows):
+            assert row[pivots[i]] == 1
+            for j, other in enumerate(rows):
+                if i != j:
+                    assert pivots[i] not in other
 
 
 # -- dense helpers ------------------------------------------------------------------
@@ -152,7 +170,7 @@ def test_rref_and_rank_against_oracle():
         ]
         width = len(matrix[0])
         matrix = [row[:width] + [Q(0)] * (width - len(row)) for row in matrix]
-        assert rank_dense(matrix) == oracle_rank(matrix)
+        assert len(rref_dense(matrix)[0]) == oracle_rank(matrix)
 
 
 def test_null_space_vectors_annihilate():
@@ -169,6 +187,28 @@ def test_solve_dense_finds_solutions_and_detects_inconsistency():
     A = [[Q(1), Q(2)], [Q(2), Q(4)]]
     assert solve_dense(A, [Q(3), Q(6)]) == [Q(3), Q(0)]
     assert solve_dense(A, [Q(3), Q(7)]) is None
+
+
+def test_solve_dense_against_oracle():
+    r = rng(20240539)
+    for trial in range(40):
+        rows, cols = r.randint(1, 5), r.randint(1, 5)
+        # low rank, so random right-hand sides are often inconsistent
+        basis = [[Q(r.randint(-2, 2)) for _ in range(cols)] for _ in range(r.randint(1, 3))]
+        A = [
+            [sum(r.randint(-1, 1) * b[c] for b in basis) for c in range(cols)]
+            for _ in range(rows)
+        ]
+        if trial % 2:
+            x = [Q(r.randint(-3, 3), r.choice((1, 2))) for _ in range(cols)]
+            b = [sum(a * v for a, v in zip(row, x)) for row in A]
+        else:
+            b = [Q(r.randint(-3, 3)) for _ in range(rows)]
+        consistent = oracle_rank(A) == oracle_rank([row + [v] for row, v in zip(A, b)])
+        solution = solve_dense(A, b)
+        assert (solution is not None) == consistent
+        if solution is not None:
+            assert [sum(a * v for a, v in zip(row, solution)) for row in A] == b
 
 
 # -- generic rank ----------------------------------------------------------------------
