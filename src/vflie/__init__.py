@@ -19,7 +19,6 @@ from .classify import (
 from .errors import (
     ClosureCapExceeded,
     ContextMismatch,
-    DegreeCapExceeded,
     IdealNotAbelian,
     InternalInvariantViolation,
     InvalidCoordinateChange,
@@ -43,7 +42,7 @@ from .fields import (
 from .linalg import EchelonBasis, coordinatize, generic_rank, uncoordinatize
 from .parser import parse_expression, parse_field
 from .recipes import RECIPES, BuildResult, RecipeSpec, build, random_spec
-from .ring import ExpMonomial, ExpPoly, degree_cap, get_degree_cap, set_degree_cap
+from .ring import ExpMonomial, ExpPoly
 
 __version__ = "0.1.0"
 
@@ -54,7 +53,6 @@ __all__ = [
     "ContextMismatch",
     "CoordinateChange",
     "DEFAULT_CONTEXT",
-    "DegreeCapExceeded",
     "EchelonBasis",
     "ExpMonomial",
     "ExpPoly",
@@ -87,16 +85,13 @@ __all__ = [
     "classify",
     "close",
     "coordinatize",
-    "degree_cap",
     "generic_rank",
-    "get_degree_cap",
     "jordan_chains",
     "match_template",
     "one_dim_ideals_mod_center",
     "parse_expression",
     "parse_field",
     "random_spec",
-    "set_degree_cap",
     "split_check",
     "uncoordinatize",
 ]

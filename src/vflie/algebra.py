@@ -19,7 +19,6 @@ from typing import Mapping, Sequence, Union
 from .errors import (
     ClosureCapExceeded,
     ContextMismatch,
-    DegreeCapExceeded,
     InternalInvariantViolation,
     NotAnIdeal,
     NotInSpan,
@@ -43,8 +42,10 @@ from .linalg import (
 
 DEFAULT_CAP_DIM = 64
 DEFAULT_CAP_ROUNDS = 32
+DEFAULT_CAP_DEGREE = 64
 
 IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fraction]]]
+Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero coords of [e_i, e_j]
 
 
 def center_of_tensor(
@@ -69,20 +70,22 @@ def close(
     *,
     cap_dim: int = DEFAULT_CAP_DIM,
     cap_rounds: int = DEFAULT_CAP_ROUNDS,
+    cap_degree: int = DEFAULT_CAP_DEGREE,
 ) -> "LieAlgebra":
-    """Bracket closure of a generating set.
+    """Bracket closure of a generating set, with its structure tensor.
 
     Worklist over unordered basis pairs, processed in deterministic rounds;
-    rows dirtied by echelon reduction are re-paired, so on termination every
-    pairwise bracket of the final basis has been verified inside the span.
-    Raises ClosureCapExceeded when the dimension or round cap is hit, or when
-    the ring degree cap fires inside the worklist; the message names the cap
-    and how far the closure got.
+    rows dirtied by echelon reduction are re-paired, so on termination the
+    last bracket of every pair was taken on the final basis, and `nonzero`
+    holds the pairs whose bracket is nonzero: only those are bracketed again
+    to build the tensor.  Raises ClosureCapExceeded when the dimension
+    passes cap_dim, the worklist is open after cap_rounds rounds, or a field
+    entering the span has total degree above cap_degree.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
-    if cap_dim <= 0 or cap_rounds <= 0:
+    if cap_dim <= 0 or cap_rounds <= 0 or cap_degree <= 0:
         raise ValueError("caps must be positive")
     ctx = gens[0].ctx
     for g in gens:
@@ -92,48 +95,61 @@ def close(
     echelon = EchelonBasis()
     fields: list[VectorField] = []
     pending: set[tuple[int, int]] = set()
+    nonzero: set[tuple[int, int]] = set()
+    batch: list[tuple[int, int]] = []  # rest of the current round, last pair first
     rounds = 0
 
+    def cap_error(cap: str, limit: int, detail: str = "") -> ClosureCapExceeded:
+        left = len(pending.union(batch))
+        return ClosureCapExceeded(cap, limit, len(echelon), rounds, left, detail)
+
     def add(vec: CoordVector) -> None:
+        degree = max((mono.degree for _, mono in vec), default=0)
+        if degree > cap_degree:
+            raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
         result = echelon.insert(vec)
         if not result.independent:
             return
-        if len(echelon) > cap_dim:
-            raise ClosureCapExceeded(
-                f"closure exceeded cap_dim={cap_dim}: dimension {len(echelon)} "
-                f"reached in bracket round {rounds}; raise --cap-dim to continue"
-            )
         new = result.index
         fields.append(uncoordinatize(echelon.rows[new], ctx))
         pending.update((k, new) for k in range(new))
         for d in result.dirtied:
             fields[d] = uncoordinatize(echelon.rows[d], ctx)
             pending.update((min(d, k), max(d, k)) for k in range(len(echelon)) if k != d)
+        if len(echelon) > cap_dim:
+            raise cap_error("cap_dim", cap_dim)
 
     for g in gens:
         add(coordinatize(g))
 
     while pending:
+        if rounds == cap_rounds:
+            raise cap_error("cap_rounds", cap_rounds)
         rounds += 1
-        if rounds > cap_rounds:
-            raise ClosureCapExceeded(
-                f"closure did not stabilize within cap_rounds={cap_rounds}"
-            )
-        batch = sorted(pending)
+        batch = sorted(pending, reverse=True)
         pending.clear()
-        for i, j in batch:
-            try:
-                w = fields[i].bracket(fields[j])
-            except DegreeCapExceeded as exc:
-                raise ClosureCapExceeded(
-                    f"degree cap hit while closing ({exc}); "
-                    "the generated algebra is likely infinite-dimensional"
-                ) from exc
-            if not w.is_zero:
+        while batch:
+            i, j = batch.pop()
+            w = fields[i].bracket(fields[j])
+            if w.is_zero:
+                nonzero.discard((i, j))
+            else:
+                nonzero.add((i, j))
                 add(coordinatize(w))
 
-    basis = tuple(uncoordinatize(row, ctx) for row in echelon.rows_sorted())
-    return LieAlgebra(ctx, basis)
+    order = echelon.order()
+    position = {row: p for p, row in enumerate(order)}
+    basis = tuple(fields[i] for i in order)
+    structure: Tensor = {}
+    for a, b in sorted(tuple(sorted((position[i], position[j]))) for i, j in nonzero):
+        try:
+            coeffs = echelon.express(coordinatize(basis[a].bracket(basis[b])))
+        except NotInSpan:
+            raise InternalInvariantViolation(
+                "bracket of basis elements escapes the span; closure is broken"
+            ) from None
+        structure[(a, b)] = {p: coeffs[row] for p, row in enumerate(order) if coeffs[row]}
+    return LieAlgebra(ctx, basis, structure)
 
 
 @dataclass(frozen=True)
@@ -200,9 +216,13 @@ class QuotientStructure:
 
 
 class LieAlgebra:
-    """Closed algebra: canonical echelon basis plus exact structure tensor."""
+    """Closed algebra: canonical echelon basis plus exact structure tensor.
 
-    def __init__(self, ctx: VariableContext, basis: Sequence[VectorField]):
+    close() builds both.  The constructor checks that the basis is reduced
+    echelon and takes `structure` as given, with no zero bracket in it.
+    """
+
+    def __init__(self, ctx: VariableContext, basis: Sequence[VectorField], structure: Tensor):
         self.ctx = ctx
         self.basis = tuple(basis)
         self._echelon = EchelonBasis()
@@ -210,18 +230,7 @@ class LieAlgebra:
             result = self._echelon.insert(coordinatize(b))
             if not result.independent or result.dirtied:
                 raise InternalInvariantViolation("basis is not reduced echelon")
-        self.structure: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                try:
-                    coeffs = self._echelon.express(coordinatize(self.basis[i].bracket(self.basis[j])))
-                except NotInSpan:
-                    raise InternalInvariantViolation(
-                        "bracket of basis elements escapes the span; closure is broken"
-                    ) from None
-                entry = {k: c for k, c in enumerate(coeffs) if c}
-                if entry:
-                    self.structure[(i, j)] = entry
+        self.structure = structure
         # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
         self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]
         for (i, j), comps in self.structure.items():
@@ -272,6 +281,8 @@ class LieAlgebra:
         return self._echelon.express(coordinatize(field))
 
     def contains(self, field: VectorField) -> bool:
+        if field.ctx != self.ctx:
+            raise ContextMismatch("field belongs to a different context")
         return self._echelon.contains(coordinatize(field))
 
     def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> list[Fraction]:
@@ -371,11 +382,12 @@ class LieAlgebra:
             f = VectorField(sub_ctx, comps)
             if not f.is_zero:
                 images.append(f)
-        image = (
-            close(images, cap_dim=max(self.dim, 1), cap_rounds=DEFAULT_CAP_ROUNDS)
-            if images
-            else LieAlgebra(sub_ctx, ())
-        )
+        if images:
+            # the image of a closed algebra has at most its dimension and degree
+            degree = max(c.degree for b in self.basis for c in b.comps)
+            image = close(images, cap_dim=self.dim, cap_degree=max(degree, 1))
+        else:
+            image = LieAlgebra(sub_ctx, (), {})
         # kernel: combinations of basis elements with vanishing kept components
         rows: dict[tuple, SparseVector] = {}
         for s, b in enumerate(self.basis):
@@ -431,7 +443,7 @@ class LieAlgebra:
         pivots = set(span.pivots)
         reps = tuple(i for i in range(self.dim) if i not in pivots)
         position = {rep: c for c, rep in enumerate(reps)}
-        tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
+        tensor: Tensor = {}
         for a, b in combinations(range(len(reps)), 2):
             reduced, _ = span.reduce(self._bracket({reps[a]: Q(1)}, {reps[b]: Q(1)}))
             if reduced:

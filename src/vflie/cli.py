@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .algebra import DEFAULT_CAP_DIM, DEFAULT_CAP_ROUNDS, LieAlgebra, close
+from .algebra import DEFAULT_CAP_DEGREE, DEFAULT_CAP_DIM, DEFAULT_CAP_ROUNDS, LieAlgebra, close
 from .classify import (
     TEMPLATES,
     classify,
@@ -28,7 +28,6 @@ from .fields import VariableContext
 from .linalg import generic_rank
 from .parser import parse_field
 from .recipes import RECIPES, build, random_spec
-from .ring import set_degree_cap
 
 
 @dataclass
@@ -36,6 +35,7 @@ class Session:
     ctx: VariableContext
     cap_dim: int
     cap_rounds: int
+    cap_degree: int
     fmt: str
     seed: int
 
@@ -44,7 +44,7 @@ def _add_common(p: argparse.ArgumentParser, *, gens: bool = True) -> None:
     p.add_argument("--vars", default="x,y,z", help="comma-separated variable names (max 3)")
     p.add_argument("--cap-dim", type=int, default=DEFAULT_CAP_DIM)
     p.add_argument("--cap-rounds", type=int, default=DEFAULT_CAP_ROUNDS)
-    p.add_argument("--degree-cap", type=int, default=64)
+    p.add_argument("--degree-cap", dest="cap_degree", type=int, default=DEFAULT_CAP_DEGREE)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
     if gens:
@@ -118,8 +118,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _session(args: argparse.Namespace) -> Session:
     names = tuple(n.strip() for n in args.vars.split(",") if n.strip())
     ctx = VariableContext(names)
-    set_degree_cap(args.degree_cap)
-    return Session(ctx, args.cap_dim, args.cap_rounds, args.format, args.seed)
+    return Session(ctx, args.cap_dim, args.cap_rounds, args.cap_degree, args.format, args.seed)
 
 
 def _generators(args: argparse.Namespace, session: Session) -> list:
@@ -141,6 +140,7 @@ def _closure(args: argparse.Namespace, session: Session) -> LieAlgebra:
         _generators(args, session),
         cap_dim=session.cap_dim,
         cap_rounds=session.cap_rounds,
+        cap_degree=session.cap_degree,
     )
 
 
@@ -233,14 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _run(args)
-    except ParseError as exc:
-        sys.stderr.write(
-            json.dumps({"error": exc.code, "message": str(exc), "position": exc.position}) + "\n"
-        )
-        return 2
     except VflieError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
-        return 1
+        sys.stderr.write(json.dumps(exc.to_dict()) + "\n")
+        return 2 if isinstance(exc, ParseError) else 1
     except ValueError as exc:  # bad flag values: variable names, caps, indices
         sys.stderr.write(json.dumps({"error": "UsageError", "message": str(exc)}) + "\n")
         return 2

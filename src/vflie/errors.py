@@ -14,13 +14,13 @@ class VflieError(Exception):
     def code(self) -> str:
         return type(self).__name__
 
+    def to_dict(self) -> dict:
+        """The structured error report the CLI writes to stderr."""
+        return {"error": self.code, "message": str(self)}
+
 
 class ContextMismatch(VflieError):
     """Operands belong to different variable contexts."""
-
-
-class DegreeCapExceeded(VflieError):
-    """A product exceeded the configured total polynomial degree cap."""
 
 
 class SubstitutionOutsideRing(VflieError):
@@ -47,6 +47,9 @@ class ParseError(VflieError):
             detail += " (expected " + " | ".join(expected) + ")"
         super().__init__(detail)
 
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "position": self.position}
+
 
 class NotInSpan(VflieError):
     """A vector is outside the span of the given basis."""
@@ -55,10 +58,25 @@ class NotInSpan(VflieError):
 class ClosureCapExceeded(VflieError):
     """Bracket closure hit the dimension, round, or degree cap.
 
-    The message names the cap that fired and how far the closure got.  A cap
-    bounds the work, it does not prove the closure infinite-dimensional: a
-    higher cap may let it close.  Never a silent truncation.
+    Carries the `cap` that fired ("cap_dim", "cap_rounds" or "cap_degree"),
+    its `limit`, the `dim` and bracket `round` reached and the number of
+    basis pairs not yet bracketed (`pending`).  A cap bounds the work; it
+    does not prove the closure infinite-dimensional, and a higher cap may
+    let it close.  Never a silent truncation.
     """
+
+    FLAGS = {"cap_dim": "--cap-dim", "cap_rounds": "--cap-rounds", "cap_degree": "--degree-cap"}
+
+    def __init__(self, cap: str, limit: int, dim: int, round: int, pending: int, detail: str = ""):
+        self.cap, self.limit, self.dim, self.round, self.pending = cap, limit, dim, round, pending
+        super().__init__(
+            f"closure exceeded {cap}={limit}{detail}: dimension {dim} reached in bracket "
+            f"round {round}, {pending} pairs pending; raise {self.FLAGS[cap]} to continue"
+        )
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "cap": self.cap, "limit": self.limit,
+                "dim": self.dim, "round": self.round, "pending": self.pending}
 
 
 class ProjectionHypothesisViolated(VflieError):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import NotInSpan
+from .errors import ContextMismatch, NotInSpan
 from .fields import VariableContext, VectorField
 from .ring import ExpMonomial, ExpPoly, Q
 
@@ -239,8 +239,6 @@ def generic_rank(fields: Sequence[VectorField]) -> int:
     ctx = fields[0].ctx
     for f in fields:
         if f.ctx != ctx:
-            from .errors import ContextMismatch
-
             raise ContextMismatch("rank of fields over different contexts")
     n = ctx.nvars
     m = len(fields)

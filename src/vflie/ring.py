@@ -11,46 +11,23 @@ map is empty.  Values are immutable after construction and safe to share.
 
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.
+
+The module holds no mutable state.  Products are never truncated and the ring
+sets no degree limit of its own: close() bounds the total degree of every
+field that enters a closure (its cap_degree).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import ContextMismatch, DegreeCapExceeded, SubstitutionOutsideRing
+from .errors import ContextMismatch, SubstitutionOutsideRing
 
 Q = Fraction
 Scalar = Union[int, Fraction]
-
-_degree_cap = 64
-
-
-def get_degree_cap() -> int:
-    return _degree_cap
-
-
-def set_degree_cap(cap: int) -> None:
-    """Set the global total-degree cap checked on every product monomial."""
-    if cap <= 0:
-        raise ValueError("degree cap must be positive")
-    global _degree_cap
-    _degree_cap = cap
-
-
-@contextmanager
-def degree_cap(cap: int) -> Iterator[None]:
-    """Temporarily override the degree cap (used mainly in tests)."""
-    global _degree_cap
-    old = _degree_cap
-    set_degree_cap(cap)
-    try:
-        yield
-    finally:
-        _degree_cap = old
 
 
 @dataclass(frozen=True)
@@ -234,16 +211,13 @@ class ExpPoly:
                 return ExpPoly.zero(self.nvars)
             return ExpPoly(self.nvars, {m: c * s for m, c in self._terms.items()})
         self._check(other)
-        cap = _degree_cap
         out: dict[ExpMonomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                powers = tuple(a + b for a, b in zip(m1.powers, m2.powers))
-                if sum(powers) > cap:
-                    raise DegreeCapExceeded(
-                        f"product monomial of total degree {sum(powers)} exceeds cap {cap}"
-                    )
-                mono = ExpMonomial(powers, tuple(a + b for a, b in zip(m1.rates, m2.rates)))
+                mono = ExpMonomial(
+                    tuple(a + b for a, b in zip(m1.powers, m2.powers)),
+                    tuple(a + b for a, b in zip(m1.rates, m2.rates)),
+                )
                 acc = out.get(mono, Q(0)) + c1 * c2
                 if acc:
                     out[mono] = acc

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from vflie import (
     ClosureCapExceeded,
+    ContextMismatch,
     DEFAULT_CONTEXT,
     LieAlgebra,
     NotAnIdeal,
@@ -16,10 +19,23 @@ from vflie import (
     close,
     generic_rank,
     random_spec,
+    VariableContext,
 )
 from vflie.parser import parse_field
 
-from conftest import Q, naive_field_coords, oracle_member, oracle_rank, oracle_row_basis, rng
+from conftest import (
+    Q,
+    naive_add,
+    naive_canon,
+    naive_diff,
+    naive_field_coords,
+    naive_mul,
+    naive_of,
+    oracle_member,
+    oracle_rank,
+    oracle_row_basis,
+    rng,
+)
 
 ctx = DEFAULT_CONTEXT
 
@@ -137,11 +153,40 @@ def test_dim_cap_message_names_the_cap_without_claiming_infinite_dimension():
     gens = build(random_spec("center-rank1", 7, 6)).generators
     with pytest.raises(ClosureCapExceeded) as info:
         close(gens)
-    message = str(info.value)
+    exc = info.value
+    message = str(exc)
     assert "cap_dim=64" in message and "dimension 65" in message
     assert "round" in message and "--cap-dim" in message
     assert "infinite" not in message
+    assert (exc.cap, exc.limit, exc.dim) == ("cap_dim", 64, 65)
+    assert exc.round >= 1 and f"round {exc.round}" in message
+    assert exc.pending > 0 and f"{exc.pending} pairs pending" in message
     assert close(gens, cap_dim=200).dim == 88
+
+
+def test_round_cap_reports_how_far_the_closure_got():
+    with pytest.raises(ClosureCapExceeded) as info:
+        algebra(*EX_SPLIT_FAIL, cap_rounds=1)  # closes to dim 8 in more rounds
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.round) == ("cap_rounds", 1, 1)
+    assert 4 <= exc.dim <= 8 and exc.pending > 0
+    message = str(exc)
+    assert "cap_rounds=1" in message and f"dimension {exc.dim}" in message
+    assert "round 1" in message and "--cap-rounds" in message
+    assert "infinite" not in message
+    assert algebra(*EX_SPLIT_FAIL, cap_rounds=exc.round + 8).dim == 8
+
+
+def test_cap_degree_is_a_closure_limit():
+    # [Dx, x^5*Dy] = 5*x^4*Dy, ... down to Dy: dim 7, degree 5
+    with pytest.raises(ClosureCapExceeded) as info:
+        algebra("Dx", "x^5*Dy", cap_degree=4)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_degree", 4, 1, 0, 0)
+    message = str(exc)
+    assert "cap_degree=4" in message and "degree 5" in message
+    assert "--degree-cap" in message and "infinite" not in message
+    assert algebra("Dx", "x^5*Dy", cap_degree=5).dim == 7
 
 
 def test_closure_deterministic_and_generator_order_independent():
@@ -219,6 +264,52 @@ def test_structure_tensor_antisymmetry_and_jacobi():
                     assert not any(jac)
 
 
+@pytest.fixture(scope="module")
+def oracle_corpus() -> list[LieAlgebra]:
+    """Every recipe at degree bound 3 plus the dim-39 center-rank1 closure."""
+    algebras = [close(build(random_spec(recipe, 0, 3)).generators) for recipe in RECIPES]
+    large = close(build(random_spec("center-rank1", 10, 5)).generators)
+    assert large.dim >= 30
+    return algebras + [large]
+
+
+def _terms(canon: dict) -> list:
+    return [(powers, rates, coeff) for (powers, rates), coeff in canon.items()]
+
+
+def naive_bracket(u, w) -> list[dict]:
+    """[u, w] on raw term lists: component k is sum_i u_i d_i w_k - w_i d_i u_k."""
+    n = len(u.comps)
+    out = []
+    for k in range(n):
+        acc: dict = {}
+        for i in range(n):
+            plus = naive_mul(naive_of(u.comps[i]), _terms(naive_diff(naive_of(w.comps[k]), i)))
+            minus = naive_mul(naive_of(w.comps[i]), _terms(naive_diff(naive_of(u.comps[k]), i)))
+            acc = naive_add(_terms(acc), _terms(plus) + [(p, r, -c) for p, r, c in _terms(minus)])
+        out.append(acc)
+    return out
+
+
+def test_structure_tensor_matches_naive_bracket_oracle(oracle_corpus):
+    # close() builds the tensor and LieAlgebra takes it as given, so every
+    # pair is checked here against brackets that share no code with the
+    # engine: [b_i, b_j] = sum_k c(i, j, k) b_k term for term, and a pair is
+    # stored exactly when its bracket is nonzero
+    for L in oracle_corpus:
+        n = L.ctx.nvars
+        for i, j in combinations(range(L.dim), 2):
+            coeffs = L.structure.get((i, j), {})
+            combination = [
+                naive_canon([(p, r, a * c) for k, a in coeffs.items()
+                             for p, r, c in naive_of(L.basis[k].comps[comp])])
+                for comp in range(n)
+            ]
+            got = naive_bracket(L.basis[i], L.basis[j])
+            assert got == combination, (L.dim, i, j)
+            assert ((i, j) in L.structure) == any(got), (L.dim, i, j)
+
+
 def test_express_and_element_round_trip():
     L = algebra(*EX_EXP)
     r = rng(20240540)
@@ -227,6 +318,16 @@ def test_express_and_element_round_trip():
         assert L.express(L.element(coeffs)) == coeffs
     with pytest.raises(NotInSpan):
         L.express(F("x^5*Dz"))
+
+
+def test_membership_checks_the_context():
+    L = algebra(*HEISENBERG)
+    other = parse_field("Da", VariableContext(("a", "b", "c")))
+    assert L.contains(F("Dx")) and not L.contains(F("Dy"))
+    with pytest.raises(ContextMismatch):
+        L.contains(other)
+    with pytest.raises(ContextMismatch):
+        L.express(other)
 
 
 # -- center -------------------------------------------------------------------------
@@ -280,12 +381,9 @@ def test_abelian_series():
     assert L.series("derived").dims == (3, 0)
 
 
-def test_series_match_structure_constant_oracle():
-    algebras = [close(build(random_spec(recipe, 0, 3)).generators) for recipe in RECIPES]
-    large = close(build(random_spec("center-rank1", 10, 5)).generators)
-    assert large.dim >= 30
+def test_series_match_structure_constant_oracle(oracle_corpus):
     stalled = [algebra("Dx", "x*Dx"), algebra("Dx", "x*Dx", "x^2*Dx")]  # series stop above 0
-    for L in algebras + [large] + stalled:
+    for L in oracle_corpus + stalled:
         for kind in ("lower-central", "derived"):
             report = L.series(kind)
             assert list(report.dims) == series_oracle(L, kind), (L.dim, kind)

@@ -6,10 +6,10 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from vflie import DEFAULT_CONTEXT, degree_cap, get_degree_cap
+from vflie import DEFAULT_CONTEXT, close
 from vflie.cli import main
 from vflie.parser import parse_field
 
@@ -142,6 +142,30 @@ def test_domain_error_exit_code_1():
     assert err["error"] == "ClosureCapExceeded"
 
 
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cap_degree_error_reports_progress_on_stderr():
+    code, out, err = run_main(["closure", "--gen", "Dx", "--gen", "x^5*Dy", "--degree-cap", "4"])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ClosureCapExceeded"
+    assert {k: report[k] for k in ("cap", "limit", "dim", "round", "pending")} == {
+        "cap": "cap_degree", "limit": 4, "dim": 1, "round": 0, "pending": 0,
+    }
+    assert "cap_degree=4" in report["message"] and "--degree-cap" in report["message"]
+
+
+def test_cap_degree_does_not_leak_into_later_library_calls():
+    gens = ["Dx", "x^5*Dy"]
+    assert run_main(["closure", "--gen", gens[0], "--gen", gens[1], "--degree-cap", "4"])[0] == 1
+    assert close([parse_field(t, DEFAULT_CONTEXT) for t in gens]).dim == 7
+
+
 def test_not_nilpotent_exit_code_1():
     proc = run_cli("classify", "--gen", "Dx", "--gen", "x*Dx")
     assert proc.returncode == 1
@@ -200,6 +224,6 @@ def test_json_output_matches_golden_transcript():
     # pins canonical bases, centers, kernels and certificates across changes
     for case in json.loads(GOLDEN.read_text(encoding="utf-8")):
         out = io.StringIO()
-        with degree_cap(get_degree_cap()), redirect_stdout(out):
+        with redirect_stdout(out):
             assert main(case["argv"]) == 0
         assert out.getvalue() == case["stdout"], case["argv"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from vflie import DegreeCapExceeded, ExpPoly, SubstitutionOutsideRing, degree_cap
+from vflie import ExpPoly, SubstitutionOutsideRing
 from vflie.parser import parse_expression
 
 from conftest import (
@@ -123,16 +123,6 @@ def test_substitute_affine_constant_into_exponential_rejected():
 def test_substitute_linear_into_exponential():
     assert P("exp(y)").substitute({1: P("2*y")}) == P("exp(2*y)")
     assert P("exp(x+y)").substitute({0: P("x - y")}) == P("exp(x)")
-
-
-# -- caps ---------------------------------------------------------------------------
-
-
-def test_degree_cap_is_an_error_not_truncation():
-    with degree_cap(4):
-        with pytest.raises(DegreeCapExceeded):
-            P("x^3") * P("x^2")
-        assert P("x^2") * P("x^2") == P("x^4")
 
 
 # -- algebraic laws on randomized canonical inputs -----------------------------------
