@@ -237,6 +237,7 @@ class LieAlgebra:
             self._ad[i][j] = comps
             self._ad[j][i] = {k: -c for k, c in comps.items()}
         self._center_coeffs: list[list[Fraction]] | None = None
+        self._series: dict[str, SeriesReport] = {}
 
     # -- basics --------------------------------------------------------------
 
@@ -307,9 +308,14 @@ class LieAlgebra:
     # -- series and flags -------------------------------------------------------
 
     def series(self, kind: str) -> SeriesReport:
-        """Lower-central (g, [g,g^k]) or derived (g^(k), [g^(k),g^(k)]) dims."""
+        """Lower-central (g, [g,g^k]) or derived (g^(k), [g^(k),g^(k)]) dims, cached."""
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
+        if kind not in self._series:
+            self._series[kind] = self._compute_series(kind)
+        return self._series[kind]
+
+    def _compute_series(self, kind: str) -> SeriesReport:
         units = [{i: Q(1)} for i in range(self.dim)]
         dims = [self.dim]
         current = units

@@ -171,9 +171,9 @@ def _run(args: argparse.Namespace) -> dict:
         return {**head, **classify(_closure(args, session)).to_dict()}
     if args.command == "center":
         algebra = _closure(args, session)
-        report = algebra.report()
-        return {**head, "dim": report["dim"], "center": report["center"],
-                "center_dim": len(report["center"]), "center_rank": report["center_rank"]}
+        center = algebra.center()
+        return {**head, "dim": algebra.dim, "center": [str(v) for v in center],
+                "center_dim": len(center), "center_rank": generic_rank(center)}
     if args.command == "series":
         return {**head, **_closure(args, session).series(args.kind).to_dict()}
     if args.command == "rank":

@@ -6,8 +6,9 @@ and null spaces are all exact.  Its keys are either (component, monomial)
 pairs, which coordinatize vector fields, or integer basis coordinates,
 which the structure-constant layer uses; only the key order differs.  The
 dense helpers are thin list adapters over integer-key bases, and
-generic_rank decides the pointwise-span dimension of a field family through
-symbolic minors.
+generic_rank decides the pointwise-span dimension of a field family by greedy
+span growth over the fraction field: a field is kept when one of at most three
+small symbolic minors is nonzero, so a family of m fields costs O(m) minors.
 """
 
 from __future__ import annotations
@@ -226,14 +227,18 @@ def _det(entries: list[list[ExpPoly]]) -> ExpPoly:
 
 
 def generic_rank(fields: Sequence[VectorField]) -> int:
-    """Largest k with a symbolically nonzero k x k minor of the coefficient matrix.
+    """Rank of the coefficient matrix (rows fields, columns variables).
 
-    Rows are the fields, columns the variables.  For these real-analytic
-    coefficients this equals the maximal pointwise span dimension, attained
-    on a dense open set; a rank at a specific point is deliberately not
-    computed.
+    This is the largest k with a symbolically nonzero k x k minor.  The
+    coefficients lie in an integral domain, so it is also the dimension of
+    the fields' span over its fraction field, and greedy span growth finds
+    it: walk the fields in order and keep one exactly when some maximal
+    minor of the kept rows plus it is nonzero (at most C(n, k+1) <= 3
+    minors), stopping once n are kept.  For these real-analytic
+    coefficients the rank equals the maximal pointwise span dimension,
+    attained on a dense open set; a rank at a specific point is
+    deliberately not computed.
     """
-    fields = [f for f in fields if not f.is_zero]
     if not fields:
         return 0
     ctx = fields[0].ctx
@@ -241,11 +246,13 @@ def generic_rank(fields: Sequence[VectorField]) -> int:
         if f.ctx != ctx:
             raise ContextMismatch("rank of fields over different contexts")
     n = ctx.nvars
-    m = len(fields)
-    for k in range(min(m, n), 0, -1):
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                entries = [[fields[r].comps[c] for c in cols] for r in rows]
-                if not _det(entries).is_zero:
-                    return k
-    return 0
+    kept: list[VectorField] = []
+    for f in fields:
+        if len(kept) == n:
+            break
+        rows = [*kept, f]
+        for cols in combinations(range(n), len(rows)):
+            if not _det([[r.comps[c] for c in cols] for r in rows]).is_zero:
+                kept.append(f)
+                break
+    return len(kept)

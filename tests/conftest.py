@@ -1,8 +1,9 @@
 """Shared helpers: seeded random generators and independent oracles.
 
 The oracles here deliberately avoid the engine's own code paths: the naive
-polynomial oracle works on raw term lists, and the dense rank oracle is a
-fresh Gaussian elimination, so cross-checks stay two-route.
+polynomial oracle works on raw term lists, the dense rank oracle is a
+fresh Gaussian elimination, and the generic-rank oracle tries every minor
+through its own Leibniz determinant, so cross-checks stay two-route.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,38 @@ def oracle_member(span: list[list[Fraction]], vec: list[Fraction]) -> bool:
     if not span:
         return not any(vec)
     return oracle_rank(span) == oracle_rank(span + [vec])
+
+
+# -- all-minors generic rank oracle ---------------------------------------------
+
+
+def oracle_det(entries: list[list[ExpPoly]]) -> ExpPoly:
+    """Leibniz expansion: a signed product over every permutation."""
+    k = len(entries)
+    acc = ExpPoly.zero(entries[0][0].nvars)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(k), 2))
+        term = entries[0][perm[0]]
+        for row in range(1, k):
+            term = term * entries[row][perm[row]]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def oracle_generic_rank(fields: list[VectorField]) -> int:
+    """Largest k with a nonzero k x k minor, trying every minor from the top k."""
+    fields = [f for f in fields if not f.is_zero]
+    if not fields:
+        return 0
+    n = fields[0].ctx.nvars
+    m = len(fields)
+    for k in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                entries = [[fields[r].comps[c] for c in cols] for r in rows]
+                if not oracle_det(entries).is_zero:
+                    return k
+    return 0
 
 
 # -- naive field coordinatization (independent of vflie.linalg) -----------------

@@ -6,9 +6,11 @@ from itertools import combinations
 
 import pytest
 
+import vflie.algebra
 from vflie import (
     ClosureCapExceeded,
     ContextMismatch,
+    CoordinateChange,
     DEFAULT_CONTEXT,
     LieAlgebra,
     NotAnIdeal,
@@ -21,7 +23,7 @@ from vflie import (
     random_spec,
     VariableContext,
 )
-from vflie.parser import parse_field
+from vflie.parser import parse_expression, parse_field
 
 from conftest import (
     Q,
@@ -388,6 +390,55 @@ def test_series_match_structure_constant_oracle(oracle_corpus):
             report = L.series(kind)
             assert list(report.dims) == series_oracle(L, kind), (L.dim, kind)
             assert report.terminated_at_zero == (report.dims[-1] == 0)
+
+
+def test_series_are_cached_per_algebra(monkeypatch):
+    L = algebra(*EX_SPLIT_FAIL)
+    real_echelon_of = vflie.algebra.echelon_of
+    calls = []
+
+    def counting_echelon_of(rows):
+        calls.append(1)
+        return real_echelon_of(rows)
+
+    monkeypatch.setattr(vflie.algebra, "echelon_of", counting_echelon_of)
+    for kind in ("lower-central", "derived"):
+        before = len(calls)
+        first = L.series(kind)
+        computed = len(calls)
+        assert computed > before
+        assert L.series(kind) == first
+        assert len(calls) == computed
+    assert L.is_nilpotent() and L.is_solvable()
+    assert len(calls) == computed
+
+
+def test_invariants_survive_a_coordinate_change():
+    # the two changes of test_rank_invariant_under_pushforward in test_linalg
+    E = lambda t: parse_expression(t, ctx)
+    changes = [
+        CoordinateChange(ctx, (E("x + y"), E("y"), E("z")), (E("x - y"), E("y"), E("z"))),
+        CoordinateChange(
+            ctx, (E("x"), E("y"), E("z + x^2*y")), (E("x"), E("y"), E("z - x^2*y"))
+        ),
+    ]
+
+    def invariants(L: LieAlgebra) -> tuple:
+        center = L.center()
+        return (
+            L.dim,
+            L.series("lower-central").dims,
+            len(center),
+            generic_rank(L.basis),
+            generic_rank(center),
+        )
+
+    for recipe in RECIPES:
+        generators = build(random_spec(recipe, 0, 3)).generators
+        expected = invariants(close(generators))
+        for change in changes:
+            pushed = close([g.pushforward(change) for g in generators])
+            assert invariants(pushed) == expected, (recipe, change)
 
 
 def test_polynomial_example_is_nilpotent():

@@ -9,7 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from vflie import DEFAULT_CONTEXT, close
+from vflie import DEFAULT_CONTEXT, LieAlgebra, close
 from vflie.cli import main
 from vflie.parser import parse_field
 
@@ -78,6 +78,20 @@ def test_center_and_rank_commands():
     assert center["center_dim"] == 4 and center["center_rank"] == 1
     rank = json.loads(run_cli("rank", *gens(EX_EXP), "--format", "json").stdout)
     assert rank["generic_rank"] == 2
+
+
+def test_center_command_builds_only_what_it_prints(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the center command needs no series and no full report")
+
+    monkeypatch.setattr(LieAlgebra, "series", forbidden)
+    monkeypatch.setattr(LieAlgebra, "report", forbidden)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["center", *gens(EX_EXP), "--format", "json"]) == 0
+    report = json.loads(out.getvalue())
+    assert list(report) == ["variables", "dim", "center", "center_dim", "center_rank"]
+    assert report["dim"] == 8 and report["center_dim"] == 4 and report["center_rank"] == 1
 
 
 def test_project_command():

@@ -5,12 +5,18 @@ from __future__ import annotations
 import pytest
 
 from vflie import (
+    ContextMismatch,
     CoordinateChange,
     DEFAULT_CONTEXT,
     EchelonBasis,
     NotInSpan,
+    VariableContext,
+    build,
+    close,
     coordinatize,
     generic_rank,
+    linalg,
+    random_spec,
     uncoordinatize,
 )
 from vflie.linalg import null_space_dense, rref_dense, solve_dense, to_sparse
@@ -19,9 +25,11 @@ from vflie.parser import parse_expression, parse_field
 from conftest import (
     Q,
     naive_field_coords,
+    oracle_generic_rank,
     oracle_member,
     oracle_rank,
     rand_field,
+    rand_poly,
     rng,
 )
 
@@ -260,3 +268,69 @@ def test_rank_invariant_under_pushforward():
             fields = [rand_field(r, ctx, max_terms=2) for _ in range(3)]
             pushed = [f.pushforward(change) for f in fields]
             assert generic_rank(pushed) == generic_rank(fields)
+
+
+def test_rank_checks_every_context_before_dropping_zero_fields():
+    plane = VariableContext(("x", "y"))
+    zero = plane.field([plane.zero_poly()] * 2)
+    for fields in ([F("Dx"), zero], [zero, F("Dx")]):
+        with pytest.raises(ContextMismatch):
+            generic_rank(fields)
+
+
+def rank_family(r, context: VariableContext) -> list:
+    """Ring combinations of a few random fields placed first, then the fields
+    themselves, a zero field and duplicates; exp terms in about half."""
+    n = context.nvars
+    zero = context.field([context.zero_poly()] * n)
+    base = [
+        rand_field(r, context, max_terms=2, allow_exp=r.random() < 0.5)
+        for _ in range(r.randint(0, n))
+    ]
+    dependent = []
+    for _ in range(r.randint(1, 2)):
+        acc = zero
+        for b in base:
+            acc = acc + b * rand_poly(r, n, max_terms=1, allow_exp=True)
+        dependent.append(acc)
+    return dependent + base + [zero] + base[: r.randint(0, len(base))]
+
+
+def test_rank_matches_all_minors_oracle_in_any_order():
+    r = rng(20240539)
+    for names in (("x",), ("x", "y"), ("x", "y", "z")):
+        context = VariableContext(names)
+        ranks = set()
+        for _ in range(40):
+            family = rank_family(r, context)
+            k = oracle_generic_rank(family)
+            ranks.add(k)
+            assert generic_rank(family) == k
+            assert generic_rank(family[::-1]) == k
+            for _ in range(2):
+                shuffled = list(family)
+                r.shuffle(shuffled)
+                assert generic_rank(shuffled) == k
+        assert ranks == set(range(len(names) + 1))  # every rank is exercised
+
+
+def test_rank_makes_at_most_three_minors_per_field(monkeypatch):
+    # dim-88 rank-2 basis: every 3 x 3 minor is zero, so trying all minors
+    # takes C(88, 3) determinants before any 2 x 2 one
+    L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
+    real_det = linalg._det
+    depth = top_level = 0
+
+    def counting_det(entries):
+        nonlocal depth, top_level
+        top_level += depth == 0
+        depth += 1
+        try:
+            return real_det(entries)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(linalg, "_det", counting_det)
+    assert L.dim == 88
+    assert generic_rank(L.basis) == 2
+    assert 0 < top_level <= 3 * L.dim
