@@ -265,7 +265,11 @@ class LieAlgebra:
     def bracket_coeffs(
         self, u: Sequence[Fraction], w: Sequence[Fraction]
     ) -> list[Fraction]:
-        """[u, w] in basis coordinates, computed on the structure tensor."""
+        """[u, w] in basis coordinates, computed on the structure tensor.
+
+        Dense form of _bracket; no engine code calls it, and it remains for
+        the tests and the benchmark tracer.
+        """
         return to_dense(self._bracket(to_sparse(u), to_sparse(w)), self.dim)
 
     def element(self, coeffs: Sequence[Fraction]) -> VectorField:
@@ -445,7 +449,10 @@ class LieAlgebra:
 
     def quotient_structure(self, ideal: IdealLike) -> QuotientStructure:
         """Structure constants of L/ideal on the complementary basis lines."""
-        span = self.verify_ideal(ideal)
+        return self._quotient_by(self.verify_ideal(ideal))
+
+    def _quotient_by(self, span: EchelonBasis) -> QuotientStructure:
+        """quotient_structure for an ideal already verified as `span`."""
         pivots = set(span.pivots)
         reps = tuple(i for i in range(self.dim) if i not in pivots)
         position = {rep: c for c, rep in enumerate(reps)}
@@ -459,8 +466,13 @@ class LieAlgebra:
     # -- reporting -----------------------------------------------------------------
 
     def report(self) -> dict:
-        """JSON-ready structural report with a stable key order."""
+        """JSON-ready structural report with a stable key order.
+
+        A nilpotent algebra is solvable, so the derived series is computed
+        only when the lower-central series stops above zero.
+        """
         center_fields = self.center()
+        nilpotent = self.is_nilpotent()
         entries = []
         for (i, j), comps in sorted(self.structure.items()):
             for k, coeff in sorted(comps.items()):
@@ -470,8 +482,8 @@ class LieAlgebra:
             "basis": [str(b) for b in self.basis],
             "dim": self.dim,
             "structure": entries,
-            "nilpotent": self.is_nilpotent(),
-            "solvable": self.is_solvable(),
+            "nilpotent": nilpotent,
+            "solvable": nilpotent or self.is_solvable(),
             "abelian": self.is_abelian(),
             "center": [str(v) for v in center_fields],
             "generic_rank": generic_rank(self.basis),

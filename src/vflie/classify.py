@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import combinations
+from typing import Mapping, Sequence, Union
 
 from .algebra import IdealLike, LieAlgebra, center_of_tensor
 from .errors import (
@@ -30,12 +31,14 @@ from .errors import (
 )
 from .fields import VectorField
 from .linalg import (
+    ZERO,
     EchelonBasis,
     Q,
+    SparseVector,
+    _axpy,
     echelon_of,
     generic_rank,
-    null_space_dense,
-    solve_dense,
+    null_space,
     to_dense,
     to_sparse,
 )
@@ -223,33 +226,27 @@ class JordanDecomposition:
         """
         terms = self.terminals
         n = terms[0].ctx.nvars
-        rows = []
-        for t in terms:
+        # row j is terminal j's constant components, tagged with unknown n + j:
+        # reducing a vector over components leaves minus its terminal
+        # coordinates on the tags, and nothing below n when it is in the span
+        tagged = []
+        for j, t in enumerate(terms):
             if not all(c.is_constant for c in t.comps):
                 return None
-            rows.append([c.constant_coefficient() for c in t.comps])
-        if len(echelon_of(map(to_sparse, rows))) != len(terms):
-            return None
-        matrix = [[rows[j][i] for j in range(len(terms))] for i in range(n)]
+            tagged.append({**to_sparse([c.constant_coefficient() for c in t.comps]), n + j: Q(1)})
+        span = echelon_of(tagged)
+        if any(pivot >= n for pivot in span.pivots):
+            return None  # dependent terminals
         result = []
         for chain in self.chains:
-            head = chain[0]
+            head = chain[0].comps
             coeffs: list[dict] = [dict() for _ in terms]
-            monos = sorted(
-                {m for comp in head.comps for m in comp.term_map()},
-                key=lambda m: m.sort_key(),
-            )
-            for mono in monos:
-                rhs = [head.comps[i].term_map().get(mono, Q(0)) for i in range(n)]
-                sol = solve_dense(matrix, rhs)
-                if sol is None or any(
-                    sum(matrix[i][j] * sol[j] for j in range(len(terms))) != rhs[i]
-                    for i in range(n)
-                ):
+            for mono in {m for comp in head for m in comp.term_map()}:
+                residual, _ = span.reduce(to_sparse([c.term_map().get(mono, ZERO) for c in head]))
+                if any(k < n for k in residual):
                     return None
-                for j, c in enumerate(sol):
-                    if c:
-                        coeffs[j][mono] = c
+                for k, c in residual.items():
+                    coeffs[k - n][mono] = -c
             result.append(tuple(ExpPoly(n, c) for c in coeffs))
         return result
 
@@ -261,6 +258,23 @@ class JordanDecomposition:
             "chain_lengths": list(self.lengths),
             "kernel_dim": len(self.chains),
         }
+
+
+def _combination(vectors: Sequence[Mapping[int, Fraction]], coeffs: Mapping[int, Fraction]) -> SparseVector:
+    """sum_s coeffs[s] * vectors[s] over sparse integer-key vectors."""
+    out: SparseVector = {}
+    for s, c in coeffs.items():
+        _axpy(out, vectors[s], c)
+    return out
+
+
+def _kernel(columns: Sequence[Mapping[int, Fraction]]) -> list[SparseVector]:
+    """Canonical null space of the matrix with these sparse columns."""
+    rows: dict[int, SparseVector] = {}
+    for s, col in enumerate(columns):
+        for t, c in col.items():
+            rows.setdefault(t, {})[s] = c
+    return [to_sparse(v) for v in null_space(rows.values(), len(columns))]
 
 
 def jordan_chains(
@@ -275,72 +289,57 @@ def jordan_chains(
     """
     op_coeffs = algebra._coeffs_of(operator)
     op_field = operator if isinstance(operator, VectorField) else algebra.element(op_coeffs)
+    op = to_sparse(op_coeffs)
     span = algebra.ideal_subspace(ideal)
     order = span.order()
-    rows = [to_dense(span.rows[i], algebra.dim) for i in order]
+    position = {row: t for t, row in enumerate(order)}
+    rows = [span.rows[i] for i in order]
     m = len(rows)
 
-    def to_ideal_coords(vec: list[Fraction]) -> list[Fraction]:
-        residual, coeffs = span.reduce(to_sparse(vec))
+    # columns of the restricted operator N over the subspace basis
+    n_cols: list[SparseVector] = []
+    for row in rows:
+        residual, coeffs = span.reduce(algebra._bracket(op, row))
         if residual:
             raise NotInvariant("subspace is not invariant under the operator")
-        return [coeffs.get(i, Q(0)) for i in order]
+        n_cols.append({position[i]: c for i, c in coeffs.items()})
 
-    # matrix of the restricted operator over the subspace basis
-    n_mat = [[Q(0)] * m for _ in range(m)]
-    for s in range(m):
-        image = to_ideal_coords(algebra.bracket_coeffs(op_coeffs, rows[s]))
-        for t in range(m):
-            n_mat[t][s] = image[t]
-
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-
-    powers = [n_mat]  # powers[k] = N^(k+1); grows until N^p = 0
-    while any(any(row) for row in powers[-1]):
+    powers = [n_cols]  # columns of N, N^2, ...; grows until N^p = 0
+    while any(powers[-1]):
         if len(powers) > m:
             raise NotNilpotentOperator(
                 "adjoint operator is not nilpotent on the subspace"
             )
-        powers.append(mat_mul(powers[-1], n_mat))
+        powers.append([_combination(n_cols, col) for col in powers[-1]])
     p = len(powers)  # nilpotency index; p = 1 for the zero operator
-    null_spaces: dict[int, list[list[Fraction]]] = {0: []}
+    null_spaces: dict[int, list[SparseVector]] = {0: []}
     for j in range(1, p + 1):
-        null_spaces[j] = null_space_dense(powers[j - 1], m)
+        null_spaces[j] = _kernel(powers[j - 1])
 
-    def apply_n(vec: list[Fraction]) -> list[Fraction]:
-        return [sum(n_mat[t][s] * vec[s] for s in range(m)) for t in range(m)]
-
-    chains_vec: list[list[list[Fraction]]] = []
+    chains_vec: list[list[SparseVector]] = []
     for j in range(p, 0, -1):
         # kernel of N^(j-1) plus the carried images at height j
-        taken = echelon_of(map(to_sparse, null_spaces[j - 1]))
+        taken = echelon_of(null_spaces[j - 1])
         for chain in chains_vec:
-            taken.insert(to_sparse(chain[len(chain) - j]))
+            taken.insert(chain[len(chain) - j])
         for w in null_spaces[j]:
-            if taken.insert(to_sparse(w)).independent:
-                chain = [list(w)]
+            if taken.insert(w).independent:
+                chain = [w]
                 for _ in range(j - 1):
-                    chain.append(apply_n(chain[-1]))
+                    chain.append(_combination(n_cols, chain[-1]))
                 chains_vec.append(chain)
     if sum(len(c) for c in chains_vec) != m:
         raise InternalInvariantViolation("chain lengths do not sum to the subspace dimension")
     if len(chains_vec) != len(null_spaces[1]):
         raise InternalInvariantViolation("chain count differs from operator kernel dimension")
 
-    def to_field(vec: list[Fraction]) -> VectorField:
-        coeffs = [Q(0)] * algebra.dim
-        for t, c in enumerate(vec):
-            if c:
-                for k in range(algebra.dim):
-                    coeffs[k] += c * rows[t][k]
-        return algebra.element(coeffs)
+    def to_field(vec: Mapping[int, Fraction]) -> VectorField:
+        return algebra.element(to_dense(vec, algebra.dim))
 
-    ideal_fields = tuple(algebra.element(r) for r in rows)
-    chains = tuple(tuple(to_field(v) for v in chain) for chain in chains_vec)
+    ideal_fields = tuple(to_field(r) for r in rows)
+    chains = tuple(
+        tuple(to_field(_combination(rows, v)) for v in chain) for chain in chains_vec
+    )
     return JordanDecomposition(op_field, ideal_fields, chains)
 
 
@@ -451,27 +450,21 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     infeasible system with the contradictory rows identified.
     """
     span = algebra.verify_ideal(ideal)
-    rows_ideal = [to_dense(row, algebra.dim) for row in span.rows_sorted()]
-    for s in range(len(rows_ideal)):
-        for t in range(s + 1, len(rows_ideal)):
-            if any(algebra.bracket_coeffs(rows_ideal[s], rows_ideal[t])):
-                raise IdealNotAbelian(
-                    "split check requires an abelian ideal (linear lift system)"
-                )
-    quotient = algebra.quotient_structure(rows_ideal)
+    rows = span.rows_sorted()
+    for u, w in combinations(rows, 2):
+        if algebra._bracket(u, w):
+            raise IdealNotAbelian(
+                "split check requires an abelian ideal (linear lift system)"
+            )
+    quotient = algebra._quotient_by(span)
     reps = quotient.rep_indices
-    q, m, d = len(reps), len(rows_ideal), algebra.dim
+    q, m = len(reps), len(rows)
+    units = [{rep: Q(1)} for rep in reps]
+    bracket_lift_ideal = [[algebra._bracket(unit, row) for row in rows] for unit in units]
 
-    def unit(i: int) -> list[Fraction]:
-        return [Q(1) if t == i else Q(0) for t in range(d)]
-
-    bracket_lift_ideal = [
-        [algebra.bracket_coeffs(unit(reps[a]), rows_ideal[t]) for t in range(m)]
-        for a in range(q)
-    ]
-
+    ideal_names = [str(algebra.element(to_dense(row, algebra.dim))) for row in rows]
     unknowns = tuple(
-        {"lift": reps[a], "ideal_index": t, "ideal_element": str(algebra.element(rows_ideal[t]))}
+        {"lift": reps[a], "ideal_index": t, "ideal_element": ideal_names[t]}
         for a in range(q)
         for t in range(m)
     )
@@ -480,56 +473,36 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
         return a * m + t
 
     raw_rows: list[ConstraintRow] = []
-    for a in range(q):
-        for b in range(a + 1, q):
-            base = algebra.bracket_coeffs(unit(reps[a]), unit(reps[b]))
-            mu = quotient.tensor.get((a, b), {})
-            const_vec = list(base)
+    for a, b in combinations(range(q), 2):
+        mu = quotient.tensor.get((a, b), {})
+        const = algebra._bracket(units[a], units[b])
+        for c, coeff in mu.items():
+            _axpy(const, units[c], -coeff)
+        # per unknown, its coefficient in each coordinate of the closure condition
+        coeff_vecs: dict[int, SparseVector] = {}
+        for t in range(m):
+            _axpy(coeff_vecs.setdefault(u_index(b, t), {}), bracket_lift_ideal[a][t], Q(1))
+            _axpy(coeff_vecs.setdefault(u_index(a, t), {}), bracket_lift_ideal[b][t], Q(-1))
             for c, coeff in mu.items():
-                const_vec[reps[c]] -= coeff
-            coeff_vecs: dict[int, list[Fraction]] = {}
+                _axpy(coeff_vecs.setdefault(u_index(c, t), {}), rows[t], -coeff)
+        for k in sorted(set(const).union(*coeff_vecs.values())):
+            coeffs = {u: vec[k] for u, vec in coeff_vecs.items() if k in vec}
+            raw_rows.append(ConstraintRow((reps[a], reps[b]), k, coeffs, const.get(k, ZERO)))
 
-            def add_vec(uidx: int, vec: Sequence[Fraction], scale: Fraction) -> None:
-                acc = coeff_vecs.setdefault(uidx, [Q(0)] * d)
-                for k, v in enumerate(vec):
-                    if v:
-                        acc[k] += scale * v
-
-            for t in range(m):
-                add_vec(u_index(b, t), bracket_lift_ideal[a][t], Q(1))
-                add_vec(u_index(a, t), bracket_lift_ideal[b][t], Q(-1))
-                for c, coeff in mu.items():
-                    add_vec(u_index(c, t), rows_ideal[t], -coeff)
-            for k in range(d):
-                coeffs = {u: vec[k] for u, vec in coeff_vecs.items() if vec[k]}
-                if coeffs or const_vec[k]:
-                    raw_rows.append(
-                        ConstraintRow((reps[a], reps[b]), k, coeffs, const_vec[k])
-                    )
-
+    # one echelon of the augmented rows [coeffs | -const]: a pivot in the
+    # constant column means the system is inconsistent
     nunk = q * m
-    matrix = []
-    rhs = []
-    for row in raw_rows:
-        vec = [Q(0)] * nunk
-        for u, c in row.coeffs.items():
-            vec[u] = c
-        matrix.append(vec)
-        rhs.append(-row.const)
-    solution = solve_dense(matrix, rhs) if matrix else [Q(0)] * nunk
-    if solution is not None and all(
-        sum(row[u] * solution[u] for u in range(nunk)) == b
-        for row, b in zip(matrix, rhs)
+    system = echelon_of({**row.coeffs, nunk: -row.const} for row in raw_rows)
+    solution = {pivot: row.get(nunk, ZERO) for row, pivot in zip(system.rows, system.pivots)}
+    if nunk not in solution and all(
+        sum(c * solution.get(u, ZERO) for u, c in row.coeffs.items()) == -row.const
+        for row in raw_rows
     ):
         complement = []
         for a in range(q):
-            coeffs = unit(reps[a])
-            for t in range(m):
-                s = solution[u_index(a, t)]
-                if s:
-                    for k in range(d):
-                        coeffs[k] += s * rows_ideal[t][k]
-            complement.append(algebra.element(coeffs))
+            lift = _combination(rows, {t: solution.get(u_index(a, t), ZERO) for t in range(m)})
+            _axpy(lift, units[a], Q(1))
+            complement.append(algebra.element(to_dense(lift, algebra.dim)))
         _verify_complement(algebra, complement, span)
         return SplitVerdict(True, tuple(complement), None)
 
@@ -561,17 +534,15 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
 def _verify_complement(
     algebra: LieAlgebra, complement: list[VectorField], ideal: EchelonBasis
 ) -> None:
-    coords = [algebra.express(v) for v in complement]
-    span = echelon_of(map(to_sparse, coords))
+    coords = [to_sparse(algebra.express(v)) for v in complement]
+    span = echelon_of(coords)
     if len(span) != len(complement):
         raise InternalInvariantViolation("complement is not independent")
     if len(echelon_of(span.rows + ideal.rows)) != algebra.dim:
         raise InternalInvariantViolation("complement + ideal do not span the algebra")
-    for i in range(len(complement)):
-        for j in range(i + 1, len(complement)):
-            w = algebra.bracket_coeffs(coords[i], coords[j])
-            if not span.contains(to_sparse(w)):
-                raise InternalInvariantViolation("complement is not a subalgebra")
+    for u, w in combinations(coords, 2):
+        if not span.contains(algebra._bracket(u, w)):
+            raise InternalInvariantViolation("complement is not a subalgebra")
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except VflieError as exc:
         sys.stderr.write(json.dumps(exc.to_dict()) + "\n")
         return 2 if isinstance(exc, ParseError) else 1
-    except ValueError as exc:  # bad flag values: variable names, caps, indices
+    except (ValueError, OSError) as exc:  # bad flag values: names, caps, indices, files
         sys.stderr.write(json.dumps({"error": "UsageError", "message": str(exc)}) + "\n")
         return 2
     if args.format == "json":

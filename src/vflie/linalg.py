@@ -5,10 +5,12 @@ unit pivots over sparse vectors, so span membership, residuals, coordinates
 and null spaces are all exact.  Its keys are either (component, monomial)
 pairs, which coordinatize vector fields, or integer basis coordinates,
 which the structure-constant layer uses; only the key order differs.  The
-dense helpers are thin list adapters over integer-key bases, and
-generic_rank decides the pointwise-span dimension of a field family by greedy
-span growth over the fraction field: a field is kept when one of at most three
-small symbolic minors is nonzero, so a family of m fields costs O(m) minors.
+dense helpers (rref_dense, null_space_dense, solve_dense) are thin list
+adapters over integer-key bases; no engine code calls them, and they remain
+for the tests and the benchmark tracer (bench/tracing.py).  generic_rank
+decides the pointwise-span dimension of a field family by greedy span growth
+over the fraction field: a field is kept when one of at most three small
+symbolic minors is nonzero, so a family of m fields costs O(m) minors.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ class EchelonBasis:
 
     def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
         """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
-        v = dict(vec)
+        v = {k: c for k, c in vec.items() if c}
         coeffs: dict[int, Fraction] = {}
         hits = sorted((k for k in v if k in self._pivot_row), key=self._key)
         for key in hits:

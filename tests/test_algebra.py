@@ -413,6 +413,22 @@ def test_series_are_cached_per_algebra(monkeypatch):
     assert len(calls) == computed
 
 
+def test_report_takes_solvability_from_a_nilpotent_series(monkeypatch):
+    real = vflie.algebra.LieAlgebra._compute_series
+    kinds = []
+
+    def counting(self, kind):
+        kinds.append(kind)
+        return real(self, kind)
+
+    monkeypatch.setattr(vflie.algebra.LieAlgebra, "_compute_series", counting)
+    report = algebra(*EX_SPLIT_FAIL).report()
+    assert report["nilpotent"] and report["solvable"]
+    assert kinds == ["lower-central"]
+    assert algebra("Dx", "x*Dx").report()["solvable"] is True
+    assert algebra("Dx", "x*Dx", "x^2*Dx").report()["solvable"] is False
+
+
 def test_invariants_survive_a_coordinate_change():
     # the two changes of test_rank_invariant_under_pushforward in test_linalg
     E = lambda t: parse_expression(t, ctx)

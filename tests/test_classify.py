@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from vflie import (
+    RECIPES,
     CoordinateChange,
     DEFAULT_CONTEXT,
     IdealNotAbelian,
@@ -14,17 +18,19 @@ from vflie import (
     NotInvariant,
     NotNilpotent,
     NotNilpotentOperator,
+    build,
     classify,
     close,
     jordan_chains,
     match_template,
     one_dim_ideals_mod_center,
+    random_spec,
     split_check,
 )
 from vflie.classify import SUBCASE_UNDETERMINED
 from vflie.parser import parse_expression, parse_field
 
-from conftest import Q, oracle_member
+from conftest import Q, naive_field_coords, oracle_member, oracle_rank
 
 ctx = DEFAULT_CONTEXT
 
@@ -45,6 +51,51 @@ HEISENBERG = ("Dx", "y*Dx + x*Dz", "Dz")
 EX_POLY = ("Dx", "y*Dx", "Dy + (x^2+y^2)*Dz", "(x+y)*Dz")
 EX_EXP = ("Dx", "y*Dx + x^2*exp(y)*Dz", "x*Dz")
 TWO_CHAIN = ("Dz", "z*Dx", "z^2*Dx + z*Dy", "Dx", "Dy")
+
+GOLDEN = Path(__file__).parent / "data" / "classify_golden.json"
+PROJECTION_RECIPES = ("nonabelian-projection", "abelian-projection")
+
+
+@pytest.fixture(scope="module")
+def recipe_corpus():
+    """The recipe-mix draws: every recipe at seeds 0-12, degree bound 4 for
+    the center-rank2 and single-chain suites and 3 otherwise, each with the
+    Jordan or split input the acceptance gate gives it (or neither)."""
+    out = []
+    for recipe in RECIPES:
+        bound = 4 if recipe in ("center-rank2", "single-chain") else 3
+        for seed in range(13):
+            result = build(random_spec(recipe, seed, bound))
+            L = close(result.generators)
+            jordan = result.expected.get("jordan")
+            if jordan:
+                proj = L.project(jordan["kept"])
+                operator = result.generators[jordan["operator_generator"]]
+                out.append((f"{recipe}/{seed}", L, operator, proj))
+            elif recipe in PROJECTION_RECIPES:
+                out.append((f"{recipe}/{seed}", L, None, L.project([0, 1])))
+    return out
+
+
+def classify_outputs(corpus) -> dict:
+    """Jordan chains and aligned heads, or split verdicts, keyed by draw."""
+    out = {}
+    for name, L, operator, proj in corpus:
+        ideal = list(proj.kernel_coeffs)
+        if operator is None:
+            out[f"{name}/split"] = split_check(L, ideal).to_dict()
+            continue
+        jd = jordan_chains(L, operator, ideal)
+        heads = jd.aligned_heads()
+        out[f"{name}/jordan"] = jd.to_dict()
+        out[f"{name}/aligned_heads"] = None if heads is None else [
+            [str(c) for c in head] for head in heads
+        ]
+    return out
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 # -- classify ---------------------------------------------------------------------
@@ -263,24 +314,68 @@ def test_split_exponential_example():
     assert not verdict.split
 
 
-def test_split_certificate_reverified_by_independent_solver():
-    L = algebra(*EX_POLY)
-    proj = L.project(["x", "y"])
-    cert = split_check(L, list(proj.kernel_coeffs)).certificate
-    nunk = len(cert.unknowns)
-    matrix = []
-    rhs = []
-    for row in cert.rows:
-        vec = [Fraction(0)] * nunk
-        for u, c in row.coeffs.items():
-            vec[u] = c
-        matrix.append(vec)
-        rhs.append(-row.const)
-    # independent elimination: consistent iff rank(A) == rank([A|b])
-    augmented = [m + [b] for m, b in zip(matrix, rhs)]
-    from conftest import oracle_rank
+def test_split_certificate_reverified_by_independent_solver(recipe_corpus):
+    # every verdict is re-checked by field brackets and the conftest
+    # elimination alone: a complement is a subalgebra spanning L with the
+    # ideal, and a certificate is an inconsistent system
+    cases = [(L, proj) for _, L, operator, proj in recipe_corpus if operator is None]
+    cases += [(L, L.project(["x", "y"])) for L in (algebra(*EX_POLY), algebra(*EX_EXP))]
+    verdicts = {True: 0, False: 0}
+    for L, proj in cases:
+        verdict = split_check(L, list(proj.kernel_coeffs))
+        verdicts[verdict.split] += 1
+        if verdict.split:
+            comp = list(verdict.complement)
+            ideal = list(proj.kernel_basis)
+            assert oracle_rank(naive_field_coords(comp + ideal)) == L.dim
+            assert oracle_rank(naive_field_coords(comp)) == len(comp)
+            for i in range(len(comp)):
+                for j in range(i + 1, len(comp)):
+                    coords = naive_field_coords(comp + [comp[i].bracket(comp[j])])
+                    assert oracle_member(coords[:-1], coords[-1])
+            continue
+        cert = verdict.certificate
+        nunk = len(cert.unknowns)
+        matrix = []
+        rhs = []
+        for row in cert.rows:
+            vec = [Fraction(0)] * nunk
+            for u, c in row.coeffs.items():
+                vec[u] = c
+            matrix.append(vec)
+            rhs.append(-row.const)
+        # independent elimination: consistent iff rank(A) == rank([A|b])
+        augmented = [m + [b] for m, b in zip(matrix, rhs)]
+        assert oracle_rank(augmented) == oracle_rank(matrix) + 1
+    assert verdicts[True] and verdicts[False] >= 3
 
-    assert oracle_rank(augmented) == oracle_rank(matrix) + 1
+
+def test_jordan_chains_against_field_bracket_oracle(recipe_corpus):
+    cases = [(L, op, proj) for _, L, op, proj in recipe_corpus if op is not None]
+    cases += [
+        (algebra(*TWO_CHAIN), F("Dz"), algebra(*TWO_CHAIN).project(["z"])),
+        (algebra(*EX_POLY), F("Dx"), algebra(*EX_POLY).project(["x", "y"])),
+    ]
+    for L, op, proj in cases:
+        jd = jordan_chains(L, op, list(proj.kernel_coeffs))
+        ideal = list(proj.kernel_basis)
+        m = len(ideal)
+        for chain in jd.chains:
+            for a, b in zip(chain, chain[1:]):
+                assert op.bracket(a) == b
+            assert op.bracket(chain[-1]).is_zero
+        elements = [v for chain in jd.chains for v in chain]
+        assert len(elements) == m
+        assert oracle_rank(naive_field_coords(elements)) == m
+        assert oracle_rank(naive_field_coords(elements + ideal)) == m
+        rank_n = oracle_rank(naive_field_coords([op.bracket(w) for w in ideal]))
+        assert len(jd.chains) == m - rank_n
+
+
+def test_jordan_and_split_outputs_match_golden_digests(recipe_corpus):
+    # SHA-256 of each output recorded before the sparse rewrite of classify
+    got = {name: digest(doc) for name, doc in classify_outputs(recipe_corpus).items()}
+    assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_split_chain_case_has_complement():

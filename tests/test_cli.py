@@ -198,6 +198,13 @@ def test_usage_error_exit_code_2():
     assert run_cli("closure").returncode == 2  # no generators
 
 
+def test_unreadable_generator_file_is_a_usage_error(tmp_path):
+    code, out, err = run_main(["closure", "--file", str(tmp_path / "missing.txt")])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "UsageError" and "missing.txt" in report["message"]
+
+
 def test_generator_file(tmp_path):
     path = tmp_path / "gens.txt"
     path.write_text("# polynomial example\nDx\ny*Dx\nDy + (x^2+y^2)*Dz\n(x+y)*Dz\n")

@@ -103,6 +103,15 @@ def test_express_examples():
         basis.express(coordinatize(F("Dy")))
 
 
+def test_explicit_zero_coefficients_are_ignored():
+    basis = EchelonBasis(order=None)
+    basis.insert({0: Q(1)})
+    assert basis.contains({1: Q(0)})
+    assert basis.express({1: Q(0)}) == [Q(0)]
+    assert not basis.insert({2: Q(0)}).independent
+    assert basis.express({0: Q(3), 2: Q(0)}) == [Q(3)] and len(basis) == 1
+
+
 def test_express_unique_by_echelon():
     basis = EchelonBasis()
     basis.insert(coordinatize(F("Dx")))
