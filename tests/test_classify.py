@@ -18,6 +18,9 @@ from vflie import (
     NotInvariant,
     NotNilpotent,
     NotNilpotentOperator,
+    TEMPLATES,
+    VariableContext,
+    VflieError,
     build,
     classify,
     close,
@@ -51,29 +54,52 @@ HEISENBERG = ("Dx", "y*Dx + x*Dz", "Dz")
 EX_POLY = ("Dx", "y*Dx", "Dy + (x^2+y^2)*Dz", "(x+y)*Dz")
 EX_EXP = ("Dx", "y*Dx + x^2*exp(y)*Dz", "x*Dz")
 TWO_CHAIN = ("Dz", "z*Dx", "z^2*Dx + z*Dy", "Dx", "Dy")
+EX_EXP_SMALL = ("Dx", "y*Dx + exp(y)*Dz", "x*Dz")
+README_EXAMPLES = {
+    "heisenberg": HEISENBERG,
+    "polynomial": EX_POLY,
+    "exponential": EX_EXP,
+    "exponential-small": EX_EXP_SMALL,
+    "two-chain": TWO_CHAIN,
+}
+# two probes for template rules that no draw above breaks
+SHAPE_PROBES = {
+    "exp-x-component": ("Dx", "Dy", "exp(z)*Dx"),
+    "mixed-y-and-z": ("Dx", "Dy", "x*Dy", "z*Dz"),
+}
 
 GOLDEN = Path(__file__).parent / "data" / "classify_golden.json"
+TEMPLATE_GOLDEN = Path(__file__).parent / "data" / "template_golden.json"
 PROJECTION_RECIPES = ("nonabelian-projection", "abelian-projection")
 
 
 @pytest.fixture(scope="module")
-def recipe_corpus():
+def recipe_draws():
     """The recipe-mix draws: every recipe at seeds 0-12, degree bound 4 for
-    the center-rank2 and single-chain suites and 3 otherwise, each with the
-    Jordan or split input the acceptance gate gives it (or neither)."""
+    the center-rank2 and single-chain suites and 3 otherwise, as
+    (name, build result, closed algebra)."""
     out = []
     for recipe in RECIPES:
         bound = 4 if recipe in ("center-rank2", "single-chain") else 3
         for seed in range(13):
             result = build(random_spec(recipe, seed, bound))
-            L = close(result.generators)
-            jordan = result.expected.get("jordan")
-            if jordan:
-                proj = L.project(jordan["kept"])
-                operator = result.generators[jordan["operator_generator"]]
-                out.append((f"{recipe}/{seed}", L, operator, proj))
-            elif recipe in PROJECTION_RECIPES:
-                out.append((f"{recipe}/{seed}", L, None, L.project([0, 1])))
+            out.append((f"{recipe}/{seed}", result, close(result.generators)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def recipe_corpus(recipe_draws):
+    """The recipe-mix draws that the acceptance gate gives a Jordan or a
+    split input, each with that input."""
+    out = []
+    for name, result, L in recipe_draws:
+        jordan = result.expected.get("jordan")
+        if jordan:
+            proj = L.project(jordan["kept"])
+            operator = result.generators[jordan["operator_generator"]]
+            out.append((name, L, operator, proj))
+        elif name.split("/")[0] in PROJECTION_RECIPES:
+            out.append((name, L, None, L.project([0, 1])))
     return out
 
 
@@ -91,6 +117,26 @@ def classify_outputs(corpus) -> dict:
         out[f"{name}/aligned_heads"] = None if heads is None else [
             [str(c) for c in head] for head in heads
         ]
+    return out
+
+
+def template_outputs(draws) -> dict:
+    """Every template match, and the classification, of the recipe draws,
+    the README examples, the shape probes and one algebra in two variables,
+    keyed by algebra."""
+    algebras = [(name, L) for name, _, L in draws]
+    algebras += [(f"readme/{name}", algebra(*texts)) for name, texts in README_EXAMPLES.items()]
+    algebras += [(f"probe/{name}", algebra(*texts)) for name, texts in SHAPE_PROBES.items()]
+    plane = VariableContext(("x", "y"))
+    algebras.append(("plane", close([parse_field(t, plane) for t in ("Dx", "x*Dy")])))
+    out = {}
+    for name, L in algebras:
+        for template in TEMPLATES:
+            out[f"{name}/{template}"] = match_template(L, template).to_dict()
+        try:
+            out[f"{name}/classify"] = classify(L).to_dict()
+        except VflieError as exc:
+            out[f"{name}/classify"] = {"error": type(exc).__name__, "message": str(exc)}
     return out
 
 
@@ -461,6 +507,13 @@ def test_template_nonabelian_projection():
 def test_template_abelian_projection():
     L = algebra("Dx", "Dy + x*Dz", "x^2*Dz", "y^2*Dz")
     assert match_template(L, "abelian-projection").matched
+
+
+def test_template_and_classify_outputs_match_golden_digests(recipe_draws):
+    # SHA-256 of each output, details text included, recorded before the
+    # normal forms became one table
+    got = {name: digest(doc) for name, doc in template_outputs(recipe_draws).items()}
+    assert got == json.loads(TEMPLATE_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_template_negative_match_is_result_not_error():
