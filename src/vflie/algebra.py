@@ -54,15 +54,16 @@ def center_of_tensor(
     """Center of the algebra with structure constants `tensor`, as the
     canonical null space of the stacked adjoint maps.
 
-    `tensor` maps (a, b) with a < b to the coordinates of [e_a, e_b]; the
-    center is every x with sum_a x_a c(a, b, c) = 0 for all b and c.
+    `tensor` maps (a, b) with a < b to the coordinates of [e_a, e_b].  Column
+    a of the stacked maps is ad(e_a) keyed by (b, c), so the center is every
+    x with sum_a x_a c(a, b, c) = 0 for all b and c.
     """
-    rows: dict[tuple[int, int], SparseVector] = {}
+    columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(dim)]
     for (a, b), comps in tensor.items():
         for c, coeff in comps.items():
-            rows.setdefault((b, c), {})[a] = coeff
-            rows.setdefault((a, c), {})[b] = -coeff
-    return null_space(rows.values(), dim)
+            columns[a][b, c] = coeff
+            columns[b][a, c] = -coeff
+    return null_space(columns)
 
 
 def close(
@@ -347,19 +348,6 @@ class LieAlgebra:
     def is_solvable(self) -> bool:
         return self.series("derived").terminated_at_zero
 
-    # -- adjoint ----------------------------------------------------------------
-
-    def adjoint_matrix(self, v: Union[VectorField, Sequence[Fraction]]) -> list[list[Fraction]]:
-        """Matrix of ad(v) on the basis: entry [k][j] = e_k-coefficient of [v, e_j]."""
-        x = self._coeffs_of(v)
-        mat = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for i, a in enumerate(x):
-            if a:
-                for j, comps in self._ad[i].items():
-                    for k, coeff in comps.items():
-                        mat[k][j] += a * coeff
-        return mat
-
     # -- projection ---------------------------------------------------------------
 
     def project(self, kept: Sequence[Union[int, str]]) -> Projection:
@@ -399,12 +387,10 @@ class LieAlgebra:
         else:
             image = LieAlgebra(sub_ctx, (), {})
         # kernel: combinations of basis elements with vanishing kept components
-        rows: dict[tuple, SparseVector] = {}
-        for s, b in enumerate(self.basis):
-            for i in indices:
-                for mono, coeff in b.comps[i].term_map().items():
-                    rows.setdefault((i, mono), {})[s] = coeff
-        kernel_coeffs = null_space(rows.values(), self.dim)
+        kernel_coeffs = null_space([
+            {(i, mono): c for i in indices for mono, c in b.comps[i].term_map().items()}
+            for b in self.basis
+        ])
         kernel_fields = tuple(self.element(v) for v in kernel_coeffs)
         if image.dim + len(kernel_fields) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")

@@ -8,8 +8,8 @@ coordinates admit it.  jordan_chains() decomposes an ad-nilpotent operator on
 an invariant subspace into its kernel-filtration chains, split_check()
 decides split extensions over abelian ideals by an exact linear system (with
 an infeasibility certificate when no complement exists), and match_template()
-tests a basis against the constructive normal-form shapes in the given
-coordinates, never attempting a coordinate change.
+checks a basis against the constructive normal forms, held as one table of
+algebra checks and component rules, in the given coordinates only.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ CASE_CENTER_RANK2 = "CenterRank2"
 CASE_CENTER_RANK1_DIMGE2 = "CenterRank1DimGE2"
 CASE_CENTER_DIM1 = "CenterDim1"
 SUBCASE_UNDETERMINED = "undetermined-in-these-coordinates"
-
-TEMPLATES = (
-    "abelian-rank1",
-    "abelian-rank2",
-    "abelian-rank3",
-    "center-rank2",
-    "heisenberg",
-    "single-chain",
-    "nonabelian-projection",
-    "abelian-projection",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +257,6 @@ def _combination(vectors: Sequence[Mapping[int, Fraction]], coeffs: Mapping[int,
     return out
 
 
-def _kernel(columns: Sequence[Mapping[int, Fraction]]) -> list[SparseVector]:
-    """Canonical null space of the matrix with these sparse columns."""
-    rows: dict[int, SparseVector] = {}
-    for s, col in enumerate(columns):
-        for t, c in col.items():
-            rows.setdefault(t, {})[s] = c
-    return [to_sparse(v) for v in null_space(rows.values(), len(columns))]
-
-
 def jordan_chains(
     algebra: LieAlgebra,
     operator: Union[VectorField, Sequence[Fraction]],
@@ -314,7 +294,7 @@ def jordan_chains(
     p = len(powers)  # nilpotency index; p = 1 for the zero operator
     null_spaces: dict[int, list[SparseVector]] = {0: []}
     for j in range(1, p + 1):
-        null_spaces[j] = _kernel(powers[j - 1])
+        null_spaces[j] = [to_sparse(v) for v in null_space(powers[j - 1])]
 
     chains_vec: list[list[SparseVector]] = []
     for j in range(p, 0, -1):
@@ -564,6 +544,85 @@ class TemplateMatch:
         }
 
 
+# The constructive normal forms, one entry per template: the checks on the
+# whole algebra, then the rules on every basis element's components, each
+# in the order its failures are reported.  Indices are context positions:
+# 0 plays x, 1 plays y, 2 plays z.
+#   algebra: ("abelian",), ("nonabelian",), ("dim", n), ("has", i) -- some
+#            element has a D_i component -- and ("partials", i, ...) -- these
+#            coordinate fields lie in the algebra; the first missing one
+#            is reported
+#   element: (rule, i, *variables) on component i: "zero", "constant",
+#            "polynomial", "only" (depends on the given variables alone)
+#            and "affine" (polynomial of degree <= 1 in them alone)
+_NORMAL_FORMS = {
+    "abelian-rank1": (
+        [("abelian",), ("partials", 0)],
+        [("zero", 1), ("zero", 2), ("only", 0, 1, 2)],
+    ),
+    "abelian-rank2": (
+        [("abelian",), ("partials", 0, 1)],
+        [("zero", 2), ("only", 0, 2), ("only", 1, 2)],
+    ),
+    "abelian-rank3": (
+        [("abelian",), ("dim", 3)],
+        [("constant", 0), ("constant", 1), ("constant", 2)],
+    ),
+    "center-rank2": (
+        [("partials", 2)],
+        [("only", 0, 2), ("polynomial", 0), ("only", 1, 2), ("polynomial", 1), ("constant", 2)],
+    ),
+    "heisenberg": (
+        [("dim", 3), ("nonabelian",), ("partials", 0, 2)],
+        [("zero", 1), ("only", 0, 1), ("affine", 2, 0)],
+    ),
+    "single-chain": (
+        [("partials", 0)],
+        [("constant", 0), ("zero", 1), ("only", 2, 0, 1), ("polynomial", 2)],
+    ),
+    "nonabelian-projection": (
+        [("partials", 0), ("has", 1)],
+        [("only", 0, 1), ("polynomial", 0), ("constant", 1), ("only", 2, 0, 1), ("polynomial", 2)],
+    ),
+    "abelian-projection": (
+        [("partials", 0), ("has", 1)],
+        [("constant", 0), ("constant", 1), ("only", 2, 0, 1), ("polynomial", 2)],
+    ),
+}
+TEMPLATES = tuple(_NORMAL_FORMS)
+
+# each algebra check returns its failure text, or None when it holds
+_ALGEBRA_CHECKS = {
+    "abelian": lambda L: None if L.is_abelian() else "algebra is not abelian",
+    "nonabelian": lambda L: "algebra is abelian" if L.is_abelian() else None,
+    "dim": lambda L, n: None if L.dim == n else f"dimension is {L.dim}, not {n}",
+    "has": lambda L, i: (
+        None if any(not b.comps[i].is_zero for b in L.basis)
+        else f"no element has a D{L.ctx.names[i]} component"
+    ),
+    "partials": lambda L, *axes: next(
+        (f"D{L.ctx.names[i]} is not in the algebra" for i in axes if not L.contains(L.ctx.partial(i))),
+        None,
+    ),
+}
+
+# rule -> (test of a component against the rule's variables, failure text)
+_COMPONENT_RULES = {
+    "zero": (lambda p, vs: p.is_zero, "'{b}' has a nonzero D{c} component"),
+    "constant": (lambda p, vs: p.is_constant, "D{c} component of '{b}' is not constant"),
+    "polynomial": (
+        lambda p, vs: p.is_polynomial, "D{c} component of '{b}' carries an exponential factor"
+    ),
+    "only": (
+        lambda p, vs: p.depends_only_on(vs), "D{c} component of '{b}' depends on more than {{{vs}}}"
+    ),
+    "affine": (
+        lambda p, vs: p.is_polynomial and p.depends_only_on(vs) and p.degree <= 1,
+        "D{c} component of '{b}' is not affine in {vs} with constant coefficients",
+    ),
+}
+
+
 def match_template(algebra: LieAlgebra, template: str) -> TemplateMatch:
     """Shape test of the basis against one constructive normal form.
 
@@ -571,121 +630,17 @@ def match_template(algebra: LieAlgebra, template: str) -> TemplateMatch:
     attempted.  Variable roles follow context order: the first variable
     plays x, the second y, the third z.
     """
-    if template not in TEMPLATES:
+    if template not in _NORMAL_FORMS:
         raise ValueError(f"unknown template {template!r}; one of {', '.join(TEMPLATES)}")
-    details: list[str] = []
     if algebra.ctx.nvars != 3:
         return TemplateMatch(template, False, ("template requires a 3-variable context",))
     names = algebra.ctx.names
-
-    def contains_partial(i: int) -> bool:
-        if algebra.contains(algebra.ctx.partial(i)):
-            return True
-        details.append(f"D{names[i]} is not in the algebra")
-        return False
-
-    def component_zero(b: VectorField, i: int) -> bool:
-        if b.comps[i].is_zero:
-            return True
-        details.append(f"'{b}' has a nonzero D{names[i]} component")
-        return False
-
-    def component_depends_only_on(b: VectorField, i: int, allowed: tuple[int, ...]) -> bool:
-        if b.comps[i].depends_only_on(allowed):
-            return True
-        allowed_names = ", ".join(names[a] for a in allowed)
-        details.append(
-            f"D{names[i]} component of '{b}' depends on more than {{{allowed_names}}}"
-        )
-        return False
-
-    def component_polynomial(b: VectorField, i: int) -> bool:
-        if b.comps[i].is_polynomial:
-            return True
-        details.append(f"D{names[i]} component of '{b}' carries an exponential factor")
-        return False
-
-    def component_constant(b: VectorField, i: int) -> bool:
-        if b.comps[i].is_constant:
-            return True
-        details.append(f"D{names[i]} component of '{b}' is not constant")
-        return False
-
-    def require(cond: bool, message: str) -> bool:
-        if not cond:
-            details.append(message)
-        return cond
-
-    ok = True
-    if template == "abelian-rank3":
-        ok &= require(algebra.is_abelian(), "algebra is not abelian")
-        ok &= require(algebra.dim == 3, f"dimension is {algebra.dim}, not 3")
-        for b in algebra.basis:
-            for i in range(3):
-                ok &= component_constant(b, i)
-    elif template == "abelian-rank2":
-        ok &= require(algebra.is_abelian(), "algebra is not abelian")
-        ok &= contains_partial(0) and contains_partial(1)
-        for b in algebra.basis:
-            ok &= component_zero(b, 2)
-            ok &= component_depends_only_on(b, 0, (2,))
-            ok &= component_depends_only_on(b, 1, (2,))
-    elif template == "abelian-rank1":
-        ok &= require(algebra.is_abelian(), "algebra is not abelian")
-        ok &= contains_partial(0)
-        for b in algebra.basis:
-            ok &= component_zero(b, 1)
-            ok &= component_zero(b, 2)
-            ok &= component_depends_only_on(b, 0, (1, 2))
-    elif template == "center-rank2":
-        ok &= contains_partial(2)
-        for b in algebra.basis:
-            for i in (0, 1):
-                ok &= component_depends_only_on(b, i, (2,))
-                ok &= component_polynomial(b, i)
-            ok &= component_constant(b, 2)
-    elif template == "heisenberg":
-        ok &= require(algebra.dim == 3, f"dimension is {algebra.dim}, not 3")
-        ok &= require(not algebra.is_abelian(), "algebra is abelian")
-        ok &= contains_partial(0) and contains_partial(2)
-        for b in algebra.basis:
-            ok &= component_zero(b, 1)
-            ok &= component_depends_only_on(b, 0, (1,))
-            comp = b.comps[2]
-            if not (comp.is_polynomial and comp.depends_only_on((0,)) and comp.degree_in(0) <= 1):
-                details.append(
-                    f"D{names[2]} component of '{b}' is not affine in {names[0]} "
-                    "with constant coefficients"
-                )
-                ok = False
-    elif template == "single-chain":
-        ok &= contains_partial(0)
-        for b in algebra.basis:
-            ok &= component_constant(b, 0)
-            ok &= component_zero(b, 1)
-            ok &= component_depends_only_on(b, 2, (0, 1))
-            ok &= component_polynomial(b, 2)
-    elif template == "nonabelian-projection":
-        ok &= contains_partial(0)
-        ok &= require(
-            any(not b.comps[1].is_zero for b in algebra.basis),
-            f"no element has a D{names[1]} component",
-        )
-        for b in algebra.basis:
-            ok &= component_depends_only_on(b, 0, (1,))
-            ok &= component_polynomial(b, 0)
-            ok &= component_constant(b, 1)
-            ok &= component_depends_only_on(b, 2, (0, 1))
-            ok &= component_polynomial(b, 2)
-    elif template == "abelian-projection":
-        ok &= contains_partial(0)
-        ok &= require(
-            any(not b.comps[1].is_zero for b in algebra.basis),
-            f"no element has a D{names[1]} component",
-        )
-        for b in algebra.basis:
-            ok &= component_constant(b, 0)
-            ok &= component_constant(b, 1)
-            ok &= component_depends_only_on(b, 2, (0, 1))
-            ok &= component_polynomial(b, 2)
-    return TemplateMatch(template, bool(ok), tuple(details))
+    checks, rules = _NORMAL_FORMS[template]
+    details = [_ALGEBRA_CHECKS[kind](algebra, *args) for kind, *args in checks]
+    for b in algebra.basis:
+        for rule, i, *vs in rules:
+            holds, text = _COMPONENT_RULES[rule]
+            if not holds(b.comps[i], vs):
+                details.append(text.format(b=b, c=names[i], vs=", ".join(names[v] for v in vs)))
+    details = [d for d in details if d]
+    return TemplateMatch(template, not details, tuple(details))

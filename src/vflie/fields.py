@@ -213,6 +213,3 @@ class CoordinateChange:
     def identity(cls, ctx: VariableContext) -> "CoordinateChange":
         coords = tuple(ctx.var_poly(i) for i in range(ctx.nvars))
         return cls(ctx, coords, coords)
-
-    def inverted(self) -> "CoordinateChange":
-        return CoordinateChange(self.ctx, self.inverse, self.forward)

@@ -161,9 +161,15 @@ def echelon_of(rows: Iterable[Mapping[int, Fraction]]) -> EchelonBasis:
     return basis
 
 
-def null_space(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Canonical null-space basis: one vector per free column, ascending."""
-    basis = echelon_of(rows)
+def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[list[Fraction]]:
+    """Canonical null-space basis of the matrix with these sparse columns
+    (row keys of any hashable kind): one vector per free column, ascending."""
+    rows: dict[Any, SparseVector] = {}
+    for s, col in enumerate(columns):
+        for t, c in col.items():
+            rows.setdefault(t, {})[s] = c
+    ncols = len(columns)
+    basis = echelon_of(rows.values())
     pivots = set(basis.pivots)
     out = []
     for free in range(ncols):
@@ -192,7 +198,7 @@ def rref_dense(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction
 
 def null_space_dense(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical null-space basis: one vector per free column, ascending."""
-    return null_space(map(to_sparse, matrix), ncols)
+    return null_space([{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)])
 
 
 def solve_dense(

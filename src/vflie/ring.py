@@ -19,7 +19,6 @@ field that enters a closure (its cap_degree).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -310,23 +309,6 @@ class ExpPoly:
                     part = part * power_cache[key]
             result = result + part
         return result
-
-    def evaluate(self, point: Sequence[Scalar]) -> float:
-        """Floating-point value at a rational point (sanity checks only)."""
-        if len(point) != self.nvars:
-            raise ValueError("point has wrong number of coordinates")
-        pt = [Q(v) for v in point]
-        total = 0.0
-        for m, c in self._terms.items():
-            value = float(c)
-            for v, a in zip(pt, m.powers):
-                if a:
-                    value *= float(v) ** a
-            arg = sum((r * v for r, v in zip(m.rates, pt)), Q(0))
-            if arg:
-                value *= math.exp(float(arg))
-            total += value
-        return total
 
     def restrict(self, indices: Sequence[int]) -> "ExpPoly":
         """Re-express over the subcontext `indices`; requires depends_only_on."""

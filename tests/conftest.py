@@ -8,6 +8,7 @@ through its own Leibniz determinant, so cross-checks stay two-route.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from vflie import DEFAULT_CONTEXT, ExpPoly, VariableContext, VectorField
+from vflie import DEFAULT_CONTEXT, CoordinateChange, ExpPoly, LieAlgebra, VariableContext, VectorField
 from vflie.ring import ExpMonomial
 
 Q = Fraction
@@ -59,6 +60,35 @@ def rand_poly(
 
 def rand_field(r: random.Random, context: VariableContext, **kw) -> VectorField:
     return context.field([rand_poly(r, context.nvars, **kw) for _ in range(context.nvars)])
+
+
+# -- helpers the engine does not need ------------------------------------------
+
+
+def evaluate(p: ExpPoly, point) -> float:
+    """Floating-point value at a point, for finite-difference sanity checks."""
+    total = 0.0
+    for m, c in p.term_map().items():
+        value = float(c) * math.exp(sum(float(r) * float(v) for r, v in zip(m.rates, point)))
+        for v, a in zip(point, m.powers):
+            value *= float(v) ** a
+        total += value
+    return total
+
+
+def inverted(change: CoordinateChange) -> CoordinateChange:
+    return CoordinateChange(change.ctx, change.inverse, change.forward)
+
+
+def adjoint_matrix(L: LieAlgebra, v) -> list[list[Fraction]]:
+    """Matrix of ad(v) on the basis from the structure constants alone:
+    entry [k][j] is the e_k-coefficient of [v, e_j]."""
+    x = L.express(v) if isinstance(v, VectorField) else v
+    n = L.dim
+    return [
+        [sum((a * L.c(i, j, k) for i, a in enumerate(x)), Q(0)) for j in range(n)]
+        for k in range(n)
+    ]
 
 
 # -- naive term-list oracle for ring arithmetic --------------------------------
@@ -197,4 +227,20 @@ def naive_field_coords(fields: list[VectorField]) -> list[list[Fraction]]:
         for i, powers, rates in ordered:
             row.append(f.comps[i].term_map().get(ExpMonomial(powers, rates), Q(0)))
         out.append(row)
+    return out
+
+
+def oracle_coords(basis: list[VectorField], fields: list[VectorField]) -> list[list[Fraction]]:
+    """Coordinates of each field over independent basis fields, by one
+    elimination of the transposed system [basis | fields]."""
+    n = len(basis)
+    keyed = list(zip(*naive_field_coords(list(basis) + list(fields))))  # one row per key
+    reduced = oracle_row_basis([list(row) for row in keyed])
+    assert len(reduced) == n, "basis fields are dependent, or a field lies outside their span"
+    out = [[Q(0)] * n for _ in fields]
+    for row in reduced:
+        pivot = next(c for c, v in enumerate(row) if v)
+        assert pivot < n, "a field lies outside the span of the basis"
+        for j in range(len(fields)):
+            out[j][pivot] = row[n + j] / row[pivot]
     return out

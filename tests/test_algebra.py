@@ -27,6 +27,7 @@ from vflie.parser import parse_expression, parse_field
 
 from conftest import (
     Q,
+    adjoint_matrix,
     naive_add,
     naive_canon,
     naive_diff,
@@ -530,13 +531,13 @@ def test_project_image_of_two_chain():
 
 def test_adjoint_of_central_element_is_zero():
     L = algebra(*HEISENBERG)
-    mat = L.adjoint_matrix(F("Dz"))
+    mat = adjoint_matrix(L, F("Dz"))
     assert all(not any(row) for row in mat)
 
 
 def test_adjoint_action_example():
     L = algebra("Dx", "Dy", "z*Dx", "Dz")
-    mat = L.adjoint_matrix(F("Dz"))
+    mat = adjoint_matrix(L, F("Dz"))
     i_zdx = [str(b) for b in L.basis].index("z*Dx")
     i_dx = [str(b) for b in L.basis].index("Dx")
     assert mat[i_dx][i_zdx] == 1
@@ -549,7 +550,7 @@ def test_adjoint_nilpotent_for_nilpotent_algebra():
         L = algebra(*texts)
         for i in range(L.dim):
             unit = [Q(1) if t == i else Q(0) for t in range(L.dim)]
-            mat = L.adjoint_matrix(unit)
+            mat = adjoint_matrix(L, unit)
             power = mat
             for _ in range(L.dim):
                 power = [

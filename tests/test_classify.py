@@ -33,7 +33,7 @@ from vflie import (
 from vflie.classify import SUBCASE_UNDETERMINED
 from vflie.parser import parse_expression, parse_field
 
-from conftest import Q, naive_field_coords, oracle_member, oracle_rank
+from conftest import Q, naive_field_coords, oracle_coords, oracle_member, oracle_rank
 
 ctx = DEFAULT_CONTEXT
 
@@ -394,6 +394,80 @@ def test_split_certificate_reverified_by_independent_solver(recipe_corpus):
         augmented = [m + [b] for m, b in zip(matrix, rhs)]
         assert oracle_rank(augmented) == oracle_rank(matrix) + 1
     assert verdicts[True] and verdicts[False] >= 3
+
+
+def rebuild_lift_system(L, unknowns, kernel) -> list[tuple]:
+    """The closure conditions on complement lifts l_a + sum_t k(a, t) w_t,
+    rebuilt from field brackets and the conftest elimination alone, as
+    (pair, coordinate, coeffs, const) rows in the certificate's order.
+
+    The lifts l_a are the basis elements the unknowns name and the w_t their
+    ideal elements, which must span `kernel` and, with the lifts, L;
+    [l_a + .., l_b + ..] = sum_c mu(a, b, c) (l_c + ..) with mu the quotient
+    structure constants, read off [l_a, l_b] over the lifts and the ideal."""
+    m = len({u["ideal_index"] for u in unknowns})
+    reps = [u["lift"] for u in unknowns[::m]]
+    ideal = [parse_field(u["ideal_element"], L.ctx) for u in unknowns[:m]]
+    assert unknowns == [
+        {"lift": r, "ideal_index": t, "ideal_element": unknowns[t]["ideal_element"]}
+        for r in reps
+        for t in range(m)
+    ]
+    lifts = [L.basis[r] for r in reps]
+    assert oracle_rank(naive_field_coords(ideal)) == m == len(kernel)
+    assert oracle_rank(naive_field_coords(ideal + kernel)) == m
+    assert oracle_rank(naive_field_coords(lifts + ideal)) == L.dim
+    q = len(lifts)
+    pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
+    pair_brackets = [lifts[a].bracket(lifts[b]) for a, b in pairs]
+    mus = oracle_coords(lifts + ideal, pair_brackets)
+    coords = oracle_coords(
+        list(L.basis), pair_brackets + ideal + [l.bracket(w) for l in lifts for w in ideal]
+    )
+    pair_coords = coords[: len(pairs)]
+    ideal_coords = coords[len(pairs) : len(pairs) + m]
+    lift_ideal = coords[len(pairs) + m :]  # [l_a, w_t] at a * m + t
+    rows = []
+    for (a, b), mu, bracket in zip(pairs, mus, pair_coords):
+        const = list(bracket)
+        for c in range(q):
+            const[reps[c]] -= mu[c]
+        # unknown k(c, t) is number c * m + t; (unknown, vector, scale) terms
+        terms = [(b * m + t, lift_ideal[a * m + t], 1) for t in range(m)]
+        terms += [(a * m + t, lift_ideal[b * m + t], -1) for t in range(m)]
+        terms += [(c * m + t, ideal_coords[t], -mu[c]) for c in range(q) for t in range(m)]
+        coeffs: dict[int, list] = {}
+        for u, vec, scale in terms:
+            acc = coeffs.setdefault(u, [Q(0)] * L.dim)
+            for k, v in enumerate(vec):
+                acc[k] += scale * v
+        for k in range(L.dim):
+            row = {u: vec[k] for u, vec in coeffs.items() if vec[k]}
+            if row or const[k]:
+                rows.append(((reps[a], reps[b]), k, row, const[k]))
+    return rows
+
+
+def test_split_certificate_rows_are_the_lift_closure_conditions(recipe_corpus):
+    # a non-split verdict is sound: its rows are exactly the closure
+    # conditions rebuilt from field brackets, for lifts complementary to the
+    # projection kernel, and the rebuilt system has no solution
+    cases = [(L, proj) for _, L, operator, proj in recipe_corpus if operator is None]
+    cases += [(L, L.project(["x", "y"])) for L in (algebra(*EX_POLY), algebra(*EX_EXP))]
+    certificates = 0
+    for L, proj in cases:
+        verdict = split_check(L, list(proj.kernel_coeffs))
+        if verdict.split:
+            continue
+        certificates += 1
+        cert = verdict.certificate
+        rows = rebuild_lift_system(L, list(cert.unknowns), list(proj.kernel_basis))
+        assert rows == [(r.pair, r.coordinate, r.coeffs, r.const) for r in cert.rows]
+        nunk = len(cert.unknowns)
+        matrix = [[coeffs.get(u, Q(0)) for u in range(nunk)] for _, _, coeffs, _ in rows]
+        augmented = [vec + [-const] for vec, (_, _, _, const) in zip(matrix, rows)]
+        assert oracle_rank(augmented) == oracle_rank(matrix) + 1
+    assert certificates >= 5
 
 
 def test_jordan_chains_against_field_bracket_oracle(recipe_corpus):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from vflie import ExpPoly, SubstitutionOutsideRing
@@ -10,6 +13,7 @@ from vflie.parser import parse_expression
 from conftest import (
     Q,
     assert_poly_is,
+    evaluate,
     naive_add,
     naive_diff,
     naive_mul,
@@ -77,24 +81,32 @@ def test_diff_product_rule_on_mixed_term():
     # finite-difference sanity check at sample points
     h = 1e-6
     for point in [(0.0, 0.5, 0.0), (1.0, -0.25, 2.0)]:
-        up = P("y*exp(y)").evaluate((point[0], point[1] + h, point[2]))
-        dn = P("y*exp(y)").evaluate((point[0], point[1] - h, point[2]))
-        assert abs(got.evaluate(point) - (up - dn) / (2 * h)) < 1e-5
+        up = evaluate(P("y*exp(y)"), (point[0], point[1] + h, point[2]))
+        dn = evaluate(P("y*exp(y)"), (point[0], point[1] - h, point[2]))
+        assert abs(evaluate(got, point) - (up - dn) / (2 * h)) < 1e-5
 
 
 # -- evaluation -------------------------------------------------------------------
 
 
 def test_evaluate_exp_zero():
-    assert P("x^2*exp(y)").evaluate((1, 0, 0)) == pytest.approx(1.0)
+    assert evaluate(P("x^2*exp(y)"), (1, 0, 0)) == pytest.approx(1.0)
 
 
 def test_evaluate_polynomial_point():
-    assert P("z^2 + 3*z").evaluate((0, 0, 2)) == pytest.approx(10.0)
+    assert evaluate(P("z^2 + 3*z"), (0, 0, 2)) == pytest.approx(10.0)
 
 
 def test_evaluate_zero():
-    assert ExpPoly.zero(3).evaluate((5, -7, Q(1, 3))) == 0.0
+    assert evaluate(ExpPoly.zero(3), (5, -7, Q(1, 3))) == 0.0
+
+
+def test_package_computes_no_floats():
+    # exactness guard: floating point lives in the tests only
+    src = Path(__file__).resolve().parent.parent / "src" / "vflie"
+    pattern = re.compile(r"\bfloat\(|^\s*(import|from) math\b", re.MULTILINE)
+    offenders = [p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text(encoding="utf-8"))]
+    assert offenders == []
 
 
 # -- substitution ------------------------------------------------------------------
