@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import ContextMismatch, InvalidCoordinateChange
-from .ring import ExpPoly, Scalar, term_text
+from .ring import ExpPoly, Scalar, _poly, mul_add, term_text
 
 DEFAULT_NAMES = ("x", "y", "z")
 
@@ -64,9 +64,15 @@ DEFAULT_CONTEXT = VariableContext(DEFAULT_NAMES)
 
 
 class VectorField:
-    """First-order differential operator sum_i comps[i] * d/d(var i)."""
+    """First-order differential operator sum_i comps[i] * d/d(var i).
 
-    __slots__ = ("ctx", "comps")
+    The Jacobian (d comps[i] / d var j for all i, j) is computed lazily, on
+    the field's first bracket, and kept in a slot, so a field bracketed many
+    times is differentiated n^2 times in all.  The cache takes no part in ==
+    or hash, and the field stays immutable to callers.
+    """
+
+    __slots__ = ("ctx", "comps", "_jac")
 
     def __init__(self, ctx: VariableContext, comps: Sequence[ExpPoly]):
         comps = tuple(comps)
@@ -77,6 +83,7 @@ class VectorField:
                 raise ContextMismatch("component over the wrong variable count")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "_jac", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("VectorField is immutable")
@@ -117,30 +124,38 @@ class VectorField:
         """Derivation action on a ring element: sum_i comps[i] * dp/dx_i."""
         if p.nvars != self.ctx.nvars:
             raise ContextMismatch("element over the wrong variable count")
-        out = ExpPoly.zero(p.nvars)
+        out: dict = {}
         for i, c in enumerate(self.comps):
-            if not c.is_zero:
-                out = out + c * p.diff(i)
-        return out
+            if c:
+                mul_add(out, c, p.diff(i))
+        return _poly(p.nvars, out)
+
+    def _jacobian(self) -> tuple[tuple[ExpPoly, ...], ...]:
+        """Entry [i][j] is d comps[i] / d var j; computed once per field."""
+        jac = self._jac
+        if jac is None:
+            n = self.ctx.nvars
+            jac = tuple(tuple(c.diff(j) if c else c for j in range(n)) for c in self.comps)
+            object.__setattr__(self, "_jac", jac)
+        return jac
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [self, other]; bilinear and antisymmetric."""
+        """Lie bracket [self, other]; bilinear and antisymmetric.
+
+        Component i is sum_j self_j * d other_i/d var j - other_j * d self_i/d var j,
+        accumulated into one term map."""
         self._check(other)
         n = self.ctx.nvars
+        v, w = self.comps, other.comps
+        dv, dw = self._jacobian(), other._jacobian()
         comps = []
         for i in range(n):
-            acc = ExpPoly.zero(n)
-            wi = other.comps[i]
-            vi = self.comps[i]
+            out: dict = {}
             for j in range(n):
-                vj = self.comps[j]
-                wj = other.comps[j]
-                if not vj.is_zero:
-                    acc = acc + vj * wi.diff(j)
-                if not wj.is_zero:
-                    acc = acc - wj * vi.diff(j)
-            comps.append(acc)
-        return VectorField(self.ctx, tuple(comps))
+                mul_add(out, v[j], dw[i][j])
+                mul_add(out, w[j], dv[i][j], -1)
+            comps.append(_poly(n, out))
+        return VectorField(self.ctx, comps)
 
     def pushforward(self, change: "CoordinateChange") -> "VectorField":
         """Transform under the change's differential, expressed in the new chart."""

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
 from .fields import VariableContext, VectorField
-from .ring import ExpMonomial, ExpPoly, Q
+from .ring import ExpMonomial, ExpPoly, Q, _poly
 
 Key = tuple[int, ExpMonomial]
 CoordVector = dict[Key, Fraction]
@@ -45,11 +45,13 @@ def coordinatize(field: VectorField) -> CoordVector:
 
 
 def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
+    """Inverse of coordinatize on the Fraction vectors it and EchelonBasis give."""
     n = ctx.nvars
     comps: list[dict[ExpMonomial, Fraction]] = [{} for _ in range(n)]
     for (i, mono), coeff in vec.items():
-        comps[i][mono] = coeff
-    return VectorField(ctx, tuple(ExpPoly(n, c) for c in comps))
+        if coeff:
+            comps[i][mono] = coeff
+    return VectorField(ctx, tuple(_poly(n, c) for c in comps))
 
 
 def to_sparse(vec: Sequence[Fraction]) -> SparseVector:

@@ -9,6 +9,13 @@ addition, multiplication, partial differentiation and (restricted)
 substitution, and zero-testing is exact: an element is zero iff its term
 map is empty.  Values are immutable after construction and safe to share.
 
+A monomial computes its hash once, when it is constructed, so term maps keyed
+by monomials never rehash their rational rates.  The public constructors
+ExpMonomial(...) and ExpPoly(...) validate their input; values the ring builds
+itself (sums, negatives, products, derivatives, restrictions) are canonical by
+construction and skip that re-validation.  Products of term maps go through
+one multiply-accumulate helper, mul_add, which VectorField.bracket shares.
+
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.
 
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatch, SubstitutionOutsideRing
@@ -29,14 +37,17 @@ Q = Fraction
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpMonomial:
     """One term shape: powers per variable plus exponential rates per variable.
 
     Two monomials are equal iff powers and rates are componentwise equal;
     sort_key gives the global total order (lexicographic on (rates, powers))
-    used for canonical term ordering everywhere in the engine.
+    used for canonical term ordering everywhere in the engine.  has_exp and
+    the hash are fixed at construction; equality tests the hashes first.
     """
+
+    __slots__ = ("powers", "rates", "has_exp", "_hash")
 
     powers: tuple[int, ...]
     rates: tuple[Fraction, ...]
@@ -46,6 +57,25 @@ class ExpMonomial:
             raise ValueError("powers and rates must have the same length")
         if any(p < 0 for p in self.powers):
             raise ValueError("powers must be natural numbers")
+        _seal(self, self.powers, self.rates, any(self.rates))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, ExpMonomial):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.powers == other.powers
+            and self.has_exp == other.has_exp
+            and (not self.has_exp or self.rates == other.rates)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ExpMonomial, (self.powers, self.rates)
 
     @property
     def nvars(self) -> int:
@@ -57,15 +87,84 @@ class ExpMonomial:
 
     @property
     def is_constant(self) -> bool:
-        return not any(self.powers) and not any(self.rates)
-
-    @property
-    def has_exp(self) -> bool:
-        return any(self.rates)
+        return not any(self.powers) and not self.has_exp
 
     def sort_key(self):
         # later variables are more significant: 1 < x < x^2 < y < x*y < y^2 ...
         return (tuple(reversed(self.rates)), tuple(reversed(self.powers)))
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _seal(m: ExpMonomial, powers: tuple, rates: tuple, has_exp: bool) -> ExpMonomial:
+    # a monomial without an exponential factor hashes its powers alone, so the
+    # ring never hashes the zero rates it multiplies polynomials with
+    _set(m, "powers", powers)
+    _set(m, "rates", rates)
+    _set(m, "has_exp", has_exp)
+    _set(m, "_hash", hash((powers, rates)) if has_exp else hash(powers))
+    return m
+
+
+def _monomial(powers: tuple, rates: tuple, has_exp: bool) -> ExpMonomial:
+    """A monomial the ring built itself: natural powers, has_exp == any(rates)."""
+    return _seal(_new(ExpMonomial), powers, rates, has_exp)
+
+
+def _poly(nvars: int, terms: dict) -> "ExpPoly":
+    """Wrap a term map the ring built itself: nonzero Fraction coefficients
+    on monomials over nvars variables.  The map is owned by the result."""
+    p = _new(ExpPoly)
+    p.nvars = nvars
+    p._terms = terms
+    return p
+
+
+def mul_add(out: dict, a: "ExpPoly", b: "ExpPoly", sign: int = 1) -> None:
+    """out += sign * a * b on a term map, dropping exact zeros; sign is 1 or -1.
+
+    Rates are added only when both factors carry an exponential factor."""
+    if not b._terms:
+        return
+    get = out.get
+    b_terms = b._terms.items()
+    for m1, c1 in a._terms.items():
+        if sign < 0:
+            c1 = -c1
+        p1, r1, e1 = m1.powers, m1.rates, m1.has_exp
+        for m2, c2 in b_terms:
+            powers = tuple(map(add, p1, m2.powers))
+            if not m2.has_exp:
+                mono = _monomial(powers, r1, e1)
+            elif not e1:
+                mono = _monomial(powers, m2.rates, True)
+            else:
+                rates = tuple(map(add, r1, m2.rates))
+                mono = _monomial(powers, rates, any(rates))
+            acc = get(mono)
+            if acc is None:
+                out[mono] = c1 * c2
+            else:
+                acc += c1 * c2
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+
+
+def _add_term(out: dict, mono: ExpMonomial, coeff: Fraction) -> None:
+    """out[mono] += coeff for a nonzero coeff, dropping an exact zero."""
+    acc = out.get(mono)
+    if acc is None:
+        out[mono] = coeff
+    else:
+        acc += coeff
+        if acc:
+            out[mono] = acc
+        else:
+            del out[mono]
 
 
 def _unit_monomial(nvars: int) -> ExpMonomial:
@@ -190,39 +289,25 @@ class ExpPoly:
         self._check(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, Q(0)) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return ExpPoly(self.nvars, out)
+            _add_term(out, mono, coeff)
+        return _poly(self.nvars, out)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly(self.nvars, {m: -c for m, c in self._terms.items()})
+        return _poly(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "ExpPoly | Scalar") -> "ExpPoly":
         if isinstance(other, (int, Fraction)):
             s = Q(other)
             if not s:
                 return ExpPoly.zero(self.nvars)
-            return ExpPoly(self.nvars, {m: c * s for m, c in self._terms.items()})
+            return _poly(self.nvars, {m: c * s for m, c in self._terms.items()})
         self._check(other)
         out: dict[ExpMonomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = ExpMonomial(
-                    tuple(a + b for a, b in zip(m1.powers, m2.powers)),
-                    tuple(a + b for a, b in zip(m1.rates, m2.rates)),
-                )
-                acc = out.get(mono, Q(0)) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        return ExpPoly(self.nvars, out)
+        mul_add(out, self, other)
+        return _poly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -239,26 +324,16 @@ class ExpPoly:
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
         out: dict[ExpMonomial, Fraction] = {}
-
-        def acc(mono: ExpMonomial, coeff: Fraction) -> None:
-            if not coeff:
-                return
-            prev = out.get(mono, Q(0)) + coeff
-            if prev:
-                out[mono] = prev
-            else:
-                out.pop(mono, None)
-
         for m, c in self._terms.items():
             a = m.powers[index]
             if a:
                 powers = list(m.powers)
                 powers[index] = a - 1
-                acc(ExpMonomial(tuple(powers), m.rates), c * a)
+                _add_term(out, _monomial(tuple(powers), m.rates, m.has_exp), c * a)
             rate = m.rates[index]
             if rate:
-                acc(m, c * rate)
-        return ExpPoly(self.nvars, out)
+                _add_term(out, m, c * rate)
+        return _poly(self.nvars, out)
 
     def substitute(self, replacements: Mapping[int, "ExpPoly"]) -> "ExpPoly":
         """Replace variables by ring elements, exactly.
@@ -314,15 +389,17 @@ class ExpPoly:
         """Re-express over the subcontext `indices`; requires depends_only_on."""
         if not self.depends_only_on(indices):
             raise ContextMismatch("element depends on a variable outside the subcontext")
-        k = len(indices)
+        if not 1 <= len(indices) <= 3:
+            raise ValueError("the engine supports 1 to 3 variables")
         out: dict[ExpMonomial, Fraction] = {}
         for m, c in self._terms.items():
-            mono = ExpMonomial(
+            mono = _monomial(
                 tuple(m.powers[i] for i in indices),
                 tuple(m.rates[i] for i in indices),
+                m.has_exp,
             )
             out[mono] = c
-        return ExpPoly(k, out)
+        return _poly(len(indices), out)
 
     # -- printing -----------------------------------------------------------
 

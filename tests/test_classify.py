@@ -515,19 +515,24 @@ def test_split_abelian_always():
 
 
 def test_split_lifted_complement():
-    # complement exists but needs nonzero lift corrections
-    L = algebra("Dx + y*Dz", "(x + y^2)*Dz")
+    # <Dx + y*Dz, Dy, x*Dz> closes to dim 4; the projection to (x, y) has the
+    # kernel <Dz, x*Dz>, and the complement Dx + y*Dz, Dy + x*Dz needs a lift
+    # correction on its second element, which is not a basis element
+    L = algebra("Dx + y*Dz", "Dy", "x*Dz")
+    assert L.dim == 4
     proj = L.project(["x", "y"])
     verdict = split_check(L, list(proj.kernel_coeffs))
-    if verdict.split:
-        comp = verdict.complement
-        span = [L.express(v) for v in comp]
-        for i in range(len(comp)):
-            for j in range(i + 1, len(comp)):
-                assert oracle_member(
-                    [list(v) for v in span],
-                    L.bracket_coeffs(span[i], span[j]),
-                )
+    assert verdict.split
+    comp = list(verdict.complement)
+    assert len(comp) == 2
+    assert any(v not in L.basis for v in comp)
+    kernel = [F("Dz"), F("x*Dz")]
+    assert oracle_rank(naive_field_coords(comp + kernel)) == L.dim
+    # without the correction, [Dx + y*Dz, Dy] = -Dz would leave the complement
+    for i in range(len(comp)):
+        for j in range(i + 1, len(comp)):
+            rows = naive_field_coords(comp + [comp[i].bracket(comp[j])])
+            assert oracle_member(rows[:-1], rows[-1])
 
 
 def test_split_rejects_non_ideal():

@@ -8,6 +8,7 @@ from vflie import (
     ContextMismatch,
     CoordinateChange,
     DEFAULT_CONTEXT,
+    ExpPoly,
     InvalidCoordinateChange,
     SubstitutionOutsideRing,
     VariableContext,
@@ -54,6 +55,35 @@ def test_bracket_numeric_cross_check():
     funcs += [rand_poly(r, allow_exp=True) for _ in range(5)]
     for f in funcs:
         assert B.apply(f) == V.apply(W.apply(f)) - W.apply(V.apply(f))
+
+
+def test_bracket_differentiates_each_field_once(monkeypatch):
+    # each field's Jacobian is computed on first use and kept: bracketing one
+    # field against ten others takes at most n^2 derivatives per field
+    calls = []
+    original = ExpPoly.diff
+
+    def counted(self, index):
+        calls.append(index)
+        return original(self, index)
+
+    monkeypatch.setattr(ExpPoly, "diff", counted)
+    texts = [f"y*Dx + x^{k}*exp(y)*Dz + z*Dy" for k in range(11)]
+    v, *others = [F(t) for t in texts]
+    fresh = [F(t) for t in texts]
+    hashes = [hash(f) for f in fresh]
+    first = [v.bracket(w) for w in others]
+    assert 0 < len(calls) <= 9 * len(texts)
+    count = len(calls)
+    assert [v.bracket(w) for w in others] == first
+    assert len(calls) == count
+    # the filled cache is invisible to equality and hashing
+    assert [v, *others] == fresh
+    assert [hash(f) for f in (v, *others)] == hashes
+    with pytest.raises(AttributeError):
+        v.comps = fresh[1].comps
+    with pytest.raises(AttributeError):
+        v.anything = None
 
 
 # -- derivation action ----------------------------------------------------------------

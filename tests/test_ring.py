@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vflie import ExpPoly, SubstitutionOutsideRing
 from vflie.parser import parse_expression
+from vflie.ring import ExpMonomial
 
 from conftest import (
     Q,
@@ -193,3 +198,19 @@ def test_zero_decidable_exactly():
     b = P("x+y") * P("x-y")
     assert (a - b).is_zero
     assert not (a - b + P("1/7")).is_zero
+
+
+def test_monomial_fields_and_validation():
+    assert [f.name for f in dataclasses.fields(ExpMonomial)] == ["powers", "rates"]
+    m = ExpMonomial((1, 0, 2), (Fraction(0), Fraction(1, 2), Fraction(0)))
+    assert m == ExpMonomial((1, 0, 2), (0, Fraction(1, 2), 0))
+    assert hash(m) == hash(ExpMonomial((1, 0, 2), (0, Fraction(1, 2), 0)))
+    assert m != ExpMonomial((1, 0, 2), (0, 0, 0))
+    with pytest.raises(ValueError):
+        ExpMonomial((1, -1, 0), (0, 0, 0))
+    with pytest.raises(ValueError):
+        ExpMonomial((1, 0), (0, 0, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.powers = (0, 0, 0)
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m) and twin.has_exp
