@@ -27,7 +27,6 @@ from .errors import (
 from .fields import VariableContext, VectorField
 from .linalg import (
     ZERO,
-    CoordVector,
     EchelonBasis,
     Q,
     SparseVector,
@@ -104,15 +103,15 @@ def close(
         left = len(pending.union(batch))
         return ClosureCapExceeded(cap, limit, len(echelon), rounds, left, detail)
 
-    def add(vec: CoordVector) -> None:
-        degree = max((mono.degree for _, mono in vec), default=0)
+    def add(field: VectorField) -> None:
+        degree = max(c.degree for c in field.comps)
         if degree > cap_degree:
             raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
-        result = echelon.insert(vec)
+        result = echelon.insert(coordinatize(field))
         if not result.independent:
             return
-        new = result.index
-        fields.append(uncoordinatize(echelon.rows[new], ctx))
+        new = len(echelon) - 1
+        fields.append(uncoordinatize(echelon.rows[-1], ctx))
         pending.update((k, new) for k in range(new))
         for d in result.dirtied:
             fields[d] = uncoordinatize(echelon.rows[d], ctx)
@@ -121,7 +120,7 @@ def close(
             raise cap_error("cap_dim", cap_dim)
 
     for g in gens:
-        add(coordinatize(g))
+        add(g)
 
     while pending:
         if rounds == cap_rounds:
@@ -136,7 +135,7 @@ def close(
                 nonzero.discard((i, j))
             else:
                 nonzero.add((i, j))
-                add(coordinatize(w))
+                add(w)
 
     order = echelon.order()
     position = {row: p for p, row in enumerate(order)}
@@ -387,8 +386,9 @@ class LieAlgebra:
         else:
             image = LieAlgebra(sub_ctx, (), {})
         # kernel: combinations of basis elements with vanishing kept components
+        zero = self.ctx.zero_poly()
         kernel_coeffs = null_space([
-            {(i, mono): c for i in indices for mono, c in b.comps[i].term_map().items()}
+            coordinatize(self.ctx.field([c if i in indices else zero for i, c in enumerate(b.comps)]))
             for b in self.basis
         ])
         kernel_fields = tuple(self.element(v) for v in kernel_coeffs)

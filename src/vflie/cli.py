@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .algebra import DEFAULT_CAP_DEGREE, DEFAULT_CAP_DIM, DEFAULT_CAP_ROUNDS, LieAlgebra, close
@@ -28,16 +27,6 @@ from .fields import VariableContext
 from .linalg import generic_rank
 from .parser import parse_field
 from .recipes import RECIPES, build, random_spec
-
-
-@dataclass
-class Session:
-    ctx: VariableContext
-    cap_dim: int
-    cap_rounds: int
-    cap_degree: int
-    fmt: str
-    seed: int
 
 
 def _add_common(p: argparse.ArgumentParser, *, gens: bool = True) -> None:
@@ -115,13 +104,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _session(args: argparse.Namespace) -> Session:
-    names = tuple(n.strip() for n in args.vars.split(",") if n.strip())
-    ctx = VariableContext(names)
-    return Session(ctx, args.cap_dim, args.cap_rounds, args.cap_degree, args.format, args.seed)
-
-
-def _generators(args: argparse.Namespace, session: Session) -> list:
+def _generators(args: argparse.Namespace, ctx: VariableContext) -> list:
     texts: list[str] = []
     if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
@@ -132,19 +115,19 @@ def _generators(args: argparse.Namespace, session: Session) -> list:
     texts.extend(args.gen)
     if not texts:
         raise ParseError("no generators given (use --gen or --file)", 0)
-    return [parse_field(t, session.ctx) for t in texts]
+    return [parse_field(t, ctx) for t in texts]
 
 
-def _closure(args: argparse.Namespace, session: Session) -> LieAlgebra:
+def _closure(args: argparse.Namespace, ctx: VariableContext) -> LieAlgebra:
     return close(
-        _generators(args, session),
-        cap_dim=session.cap_dim,
-        cap_rounds=session.cap_rounds,
-        cap_degree=session.cap_degree,
+        _generators(args, ctx),
+        cap_dim=args.cap_dim,
+        cap_rounds=args.cap_rounds,
+        cap_degree=args.cap_degree,
     )
 
 
-def _ideal_argument(args: argparse.Namespace, session: Session, algebra: LieAlgebra):
+def _ideal_argument(args: argparse.Namespace, algebra: LieAlgebra):
     if args.ideal and args.kept:
         raise ParseError("--ideal and --kept are mutually exclusive", 0)
     if args.ideal:
@@ -157,46 +140,46 @@ def _ideal_argument(args: argparse.Namespace, session: Session, algebra: LieAlge
 
 
 def _run(args: argparse.Namespace) -> dict:
-    session = _session(args)
-    head = {"variables": list(session.ctx.names)}
+    ctx = VariableContext(tuple(n.strip() for n in args.vars.split(",") if n.strip()))
+    head = {"variables": list(ctx.names)}
     if args.command == "bracket":
-        gens = _generators(args, session)
+        gens = _generators(args, ctx)
         if len(gens) != 2:
             raise ParseError("bracket needs exactly two --gen fields", 0)
         return {**head, "left": str(gens[0]), "right": str(gens[1]),
                 "result": str(gens[0].bracket(gens[1]))}
     if args.command == "closure":
-        return {**head, **_closure(args, session).report()}
+        return {**head, **_closure(args, ctx).report()}
     if args.command == "classify":
-        return {**head, **classify(_closure(args, session)).to_dict()}
+        return {**head, **classify(_closure(args, ctx)).to_dict()}
     if args.command == "center":
-        algebra = _closure(args, session)
+        algebra = _closure(args, ctx)
         center = algebra.center()
         return {**head, "dim": algebra.dim, "center": [str(v) for v in center],
                 "center_dim": len(center), "center_rank": generic_rank(center)}
     if args.command == "series":
-        return {**head, **_closure(args, session).series(args.kind).to_dict()}
+        return {**head, **_closure(args, ctx).series(args.kind).to_dict()}
     if args.command == "rank":
-        algebra = _closure(args, session)
+        algebra = _closure(args, ctx)
         return {**head, "dim": algebra.dim, "generic_rank": generic_rank(algebra.basis)}
     if args.command == "project":
         kept = [k.strip() for k in args.kept.split(",") if k.strip()]
-        return {**head, **_closure(args, session).project(kept).to_dict()}
+        return {**head, **_closure(args, ctx).project(kept).to_dict()}
     if args.command == "jordan":
-        algebra = _closure(args, session)
-        ideal, described = _ideal_argument(args, session, algebra)
-        operator = parse_field(args.op, session.ctx)
+        algebra = _closure(args, ctx)
+        ideal, described = _ideal_argument(args, algebra)
+        operator = parse_field(args.op, ctx)
         return {**head, **described, **jordan_chains(algebra, operator, ideal).to_dict()}
     if args.command == "split":
-        algebra = _closure(args, session)
-        ideal, described = _ideal_argument(args, session, algebra)
+        algebra = _closure(args, ctx)
+        ideal, described = _ideal_argument(args, algebra)
         return {**head, **described, **split_check(algebra, ideal).to_dict()}
     if args.command == "ideals":
-        return {**head, **one_dim_ideals_mod_center(_closure(args, session)).to_dict()}
+        return {**head, **one_dim_ideals_mod_center(_closure(args, ctx)).to_dict()}
     if args.command == "match":
-        return {**head, **match_template(_closure(args, session), args.template).to_dict()}
+        return {**head, **match_template(_closure(args, ctx), args.template).to_dict()}
     if args.command == "generate":
-        spec = random_spec(args.recipe, session.seed, args.degree_bound)
+        spec = random_spec(args.recipe, args.seed, args.degree_bound)
         return build(spec).to_dict()
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import ContextMismatch, InvalidCoordinateChange
-from .ring import ExpPoly, Scalar, _poly, mul_add, term_text
+from .ring import ExpPoly, Scalar, _poly, join_terms, mul_add, term_text
 
 DEFAULT_NAMES = ("x", "y", "z")
 
@@ -172,18 +172,12 @@ class VectorField:
         return all(c.depends_only_on(allowed) for c in self.comps)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        out = ""
-        for i, comp in enumerate(self.comps):
-            tail = "D" + self.ctx.names[i]
-            for mono, coeff in comp.sorted_terms():
-                negative, text = term_text(coeff, mono, self.ctx.names, tail=tail)
-                if not out:
-                    out = ("-" if negative else "") + text
-                else:
-                    out += (" - " if negative else " + ") + text
-        return out
+        names = self.ctx.names
+        return join_terms(
+            term_text(coeff, mono, names, tail="D" + name)
+            for name, comp in zip(names, self.comps)
+            for mono, coeff in comp.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"VectorField({self!s})"

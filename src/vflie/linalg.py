@@ -3,14 +3,16 @@
 EchelonBasis is the one elimination routine: a fully reduced row set with
 unit pivots over sparse vectors, so span membership, residuals, coordinates
 and null spaces are all exact.  Its keys are either (component, monomial)
-pairs, which coordinatize vector fields, or integer basis coordinates,
-which the structure-constant layer uses; only the key order differs.  The
-dense helpers (rref_dense, null_space_dense, solve_dense) are thin list
-adapters over integer-key bases; no engine code calls them, and they remain
-for the tests and the benchmark tracer (bench/tracing.py).  generic_rank
-decides the pointwise-span dimension of a field family by greedy span growth
-over the fraction field: a field is kept when one of at most three small
-symbolic minors is nonzero, so a family of m fields costs O(m) minors.
+pairs, which coordinatize vector fields and are spelled only in this module,
+or integer basis coordinates, which the structure-constant layer uses; both
+kinds compare natively (ExpMonomial orders itself), so a row's pivot is just
+its least key.  The dense helpers (rref_dense, null_space_dense, solve_dense)
+are thin list adapters over integer-key bases; no engine code calls them, and
+they remain for the tests and the benchmark tracer (bench/tracing.py).
+generic_rank decides the pointwise-span dimension of a field family by
+greedy span growth over the fraction field: a field is kept when one of at
+most three small symbolic minors is nonzero, so a family of m fields costs
+O(m) minors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
 from .fields import VariableContext, VectorField
@@ -29,10 +31,6 @@ CoordVector = dict[Key, Fraction]
 SparseVector = dict[int, Fraction]
 
 ZERO = Q(0)
-
-
-def key_sort(key: Key):
-    return (key[0], key[1].sort_key())
 
 
 def coordinatize(field: VectorField) -> CoordVector:
@@ -75,29 +73,27 @@ def _axpy(dst: dict, src: Mapping, scale: Fraction) -> None:
 
 @dataclass
 class InsertResult:
-    independent: bool
-    residual: dict
-    index: int | None
-    dirtied: tuple[int, ...]
+    independent: bool  # the vector was outside the span; its row is now rows[-1]
+    dirtied: tuple[int, ...]  # indices of older rows it reduced
 
 
 class EchelonBasis:
     """Mutable reduced row set with unit pivots, one owner at a time.
 
-    A row's pivot is its least key under `order`: key_sort (the default)
-    for field keys (component, monomial), or None to compare the keys
-    themselves, as for integer basis coordinates.  Rows are stored in
-    insertion order so callers can keep stable indices while the basis
-    grows; `order()` gives the pivot-sorted (reduced row-echelon) view.
-    Every pivot column is zero in all other rows, so the sorted rows depend
-    only on the span, not on the insertion order.
+    A row's pivot is its least key.  Rows are stored in insertion order so
+    callers can keep stable indices while the basis grows; `order()` gives
+    the pivot-sorted (reduced row-echelon) view.
+
+    Invariant (full reduction): every row is zero at every other row's
+    pivot.  So subtracting one row never changes a vector's coefficient at
+    another pivot, `reduce` may clear the pivots in any order, and the
+    sorted rows depend only on the span, not on the insertion order.
     """
 
-    def __init__(self, order: Callable[[Any], Any] | None = key_sort) -> None:
+    def __init__(self) -> None:
         self.rows: list[dict] = []
         self.pivots: list = []
         self._pivot_row: dict = {}
-        self._key = order
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -105,16 +101,11 @@ class EchelonBasis:
     def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
         """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
         v = {k: c for k, c in vec.items() if c}
-        coeffs: dict[int, Fraction] = {}
-        hits = sorted((k for k in v if k in self._pivot_row), key=self._key)
-        for key in hits:
-            coeff = v.get(key)
-            if not coeff:
-                continue
-            row_idx = self._pivot_row[key]
-            coeffs[row_idx] = coeff
+        pivot_row = self._pivot_row
+        hits = [(pivot_row[k], c) for k, c in v.items() if k in pivot_row]
+        for row_idx, coeff in hits:
             _axpy(v, self.rows[row_idx], -coeff)
-        return v, coeffs
+        return v, dict(hits)
 
     def contains(self, vec: Mapping) -> bool:
         residual, _ = self.reduce(vec)
@@ -123,8 +114,8 @@ class EchelonBasis:
     def insert(self, vec: Mapping) -> InsertResult:
         residual, _ = self.reduce(vec)
         if not residual:
-            return InsertResult(False, {}, None, ())
-        lead = min(residual, key=self._key)
+            return InsertResult(False, ())
+        lead = min(residual)
         scale = residual[lead]
         row = {k: c / scale for k, c in residual.items()}
         index = len(self.rows)
@@ -137,7 +128,7 @@ class EchelonBasis:
         self.rows.append(row)
         self.pivots.append(lead)
         self._pivot_row[lead] = index
-        return InsertResult(True, row, index, tuple(dirtied))
+        return InsertResult(True, tuple(dirtied))
 
     def express(self, vec: Mapping) -> list[Fraction]:
         """Exact coordinates of vec over the rows (insertion order)."""
@@ -148,8 +139,7 @@ class EchelonBasis:
 
     def order(self) -> list[int]:
         """Row indices sorted by pivot key (the reduced row-echelon order)."""
-        key = self._key or (lambda k: k)
-        return sorted(range(len(self.rows)), key=lambda i: key(self.pivots[i]))
+        return sorted(range(len(self.rows)), key=self.pivots.__getitem__)
 
     def rows_sorted(self) -> list[dict]:
         return [self.rows[i] for i in self.order()]
@@ -157,7 +147,7 @@ class EchelonBasis:
 
 def echelon_of(rows: Iterable[Mapping[int, Fraction]]) -> EchelonBasis:
     """Integer-key echelon basis of the span of the given sparse rows."""
-    basis = EchelonBasis(order=None)
+    basis = EchelonBasis()
     for row in rows:
         basis.insert(row)
     return basis

@@ -9,6 +9,9 @@ Grammar (canonical printed output is a strict subset of what is accepted):
     linterm := (rational "*")? var
     rational:= nat ("/" nat)?
 
+Numbers (nat) are ASCII digits 0-9 and names are ASCII letters, digits and
+"_"; any other character is a ParseError at its position.
+
 Vector fields attach basis symbols "D<name>" (also accepted: "D[<name>]") as
 factors, e.g. "y*Dx + x^2*exp(y)*Dz"; every term must contain exactly one
 basis symbol.  The zero field prints and parses as "0".
@@ -18,11 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from string import ascii_letters, digits
+
 from .errors import ParseError
 from .fields import VariableContext, VectorField
 from .ring import ExpPoly, Q
 
 _SYMBOLS = "+-*^/()[]"
+_DIGITS = frozenset(digits)
+_NAME_START = frozenset(ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 @dataclass(frozen=True)
@@ -40,16 +48,16 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("NAT", text[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("NAME", text[i:j], i))
             i = j

@@ -16,6 +16,10 @@ itself (sums, negatives, products, derivatives, restrictions) are canonical by
 construction and skip that re-validation.  Products of term maps go through
 one multiply-accumulate helper, mul_add, which VectorField.bracket shares.
 
+`<` on ExpMonomial is the engine's one term order (see ExpMonomial.sort_key):
+printed terms, echelon pivots and basis order all follow it, and keys such as
+(component, monomial) compare natively because monomials do.
+
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.
 
@@ -42,9 +46,10 @@ class ExpMonomial:
     """One term shape: powers per variable plus exponential rates per variable.
 
     Two monomials are equal iff powers and rates are componentwise equal;
-    sort_key gives the global total order (lexicographic on (rates, powers))
-    used for canonical term ordering everywhere in the engine.  has_exp and
-    the hash are fixed at construction; equality tests the hashes first.
+    `<` is the global total order of sort_key (lexicographic on reversed
+    rates, then reversed powers) and the canonical term order everywhere in
+    the engine.  has_exp and the hash are fixed at construction; equality
+    tests the hashes first.
     """
 
     __slots__ = ("powers", "rates", "has_exp", "_hash")
@@ -73,6 +78,13 @@ class ExpMonomial:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: "ExpMonomial") -> bool:
+        if not isinstance(other, ExpMonomial):
+            return NotImplemented
+        if not (self.has_exp or other.has_exp):  # equal (zero) rates
+            return self.powers[::-1] < other.powers[::-1]
+        return self.sort_key() < other.sort_key()
 
     def __reduce__(self):
         return ExpMonomial, (self.powers, self.rates)
@@ -260,7 +272,7 @@ class ExpPoly:
         return True
 
     def sorted_terms(self) -> list[tuple[ExpMonomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items())
 
     def term_map(self) -> dict[ExpMonomial, Fraction]:
         return dict(self._terms)
@@ -444,15 +456,17 @@ def term_text(coeff: Fraction, mono: ExpMonomial, names: Sequence[str], tail: st
     return coeff < 0, "*".join(parts)
 
 
-def format_poly(p: ExpPoly, names: Sequence[str]) -> str:
-    """Canonical text form; re-parses to an equal element."""
-    if p.is_zero:
-        return "0"
+def join_terms(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, text) pairs from term_text as 'a + b - c'; '0' if none."""
     out = ""
-    for mono, coeff in p.sorted_terms():
-        negative, text = term_text(coeff, mono, names)
+    for negative, text in terms:
         if not out:
             out = ("-" if negative else "") + text
         else:
             out += (" - " if negative else " + ") + text
-    return out
+    return out or "0"
+
+
+def format_poly(p: ExpPoly, names: Sequence[str]) -> str:
+    """Canonical text form; re-parses to an equal element."""
+    return join_terms(term_text(coeff, mono, names) for mono, coeff in p.sorted_terms())

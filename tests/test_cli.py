@@ -193,6 +193,13 @@ def test_parse_error_exit_code_2():
     assert err["error"] == "ParseError" and err["position"] == 2
 
 
+def test_non_ascii_digit_is_a_parse_error_with_position():
+    code, out, err = run_main(["closure", "--gen", "2\u00b2*Dx"])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ParseError" and report["position"] == 1
+
+
 def test_usage_error_exit_code_2():
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("closure").returncode == 2  # no generators

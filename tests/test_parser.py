@@ -29,6 +29,17 @@ def test_double_star_rejected_with_position():
     assert err.value.expected  # expected-token set is reported
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("2\u00b2*Dx", 1), ("x^\u00b2*Dx", 2), ("\u0663*Dx", 0)],
+    ids=["superscript-digit", "superscript-exponent", "arabic-indic-digit"],
+)
+def test_non_ascii_digits_rejected_with_position(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_field(text, DEFAULT_CONTEXT)
+    assert err.value.position == position
+
+
 def test_term_without_basis_symbol_rejected():
     with pytest.raises(ParseError):
         parse_field("x*Dz + 3", DEFAULT_CONTEXT)

@@ -1,20 +1,22 @@
 """Property-based checks with hypothesis: the text round trip, the field
 bracket against the term-list oracle and the Lie identities, canonical ring
-results, pushforward as a bracket homomorphism, and closure invariance under a
-change of generating set.  Derandomized, so every run draws the same examples."""
+results, the monomial order, echelon coordinates against the dense oracle,
+pushforward as a bracket homomorphism, and closure invariance under a change
+of generating set.  Derandomized, so every run draws the same examples."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vflie import DEFAULT_CONTEXT, RECIPES, CoordinateChange, ExpPoly, build, close, random_spec
+from vflie.linalg import EchelonBasis, coordinatize, uncoordinatize
 from vflie.parser import parse_expression, parse_field
 from vflie.ring import ExpMonomial
 
-from conftest import naive_add, naive_diff, naive_mul, naive_of
+from conftest import naive_add, naive_diff, naive_mul, naive_of, oracle_coords
 
 ctx = DEFAULT_CONTEXT
 checks = settings(derandomize=True, deadline=None, database=None, max_examples=30)
@@ -116,6 +118,39 @@ def test_ring_results_are_canonical(p, q, v, w, a, i):
 def test_bracket_satisfies_jacobi(u, v, w):
     total = u.bracket(v.bracket(w)) + v.bracket(w.bracket(u)) + w.bracket(u.bracket(v))
     assert total.is_zero
+
+
+# half the monomials carry no exponential factor, so `<` takes its fast path
+monomials = st.builds(
+    ExpMonomial,
+    st.tuples(*[st.integers(0, 2)] * 3),
+    st.one_of(st.just((Fraction(0),) * 3), st.tuples(*[rates] * 3)),
+)
+
+
+@settings(checks, max_examples=200)
+@given(monomials, monomials)
+def test_monomial_order_is_sort_key_order(a, b):
+    assert (a < b) == (a.sort_key() < b.sort_key())
+    assert (b < a) == (b.sort_key() < a.sort_key())
+    assert [a < b, b < a, a == b].count(True) == 1
+
+
+@settings(checks, max_examples=25)
+@given(st.lists(fields(), min_size=2, max_size=5), st.data())
+def test_express_matches_oracle_in_any_insertion_order(vs, data):
+    assume(any(not c.is_polynomial for v in vs for c in v.comps))
+    scales = st.lists(coefficients | st.just(Fraction(0)), min_size=len(vs), max_size=len(vs))
+    combo = ctx.field([ExpPoly.zero(3)] * 3)
+    for v, a in zip(vs, data.draw(scales)):
+        combo = combo + v * a
+    for _ in range(2):
+        order = data.draw(st.permutations(range(len(vs))))
+        basis = EchelonBasis()
+        for i in order:
+            basis.insert(coordinatize(vs[i]))
+        rows = [uncoordinatize(row, ctx) for row in basis.rows]
+        assert basis.express(coordinatize(combo)) == oracle_coords(rows, [combo])[0]
 
 
 @settings(checks, max_examples=20)
