@@ -78,9 +78,13 @@ def close(
     rows dirtied by echelon reduction are re-paired, so on termination the
     last bracket of every pair was taken on the final basis, and `nonzero`
     holds the pairs whose bracket is nonzero: only those are bracketed again
-    to build the tensor.  Raises ClosureCapExceeded when the dimension
-    passes cap_dim, the worklist is open after cap_rounds rounds, or a field
-    entering the span has total degree above cap_degree.
+    to build the tensor.  A pair (u, v) is skipped, as a zero bracket, when
+    the support masks (VectorField.support) prove it commuting: neither
+    field moves a variable that the other's coefficients read.  A skipped
+    pair counts as bracketed in the `round` and `pending` of a cap error.
+    Raises ClosureCapExceeded when the dimension passes cap_dim, the
+    worklist is open after cap_rounds rounds, or a field entering the span
+    has total degree above cap_degree.
     """
     gens = list(generators)
     if not gens:
@@ -111,10 +115,10 @@ def close(
         if not result.independent:
             return
         new = len(echelon) - 1
-        fields.append(uncoordinatize(echelon.rows[-1], ctx))
+        fields.append(uncoordinatize(echelon.row(new), ctx))
         pending.update((k, new) for k in range(new))
         for d in result.dirtied:
-            fields[d] = uncoordinatize(echelon.rows[d], ctx)
+            fields[d] = uncoordinatize(echelon.row(d), ctx)
             pending.update((min(d, k), max(d, k)) for k in range(len(echelon)) if k != d)
         if len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
@@ -130,8 +134,11 @@ def close(
         pending.clear()
         while batch:
             i, j = batch.pop()
-            w = fields[i].bracket(fields[j])
-            if w.is_zero:
+            u, v = fields[i], fields[j]
+            (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
+            # no bracket when the supports prove it zero
+            w = u.bracket(v) if moves_u & reads_v or moves_v & reads_u else None
+            if w is None or w.is_zero:
                 nonzero.discard((i, j))
             else:
                 nonzero.add((i, j))
@@ -425,8 +432,9 @@ class LieAlgebra:
     def verify_ideal(self, ideal: IdealLike) -> EchelonBasis:
         """Span of the ideal; raises NotAnIdeal unless [L, ideal] lies in it."""
         span = self.ideal_subspace(ideal)
+        rows = span.rows
         for i in range(self.dim):
-            for w in span.rows:
+            for w in rows:
                 if not span.contains(self._bracket({i: Q(1)}, w)):
                     raise NotAnIdeal(
                         f"[{self.basis[i]}, ideal] is not contained in the ideal"

@@ -273,7 +273,7 @@ def jordan_chains(
     span = algebra.ideal_subspace(ideal)
     order = span.order()
     position = {row: t for t, row in enumerate(order)}
-    rows = [span.rows[i] for i in order]
+    rows = span.rows_sorted()
     m = len(rows)
 
     # columns of the restricted operator N over the subspace basis

@@ -68,11 +68,14 @@ class VectorField:
 
     The Jacobian (d comps[i] / d var j for all i, j) is computed lazily, on
     the field's first bracket, and kept in a slot, so a field bracketed many
-    times is differentiated n^2 times in all.  The cache takes no part in ==
-    or hash, and the field stays immutable to callers.
+    times is differentiated n^2 times in all.  So are the support masks of
+    `support()`: bit j of `moves` is set when comps[j] is nonzero, and bit j
+    of `reads` when some coefficient depends on var j (a power > 0 or a rate
+    != 0).  The caches take no part in == or hash, and the field stays
+    immutable to callers.
     """
 
-    __slots__ = ("ctx", "comps", "_jac")
+    __slots__ = ("ctx", "comps", "_jac", "_support")
 
     def __init__(self, ctx: VariableContext, comps: Sequence[ExpPoly]):
         comps = tuple(comps)
@@ -84,6 +87,7 @@ class VectorField:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "comps", comps)
         object.__setattr__(self, "_jac", None)
+        object.__setattr__(self, "_support", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("VectorField is immutable")
@@ -138,6 +142,27 @@ class VectorField:
             jac = tuple(tuple(c.diff(j) if c else c for j in range(n)) for c in self.comps)
             object.__setattr__(self, "_jac", jac)
         return jac
+
+    def support(self) -> tuple[int, int]:
+        """(moves, reads) bitmasks over the variables; computed once per field.
+
+        [X, Y] = 0 whenever moves(X) & reads(Y) and moves(Y) & reads(X) are
+        both empty: every term X_j * d Y_i/d var j has X_j = 0 or
+        d Y_i/d var j = 0, and likewise with X and Y swapped.
+        """
+        masks = self._support
+        if masks is None:
+            moves = reads = 0
+            for i, c in enumerate(self.comps):
+                if c:
+                    moves |= 1 << i
+                    for m in c.term_map():
+                        for j, (power, rate) in enumerate(zip(m.powers, m.rates)):
+                            if power or rate:
+                                reads |= 1 << j
+            masks = (moves, reads)
+            object.__setattr__(self, "_support", masks)
+        return masks
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [self, other]; bilinear and antisymmetric.

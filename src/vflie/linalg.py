@@ -1,14 +1,18 @@
 """Exact sparse linear algebra over Q.
 
-EchelonBasis is the one elimination routine: a fully reduced row set with
-unit pivots over sparse vectors, so span membership, residuals, coordinates
-and null spaces are all exact.  Its keys are either (component, monomial)
-pairs, which coordinatize vector fields and are spelled only in this module,
-or integer basis coordinates, which the structure-constant layer uses; both
-kinds compare natively (ExpMonomial orders itself), so a row's pivot is just
-its least key.  The dense helpers (rref_dense, null_space_dense, solve_dense)
-are thin list adapters over integer-key bases; no engine code calls them, and
-they remain for the tests and the benchmark tracer (bench/tracing.py).
+EchelonBasis is the one elimination routine: a fully reduced row set over
+sparse vectors, so span membership, residuals, coordinates and null spaces
+are all exact.  It eliminates on primitive integer rows, integer-preserving
+in the spirit of Bareiss (Math. Comp. 22, 1968), and builds the unit-pivot
+Fraction rows only when a caller reads them; given Fractions, every value it
+returns is a Fraction.  Its keys are either (component,
+monomial) pairs, which coordinatize vector fields and are spelled only in
+this module, or integer basis coordinates, which the structure-constant
+layer uses; both kinds compare natively (ExpMonomial orders itself), so a
+row's pivot is just its least key.  The dense helpers (rref_dense,
+null_space_dense, solve_dense) are thin list adapters over integer-key
+bases; no engine code calls them, and they remain for the tests and the
+benchmark tracer (bench/tracing.py).
 generic_rank decides the pointwise-span dimension of a field family by
 greedy span growth over the fraction field: a field is kept when one of at
 most three small symbolic minors is nonzero, so a family of m fields costs
@@ -71,6 +75,40 @@ def _axpy(dst: dict, src: Mapping, scale: Fraction) -> None:
             dst.pop(key, None)
 
 
+def _gcd(a: int, b: int) -> int:
+    """Greatest common divisor of two integers, by Euclid; never negative."""
+    while b:
+        a, b = b, a % b
+    return abs(a)
+
+
+def _lcm(a: int, b: int) -> int:
+    """Least common multiple of two positive integers."""
+    return a if a % b == 0 else a // _gcd(a, b) * b
+
+
+def _sub_multiple(dst: dict, src: Mapping, factor: int) -> None:
+    """dst -= factor * src on integer vectors, dropping exact zeros."""
+    for key, a in src.items():
+        acc = dst.get(key, 0) - factor * a
+        if acc:
+            dst[key] = acc
+        else:
+            dst.pop(key, None)
+
+
+def _primitive(vec: dict[Any, int], lead: Any) -> dict[Any, int]:
+    """vec divided by its content, signed so that vec[lead] is positive."""
+    g = 0
+    for c in vec.values():
+        g = _gcd(c, g)
+        if g == 1:
+            break
+    if vec[lead] < 0:
+        g = -g
+    return vec if g == 1 else {k: c // g for k, c in vec.items()}
+
+
 @dataclass
 class InsertResult:
     independent: bool  # the vector was outside the span; its row is now rows[-1]
@@ -78,7 +116,7 @@ class InsertResult:
 
 
 class EchelonBasis:
-    """Mutable reduced row set with unit pivots, one owner at a time.
+    """Mutable fully reduced row set, one owner at a time.
 
     A row's pivot is its least key.  Rows are stored in insertion order so
     callers can keep stable indices while the basis grows; `order()` gives
@@ -87,62 +125,107 @@ class EchelonBasis:
     Invariant (full reduction): every row is zero at every other row's
     pivot.  So subtracting one row never changes a vector's coefficient at
     another pivot, `reduce` may clear the pivots in any order, and the
-    sorted rows depend only on the span, not on the insertion order.
+    sorted rows depend only on the span, not on the insertion order.  It
+    also gives coordinates for free: a vector in the span has, on the unit
+    row of pivot p, its own value at p.
+
+    Rows are kept integer-preserving, in the spirit of Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22 (1968): each is a primitive integer vector (content removed)
+    with a positive pivot coefficient, so elimination does no rational
+    arithmetic.  `reduce` scales its input once to integers; `insert`
+    back-substitutes with other = b * other - c * new and divides out the
+    content.  The unit-pivot Fraction rows that callers read (`row`, `rows`)
+    are built on read and cached per row until an insert changes that row.
     """
 
     def __init__(self) -> None:
-        self.rows: list[dict] = []
         self.pivots: list = []
         self._pivot_row: dict = {}
+        self._ints: list[dict[Any, int]] = []
+        self._units: list[dict | None] = []
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._ints)
+
+    def row(self, index: int) -> dict:
+        """Row `index` (insertion order) with unit pivot, as Fractions."""
+        unit = self._units[index]
+        if unit is None:
+            ints = self._ints[index]
+            head = ints[self.pivots[index]]
+            unit = {k: Fraction(c, head) for k, c in ints.items()}
+            self._units[index] = unit
+        return unit
+
+    @property
+    def rows(self) -> list[dict]:
+        """Every row with unit pivot, in insertion order."""
+        return [self.row(i) for i in range(len(self._ints))]
+
+    def _residual(self, vec: Mapping) -> tuple[dict, int, dict[int, Fraction]]:
+        """(r, s, coeffs): an integer residual r and scale s with
+        vec - sum(coeffs[i] * row(i)) == r / s, where coeffs[i] is vec's
+        value at the pivot of row i, for every pivot that vec hits."""
+        v = {k: c for k, c in vec.items() if c}
+        pivot_row, ints = self._pivot_row, self._ints
+        hits = [(k, ints[pivot_row[k]]) for k in v if k in pivot_row]
+        # scale: clears every denominator and makes every row multiple integral
+        scale = 1
+        for c in v.values():
+            scale = _lcm(scale, c.denominator)
+        for k, row in hits:
+            c, head = v[k], row[k]
+            if head != 1:
+                scale = _lcm(scale, c.denominator * (head // _gcd(c.numerator, head)))
+        residual = {k: scale // c.denominator * c.numerator for k, c in v.items()}
+        for k, row in hits:
+            _sub_multiple(residual, row, residual[k] // row[k])
+        return residual, scale, {pivot_row[k]: v[k] for k, _ in hits}
 
     def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
         """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
-        v = {k: c for k, c in vec.items() if c}
-        pivot_row = self._pivot_row
-        hits = [(pivot_row[k], c) for k, c in v.items() if k in pivot_row]
-        for row_idx, coeff in hits:
-            _axpy(v, self.rows[row_idx], -coeff)
-        return v, dict(hits)
+        residual, scale, coeffs = self._residual(vec)
+        return {k: Fraction(c, scale) for k, c in residual.items()}, coeffs
 
     def contains(self, vec: Mapping) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
+        return not self._residual(vec)[0]
 
     def insert(self, vec: Mapping) -> InsertResult:
-        residual, _ = self.reduce(vec)
+        residual = self._residual(vec)[0]
         if not residual:
             return InsertResult(False, ())
         lead = min(residual)
-        scale = residual[lead]
-        row = {k: c / scale for k, c in residual.items()}
-        index = len(self.rows)
+        new = _primitive(residual, lead)
+        head = new[lead]
         dirtied = []
-        for i, other in enumerate(self.rows):
-            coeff = other.get(lead)
-            if coeff:
-                _axpy(other, row, -coeff)
+        for i, other in enumerate(self._ints):
+            c = other.get(lead)
+            if c:
+                combo = {k: head * a for k, a in other.items()}
+                _sub_multiple(combo, new, c)
+                self._ints[i] = _primitive(combo, self.pivots[i])
+                self._units[i] = None
                 dirtied.append(i)
-        self.rows.append(row)
+        self._pivot_row[lead] = len(self._ints)
+        self._ints.append(new)
+        self._units.append(None)
         self.pivots.append(lead)
-        self._pivot_row[lead] = index
         return InsertResult(True, tuple(dirtied))
 
     def express(self, vec: Mapping) -> list[Fraction]:
         """Exact coordinates of vec over the rows (insertion order)."""
-        residual, coeffs = self.reduce(vec)
+        residual, _, coeffs = self._residual(vec)
         if residual:
             raise NotInSpan("vector is outside the span of the basis")
-        return [coeffs.get(i, ZERO) for i in range(len(self.rows))]
+        return [coeffs.get(i, ZERO) for i in range(len(self._ints))]
 
     def order(self) -> list[int]:
         """Row indices sorted by pivot key (the reduced row-echelon order)."""
-        return sorted(range(len(self.rows)), key=self.pivots.__getitem__)
+        return sorted(range(len(self._ints)), key=self.pivots.__getitem__)
 
     def rows_sorted(self) -> list[dict]:
-        return [self.rows[i] for i in self.order()]
+        return [self.row(i) for i in self.order()]
 
 
 def echelon_of(rows: Iterable[Mapping[int, Fraction]]) -> EchelonBasis:

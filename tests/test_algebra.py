@@ -171,13 +171,23 @@ def test_round_cap_reports_how_far_the_closure_got():
     with pytest.raises(ClosureCapExceeded) as info:
         algebra(*EX_SPLIT_FAIL, cap_rounds=1)  # closes to dim 8 in more rounds
     exc = info.value
-    assert (exc.cap, exc.limit, exc.round) == ("cap_rounds", 1, 1)
-    assert 4 <= exc.dim <= 8 and exc.pending > 0
+    # pinned: a pair whose supports prove it commuting counts as bracketed
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_rounds", 1, 7, 1, 18)
     message = str(exc)
     assert "cap_rounds=1" in message and f"dimension {exc.dim}" in message
     assert "round 1" in message and "--cap-rounds" in message
     assert "infinite" not in message
     assert algebra(*EX_SPLIT_FAIL, cap_rounds=exc.round + 8).dim == 8
+
+
+def test_dim_cap_fields_are_pinned_mid_closure():
+    # center-rank1 seed 7 passes dimension 40 in its third round, with most
+    # pairs of the abelian ideal still queued; skipped pairs count as bracketed
+    gens = build(random_spec("center-rank1", 7, 6)).generators
+    with pytest.raises(ClosureCapExceeded) as info:
+        close(gens, cap_dim=40)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_dim", 40, 41, 3, 807)
 
 
 def test_cap_degree_is_a_closure_limit():

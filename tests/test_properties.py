@@ -1,8 +1,10 @@
 """Property-based checks with hypothesis: the text round trip, the field
 bracket against the term-list oracle and the Lie identities, canonical ring
-results, the monomial order, echelon coordinates against the dense oracle,
-pushforward as a bracket homomorphism, and closure invariance under a change
-of generating set.  Derandomized, so every run draws the same examples."""
+results, the monomial order, the support test that lets close() skip a
+bracket, the integer echelon kernel and its coordinates against the dense
+oracles, run-time exactness, pushforward as a bracket homomorphism, and
+closure invariance under a change of generating set.  Derandomized, so every
+run draws the same examples."""
 
 from __future__ import annotations
 
@@ -11,12 +13,29 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vflie import DEFAULT_CONTEXT, RECIPES, CoordinateChange, ExpPoly, build, close, random_spec
-from vflie.linalg import EchelonBasis, coordinatize, uncoordinatize
+from vflie import (
+    DEFAULT_CONTEXT,
+    RECIPES,
+    CoordinateChange,
+    ExpPoly,
+    VectorField,
+    build,
+    close,
+    random_spec,
+)
+from vflie.linalg import EchelonBasis, coordinatize, null_space, uncoordinatize
 from vflie.parser import parse_expression, parse_field
 from vflie.ring import ExpMonomial
 
-from conftest import naive_add, naive_diff, naive_mul, naive_of, oracle_coords
+from conftest import (
+    naive_add,
+    naive_diff,
+    naive_mul,
+    naive_of,
+    oracle_coords,
+    oracle_member,
+    oracle_row_basis,
+)
 
 ctx = DEFAULT_CONTEXT
 checks = settings(derandomize=True, deadline=None, database=None, max_examples=30)
@@ -151,6 +170,179 @@ def test_express_matches_oracle_in_any_insertion_order(vs, data):
             basis.insert(coordinatize(vs[i]))
         rows = [uncoordinatize(row, ctx) for row in basis.rows]
         assert basis.express(coordinatize(combo)) == oracle_coords(rows, [combo])[0]
+
+
+# -- the support test of close() -----------------------------------------------
+
+
+def provably_commute(u: VectorField, v: VectorField) -> bool:
+    (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
+    return not (moves_u & reads_v or moves_v & reads_u)
+
+
+@st.composite
+def supported_fields(draw) -> VectorField:
+    """A field that moves and reads only drawn subsets of the variables,
+    with exp factors among the read ones, so disjoint supports are common."""
+    moved = draw(st.sets(st.integers(0, 2), min_size=1, max_size=2))
+    read = draw(st.sets(st.integers(0, 2), max_size=2))
+    powers = st.tuples(*[st.integers(0, 2) if i in read else st.just(0) for i in range(3)])
+    rate_tuples = st.tuples(*[rates if i in read else st.just(Fraction(0)) for i in range(3)])
+    shapes = st.lists(st.tuples(powers, rate_tuples, coefficients), min_size=1, max_size=2)
+    comps = [ExpPoly.zero(3)] * 3
+    for i in moved:
+        for p, r, c in draw(shapes):
+            comps[i] = comps[i] + ExpPoly.monomial(p, r, c)
+    return ctx.field(comps)
+
+
+def oracle_support(v: VectorField) -> tuple[int, int]:
+    """(moves, reads) read off the naive term lists."""
+    moves = reads = 0
+    for i, comp in enumerate(v.comps):
+        terms = naive_of(comp)
+        moves |= bool(terms) << i
+        for powers, rate, _ in terms:
+            for j in range(3):
+                if powers[j] or rate[j]:
+                    reads |= 1 << j
+    return moves, reads
+
+
+@settings(checks, max_examples=150)
+@given(st.one_of(supported_fields(), fields()), supported_fields())
+def test_support_test_is_sound(u, v):
+    assert u.support() == oracle_support(u) and v.support() == oracle_support(v)
+    if provably_commute(u, v):
+        assert u.bracket(v).is_zero and v.bracket(u).is_zero
+
+
+def test_support_test_examples():
+    # both move z only and read only x and y: every term X_z * d/dz vanishes
+    assert provably_commute(parse_field("x*y*Dz", ctx), parse_field("y^2*exp(y)*Dz", ctx))
+    # Dx moves x, which x*Dz reads: [Dx, x*Dz] = Dz
+    assert not provably_commute(parse_field("Dx", ctx), parse_field("x*Dz", ctx))
+    assert not provably_commute(parse_field("x*Dz", ctx), parse_field("Dx", ctx))
+    # an exponential factor reads its variable too
+    assert not provably_commute(parse_field("Dy", ctx), parse_field("exp(y)*Dz", ctx))
+
+
+def test_close_never_brackets_a_provably_commuting_pair(monkeypatch):
+    draws = [build(random_spec(recipe, seed, 3)).generators for recipe in RECIPES for seed in (0, 1)]
+    draws.append(build(random_spec("center-rank1", 23, 6)).generators)
+    real_bracket = VectorField.bracket
+    calls, skippable = 0, []
+
+    def counting_bracket(u, v):
+        nonlocal calls
+        calls += 1
+        if provably_commute(u, v):
+            skippable.append((str(u), str(v)))
+        return real_bracket(u, v)
+
+    monkeypatch.setattr(VectorField, "bracket", counting_bracket)
+    skipping = [close(gens) for gens in draws]
+    skipped_calls = calls
+    assert skippable == []
+    # every field moving and reading every variable: no pair can be skipped
+    monkeypatch.setattr(VectorField, "support", lambda v: (0b111, 0b111))
+    reference = [close(gens) for gens in draws]
+    assert calls - skipped_calls > 2 * skipped_calls  # the skip does fire
+    for got, want in zip(skipping, reference):
+        assert got.basis == want.basis
+        assert got.structure == want.structure
+
+
+# -- the integer echelon kernel --------------------------------------------------
+
+# mixed denominators and numerators up to 10^12, with zeros for sparsity
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 12)),
+)
+
+
+@st.composite
+def rational_matrices(draw) -> list[list[Fraction]]:
+    """A few rows over a few columns, often with a dependent row appended."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(entries), draw(entries)
+        rows.append([a * p + b * q for p, q in zip(rows[0], rows[1])])
+    return rows
+
+
+def unit_rows(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """The oracle's reduced rows scaled to unit pivots, as sparse rows."""
+    out = []
+    for row in oracle_row_basis(matrix):
+        head = next(c for c in row if c)
+        out.append({i: c / head for i, c in enumerate(row) if c})
+    return out
+
+
+def sparse(row: list[Fraction]) -> dict[int, Fraction]:
+    return {i: c for i, c in enumerate(row) if c}
+
+
+def combine(scales: list[Fraction], rows: list[dict], ncols: int) -> list[Fraction]:
+    """sum(scales[i] * rows[i]) over sparse rows, as a dense list."""
+    return [sum((a * row.get(c, 0) for a, row in zip(scales, rows)), Fraction(0)) for c in range(ncols)]
+
+
+@settings(checks, max_examples=80)
+@given(rational_matrices(), st.data())
+def test_integer_kernel_matches_dense_oracle(matrix, data):
+    ncols = len(matrix[0])
+    probe = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    scales = data.draw(st.lists(entries, min_size=len(matrix), max_size=len(matrix)))
+    combo = combine(scales, [sparse(row) for row in matrix], ncols)
+    expected_rows = unit_rows(matrix)
+    for _ in range(2):
+        order = data.draw(st.permutations(range(len(matrix))))
+        basis = EchelonBasis()
+        for i in order:
+            basis.insert(sparse(matrix[i]))
+        assert basis.rows_sorted() == expected_rows
+        for vec in (probe, combo):
+            assert basis.contains(sparse(vec)) == oracle_member(matrix, vec)
+        assert combine(basis.express(sparse(combo)), basis.rows, ncols) == combo
+    columns = [sparse([row[c] for row in matrix]) for c in range(ncols)]
+    kernel = null_space(columns)
+    assert len(kernel) == ncols - len(expected_rows)
+    for x in kernel:
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in matrix)
+
+
+def assert_fractions(values) -> None:
+    for c in values:
+        assert type(c) is Fraction, f"{c!r} is a {type(c).__name__}, not a Fraction"
+
+
+@settings(checks, max_examples=25)
+@given(rational_matrices(), st.sampled_from(RECIPES), st.integers(0, 40), st.data())
+def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
+    # the run-time side of test_ring.py::test_package_computes_no_floats:
+    # a stray int / int, or an unscaled integer row, would show here
+    ncols = len(matrix[0])
+    basis = EchelonBasis()
+    for row in matrix:
+        basis.insert(sparse(row))
+    probe = sparse(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    for row in basis.rows:
+        assert_fractions(row.values())
+    residual, coeffs = basis.reduce(probe)
+    assert_fractions([*residual.values(), *coeffs.values()])
+    assert_fractions(basis.express(sparse(matrix[-1])))
+    for x in null_space([sparse([row[c] for row in matrix]) for c in range(ncols)]):
+        assert_fractions(x)
+    L = close(build(random_spec(recipe, seed, 2)).generators)
+    for comps in L.structure.values():
+        assert_fractions(comps.values())
+    for b in L.basis:
+        assert_fractions(L.express(b))
 
 
 @settings(checks, max_examples=20)
