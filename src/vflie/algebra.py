@@ -6,7 +6,9 @@ set of fields.  The resulting LieAlgebra holds the canonical reduced
 row-echelon basis of that span (ordered by pivot key, hence independent of
 generator order) together with the exact structure-constant tensor, and all
 queries (center, series, projections, adjoints, quotients) are exact and
-deterministic.
+deterministic.  The lower-central series, ideal checks, quotients and split
+lifts walk only the nonzero structure constants (LieAlgebra._ad_image), so a
+pair whose bracket is structurally zero is never visited.
 """
 
 from __future__ import annotations
@@ -227,6 +229,8 @@ class LieAlgebra:
 
     close() builds both.  The constructor checks that the basis is reduced
     echelon and takes `structure` as given, with no zero bracket in it.
+    Series, ideal checks, quotients and split lifts walk only its nonzero
+    entries, through the ad tables.
     """
 
     def __init__(self, ctx: VariableContext, basis: Sequence[VectorField], structure: Tensor):
@@ -268,6 +272,24 @@ class LieAlgebra:
                     for k, c in col.items():
                         out[k] = out.get(k, ZERO) + ab * c
         return {k: c for k, c in out.items() if c}
+
+    def _ad_image(self, w: Mapping[int, Fraction]) -> dict[int, SparseVector]:
+        """{i: [e_i, w]} for every i whose bracket with w is nonzero.
+
+        [e_i, w] = -sum_j w_j [e_j, e_i], so only the ad tables of the j in
+        supp(w) are walked; terms that cancel leave no entry.
+        """
+        images: dict[int, SparseVector] = {}
+        for j, b in w.items():
+            for i, col in self._ad[j].items():
+                out = images.setdefault(i, {})
+                for k, c in col.items():
+                    out[k] = out.get(k, ZERO) - b * c
+        return {
+            i: nonzero
+            for i, out in images.items()
+            if (nonzero := {k: c for k, c in out.items() if c})
+        }
 
     def bracket_coeffs(
         self, u: Sequence[Fraction], w: Sequence[Fraction]
@@ -327,16 +349,15 @@ class LieAlgebra:
         return self._series[kind]
 
     def _compute_series(self, kind: str) -> SeriesReport:
-        units = [{i: Q(1)} for i in range(self.dim)]
         dims = [self.dim]
-        current = units
+        current = [{i: Q(1)} for i in range(self.dim)]
         terminated = self.dim == 0
         while dims[-1] > 0:
             if kind == "lower-central":
-                pairs = ((u, w) for u in units for w in current)
+                brackets = (v for w in current for v in self._ad_image(w).values())
             else:
-                pairs = combinations(current, 2)
-            nxt = echelon_of(self._bracket(u, w) for u, w in pairs)
+                brackets = (self._bracket(u, w) for u, w in combinations(current, 2))
+            nxt = echelon_of(brackets)
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))
@@ -432,13 +453,14 @@ class LieAlgebra:
     def verify_ideal(self, ideal: IdealLike) -> EchelonBasis:
         """Span of the ideal; raises NotAnIdeal unless [L, ideal] lies in it."""
         span = self.ideal_subspace(ideal)
-        rows = span.rows
-        for i in range(self.dim):
-            for w in rows:
-                if not span.contains(self._bracket({i: Q(1)}, w)):
-                    raise NotAnIdeal(
-                        f"[{self.basis[i]}, ideal] is not contained in the ideal"
-                    )
+        outside = [
+            i
+            for w in span.rows
+            for i, v in self._ad_image(w).items()
+            if not span.contains(v)
+        ]
+        if outside:
+            raise NotAnIdeal(f"[{self.basis[min(outside)]}, ideal] is not contained in the ideal")
         return span
 
     def quotient_structure(self, ideal: IdealLike) -> QuotientStructure:
@@ -451,10 +473,13 @@ class LieAlgebra:
         reps = tuple(i for i in range(self.dim) if i not in pivots)
         position = {rep: c for c, rep in enumerate(reps)}
         tensor: Tensor = {}
-        for a, b in combinations(range(len(reps)), 2):
-            reduced, _ = span.reduce(self._bracket({reps[a]: Q(1)}, {reps[b]: Q(1)}))
-            if reduced:
-                tensor[(a, b)] = {position[k]: c for k, c in sorted(reduced.items())}
+        for (i, j), comps in sorted(self.structure.items()):
+            if i in position and j in position:
+                reduced, _ = span.reduce(comps)
+                if reduced:
+                    tensor[(position[i], position[j])] = {
+                        position[k]: c for k, c in sorted(reduced.items())
+                    }
         return QuotientStructure(reps, tensor)
 
     # -- reporting -----------------------------------------------------------------

@@ -440,7 +440,8 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     reps = quotient.rep_indices
     q, m = len(reps), len(rows)
     units = [{rep: Q(1)} for rep in reps]
-    bracket_lift_ideal = [[algebra._bracket(unit, row) for row in rows] for unit in units]
+    images = [algebra._ad_image(row) for row in rows]
+    bracket_lift_ideal = [[image.get(rep, {}) for image in images] for rep in reps]
 
     ideal_names = [str(algebra.element(to_dense(row, algebra.dim))) for row in rows]
     unknowns = tuple(

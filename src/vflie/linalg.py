@@ -4,8 +4,9 @@ EchelonBasis is the one elimination routine: a fully reduced row set over
 sparse vectors, so span membership, residuals, coordinates and null spaces
 are all exact.  It eliminates on primitive integer rows, integer-preserving
 in the spirit of Bareiss (Math. Comp. 22, 1968), and builds the unit-pivot
-Fraction rows only when a caller reads them; given Fractions, every value it
-returns is a Fraction.  Its keys are either (component,
+Fraction rows only when a caller reads them; given Fractions or ints, every
+value it returns is a Fraction, and a value that is not rational (a float)
+raises TypeError.  Its keys are either (component,
 monomial) pairs, which coordinatize vector fields and are spelled only in
 this module, or integer basis coordinates, which the structure-constant
 layer uses; both kinds compare natively (ExpMonomial orders itself), so a
@@ -15,8 +16,8 @@ bases; no engine code calls them, and they remain for the tests and the
 benchmark tracer (bench/tracing.py).
 generic_rank decides the pointwise-span dimension of a field family by
 greedy span growth over the fraction field: a field is kept when one of at
-most three small symbolic minors is nonzero, so a family of m fields costs
-O(m) minors.
+most three small symbolic minors over the moved columns is nonzero, so a
+family of m fields costs O(m) minors.
 """
 
 from __future__ import annotations
@@ -109,6 +110,15 @@ def _primitive(vec: dict[Any, int], lead: Any) -> dict[Any, int]:
     return vec if g == 1 else {k: c // g for k, c in vec.items()}
 
 
+def _fractions(coeffs: dict[int, Any]) -> dict[int, Fraction]:
+    """coeffs with every value that is not already a Fraction (a caller's
+    int) made one, in place."""
+    for i, c in coeffs.items():
+        if type(c) is not Fraction:
+            coeffs[i] = Fraction(c)
+    return coeffs
+
+
 @dataclass
 class InsertResult:
     independent: bool  # the vector was outside the span; its row is now rows[-1]
@@ -172,8 +182,12 @@ class EchelonBasis:
         hits = [(k, ints[pivot_row[k]]) for k in v if k in pivot_row]
         # scale: clears every denominator and makes every row multiple integral
         scale = 1
-        for c in v.values():
-            scale = _lcm(scale, c.denominator)
+        try:
+            for c in v.values():
+                scale = _lcm(scale, c.denominator)
+        except AttributeError:
+            key = next(k for k, c in v.items() if not hasattr(c, "denominator"))
+            raise TypeError(f"coefficient at key {key!r} is not rational: {v[key]!r}") from None
         for k, row in hits:
             c, head = v[k], row[k]
             if head != 1:
@@ -186,7 +200,7 @@ class EchelonBasis:
     def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
         """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
         residual, scale, coeffs = self._residual(vec)
-        return {k: Fraction(c, scale) for k, c in residual.items()}, coeffs
+        return {k: Fraction(c, scale) for k, c in residual.items()}, _fractions(coeffs)
 
     def contains(self, vec: Mapping) -> bool:
         return not self._residual(vec)[0]
@@ -218,6 +232,7 @@ class EchelonBasis:
         residual, _, coeffs = self._residual(vec)
         if residual:
             raise NotInSpan("vector is outside the span of the basis")
+        coeffs = _fractions(coeffs)
         return [coeffs.get(i, ZERO) for i in range(len(self._ints))]
 
     def order(self) -> list[int]:
@@ -317,7 +332,9 @@ def generic_rank(fields: Sequence[VectorField]) -> int:
     the fields' span over its fraction field, and greedy span growth finds
     it: walk the fields in order and keep one exactly when some maximal
     minor of the kept rows plus it is nonzero (at most C(n, k+1) <= 3
-    minors), stopping once n are kept.  For these real-analytic
+    minors).  A column that no field moves adds no rank, so minors range
+    over the moved columns only, and the walk stops once it has kept as
+    many fields as there are moved columns.  For these real-analytic
     coefficients the rank equals the maximal pointwise span dimension,
     attained on a dense open set; a rank at a specific point is
     deliberately not computed.
@@ -328,13 +345,16 @@ def generic_rank(fields: Sequence[VectorField]) -> int:
     for f in fields:
         if f.ctx != ctx:
             raise ContextMismatch("rank of fields over different contexts")
-    n = ctx.nvars
+    moved = 0
+    for f in fields:
+        moved |= f.support()[0]
+    columns = [c for c in range(ctx.nvars) if moved >> c & 1]
     kept: list[VectorField] = []
     for f in fields:
-        if len(kept) == n:
+        if len(kept) == len(columns):
             break
         rows = [*kept, f]
-        for cols in combinations(range(n), len(rows)):
+        for cols in combinations(columns, len(rows)):
             if not _det([[r.comps[c] for c in cols] for r in rows]).is_zero:
                 kept.append(f)
                 break

@@ -179,6 +179,71 @@ def oracle_member(span: list[list[Fraction]], vec: list[Fraction]) -> bool:
     return oracle_rank(span) == oracle_rank(span + [vec])
 
 
+# -- dense structure-constant oracles --------------------------------------------
+
+
+def oracle_bracket(L: LieAlgebra):
+    """[u, w] on dense coordinate lists, summed over every structure constant
+    L.c(i, j, k): no sparse walk and no ad table."""
+    n = L.dim
+    nonzero = []
+    for i in range(n):
+        for j in range(n):
+            vec = [L.c(i, j, k) for k in range(n)]
+            if any(vec):
+                nonzero.append((i, j, vec))
+
+    def bracket(u: list[Fraction], w: list[Fraction]) -> list[Fraction]:
+        out = [Q(0)] * n
+        for i, j, vec in nonzero:
+            if u[i] and w[j]:
+                out = [o + u[i] * w[j] * c for o, c in zip(out, vec)]
+        return out
+
+    return bracket
+
+
+def oracle_series_terms(L: LieAlgebra, kind: str) -> list[list[list[Fraction]]]:
+    """Every term of the lower-central or derived series, as a dense row
+    basis, until it stabilizes; bracket vectors over all pairs, each term's
+    span taken by the dense rank oracle."""
+    n = L.dim
+    bracket = oracle_bracket(L)
+    units = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
+    terms = [units]
+    while terms[-1]:
+        current = terms[-1]
+        left = units if kind == "lower-central" else current
+        nxt = oracle_row_basis([v for u in left for w in current if any(v := bracket(u, w))])
+        if len(nxt) == len(current):
+            break
+        terms.append(nxt)
+    return terms
+
+
+def oracle_quotient(L: LieAlgebra, ideal: list[list[Fraction]]) -> tuple[tuple[int, ...], dict]:
+    """(rep_indices, tensor) of L/ideal: the representatives are the columns
+    off the pivots of the ideal's reduced rows, and the bracket of every pair
+    of them is reduced by those rows densely."""
+    n = L.dim
+    rows = oracle_row_basis(ideal)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in rows]
+    reps = tuple(c for c in range(n) if c not in pivots)
+    bracket = oracle_bracket(L)
+    unit = lambda r: [Q(int(i == r)) for i in range(n)]
+    tensor = {}
+    for a, b in combinations(range(len(reps)), 2):
+        v = bracket(unit(reps[a]), unit(reps[b]))
+        for row, p in zip(rows, pivots):
+            factor = v[p] / row[p]
+            v = [x - factor * y for x, y in zip(v, row)]
+        assert not any(v[p] for p in pivots)
+        comps = {c: v[rep] for c, rep in enumerate(reps) if v[rep]}
+        if comps:
+            tensor[(a, b)] = comps
+    return reps, tensor
+
+
 # -- all-minors generic rank oracle ---------------------------------------------
 
 

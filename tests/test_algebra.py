@@ -5,6 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vflie.algebra
 from vflie import (
@@ -12,6 +14,7 @@ from vflie import (
     ContextMismatch,
     CoordinateChange,
     DEFAULT_CONTEXT,
+    EchelonBasis,
     LieAlgebra,
     NotAnIdeal,
     NotInSpan,
@@ -35,8 +38,9 @@ from conftest import (
     naive_mul,
     naive_of,
     oracle_member,
+    oracle_quotient,
     oracle_rank,
-    oracle_row_basis,
+    oracle_series_terms,
     rng,
 )
 
@@ -71,37 +75,6 @@ def center_oracle(L: LieAlgebra) -> int:
             rows.append([coords[L.dim + j * L.dim + i][col] for i in range(L.dim)])
     rows = [r for r in rows if any(r)]
     return L.dim - oracle_rank(rows) if rows else L.dim
-
-
-def series_oracle(L: LieAlgebra, kind: str) -> list[int]:
-    """Independent series dims: bracket vectors assembled from the structure
-    constants L.c(i, j, k), each term's span taken by the dense oracle."""
-    n = L.dim
-    nonzero = []
-    for i in range(n):
-        for j in range(n):
-            vec = [L.c(i, j, k) for k in range(n)]
-            if any(vec):
-                nonzero.append((i, j, vec))
-
-    def bracket(u, w):
-        out = [Q(0)] * n
-        for i, j, vec in nonzero:
-            if u[i] and w[j]:
-                out = [o + u[i] * w[j] * c for o, c in zip(out, vec)]
-        return out
-
-    units = [[Q(int(i == j)) for i in range(n)] for j in range(n)]
-    current, dims = units, [n]
-    while dims[-1]:
-        left = units if kind == "lower-central" else current
-        vecs = [v for u in left for w in current if any(v := bracket(u, w))]
-        nxt = oracle_row_basis(vecs)
-        if len(nxt) == dims[-1]:
-            break
-        dims.append(len(nxt))
-        current = nxt
-    return dims
 
 
 # -- closure ------------------------------------------------------------------------
@@ -286,6 +259,54 @@ def oracle_corpus() -> list[LieAlgebra]:
     return algebras + [large]
 
 
+mixed = st.builds(Q, st.integers(-6, 6).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def coordinate_vectors(draw, L: LieAlgebra) -> dict:
+    """A sparse w with mixed denominators; often a combination a*e_j + b*e_k
+    whose brackets with some e_i cancel in a coordinate."""
+    w = {}
+    if L.dim:
+        support = draw(st.lists(st.integers(0, L.dim - 1), unique=True, max_size=4))
+        w = {j: draw(mixed) for j in support}
+    shared = [
+        (ad_i, j, k, t)
+        for ad_i in L._ad
+        for j, k in combinations(sorted(ad_i), 2)
+        for t in set(ad_i[j]) & set(ad_i[k])
+    ]
+    if shared and draw(st.booleans()):
+        ad_i, j, k, t = draw(st.sampled_from(shared))
+        scale = draw(mixed)
+        w = {j: scale * ad_i[k][t], k: -scale * ad_i[j][t]}
+    return w
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.data())
+def test_ad_image_is_every_nonzero_bracket_with_a_unit(oracle_corpus, data):
+    source = data.draw(st.one_of(
+        st.sampled_from(range(len(oracle_corpus))),
+        st.tuples(st.sampled_from(RECIPES), st.integers(0, 40)),
+    ))
+    if isinstance(source, int):
+        L = oracle_corpus[source]
+    else:
+        L = close(build(random_spec(source[0], source[1], 2)).generators)
+    w = data.draw(coordinate_vectors(L))
+    expected = {i: v for i in range(L.dim) if (v := L._bracket({i: Q(1)}, w))}
+    assert L._ad_image(w) == expected
+
+
+def test_ad_image_drops_a_bracket_that_cancels():
+    # [Dx, (x+y)*Dz] = [Dy, (x+y)*Dz] = Dz, so [e, Dx - Dy] cancels to zero
+    L = algebra("Dx", "Dy", "(x+y)*Dz")
+    w = {j: c for j, c in enumerate(L.express(F("Dx - Dy"))) if c}
+    assert len(w) == 2 and L._ad_image(w) == {}
+    assert L._ad_image({j: Q(1) for j in w}) == {3: {2: Q(-2)}}
+
+
 def _terms(canon: dict) -> list:
     return [(powers, rates, coeff) for (powers, rates), coeff in canon.items()]
 
@@ -399,8 +420,30 @@ def test_series_match_structure_constant_oracle(oracle_corpus):
     for L in oracle_corpus + stalled:
         for kind in ("lower-central", "derived"):
             report = L.series(kind)
-            assert list(report.dims) == series_oracle(L, kind), (L.dim, kind)
+            terms = oracle_series_terms(L, kind)
+            assert list(report.dims) == [len(t) for t in terms], (L.dim, kind)
             assert report.terminated_at_zero == (report.dims[-1] == 0)
+
+
+def test_lower_central_series_inserts_only_nonzero_images(monkeypatch):
+    L = close(build(random_spec("center-rank1", 5, 5)).generators)
+    inserted, image_entries = [], []
+    real_insert, real_ad_image = EchelonBasis.insert, LieAlgebra._ad_image
+
+    def recording_insert(self, vec):
+        inserted.append(dict(vec))
+        return real_insert(self, vec)
+
+    def counting_ad_image(self, w):
+        images = real_ad_image(self, w)
+        image_entries.append(len(images))
+        return images
+
+    monkeypatch.setattr(EchelonBasis, "insert", recording_insert)
+    monkeypatch.setattr(LieAlgebra, "_ad_image", counting_ad_image)
+    assert L.series("lower-central").terminated_at_zero
+    assert inserted and all(inserted), "an empty vector reached the echelon"
+    assert len(inserted) <= sum(image_entries)
 
 
 def test_series_are_cached_per_algebra(monkeypatch):
@@ -617,8 +660,19 @@ def test_quotient_by_central_line_off_the_basis():
 def test_not_an_ideal_detected():
     L = algebra(*HEISENBERG)
     span_dx = [i for i, b in enumerate(L.basis) if str(b) == "Dx"]
-    with pytest.raises(NotAnIdeal):
+    with pytest.raises(NotAnIdeal) as caught:
         L.quotient_structure(span_dx)
+    assert str(caught.value) == "[y*Dx + x*Dz, ideal] is not contained in the ideal"
+
+
+def test_quotients_match_the_all_pairs_oracle(oracle_corpus):
+    # modulo the center and modulo every nonzero lower-central term
+    for L in oracle_corpus:
+        terms = oracle_series_terms(L, "lower-central")
+        center = L.center_coeffs()
+        for ideal in ([center] if center else []) + [t for t in terms if t]:
+            q = L.quotient_structure(ideal)
+            assert (q.rep_indices, q.tensor) == oracle_quotient(L, ideal), L.dim
 
 
 def test_report_schema():

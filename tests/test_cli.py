@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from vflie import DEFAULT_CONTEXT, LieAlgebra, close
 from vflie.cli import main
@@ -255,3 +258,48 @@ def test_json_output_matches_golden_transcript():
         with redirect_stdout(out):
             assert main(case["argv"]) == 0
         assert out.getvalue() == case["stdout"], case["argv"]
+
+
+# stdlib only: the interpreter runs without site-packages, so no pytest
+REPLAY = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from vflie.cli import main
+with open(sys.argv[2], encoding="utf-8") as f:
+    cases = json.load(f)
+for case in cases:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(case["argv"])
+    if code != 0 or out.getvalue() != case["stdout"]:
+        sys.exit("differs from the golden transcript: %r" % (case["argv"],))
+print(len(cases))
+"""
+
+
+def test_golden_transcript_is_identical_on_other_supported_pythons():
+    # pyproject.toml claims requires-python >= 3.10; an interpreter that is
+    # not installed, or whose launcher cannot start it, is skipped
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    cases = len(json.loads(GOLDEN.read_text(encoding="utf-8")))
+    ran = []
+    for version in ("3.10", "3.12", "3.13"):
+        exe = shutil.which(f"python{version}")
+        if exe is None:
+            continue
+        probe = subprocess.run(
+            [exe, "-E", "-S", "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode or probe.stdout.strip() != version:
+            continue
+        proc = subprocess.run(
+            [exe, "-E", "-S", "-c", REPLAY, src, str(GOLDEN)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (version, proc.stderr)
+        assert proc.stdout.strip() == str(cases), version
+        ran.append(version)
+    if not ran:
+        pytest.skip("none of python3.10, python3.12, python3.13 can be started")

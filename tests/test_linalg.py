@@ -113,6 +113,26 @@ def test_explicit_zero_coefficients_are_ignored():
     assert basis.express({0: Q(3), 2: Q(0)}) == [Q(3)] and len(basis) == 1
 
 
+def test_int_inputs_give_fraction_coordinates():
+    basis = EchelonBasis()
+    basis.insert({0: 2, 1: 1})
+    basis.insert({2: 4})
+    coords = basis.express({0: 6, 1: 3, 2: 1})
+    residual, hits = basis.reduce({0: 2, 3: 5})
+    assert coords == [Q(6), Q(1)] and residual == {1: Q(-1), 3: Q(5)}
+    assert hits == {0: Q(2)}
+    for c in [*coords, *residual.values(), *hits.values()]:
+        assert type(c) is Q
+
+
+def test_a_float_coefficient_is_a_type_error_naming_its_key():
+    basis = EchelonBasis()
+    basis.insert({0: Q(1)})
+    for call in (basis.insert, basis.contains, basis.reduce, basis.express):
+        with pytest.raises(TypeError, match="key 7 is not rational: 0.5"):
+            call({0: Q(1), 7: 0.5})
+
+
 def test_express_unique_by_echelon():
     basis = EchelonBasis()
     basis.insert(coordinatize(F("Dx")))
@@ -283,7 +303,7 @@ def test_rank_invariant_under_pushforward():
 def test_rank_checks_every_context_before_dropping_zero_fields():
     plane = VariableContext(("x", "y"))
     zero = plane.field([plane.zero_poly()] * 2)
-    for fields in ([F("Dx"), zero], [zero, F("Dx")]):
+    for fields in ([F("Dx"), zero], [zero, F("Dx")], [F("0*Dx"), zero]):
         with pytest.raises(ContextMismatch):
             generic_rank(fields)
 
@@ -324,6 +344,22 @@ def test_rank_matches_all_minors_oracle_in_any_order():
         assert ranks == set(range(len(names) + 1))  # every rank is exercised
 
 
+def test_rank_skips_identically_zero_columns():
+    # minors range over the moved columns only; the oracle tries them all
+    r = rng(20240540)
+    for names in (("x", "y"), ("x", "y", "z")):
+        context = VariableContext(names)
+        zero_poly = context.zero_poly()
+        for _ in range(30):
+            dropped = r.sample(range(len(names)), r.randint(1, len(names) - 1))
+            family = [
+                context.field([zero_poly if c in dropped else p for c, p in enumerate(f.comps)])
+                for f in rank_family(r, context)
+            ]
+            assert generic_rank(family) == oracle_generic_rank(family)
+            assert generic_rank(family) <= len(names) - len(dropped)
+
+
 def test_rank_makes_at_most_three_minors_per_field(monkeypatch):
     # dim-88 rank-2 basis: every 3 x 3 minor is zero, so trying all minors
     # takes C(88, 3) determinants before any 2 x 2 one
@@ -343,4 +379,5 @@ def test_rank_makes_at_most_three_minors_per_field(monkeypatch):
     monkeypatch.setattr(linalg, "_det", counting_det)
     assert L.dim == 88
     assert generic_rank(L.basis) == 2
-    assert 0 < top_level <= 3 * L.dim
+    # the basis moves x and z only, so the walk stops at its second kept field
+    assert top_level == 2

@@ -336,6 +336,16 @@ def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
     residual, coeffs = basis.reduce(probe)
     assert_fractions([*residual.values(), *coeffs.values()])
     assert_fractions(basis.express(sparse(matrix[-1])))
+    # a caller's ints leave the kernel as Fractions too
+    numerators = [{k: c.numerator for k, c in sparse(row).items()} for row in matrix]
+    residual, coeffs = basis.reduce({k: c.numerator for k, c in probe.items()})
+    assert_fractions([*residual.values(), *coeffs.values()])
+    int_basis = EchelonBasis()
+    for row in numerators:
+        int_basis.insert(row)
+    assert_fractions(int_basis.express(numerators[-1]))
+    for row in int_basis.rows:
+        assert_fractions(row.values())
     for x in null_space([sparse([row[c] for row in matrix]) for c in range(ncols)]):
         assert_fractions(x)
     L = close(build(random_spec(recipe, seed, 2)).generators)
