@@ -2,13 +2,14 @@
 of vector fields.
 
 close() generates the smallest bracket-closed subspace containing a finite
-set of fields.  The resulting LieAlgebra holds the canonical reduced
-row-echelon basis of that span (ordered by pivot key, hence independent of
-generator order) together with the exact structure-constant tensor, and all
-queries (center, series, projections, adjoints, quotients) are exact and
-deterministic.  The lower-central series, ideal checks, quotients and split
-lifts walk only the nonzero structure constants (LieAlgebra._ad_image), so a
-pair whose bracket is structurally zero is never visited.
+set of fields, one generator layer (bracket depth) per round.  The
+resulting LieAlgebra holds the canonical reduced row-echelon basis of that
+span (ordered by pivot key, hence independent of generator order) together
+with the exact structure-constant tensor, and all queries (center, series,
+projections, adjoints, quotients) are exact and deterministic.  The
+lower-central series, ideal checks, quotients and split lifts walk only the
+nonzero structure constants (LieAlgebra._ad_image), so a pair whose bracket
+is structurally zero is never visited.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def center_of_tensor(
     return null_space(columns)
 
 
+def _bracket_unless_commuting(u: VectorField, v: VectorField) -> VectorField | None:
+    """[u, v], or None when it is zero or the support masks prove it zero:
+    neither field moves a variable that the other's coefficients read."""
+    (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
+    w = u.bracket(v) if moves_u & reads_v or moves_v & reads_u else None
+    return None if w is None or w.is_zero else w
+
+
 def close(
     generators: Sequence[VectorField],
     *,
@@ -76,17 +85,21 @@ def close(
 ) -> "LieAlgebra":
     """Bracket closure of a generating set, with its structure tensor.
 
-    Worklist over unordered basis pairs, processed in deterministic rounds;
-    rows dirtied by echelon reduction are re-paired, so on termination the
-    last bracket of every pair was taken on the final basis, and `nonzero`
-    holds the pairs whose bracket is nonzero: only those are bracketed again
-    to build the tensor.  A pair (u, v) is skipped, as a zero bracket, when
-    the support masks (VectorField.support) prove it commuting: neither
-    field moves a variable that the other's coefficients read.  A skipped
-    pair counts as bracketed in the `round` and `pending` of a cap error.
-    Raises ClosureCapExceeded when the dimension passes cap_dim, the
-    worklist is open after cap_rounds rounds, or a field entering the span
-    has total degree above cap_degree.
+    One round per generator layer.  S is the echelon rows once the generators
+    are in (same span, same algebra).  Layer 1 brackets S[a], S[b] for a < b;
+    layer k > 1 brackets each s in S with each frontier field, the rows layer
+    k - 1 inserted, read at its end; a layer that inserts nothing ends it.
+    Why the span V is the generated algebra: frontier rows are zero at all
+    older pivots, so S and the frontiers span V, and [S, t] lies in V for
+    each frontier field t.  So V is ad(S)-invariant and contains S, hence
+    every left-normed bracket [s1, [s2, ..., s_k]], and those span the
+    algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The
+    reduced echelon of a span is unique, so the basis is canonical.  The
+    tensor brackets the final basis pairs.  ClosureCapExceeded is raised past
+    cap_dim, past cap_rounds layers, or by a field of degree above
+    cap_degree; its `round` is the layer and `pending` the pairs of that
+    layer not yet visited, where a pair that _bracket_unless_commuting
+    skips counts as visited.
     """
     gens = list(generators)
     if not gens:
@@ -99,60 +112,43 @@ def close(
             raise ContextMismatch("generators belong to different contexts")
 
     echelon = EchelonBasis()
-    fields: list[VectorField] = []
-    pending: set[tuple[int, int]] = set()
-    nonzero: set[tuple[int, int]] = set()
-    batch: list[tuple[int, int]] = []  # rest of the current round, last pair first
-    rounds = 0
+    rounds = pending = 0
 
     def cap_error(cap: str, limit: int, detail: str = "") -> ClosureCapExceeded:
-        left = len(pending.union(batch))
-        return ClosureCapExceeded(cap, limit, len(echelon), rounds, left, detail)
+        return ClosureCapExceeded(cap, limit, len(echelon), rounds, pending, detail)
 
     def add(field: VectorField) -> None:
         degree = max(c.degree for c in field.comps)
         if degree > cap_degree:
             raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
-        result = echelon.insert(coordinatize(field))
-        if not result.independent:
-            return
-        new = len(echelon) - 1
-        fields.append(uncoordinatize(echelon.row(new), ctx))
-        pending.update((k, new) for k in range(new))
-        for d in result.dirtied:
-            fields[d] = uncoordinatize(echelon.row(d), ctx)
-            pending.update((min(d, k), max(d, k)) for k in range(len(echelon)) if k != d)
-        if len(echelon) > cap_dim:
+        if echelon.insert(coordinatize(field)).independent and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
     for g in gens:
         add(g)
-
-    while pending:
+    S = [uncoordinatize(row, ctx) for row in echelon.rows]
+    pairs = list(combinations(S, 2))
+    while pairs:
+        pending = len(pairs)
         if rounds == cap_rounds:
             raise cap_error("cap_rounds", cap_rounds)
         rounds += 1
-        batch = sorted(pending, reverse=True)
-        pending.clear()
-        while batch:
-            i, j = batch.pop()
-            u, v = fields[i], fields[j]
-            (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
-            # no bracket when the supports prove it zero
-            w = u.bracket(v) if moves_u & reads_v or moves_v & reads_u else None
-            if w is None or w.is_zero:
-                nonzero.discard((i, j))
-            else:
-                nonzero.add((i, j))
+        start = len(echelon)
+        for s, t in pairs:
+            pending -= 1
+            if (w := _bracket_unless_commuting(s, t)) is not None:
                 add(w)
+        frontier = [uncoordinatize(echelon.row(i), ctx) for i in range(start, len(echelon))]
+        pairs = [(s, t) for s in S for t in frontier]
 
     order = echelon.order()
-    position = {row: p for p, row in enumerate(order)}
-    basis = tuple(fields[i] for i in order)
+    basis = tuple(uncoordinatize(echelon.row(i), ctx) for i in order)
     structure: Tensor = {}
-    for a, b in sorted(tuple(sorted((position[i], position[j]))) for i, j in nonzero):
+    for (a, u), (b, v) in combinations(enumerate(basis), 2):
+        if (w := _bracket_unless_commuting(u, v)) is None:
+            continue
         try:
-            coeffs = echelon.express(coordinatize(basis[a].bracket(basis[b])))
+            coeffs = echelon.express(coordinatize(w))
         except NotInSpan:
             raise InternalInvariantViolation(
                 "bracket of basis elements escapes the span; closure is broken"

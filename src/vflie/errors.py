@@ -59,11 +59,12 @@ class ClosureCapExceeded(VflieError):
     """Bracket closure hit the dimension, round, or degree cap.
 
     Carries the `cap` that fired ("cap_dim", "cap_rounds" or "cap_degree"),
-    its `limit`, the `dim` and bracket `round` reached and the number of
-    basis pairs not yet bracketed (`pending`); a pair that close() skips
-    because the fields' supports prove it commuting counts as bracketed.  A
-    cap bounds the work; it does not prove the closure infinite-dimensional,
-    and a higher cap may let it close.  Never a silent truncation.
+    its `limit`, the `dim` and bracket `round` (generator layer) reached and
+    the number of that layer's generator x frontier pairs not yet visited
+    (`pending`); a pair that close() skips because the fields' supports
+    prove it commuting counts as visited.  A cap bounds the work; it does
+    not prove the closure infinite-dimensional, and a higher cap may let it
+    close.  Never a silent truncation.
     """
 
     FLAGS = {"cap_dim": "--cap-dim", "cap_rounds": "--cap-rounds", "cap_degree": "--degree-cap"}

@@ -142,25 +142,35 @@ def test_dim_cap_message_names_the_cap_without_claiming_infinite_dimension():
 
 def test_round_cap_reports_how_far_the_closure_got():
     with pytest.raises(ClosureCapExceeded) as info:
-        algebra(*EX_SPLIT_FAIL, cap_rounds=1)  # closes to dim 8 in more rounds
+        algebra(*EX_SPLIT_FAIL, cap_rounds=1)  # closes to dim 8 in more layers
     exc = info.value
-    # pinned: a pair whose supports prove it commuting counts as bracketed
-    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_rounds", 1, 7, 1, 18)
+    # pinned: layer 1 leaves dim 7, so the 4 generators times the 3 new rows
+    # are the pairs of layer 2, none of them visited yet
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_rounds", 1, 7, 1, 12)
     message = str(exc)
     assert "cap_rounds=1" in message and f"dimension {exc.dim}" in message
     assert "round 1" in message and "--cap-rounds" in message
     assert "infinite" not in message
     assert algebra(*EX_SPLIT_FAIL, cap_rounds=exc.round + 8).dim == 8
+    # a round is one bracket depth: [Dx, x^5*Dy] = 5*x^4*Dy, then one power
+    # of x less per round down to Dy, so dim 7 after round 5, and round 6
+    # finds [S, Dy] = 0
+    with pytest.raises(ClosureCapExceeded) as info:
+        algebra("Dx", "x^5*Dy", cap_rounds=5)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round) == ("cap_rounds", 5, 7, 5)
+    assert algebra("Dx", "x^5*Dy", cap_rounds=6).dim == 7
 
 
 def test_dim_cap_fields_are_pinned_mid_closure():
-    # center-rank1 seed 7 passes dimension 40 in its third round, with most
-    # pairs of the abelian ideal still queued; skipped pairs count as bracketed
+    # center-rank1 seed 7 passes dimension 40 in its third generator layer,
+    # with 31 of that layer's S x frontier pairs still to visit; pairs the
+    # supports prove commuting count as visited
     gens = build(random_spec("center-rank1", 7, 6)).generators
     with pytest.raises(ClosureCapExceeded) as info:
         close(gens, cap_dim=40)
     exc = info.value
-    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_dim", 40, 41, 3, 807)
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_dim", 40, 41, 3, 31)
 
 
 def test_cap_degree_is_a_closure_limit():
@@ -190,8 +200,11 @@ def test_closure_idempotent():
 
 def test_closure_agrees_with_naive_fixpoint_oracle():
     # independent oracle: recompute all pairwise brackets of the full current
-    # list every round, membership-tested with the naive dense routine
+    # list every round, membership-tested with the naive dense routine; the
+    # inputs are random affine fields, one small draw of every recipe, and
+    # the exponential example
     r = rng(20240545)
+    inputs = []
     for _ in range(10):
         gens = []
         for _ in range(r.randint(2, 3)):
@@ -203,6 +216,10 @@ def test_closure_agrees_with_naive_fixpoint_oracle():
                 ]
             )
             gens.append(f)
+        inputs.append(gens)
+    inputs.extend(build(random_spec(recipe, 0, 2)).generators for recipe in RECIPES)
+    inputs.append([F(t) for t in EX_EXP])
+    for gens in inputs:
         if all(g.is_zero for g in gens):
             continue
         fields = [g for g in gens if not g.is_zero]
