@@ -2,11 +2,12 @@
 of vector fields.
 
 close() generates the smallest bracket-closed subspace containing a finite
-set of fields, one generator layer (bracket depth) per round.  The
-resulting LieAlgebra holds the canonical reduced row-echelon basis of that
-span (ordered by pivot key, hence independent of generator order) together
-with the exact structure-constant tensor, and all queries (center, series,
-projections, adjoints, quotients) are exact and deterministic.  The
+set of fields, one generator layer (bracket depth) per round.  A LieAlgebra
+is built from the echelon of such a span, which close() and project() hand
+over: it reads the canonical reduced row-echelon basis (ordered by pivot
+key, hence independent of generator order) and brackets it into the exact
+structure-constant tensor.  All queries (center, series, projections,
+adjoints, quotients) are exact and deterministic.  The
 lower-central series, ideal checks, quotients and split lifts walk only the
 nonzero structure constants (LieAlgebra._ad_image), so a pair whose bracket
 is structurally zero is never visited.
@@ -83,7 +84,7 @@ def close(
     cap_rounds: int = DEFAULT_CAP_ROUNDS,
     cap_degree: int = DEFAULT_CAP_DEGREE,
 ) -> "LieAlgebra":
-    """Bracket closure of a generating set, with its structure tensor.
+    """Bracket closure of a generating set, as a LieAlgebra.
 
     One round per generator layer.  S is the echelon rows once the generators
     are in (same span, same algebra).  Layer 1 brackets S[a], S[b] for a < b;
@@ -95,11 +96,11 @@ def close(
     every left-normed bracket [s1, [s2, ..., s_k]], and those span the
     algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The
     reduced echelon of a span is unique, so the basis is canonical.  The
-    tensor brackets the final basis pairs.  ClosureCapExceeded is raised past
-    cap_dim, past cap_rounds layers, or by a field of degree above
-    cap_degree; its `round` is the layer and `pending` the pairs of that
-    layer not yet visited, where a pair that _bracket_unless_commuting
-    skips counts as visited.
+    echelon goes to LieAlgebra, which brackets the final basis pairs into
+    the tensor.  ClosureCapExceeded is raised past cap_dim, past cap_rounds
+    layers, or by a field of degree above cap_degree; its `round` is the
+    layer and `pending` the pairs of that layer not yet visited, where a
+    pair that _bracket_unless_commuting skips counts as visited.
     """
     gens = list(generators)
     if not gens:
@@ -140,21 +141,7 @@ def close(
                 add(w)
         frontier = [uncoordinatize(echelon.row(i), ctx) for i in range(start, len(echelon))]
         pairs = [(s, t) for s in S for t in frontier]
-
-    order = echelon.order()
-    basis = tuple(uncoordinatize(echelon.row(i), ctx) for i in order)
-    structure: Tensor = {}
-    for (a, u), (b, v) in combinations(enumerate(basis), 2):
-        if (w := _bracket_unless_commuting(u, v)) is None:
-            continue
-        try:
-            coeffs = echelon.express(coordinatize(w))
-        except NotInSpan:
-            raise InternalInvariantViolation(
-                "bracket of basis elements escapes the span; closure is broken"
-            ) from None
-        structure[(a, b)] = {p: coeffs[row] for p, row in enumerate(order) if coeffs[row]}
-    return LieAlgebra(ctx, basis, structure)
+    return LieAlgebra(ctx, echelon)
 
 
 @dataclass(frozen=True)
@@ -223,21 +210,30 @@ class QuotientStructure:
 class LieAlgebra:
     """Closed algebra: canonical echelon basis plus exact structure tensor.
 
-    close() builds both.  The constructor checks that the basis is reduced
-    echelon and takes `structure` as given, with no zero bracket in it.
-    Series, ideal checks, quotients and split lifts walk only its nonzero
-    entries, through the ad tables.
+    Built from the (component, monomial)-keyed echelon of a bracket-closed
+    span, which it keeps as its one record of the span.  The basis is the
+    rows in pivot order; the tensor brackets every basis pair the support
+    test cannot rule out, and a bracket outside the span raises
+    InternalInvariantViolation.  Series, ideal checks, quotients and split
+    lifts walk only its nonzero entries, through the ad tables.
     """
 
-    def __init__(self, ctx: VariableContext, basis: Sequence[VectorField], structure: Tensor):
+    def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
         self.ctx = ctx
-        self.basis = tuple(basis)
-        self._echelon = EchelonBasis()
-        for b in self.basis:
-            result = self._echelon.insert(coordinatize(b))
-            if not result.independent or result.dirtied:
-                raise InternalInvariantViolation("basis is not reduced echelon")
-        self.structure = structure
+        self._echelon = echelon
+        self._order = echelon.order()
+        self.basis = tuple(uncoordinatize(echelon.row(i), ctx) for i in self._order)
+        self.structure: Tensor = {}
+        for (a, u), (b, v) in combinations(enumerate(self.basis), 2):
+            if (w := _bracket_unless_commuting(u, v)) is None:
+                continue
+            try:
+                coeffs = self.express(w)
+            except NotInSpan:
+                raise InternalInvariantViolation(
+                    "bracket of basis elements escapes the span; closure is broken"
+                ) from None
+            self.structure[(a, b)] = {k: c for k, c in enumerate(coeffs) if c}
         # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
         self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]
         for (i, j), comps in self.structure.items():
@@ -308,7 +304,9 @@ class LieAlgebra:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""
         if field.ctx != self.ctx:
             raise ContextMismatch("field belongs to a different context")
-        return self._echelon.express(coordinatize(field))
+        # the echelon's rows are in insertion order, the basis in pivot order
+        coeffs = self._echelon.express(coordinatize(field))
+        return [coeffs[row] for row in self._order]
 
     def contains(self, field: VectorField) -> bool:
         if field.ctx != self.ctx:
@@ -397,24 +395,13 @@ class LieAlgebra:
                         "depends on a dropped variable"
                     )
         sub_ctx = VariableContext(tuple(self.ctx.names[i] for i in indices))
-        images = []
-        for b in self.basis:
-            comps = tuple(b.comps[i].restrict(indices) for i in indices)
-            f = VectorField(sub_ctx, comps)
-            if not f.is_zero:
-                images.append(f)
-        if images:
-            # the image of a closed algebra has at most its dimension and degree
-            degree = max(c.degree for b in self.basis for c in b.comps)
-            image = close(images, cap_dim=self.dim, cap_degree=max(degree, 1))
-        else:
-            image = LieAlgebra(sub_ctx, (), {})
-        # kernel: combinations of basis elements with vanishing kept components
-        zero = self.ctx.zero_poly()
-        kernel_coeffs = null_space([
-            coordinatize(self.ctx.field([c if i in indices else zero for i, c in enumerate(b.comps)]))
+        images = [
+            coordinatize(VectorField(sub_ctx, tuple(b.comps[i].restrict(indices) for i in indices)))
             for b in self.basis
-        ])
+        ]
+        # no closure: under the block hypothesis dropping components is a homomorphism
+        image = LieAlgebra(sub_ctx, echelon_of(images))
+        kernel_coeffs = null_space(images)
         kernel_fields = tuple(self.element(v) for v in kernel_coeffs)
         if image.dim + len(kernel_fields) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")

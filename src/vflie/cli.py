@@ -29,13 +29,13 @@ from .parser import parse_field
 from .recipes import RECIPES, build, random_spec
 
 
-def _add_common(p: argparse.ArgumentParser, *, gens: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, gens: bool = True, caps: bool = True) -> None:
     p.add_argument("--vars", default="x,y,z", help="comma-separated variable names (max 3)")
-    p.add_argument("--cap-dim", type=int, default=DEFAULT_CAP_DIM)
-    p.add_argument("--cap-rounds", type=int, default=DEFAULT_CAP_ROUNDS)
-    p.add_argument("--degree-cap", dest="cap_degree", type=int, default=DEFAULT_CAP_DEGREE)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    if caps:
+        p.add_argument("--cap-dim", type=int, default=DEFAULT_CAP_DIM)
+        p.add_argument("--cap-rounds", type=int, default=DEFAULT_CAP_ROUNDS)
+        p.add_argument("--degree-cap", dest="cap_degree", type=int, default=DEFAULT_CAP_DEGREE)
     if gens:
         p.add_argument(
             "--gen", action="append", default=[], metavar="FIELD",
@@ -56,7 +56,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bracket", help="Lie bracket of two fields")
-    _add_common(p)
+    _add_common(p, caps=False)
 
     p = sub.add_parser("closure", help="bracket closure of the generators")
     _add_common(p)
@@ -97,7 +97,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", required=True, choices=TEMPLATES)
 
     p = sub.add_parser("generate", help="emit recipe generators with expected classification")
-    _add_common(p, gens=False)
+    _add_common(p, gens=False, caps=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--recipe", required=True, choices=RECIPES)
     p.add_argument("--degree-bound", type=int, default=3)
 
@@ -180,7 +181,7 @@ def _run(args: argparse.Namespace) -> dict:
         return {**head, **match_template(_closure(args, ctx), args.template).to_dict()}
     if args.command == "generate":
         spec = random_spec(args.recipe, args.seed, args.degree_bound)
-        return build(spec).to_dict()
+        return build(spec, ctx).to_dict()
     raise AssertionError(f"unhandled command {args.command}")
 
 

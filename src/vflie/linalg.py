@@ -243,8 +243,8 @@ class EchelonBasis:
         return [self.row(i) for i in self.order()]
 
 
-def echelon_of(rows: Iterable[Mapping[int, Fraction]]) -> EchelonBasis:
-    """Integer-key echelon basis of the span of the given sparse rows."""
+def echelon_of(rows: Iterable[Mapping[Any, Fraction]]) -> EchelonBasis:
+    """Echelon basis of the span of the given sparse rows (keys of one kind)."""
     basis = EchelonBasis()
     for row in rows:
         basis.insert(row)

@@ -15,6 +15,7 @@ from vflie import (
     CoordinateChange,
     DEFAULT_CONTEXT,
     EchelonBasis,
+    InternalInvariantViolation,
     LieAlgebra,
     NotAnIdeal,
     NotInSpan,
@@ -25,7 +26,9 @@ from vflie import (
     generic_rank,
     random_spec,
     VariableContext,
+    VectorField,
 )
+from vflie.linalg import coordinatize, echelon_of, null_space
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -343,7 +346,7 @@ def naive_bracket(u, w) -> list[dict]:
 
 
 def test_structure_tensor_matches_naive_bracket_oracle(oracle_corpus):
-    # close() builds the tensor and LieAlgebra takes it as given, so every
+    # LieAlgebra builds the tensor from the engine's own brackets, so every
     # pair is checked here against brackets that share no code with the
     # engine: [b_i, b_j] = sum_k c(i, j, k) b_k term for term, and a pair is
     # stored exactly when its bracket is nonzero
@@ -594,6 +597,51 @@ def test_project_image_of_two_chain():
     L = algebra(*TWO_CHAIN)
     proj = L.project(["z"])
     assert proj.image.dim == 1 and proj.kernel_dim == 4
+
+
+def test_projection_matches_closing_the_restricted_images():
+    # oracle: close() on the nonzero restricted images, and the null space
+    # of the basis with its dropped components zeroed in the full context
+    sources = [build(random_spec(recipe, seed, 3)).generators
+               for recipe in RECIPES for seed in range(3)]
+    sources += [[F(t) for t in texts] for texts in (EX_SPLIT_FAIL, EX_EXP, HEISENBERG, TWO_CHAIN)]
+    checked = 0
+    for gens in sources:
+        L = close(gens)
+        for size in (1, 2):
+            for kept in combinations(range(3), size):
+                try:
+                    proj = L.project(kept)
+                except ProjectionHypothesisViolated:
+                    continue
+                sub = VariableContext(tuple(ctx.names[i] for i in kept))
+                images = [VectorField(sub, tuple(b.comps[i].restrict(kept) for i in kept))
+                          for b in L.basis]
+                nonzero = [f for f in images if not f.is_zero]
+                if nonzero:
+                    old = close(nonzero)
+                    assert proj.image.basis == old.basis, kept
+                    assert proj.image.structure == old.structure, kept
+                else:
+                    assert proj.image.dim == 0 and not proj.image.structure
+                zero = ctx.zero_poly()
+                padded = [coordinatize(ctx.field([c if i in kept else zero
+                                                  for i, c in enumerate(b.comps)]))
+                          for b in L.basis]
+                assert proj.kernel_coeffs == tuple(map(tuple, null_space(padded)))
+                checked += 1
+    assert checked > len(sources)
+
+
+def test_projection_with_an_empty_image():
+    proj = algebra("Dz").project(["x", "y"])
+    assert proj.image.dim == 0 and proj.kernel_dim == 1
+
+
+def test_algebra_over_a_span_that_is_not_closed_is_refused():
+    # [Dx, x*Dy] = Dy leaves the span
+    with pytest.raises(InternalInvariantViolation):
+        LieAlgebra(ctx, echelon_of([coordinatize(F("Dx")), coordinatize(F("x*Dy"))]))
 
 
 # -- adjoint -------------------------------------------------------------------------

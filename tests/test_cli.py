@@ -183,6 +183,27 @@ def test_cap_degree_does_not_leak_into_later_library_calls():
     assert close([parse_field(t, DEFAULT_CONTEXT) for t in gens]).dim == 7
 
 
+def test_generate_uses_the_given_variables():
+    code, out, _ = run_main(["generate", "--recipe", "heisenberg", "--vars", "a,b,c",
+                             "--format", "json"])
+    generators = json.loads(out)["generators"]
+    assert code == 0 and generators[0] == "Da" and generators[-1] == "Dc"
+    assert not any(name in g for g in generators for name in "xyz")
+    code, out, err = run_main(["generate", "--recipe", "heisenberg", "--vars", "u,v"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "InvalidSpec"
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--gen", "Dx", "--seed", "1"],  # only generate draws
+    ["bracket", "--gen", "Dx", "--gen", "x*Dy", "--cap-dim", "5"],  # bracket never closes
+])
+def test_flags_are_only_on_commands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_not_nilpotent_exit_code_1():
     proc = run_cli("classify", "--gen", "Dx", "--gen", "x*Dx")
     assert proc.returncode == 1
