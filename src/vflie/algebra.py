@@ -25,7 +25,6 @@ from .errors import (
     ContextMismatch,
     InternalInvariantViolation,
     NotAnIdeal,
-    NotInSpan,
     ProjectionHypothesisViolated,
 )
 from .fields import VariableContext, VectorField
@@ -34,6 +33,7 @@ from .linalg import (
     EchelonBasis,
     Q,
     SparseVector,
+    _axpy,
     coordinatize,
     echelon_of,
     generic_rank,
@@ -96,11 +96,15 @@ def close(
     every left-normed bracket [s1, [s2, ..., s_k]], and those span the
     algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The
     reduced echelon of a span is unique, so the basis is canonical.  The
-    echelon goes to LieAlgebra, which brackets the final basis pairs into
-    the tensor.  ClosureCapExceeded is raised past cap_dim, past cap_rounds
-    layers, or by a field of degree above cap_degree; its `round` is the
-    layer and `pending` the pairs of that layer not yet visited, where a
-    pair that _bracket_unless_commuting skips counts as visited.
+    fields bracketed are the echelon's primitive integer rows, each a
+    positive multiple of its unit row: [a*u, b*v] = a*b*[u, v], and insert
+    makes every residual primitive with a positive pivot, so each insert
+    leaves the same rows, degrees and independence as the unit rows would.
+    The echelon goes to LieAlgebra, which brackets the final basis pairs
+    into the tensor.  ClosureCapExceeded is raised past cap_dim, past
+    cap_rounds layers, or by a field of degree above cap_degree; its `round`
+    is the layer and `pending` the pairs of that layer not yet visited,
+    where a pair that _bracket_unless_commuting skips counts as visited.
     """
     gens = list(generators)
     if not gens:
@@ -127,7 +131,7 @@ def close(
 
     for g in gens:
         add(g)
-    S = [uncoordinatize(row, ctx) for row in echelon.rows]
+    S = [uncoordinatize(echelon.primitive_row(i), ctx) for i in range(len(echelon))]
     pairs = list(combinations(S, 2))
     while pairs:
         pending = len(pairs)
@@ -139,7 +143,9 @@ def close(
             pending -= 1
             if (w := _bracket_unless_commuting(s, t)) is not None:
                 add(w)
-        frontier = [uncoordinatize(echelon.row(i), ctx) for i in range(start, len(echelon))]
+        frontier = [
+            uncoordinatize(echelon.primitive_row(i), ctx) for i in range(start, len(echelon))
+        ]
         pairs = [(s, t) for s in S for t in frontier]
     return LieAlgebra(ctx, echelon)
 
@@ -212,10 +218,13 @@ class LieAlgebra:
 
     Built from the (component, monomial)-keyed echelon of a bracket-closed
     span, which it keeps as its one record of the span.  The basis is the
-    rows in pivot order; the tensor brackets every basis pair the support
-    test cannot rule out, and a bracket outside the span raises
-    InternalInvariantViolation.  Series, ideal checks, quotients and split
-    lifts walk only its nonzero entries, through the ad tables.
+    unit rows in pivot order.  The tensor brackets the primitive integer
+    rows h_a*e_a and h_b*e_b of every basis pair the support test cannot
+    rule out, reduces the bracket on the echelon, and divides its
+    coordinates by h_a*h_b, since [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b];
+    a bracket outside the span raises InternalInvariantViolation.  Series,
+    ideal checks, quotients and split lifts walk only its nonzero entries,
+    through the ad tables.
     """
 
     def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
@@ -223,17 +232,23 @@ class LieAlgebra:
         self._echelon = echelon
         self._order = echelon.order()
         self.basis = tuple(uncoordinatize(echelon.row(i), ctx) for i in self._order)
+        position = {row: k for k, row in enumerate(self._order)}
+        rows = [echelon.primitive_row(i) for i in self._order]
+        heads = [row[echelon.pivots[i]] for row, i in zip(rows, self._order)]
+        scaled = [uncoordinatize(row, ctx) for row in rows]
         self.structure: Tensor = {}
-        for (a, u), (b, v) in combinations(enumerate(self.basis), 2):
+        for (a, u), (b, v) in combinations(enumerate(scaled), 2):
             if (w := _bracket_unless_commuting(u, v)) is None:
                 continue
-            try:
-                coeffs = self.express(w)
-            except NotInSpan:
+            residual, coeffs = echelon.reduce(coordinatize(w))
+            if residual:
                 raise InternalInvariantViolation(
                     "bracket of basis elements escapes the span; closure is broken"
-                ) from None
-            self.structure[(a, b)] = {k: c for k, c in enumerate(coeffs) if c}
+                )
+            scale = heads[a] * heads[b]
+            self.structure[(a, b)] = {
+                k: c / scale for k, c in sorted((position[i], c) for i, c in coeffs.items())
+            }
         # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
         self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]
         for (i, j), comps in self.structure.items():
@@ -294,11 +309,12 @@ class LieAlgebra:
         return to_dense(self._bracket(to_sparse(u), to_sparse(w)), self.dim)
 
     def element(self, coeffs: Sequence[Fraction]) -> VectorField:
-        out = self.ctx.field([self.ctx.zero_poly()] * self.ctx.nvars)
-        for c, b in zip(coeffs, self.basis):
+        """sum_k coeffs[k] * basis[k], summed in coordinates."""
+        vec: dict = {}
+        for c, row in zip(coeffs, self._order):
             if c:
-                out = out + b * Q(c)
-        return out
+                _axpy(vec, self._echelon.row(row), Q(c))
+        return uncoordinatize(vec, self.ctx)
 
     def express(self, field: VectorField) -> list[Fraction]:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""

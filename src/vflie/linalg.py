@@ -3,10 +3,12 @@
 EchelonBasis is the one elimination routine: a fully reduced row set over
 sparse vectors, so span membership, residuals, coordinates and null spaces
 are all exact.  It eliminates on primitive integer rows, integer-preserving
-in the spirit of Bareiss (Math. Comp. 22, 1968), and builds the unit-pivot
-Fraction rows only when a caller reads them; given Fractions or ints, every
-value it returns is a Fraction, and a value that is not rational (a float)
-raises TypeError.  Its keys are either (component,
+in the spirit of Bareiss (Math. Comp. 22, 1968).  `primitive_row` hands out
+a stored integer row itself, which callers must not mutate; close() and
+LieAlgebra bracket those.  The unit-pivot Fraction rows are built only when a
+caller reads them, for the basis and the analysis callers.  Given Fractions
+or ints, every value it returns is a Fraction, and a value that is not
+rational (a float) raises TypeError.  Its keys are either (component,
 monomial) pairs, which coordinatize vector fields and are spelled only in
 this module, or integer basis coordinates, which the structure-constant
 layer uses; both kinds compare natively (ExpMonomial orders itself), so a
@@ -48,7 +50,12 @@ def coordinatize(field: VectorField) -> CoordVector:
 
 
 def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
-    """Inverse of coordinatize on the Fraction vectors it and EchelonBasis give."""
+    """Inverse of coordinatize on the Fraction vectors it and EchelonBasis give.
+
+    It also takes a primitive integer row (EchelonBasis.primitive_row) and
+    then returns a scaled representative with int coefficients.  Such a
+    field is a bracket operand only: every field the engine returns keeps
+    the _poly contract of Fraction coefficients."""
     n = ctx.nvars
     comps: list[dict[ExpMonomial, Fraction]] = [{} for _ in range(n)]
     for (i, mono), coeff in vec.items():
@@ -145,7 +152,8 @@ class EchelonBasis:
     with a positive pivot coefficient, so elimination does no rational
     arithmetic.  `reduce` scales its input once to integers; `insert`
     back-substitutes with other = b * other - c * new and divides out the
-    content.  The unit-pivot Fraction rows that callers read (`row`, `rows`)
+    content.  `primitive_row` returns a stored integer row as it is, to be
+    read and never mutated.  The unit-pivot Fraction rows (`row`, `rows`)
     are built on read and cached per row until an insert changes that row.
     """
 
@@ -167,6 +175,12 @@ class EchelonBasis:
             unit = {k: Fraction(c, head) for k, c in ints.items()}
             self._units[index] = unit
         return unit
+
+    def primitive_row(self, index: int) -> dict:
+        """Row `index` (insertion order) as stored: a primitive integer vector
+        with positive pivot coefficient, row(index) times that coefficient.
+        Read-only: it is the echelon's own row, not a copy."""
+        return self._ints[index]
 
     @property
     def rows(self) -> list[dict]:

@@ -62,6 +62,15 @@ EX_SPLIT_FAIL = ("Dx", "y*Dx", "Dy + (x^2+y^2)*Dz", "(x+y)*Dz")  # closes to dim
 EX_EXP = ("Dx", "y*Dx + x^2*exp(y)*Dz", "x*Dz")  # closes to dim 8
 HEISENBERG = ("Dx", "y*Dx + x*Dz", "Dz")
 TWO_CHAIN = ("Dz", "z*Dx", "z^2*Dx + z*Dy", "Dx", "Dy")  # closes to dim 5
+# exp terms with rational rates: the only place where an integer echelon row
+# times a rate is a Fraction
+EXP_RATIONAL_RATES = (
+    ("Dx", "exp(1/2*x)*Dy", "x*exp(1/2*x)*Dz"),  # dim 4
+    ("Dx", "y*Dx + x^2*exp(2/3*y)*Dz", "x*Dz"),  # dim 8, nilpotent
+    ("Dy", "exp(-3/5*y)*Dx", "y^2*exp(-3/5*y)*Dz", "1/7*Dz"),  # dim 6
+    ("Dx", "exp(1/3*x + 1/2*y)*Dz", "Dy"),  # dim 3
+    ("1/3*Dx + 2/5*y*Dz", "7/4*Dy", "x*Dz"),  # dim 4, nilpotent
+)
 
 
 def center_oracle(L: LieAlgebra) -> int:
@@ -176,6 +185,28 @@ def test_dim_cap_fields_are_pinned_mid_closure():
     assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_dim", 40, 41, 3, 31)
 
 
+def test_close_brackets_the_integer_rows(monkeypatch):
+    # close() and the tensor bracket the echelon's primitive integer rows, so
+    # the unit rows are read once per basis field and for nothing else
+    gens = build(random_spec("center-rank1", 7, 6)).generators
+    calls = {"row": 0, "bracket": 0}
+    real_row, real_bracket = EchelonBasis.row, VectorField.bracket
+
+    def counting_row(self, index):
+        calls["row"] += 1
+        return real_row(self, index)
+
+    def counting_bracket(self, other):
+        calls["bracket"] += 1
+        return real_bracket(self, other)
+
+    monkeypatch.setattr(EchelonBasis, "row", counting_row)
+    monkeypatch.setattr(VectorField, "bracket", counting_bracket)
+    L = close(gens, cap_dim=200)
+    assert L.dim == 88
+    assert calls == {"row": 88, "bracket": 351}
+
+
 def test_cap_degree_is_a_closure_limit():
     # [Dx, x^5*Dy] = 5*x^4*Dy, ... down to Dy: dim 7, degree 5
     with pytest.raises(ClosureCapExceeded) as info:
@@ -204,8 +235,8 @@ def test_closure_idempotent():
 def test_closure_agrees_with_naive_fixpoint_oracle():
     # independent oracle: recompute all pairwise brackets of the full current
     # list every round, membership-tested with the naive dense routine; the
-    # inputs are random affine fields, one small draw of every recipe, and
-    # the exponential example
+    # inputs are random affine fields, one small draw of every recipe, the
+    # exponential example and exp terms with rational rates
     r = rng(20240545)
     inputs = []
     for _ in range(10):
@@ -222,6 +253,7 @@ def test_closure_agrees_with_naive_fixpoint_oracle():
         inputs.append(gens)
     inputs.extend(build(random_spec(recipe, 0, 2)).generators for recipe in RECIPES)
     inputs.append([F(t) for t in EX_EXP])
+    inputs.extend([F(t) for t in texts] for texts in EXP_RATIONAL_RATES)
     for gens in inputs:
         if all(g.is_zero for g in gens):
             continue
@@ -272,8 +304,10 @@ def test_structure_tensor_antisymmetry_and_jacobi():
 
 @pytest.fixture(scope="module")
 def oracle_corpus() -> list[LieAlgebra]:
-    """Every recipe at degree bound 3 plus the dim-39 center-rank1 closure."""
+    """Every recipe at degree bound 3, the two nilpotent inputs with rational
+    exp rates, and the dim-39 center-rank1 closure."""
     algebras = [close(build(random_spec(recipe, 0, 3)).generators) for recipe in RECIPES]
+    algebras += [algebra(*EXP_RATIONAL_RATES[i]) for i in (1, 4)]
     large = close(build(random_spec("center-rank1", 10, 5)).generators)
     assert large.dim >= 30
     return algebras + [large]

@@ -348,11 +348,18 @@ def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
         assert_fractions(row.values())
     for x in null_space([sparse([row[c] for row in matrix]) for c in range(ncols)]):
         assert_fractions(x)
-    L = close(build(random_spec(recipe, seed, 2)).generators)
-    for comps in L.structure.values():
-        assert_fractions(comps.values())
-    for b in L.basis:
-        assert_fractions(L.express(b))
+    # close() brackets integer rows; none of their int coefficients may leak
+    # into the basis, the center or the structure constants
+    drawn = close(build(random_spec(recipe, seed, 2)).generators)
+    exp_rates = close([parse_field(t, ctx) for t in ("Dx", "y*Dx + x^2*exp(2/3*y)*Dz", "x*Dz")])
+    for L in (drawn, exp_rates):
+        for comps in L.structure.values():
+            assert_fractions(comps.values())
+        for b in L.basis:
+            assert_fractions(L.express(b))
+        for v in (*L.basis, *L.center()):
+            for comp in v.comps:
+                assert_fractions(comp.term_map().values())
 
 
 @settings(checks, max_examples=20)
