@@ -146,6 +146,11 @@ class VectorField:
     def support(self) -> tuple[int, int]:
         """(moves, reads) bitmasks over the variables; computed once per field.
 
+        Bit i of moves is set when comps[i] is nonzero; bit j of reads when
+        some term of some component has a power > 0 or a rate != 0 in
+        variable j.  The terms are read as stored, (reversed rates, reversed
+        powers), so position k of either tuple is variable nvars - 1 - k.
+
         [X, Y] = 0 whenever moves(X) & reads(Y) and moves(Y) & reads(X) are
         both empty: every term X_j * d Y_i/d var j has X_j = 0 or
         d Y_i/d var j = 0, and likewise with X and Y swapped.
@@ -153,13 +158,14 @@ class VectorField:
         masks = self._support
         if masks is None:
             moves = reads = 0
+            top = 1 << (self.ctx.nvars - 1)
             for i, c in enumerate(self.comps):
                 if c:
                     moves |= 1 << i
-                    for m in c.term_map():
-                        for j, (power, rate) in enumerate(zip(m.powers, m.rates)):
+                    for rates, powers in c.term_map():
+                        for k, (power, rate) in enumerate(zip(powers, rates)):
                             if power or rate:
-                                reads |= 1 << j
+                                reads |= top >> k
             masks = (moves, reads)
             object.__setattr__(self, "_support", masks)
         return masks

@@ -9,16 +9,20 @@ addition, multiplication, partial differentiation and (restricted)
 substitution, and zero-testing is exact: an element is zero iff its term
 map is empty.  Values are immutable after construction and safe to share.
 
-A monomial computes its hash once, when it is constructed, so term maps keyed
-by monomials never rehash their rational rates.  The public constructors
-ExpMonomial(...) and ExpPoly(...) validate their input; values the ring builds
-itself (sums, negatives, products, derivatives, restrictions) are canonical by
+A monomial is the tuple (reversed rates, reversed powers), its own sort key,
+so tuple's `==`, `hash` and `<` are the ring's, and they run in C on term-map
+lookups, echelon keys and sorts.  That `<` is the engine's one term order:
+printed terms, echelon pivots and basis order all follow it, and keys such as
+(component, monomial) compare natively.  Rates without an exponential factor
+are the shared int zeros (0,)*n and integral rates are ints, so only a
+fractional rate hashes in Python; the `rates` property gives Fractions back.
+
+The public constructors ExpMonomial(...) and ExpPoly(...) validate their
+input: a power that is not an int, or a rate or coefficient that is not an
+int or Fraction (a float, say), is a TypeError.  Values the ring builds itself
+(sums, negatives, products, derivatives, restrictions) are canonical by
 construction and skip that re-validation.  Products of term maps go through
 one multiply-accumulate helper, mul_add, which VectorField.bracket shares.
-
-`<` on ExpMonomial is the engine's one term order (see ExpMonomial.sort_key):
-printed terms, echelon pivots and basis order all follow it, and keys such as
-(component, monomial) compare natively because monomials do.
 
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.
@@ -30,7 +34,6 @@ field that enters a closure (its cap_degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
@@ -40,95 +43,85 @@ from .errors import ContextMismatch, SubstitutionOutsideRing
 Q = Fraction
 Scalar = Union[int, Fraction]
 
+# the shared rates of a monomial without an exponential factor, by nvars
+_ZEROS = tuple((0,) * n for n in range(4))
+_new = tuple.__new__
 
-@dataclass(frozen=True, eq=False)
-class ExpMonomial:
+
+def _rational(value: object, what: str) -> Scalar:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} {value!r} is not an int or Fraction")
+    return value
+
+
+class ExpMonomial(tuple):
     """One term shape: powers per variable plus exponential rates per variable.
 
-    Two monomials are equal iff powers and rates are componentwise equal;
-    `<` is the global total order of sort_key (lexicographic on reversed
-    rates, then reversed powers) and the canonical term order everywhere in
-    the engine.  has_exp and the hash are fixed at construction; equality
-    tests the hashes first.
+    The value is sort_key() itself, the tuple (reversed rates, reversed
+    powers): equal iff powers and rates are, and `<` is the engine's term
+    order, later variables more significant (1 < x < x^2 < y < x*y < y^2 ...).
+    The properties read the stored tuple back, the rates as Fractions.
     """
 
-    __slots__ = ("powers", "rates", "has_exp", "_hash")
+    __slots__ = ()
 
-    powers: tuple[int, ...]
-    rates: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.powers) != len(self.rates):
+    def __new__(cls, powers: Sequence[int], rates: Sequence[Scalar]) -> "ExpMonomial":
+        powers, rates = tuple(powers), tuple(rates)
+        if len(powers) != len(rates):
             raise ValueError("powers and rates must have the same length")
-        if any(p < 0 for p in self.powers):
-            raise ValueError("powers must be natural numbers")
-        _seal(self, self.powers, self.rates, any(self.rates))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, ExpMonomial):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.powers == other.powers
-            and self.has_exp == other.has_exp
-            and (not self.has_exp or self.rates == other.rates)
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "ExpMonomial") -> bool:
-        if not isinstance(other, ExpMonomial):
-            return NotImplemented
-        if not (self.has_exp or other.has_exp):  # equal (zero) rates
-            return self.powers[::-1] < other.powers[::-1]
-        return self.sort_key() < other.sort_key()
+        if not 1 <= len(powers) <= 3:
+            raise ValueError("the engine supports 1 to 3 variables")
+        for a in powers:
+            if not isinstance(a, int):
+                raise TypeError(f"power {a!r} is not an int")
+            if a < 0:
+                raise ValueError("powers must be natural numbers")
+        for r in rates:
+            _rational(r, "rate")
+        if any(rates):
+            stored = tuple(r.numerator if r.denominator == 1 else r for r in reversed(rates))
+        else:
+            stored = _ZEROS[len(rates)]
+        return _new(cls, (stored, powers[::-1]))
 
     def __reduce__(self):
         return ExpMonomial, (self.powers, self.rates)
 
+    def __repr__(self) -> str:
+        return f"ExpMonomial(powers={self.powers!r}, rates={self.rates!r})"
+
+    @property
+    def powers(self) -> tuple[int, ...]:
+        return self[1][::-1]
+
+    @property
+    def rates(self) -> tuple[Fraction, ...]:
+        return tuple(map(Q, reversed(self[0])))
+
+    @property
+    def has_exp(self) -> bool:
+        return any(self[0])
+
     @property
     def nvars(self) -> int:
-        return len(self.powers)
+        return len(self[1])
 
     @property
     def degree(self) -> int:
-        return sum(self.powers)
+        return sum(self[1])
 
     @property
     def is_constant(self) -> bool:
-        return not any(self.powers) and not self.has_exp
+        return not (any(self[0]) or any(self[1]))
 
-    def sort_key(self):
-        # later variables are more significant: 1 < x < x^2 < y < x*y < y^2 ...
-        return (tuple(reversed(self.rates)), tuple(reversed(self.powers)))
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _seal(m: ExpMonomial, powers: tuple, rates: tuple, has_exp: bool) -> ExpMonomial:
-    # a monomial without an exponential factor hashes its powers alone, so the
-    # ring never hashes the zero rates it multiplies polynomials with
-    _set(m, "powers", powers)
-    _set(m, "rates", rates)
-    _set(m, "has_exp", has_exp)
-    _set(m, "_hash", hash((powers, rates)) if has_exp else hash(powers))
-    return m
-
-
-def _monomial(powers: tuple, rates: tuple, has_exp: bool) -> ExpMonomial:
-    """A monomial the ring built itself: natural powers, has_exp == any(rates)."""
-    return _seal(_new(ExpMonomial), powers, rates, has_exp)
+    def sort_key(self) -> tuple:
+        return tuple(self)
 
 
 def _poly(nvars: int, terms: dict) -> "ExpPoly":
     """Wrap a term map the ring built itself: nonzero Fraction coefficients
     on monomials over nvars variables.  The map is owned by the result."""
-    p = _new(ExpPoly)
+    p = object.__new__(ExpPoly)
     p.nvars = nvars
     p._terms = terms
     return p
@@ -141,20 +134,23 @@ def mul_add(out: dict, a: "ExpPoly", b: "ExpPoly", sign: int = 1) -> None:
     if not b._terms:
         return
     get = out.get
+    zeros = _ZEROS[a.nvars]
     b_terms = b._terms.items()
-    for m1, c1 in a._terms.items():
+    for (r1, p1), c1 in a._terms.items():
         if sign < 0:
             c1 = -c1
-        p1, r1, e1 = m1.powers, m1.rates, m1.has_exp
-        for m2, c2 in b_terms:
-            powers = tuple(map(add, p1, m2.powers))
-            if not m2.has_exp:
-                mono = _monomial(powers, r1, e1)
-            elif not e1:
-                mono = _monomial(powers, m2.rates, True)
+        for (r2, p2), c2 in b_terms:
+            # the shared zeros mark a factor without exp; any other zero
+            # rates still come out right through the sum below
+            if r2 is zeros:
+                rates = r1
+            elif r1 is zeros:
+                rates = r2
             else:
-                rates = tuple(map(add, r1, m2.rates))
-                mono = _monomial(powers, rates, any(rates))
+                rates = tuple(map(add, r1, r2))
+                if not any(rates):
+                    rates = zeros
+            mono = _new(ExpMonomial, (rates, tuple(map(add, p1, p2))))
             acc = get(mono)
             if acc is None:
                 out[mono] = c1 * c2
@@ -179,10 +175,6 @@ def _add_term(out: dict, mono: ExpMonomial, coeff: Fraction) -> None:
             del out[mono]
 
 
-def _unit_monomial(nvars: int) -> ExpMonomial:
-    return ExpMonomial((0,) * nvars, (Q(0),) * nvars)
-
-
 class ExpPoly:
     """Canonical element of the coefficient ring: a map monomial -> coefficient.
 
@@ -201,7 +193,7 @@ class ExpPoly:
                     raise ContextMismatch(
                         f"monomial over {mono.nvars} variables in a {nvars}-variable element"
                     )
-                c = Q(coeff)
+                c = Q(_rational(coeff, "coefficient"))
                 if c:
                     canon[mono] = c
         object.__setattr__(self, "nvars", nvars)
@@ -215,13 +207,13 @@ class ExpPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "ExpPoly":
-        return cls(nvars, {_unit_monomial(nvars): Q(value)})
+        return cls.monomial((0,) * nvars, (0,) * nvars, value)
 
     @classmethod
     def var(cls, nvars: int, index: int) -> "ExpPoly":
         powers = [0] * nvars
         powers[index] = 1
-        return cls(nvars, {ExpMonomial(tuple(powers), (Q(0),) * nvars): Q(1)})
+        return cls.monomial(powers, (0,) * nvars)
 
     @classmethod
     def monomial(
@@ -230,8 +222,8 @@ class ExpPoly:
         rates: Sequence[Scalar],
         coeff: Scalar = 1,
     ) -> "ExpPoly":
-        mono = ExpMonomial(tuple(powers), tuple(Q(r) for r in rates))
-        return cls(mono.nvars, {mono: Q(coeff)})
+        mono = ExpMonomial(powers, rates)
+        return cls(mono.nvars, {mono: coeff})
 
     # -- inspection ---------------------------------------------------------
 
@@ -242,7 +234,7 @@ class ExpPoly:
     @property
     def is_polynomial(self) -> bool:
         """True when no term carries an exponential factor."""
-        return all(not m.has_exp for m in self._terms)
+        return not any(any(rates) for rates, _ in self._terms)
 
     @property
     def is_constant(self) -> bool:
@@ -251,23 +243,26 @@ class ExpPoly:
     @property
     def degree(self) -> int:
         """Max total polynomial degree over the terms; -1 for the zero element."""
-        return max((m.degree for m in self._terms), default=-1)
+        return max((sum(powers) for _, powers in self._terms), default=-1)
 
     def degree_in(self, index: int) -> int:
         """Max power of one variable over the terms; -1 for the zero element."""
-        return max((m.powers[index] for m in self._terms), default=-1)
+        if not 0 <= index < self.nvars:
+            raise ValueError(f"variable index {index} out of range")
+        k = -1 - index  # position in the reversed powers
+        return max((powers[k] for _, powers in self._terms), default=-1)
 
     def constant_coefficient(self) -> Fraction:
-        return self._terms.get(_unit_monomial(self.nvars), Q(0))
+        zeros = _ZEROS[self.nvars]
+        return self._terms.get(_new(ExpMonomial, (zeros, zeros)), Q(0))
 
     def depends_only_on(self, indices: Iterable[int]) -> bool:
         """True when every power and rate outside `indices` is zero."""
         allowed = set(indices)
-        for m in self._terms:
-            for i in range(self.nvars):
-                if i in allowed:
-                    continue
-                if m.powers[i] or m.rates[i]:
+        outside = [-1 - i for i in range(self.nvars) if i not in allowed]
+        for rates, powers in self._terms:
+            for k in outside:
+                if powers[k] or rates[k]:
                     return False
         return True
 
@@ -316,6 +311,8 @@ class ExpPoly:
             if not s:
                 return ExpPoly.zero(self.nvars)
             return _poly(self.nvars, {m: c * s for m, c in self._terms.items()})
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
         self._check(other)
         out: dict[ExpMonomial, Fraction] = {}
         mul_add(out, self, other)
@@ -335,14 +332,16 @@ class ExpPoly:
         """Exact partial derivative with respect to variable `index`."""
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
+        k = -1 - index  # position in the reversed powers and rates
         out: dict[ExpMonomial, Fraction] = {}
         for m, c in self._terms.items():
-            a = m.powers[index]
+            rates, powers = m
+            a = powers[k]
             if a:
-                powers = list(m.powers)
-                powers[index] = a - 1
-                _add_term(out, _monomial(tuple(powers), m.rates, m.has_exp), c * a)
-            rate = m.rates[index]
+                lowered = list(powers)
+                lowered[k] = a - 1
+                _add_term(out, _new(ExpMonomial, (rates, tuple(lowered))), c * a)
+            rate = rates[k]
             if rate:
                 _add_term(out, m, c * rate)
         return _poly(self.nvars, out)
@@ -403,15 +402,13 @@ class ExpPoly:
             raise ContextMismatch("element depends on a variable outside the subcontext")
         if not 1 <= len(indices) <= 3:
             raise ValueError("the engine supports 1 to 3 variables")
+        kept = [-1 - i for i in reversed(indices)]  # positions in the reversed tuples
+        zeros = _ZEROS[len(kept)]
         out: dict[ExpMonomial, Fraction] = {}
-        for m, c in self._terms.items():
-            mono = _monomial(
-                tuple(m.powers[i] for i in indices),
-                tuple(m.rates[i] for i in indices),
-                m.has_exp,
-            )
-            out[mono] = c
-        return _poly(len(indices), out)
+        for (rates, powers), c in self._terms.items():
+            rates = tuple(rates[k] for k in kept) if any(rates) else zeros
+            out[_new(ExpMonomial, (rates, tuple(powers[k] for k in kept)))] = c
+        return _poly(len(kept), out)
 
     # -- printing -----------------------------------------------------------
 

@@ -8,6 +8,8 @@ run draws the same examples."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -139,20 +141,51 @@ def test_bracket_satisfies_jacobi(u, v, w):
     assert total.is_zero
 
 
-# half the monomials carry no exponential factor, so `<` takes its fast path
+# half the monomials carry no exponential factor; a zero rate is drawn as
+# int 0 or as Fraction(0), an integral rate as an int or as a Fraction
+any_zero = st.sampled_from((0, Fraction(0)))
+any_rate = st.one_of(any_zero, rates, st.sampled_from((1, -1, 2)))
 monomials = st.builds(
     ExpMonomial,
     st.tuples(*[st.integers(0, 2)] * 3),
-    st.one_of(st.just((Fraction(0),) * 3), st.tuples(*[rates] * 3)),
+    st.one_of(st.tuples(*[any_zero] * 3), st.tuples(*[any_rate] * 3)),
 )
+
+
+def oracle_key(m: ExpMonomial) -> tuple:
+    """The documented term order from the public fields: rates from the last
+    variable to the first, then powers from the last variable to the first."""
+    n = len(m.powers)
+    return (
+        [m.rates[i] for i in range(n - 1, -1, -1)],
+        [m.powers[i] for i in range(n - 1, -1, -1)],
+    )
 
 
 @settings(checks, max_examples=200)
 @given(monomials, monomials)
 def test_monomial_order_is_sort_key_order(a, b):
-    assert (a < b) == (a.sort_key() < b.sort_key())
-    assert (b < a) == (b.sort_key() < a.sort_key())
+    ka, kb = oracle_key(a), oracle_key(b)
+    assert (a < b) == (ka < kb) and (b < a) == (kb < ka)
+    assert (a <= b) == (ka <= kb) and (a > b) == (ka > kb)
+    assert (a.sort_key() < b.sort_key()) == (ka < kb)
     assert [a < b, b < a, a == b].count(True) == 1
+
+
+@settings(checks, max_examples=200)
+@given(monomials, monomials)
+def test_monomial_value_semantics_match_the_oracle_key(a, b):
+    ka, kb = oracle_key(a), oracle_key(b)
+    assert (a == b) == (ka == kb) and (a != b) == (ka != kb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a.has_exp == any(a.rates) and all(type(r) is Fraction for r in a.rates)
+    for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is ExpMonomial and twin == a and hash(twin) == hash(a)
+        assert oracle_key(twin) == ka and (twin < b) == (ka < kb)
+    # the same monomial with its zero rates given as int 0, then as Fraction(0)
+    for twin in (ExpMonomial(a.powers, [r or 0 for r in a.rates]), ExpMonomial(a.powers, a.rates)):
+        assert twin == a and hash(twin) == hash(a) and {a: 1}[twin] == 1
 
 
 @settings(checks, max_examples=25)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import pickle
 import re
 from fractions import Fraction
@@ -201,8 +200,9 @@ def test_zero_decidable_exactly():
 
 
 def test_monomial_fields_and_validation():
-    assert [f.name for f in dataclasses.fields(ExpMonomial)] == ["powers", "rates"]
     m = ExpMonomial((1, 0, 2), (Fraction(0), Fraction(1, 2), Fraction(0)))
+    assert m.powers == (1, 0, 2) and m.rates == (0, Fraction(1, 2), 0)
+    assert all(type(r) is Fraction for r in m.rates)
     assert m == ExpMonomial((1, 0, 2), (0, Fraction(1, 2), 0))
     assert hash(m) == hash(ExpMonomial((1, 0, 2), (0, Fraction(1, 2), 0)))
     assert m != ExpMonomial((1, 0, 2), (0, 0, 0))
@@ -210,7 +210,55 @@ def test_monomial_fields_and_validation():
         ExpMonomial((1, -1, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         ExpMonomial((1, 0), (0, 0, 0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m.powers = (0, 0, 0)
+    for name in ("powers", "rates", "has_exp", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, (0, 0, 0))
+    assert m.powers == (1, 0, 2)
     for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m and hash(twin) == hash(m) and twin.has_exp
+
+
+def test_monomial_equality_hash_and_order_are_tuples_own():
+    # guard: the term order and the hashing of term maps stay in C
+    for slot in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(ExpMonomial, slot) is getattr(tuple, slot), slot
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: ExpMonomial((0, 0, 0), (0.5, 0, 0)), "rate 0.5"),
+        (lambda: ExpMonomial((1.0, 0, 0), (0, 0, 0)), "power 1.0"),
+        (lambda: ExpPoly(3, {ExpMonomial((1, 0, 0), (0, 0, 0)): 0.5}), "coefficient 0.5"),
+        (lambda: ExpPoly.const(3, 0.1), "coefficient 0.1"),
+        (lambda: ExpPoly.monomial((0, 0, 0), (0, 0.25, 0)), "rate 0.25"),
+        (lambda: ExpPoly.monomial((0, 2.0, 0), (0, 0, 0)), "power 2.0"),
+        (lambda: ExpPoly.monomial((0, 0, 0), (0, 0, 0), 1.5), "coefficient 1.5"),
+    ],
+)
+def test_ring_constructors_reject_floats_by_value(build, named):
+    with pytest.raises(TypeError, match=re.escape(named)):
+        build()
+
+
+def test_a_float_scalar_factor_is_a_type_error():
+    p = P("x + exp(y)")
+    with pytest.raises(TypeError):
+        p * 0.5
+    with pytest.raises(TypeError):
+        0.5 * p
+    assert p * 2 == 2 * p == p * Q(2) == P("2*x + 2*exp(y)")
+
+
+def test_exponentials_that_cancel_leave_the_polynomial_monomial():
+    for product, powers, rest in (
+        (P("exp(x)") * P("exp(-x)"), (0, 0, 0), P("1")),
+        (P("x*exp(y)") * P("exp(-y)"), (1, 0, 0), P("x")),
+        (P("3*exp(1/2*x - z)") * P("y*exp(-1/2*x + z)"), (0, 1, 0), P("3*y")),
+    ):
+        (mono,) = product.term_map()
+        plain = ExpMonomial(powers, (0, 0, 0))
+        assert mono == plain and hash(mono) == hash(plain) and not mono.has_exp
+        assert mono.rates == (0, 0, 0) and product.is_polynomial
+        assert (product - rest).is_zero and product == rest
+        assert (product + P("x")) == rest + P("x")
