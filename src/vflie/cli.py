@@ -1,14 +1,19 @@
 """Command-line front end.
 
-One command per process; reports go to stdout (text or JSON), structured
-errors to stderr.  Exit codes: 0 success, 1 domain error, 2 usage or parse
-error.  All randomness flows through --seed (default 0, never wall-clock),
-and JSON output is byte-deterministic for fixed input and configuration.
+`main()` may be called repeatedly in one process.  The argument parser is
+built on the first call and then reused, which is safe because it is a
+constant: every default comes from a module constant, `parse_args` never
+mutates the parser, and `--gen` copies its empty default before appending.
+Reports go to stdout (text or JSON), structured errors to stderr.  Exit
+codes: 0 success, 1 domain error, 2 usage or parse error.  All randomness
+flows through --seed (default 0, never wall-clock), and JSON output is
+byte-deterministic for fixed input and configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,6 +52,7 @@ def _add_common(p: argparse.ArgumentParser, *, gens: bool = True, caps: bool = T
         )
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vflie",

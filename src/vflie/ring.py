@@ -189,6 +189,8 @@ class ExpPoly:
         canon: dict[ExpMonomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
+                if not isinstance(mono, ExpMonomial):
+                    raise TypeError(f"term key {mono!r} is not an ExpMonomial")
                 if mono.nvars != nvars:
                     raise ContextMismatch(
                         f"monomial over {mono.nvars} variables in a {nvars}-variable element"
@@ -293,6 +295,8 @@ class ExpPoly:
             raise ContextMismatch("elements belong to different variable contexts")
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
         self._check(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
@@ -300,6 +304,8 @@ class ExpPoly:
         return _poly(self.nvars, out)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "ExpPoly":

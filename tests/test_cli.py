@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import shutil
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from vflie import DEFAULT_CONTEXT, LieAlgebra, close
-from vflie.cli import main
+from vflie.cli import build_arg_parser, main
 from vflie.parser import parse_field
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -181,6 +182,67 @@ def test_cap_degree_does_not_leak_into_later_library_calls():
     gens = ["Dx", "x^5*Dy"]
     assert run_main(["closure", "--gen", gens[0], "--gen", gens[1], "--degree-cap", "4"])[0] == 1
     assert close([parse_field(t, DEFAULT_CONTEXT) for t in gens]).dim == 7
+    code, out, _ = run_main(["closure", "--gen", gens[0], "--gen", gens[1], "--format", "json"])
+    assert code == 0 and json.loads(out)["dim"] == 7
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    run_main(["bracket", *gens(["Dx", "x*Dy"])])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["closure", *gens(HEISENBERG)],
+        ["series", *gens(HEISENBERG), "--kind", "derived", "--format", "json"],
+        ["project", *gens(EX_EXP), "--kept", "x,y"],
+        ["generate", "--recipe", "heisenberg", "--seed", "2"],
+        ["closure", "--gen", "x*Dx", "--cap-dim", "0"],
+    ):
+        run_main(argv)
+    assert built == []
+    assert build_arg_parser() is build_arg_parser()
+
+
+def _help_text(parse, argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def test_the_cached_parser_is_not_mutated_by_the_calls_it_serves():
+    argvs = [case["argv"] for case in json.loads(GOLDEN.read_text(encoding="utf-8"))]
+    for argv in argvs:
+        assert run_main(argv)[0] == 0
+    for argv in argvs + [["closure", "--file", "gens.txt"], ["generate", "--recipe", "heisenberg"]]:
+        fresh = build_arg_parser.__wrapped__()
+        assert vars(build_arg_parser().parse_args(argv)) == vars(fresh.parse_args(argv)), argv
+    for argv in (["closure", "--help"], ["--help"]):
+        fresh = build_arg_parser.__wrapped__().parse_args
+        assert _help_text(main, argv) == _help_text(fresh, argv), argv
+
+
+@pytest.mark.parametrize("first, then, codes", [
+    (["closure", *gens(["Dx", "x^5*Dy"]), "--degree-cap", "4"],
+     ["closure", *gens(["Dx", "x^5*Dy"])], (1, 0)),
+    (["closure", "--vars", "a,b,c", *gens(["Da", "a*Db"])],
+     ["closure", *gens(["Dx", "x*Dy"])], (0, 0)),
+    (["closure", *gens(HEISENBERG)], ["closure", *gens(["Dx", "x^2*Dy"])], (0, 0)),
+], ids=["degree-cap", "vars", "gen"])
+def test_calls_in_one_process_match_fresh_processes(first, then, codes):
+    fresh = {}
+    for argv in (first, then):
+        proc = run_cli(*argv, "--format", "json")
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    for argv, code in [(first, codes[0]), (then, codes[1])] * 2:
+        assert run_main([*argv, "--format", "json"]) == fresh[tuple(argv)], argv
+        assert fresh[tuple(argv)][0] == code
 
 
 def test_generate_uses_the_given_variables():
@@ -289,7 +351,7 @@ sys.path.insert(0, sys.argv[1])
 from vflie.cli import main
 with open(sys.argv[2], encoding="utf-8") as f:
     cases = json.load(f)
-for case in cases:
+for case in cases + cases[::-1]:  # twice in one process: the parser is reused
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(case["argv"])

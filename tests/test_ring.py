@@ -250,6 +250,24 @@ def test_a_float_scalar_factor_is_a_type_error():
     assert p * 2 == 2 * p == p * Q(2) == P("2*x + 2*exp(y)")
 
 
+@pytest.mark.parametrize("scalar", [1, 0, Q(1, 2), 0.5])
+def test_adding_a_scalar_is_a_type_error(scalar):
+    # the ring has no implicit constants: P("1") is the element, 1 is not
+    p = P("x + exp(y)")
+    for expression in (lambda: p + scalar, lambda: scalar + p,
+                       lambda: p - scalar, lambda: scalar - p):
+        with pytest.raises(TypeError):
+            expression()
+    assert p + P("1") - P("1") == p
+
+
+def test_a_term_key_that_is_not_a_monomial_is_a_type_error():
+    with pytest.raises(TypeError, match=re.escape("term key (1, 2) is not an ExpMonomial")):
+        ExpPoly(3, {(1, 2): 1})
+    with pytest.raises(TypeError, match="is not an ExpMonomial"):
+        ExpPoly(3, {((0, 0, 0), (1, 0, 0)): 1})  # the stored layout, but a plain tuple
+
+
 def test_exponentials_that_cancel_leave_the_polynomial_monomial():
     for product, powers, rest in (
         (P("exp(x)") * P("exp(-x)"), (0, 0, 0), P("1")),
