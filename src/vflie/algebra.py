@@ -7,8 +7,10 @@ is built from the echelon of such a span, which close() and project() hand
 over: it reads the canonical reduced row-echelon basis (ordered by pivot
 key, hence independent of generator order) and brackets it into the exact
 structure-constant tensor.  All queries (center, series, projections,
-adjoints, quotients) are exact and deterministic.  The
-lower-central series, ideal checks, quotients and split lifts walk only the
+adjoints, quotients) are exact and deterministic.  The lower-central series
+and the center of a nilpotent algebra are read from the brackets of a few
+unit vectors spanning a complement of [g, g], which generate g; ideal checks,
+quotients, split lifts and the series of any other algebra walk only the
 nonzero structure constants (LieAlgebra._ad_image), so a pair whose bracket
 is structurally zero is never visited.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
@@ -340,9 +343,29 @@ class LieAlgebra:
     # -- center ---------------------------------------------------------------
 
     def center_coeffs(self) -> list[list[Fraction]]:
-        """Null space of the stacked adjoint maps, in basis coordinates."""
+        """Canonical basis of the center, in basis coordinates.
+
+        The centralizer of an element is a subalgebra, so whatever commutes
+        with a generating set is central.  When the nilpotency certificate
+        holds, the unit vectors e_v (v in V) generate g, and the center is
+        the common kernel of their ad maps: null-space columns from
+        self._ad[v] alone, at most |V| * dim rows.  Otherwise it is the null
+        space of every stacked ad map (center_of_tensor).  Both are the same
+        subspace, and null_space returns its canonical basis, so the answer
+        does not depend on the route.
+        """
         if self._center_coeffs is None:
-            self._center_coeffs = center_of_tensor(self.structure, self.dim)
+            certificate = self._nilpotency_certificate
+            if certificate is None:
+                self._center_coeffs = center_of_tensor(self.structure, self.dim)
+            else:
+                # column a, row (v, c): coefficient of e_c in [e_v, e_a]
+                columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(self.dim)]
+                for v in certificate[0]:
+                    for a, comps in self._ad[v].items():
+                        for c, coeff in comps.items():
+                            columns[a][v, c] = coeff
+                self._center_coeffs = null_space(columns)
         return self._center_coeffs
 
     def center(self) -> list[VectorField]:
@@ -351,7 +374,20 @@ class LieAlgebra:
     # -- series and flags -------------------------------------------------------
 
     def series(self, kind: str) -> SeriesReport:
-        """Lower-central (g, [g,g^k]) or derived (g^(k), [g^(k),g^(k)]) dims, cached."""
+        """Lower-central (g, [g,g^k]) or derived (g^(k), [g^(k),g^(k)]) dims, cached.
+
+        The lower-central series of a nilpotent algebra comes from its
+        certificate (_nilpotency_certificate): V generates g, and its chain
+        W_1 = span(V), W_{k+1} = [V, W_k] ends at W_K = 0.  By the Jacobi
+        identity, [[a, b], w] = [a, [b, w]] - [b, [a, w]], so by induction on
+        bracket length every element of g maps h_k = W_k + ... + W_K into
+        h_{k+1}; hence g^k lies in h_k, and h_k, spanned by brackets of k or
+        more elements, lies in g^k.  So g^k = h_k, g^K = 0, and the dims are
+        those of the h_k.  Any other algebra, every non-nilpotent one
+        included, walks the ad images of each term's rows (_ad_image).  The
+        derived series starts from [g, g], the echelon the certificate
+        shares, and brackets each later term's row pairs.
+        """
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
         if kind not in self._series:
@@ -359,15 +395,18 @@ class LieAlgebra:
         return self._series[kind]
 
     def _compute_series(self, kind: str) -> SeriesReport:
+        if kind == "lower-central" and self._nilpotency_certificate is not None:
+            return SeriesReport(kind, self._nilpotency_certificate[1], True)
         dims = [self.dim]
         current = [{i: Q(1)} for i in range(self.dim)]
         terminated = self.dim == 0
         while dims[-1] > 0:
             if kind == "lower-central":
-                brackets = (v for w in current for v in self._ad_image(w).values())
+                nxt = echelon_of(v for w in current for v in self._ad_image(w).values())
+            elif len(dims) == 1:
+                nxt = self._square
             else:
-                brackets = (self._bracket(u, w) for u, w in combinations(current, 2))
-            nxt = echelon_of(brackets)
+                nxt = echelon_of(self._bracket(u, w) for u, w in combinations(current, 2))
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))
@@ -375,6 +414,57 @@ class LieAlgebra:
             if not nxt:
                 terminated = True
         return SeriesReport(kind, tuple(dims), terminated)
+
+    @cached_property
+    def _square(self) -> EchelonBasis:
+        """[g, g] as the echelon of the nonzero structure constants, each
+        basis pair once.  Shared and read-only."""
+        return echelon_of(self.structure.values())
+
+    def _layers(self, gens: Sequence[int]) -> list[list[SparseVector]] | None:
+        """The nonzero layers W_1 = span{e_v : v in gens}, W_{k+1} =
+        span{[e_v, w] : v in gens, w a row of W_k}, each as the rows of its
+        own echelon (W_1 as the unit vectors); None when W_{dim+1} is still
+        nonzero, which no nilpotent algebra allows."""
+        layers: list[list[SparseVector]] = []
+        layer: list[SparseVector] = [{v: 1} for v in gens]
+        while layer:
+            if len(layers) == self.dim:
+                return None
+            layers.append(layer)
+            span = echelon_of(b for v in gens for w in layer if (b := self._bracket({v: 1}, w)))
+            layer = [span.primitive_row(i) for i in range(len(span))]
+        return layers
+
+    @cached_property
+    def _nilpotency_certificate(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(V, lower-central dims), or None when this route proves nothing.
+
+        V is the indices off the pivots of [g, g], so span(V) + [g, g] = g.
+        The certificate holds when V's chain (_layers) ends within dim + 1
+        layers and W_1 + ... + W_K is all of g, so that V generates g; then
+        g is nilpotent (see series).  W_2, W_3, ... are brackets, inside
+        [g, g], which meets span(V) = W_1 in 0: so the sum is g exactly when
+        h_2 = W_2 + ... + W_K is all of [g, g], and dim h_1 = dim.  The
+        other dims are the length of one echelon after W_{K-1}, ..., W_2
+        went in, in reverse, and a final 0.  None when V is empty, the chain
+        has not ended or the sum is short, as for every non-nilpotent
+        algebra.  Only V and the dims are kept.
+        """
+        pivots = set(self._square.pivots)
+        gens = tuple(i for i in range(self.dim) if i not in pivots)
+        layers = self._layers(gens) if gens else None
+        if layers is None:
+            return None
+        total = EchelonBasis()
+        dims = [0]
+        for layer in reversed(layers[1:]):
+            for row in layer:
+                total.insert(row)
+            dims.append(len(total))
+        if len(total) != len(self._square):
+            return None
+        return gens, (self.dim, *reversed(dims))
 
     def is_abelian(self) -> bool:
         return not self.structure

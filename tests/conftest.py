@@ -221,6 +221,23 @@ def oracle_series_terms(L: LieAlgebra, kind: str) -> list[list[list[Fraction]]]:
     return terms
 
 
+def oracle_center(L: LieAlgebra) -> list[list[Fraction]]:
+    """Canonical center basis from every pair: x is central when
+    sum_a x_a c(a, b, k) = 0 for all b and k.  One vector per free column of
+    the dense reduced constraint rows, ascending, with 1 at that column."""
+    n = L.dim
+    rows = [[L.c(a, b, k) for a in range(n)] for b in range(n) for k in range(n)]
+    reduced = oracle_row_basis([r for r in rows if any(r)])
+    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Q(int(c == free)) for c in range(n)]
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free] / row[p]
+        basis.append(vec)
+    return basis
+
+
 def oracle_quotient(L: LieAlgebra, ideal: list[list[Fraction]]) -> tuple[tuple[int, ...], dict]:
     """(rep_indices, tensor) of L/ideal: the representatives are the columns
     off the pivots of the ideal's reduced rows, and the bracket of every pair

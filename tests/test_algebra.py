@@ -40,6 +40,7 @@ from conftest import (
     naive_field_coords,
     naive_mul,
     naive_of,
+    oracle_bracket,
     oracle_member,
     oracle_quotient,
     oracle_rank,
@@ -479,25 +480,95 @@ def test_series_match_structure_constant_oracle(oracle_corpus):
             assert report.terminated_at_zero == (report.dims[-1] == 0)
 
 
-def test_lower_central_series_inserts_only_nonzero_images(monkeypatch):
+def test_lower_central_series_insert_count_is_pinned(monkeypatch):
+    """Center-rank1 seed 5 (dim 33) takes the certificate: [g, g] once per
+    nonzero pair, the layers W_2, W_3, ... of V's chain and their sum make
+    exactly 135 inserts, none of them empty, and no ad image is walked.
+    The ad-image loop made 219."""
     L = close(build(random_spec("center-rank1", 5, 5)).generators)
-    inserted, image_entries = [], []
-    real_insert, real_ad_image = EchelonBasis.insert, LieAlgebra._ad_image
+    inserted = []
+    real_insert = EchelonBasis.insert
 
     def recording_insert(self, vec):
         inserted.append(dict(vec))
         return real_insert(self, vec)
 
-    def counting_ad_image(self, w):
-        images = real_ad_image(self, w)
-        image_entries.append(len(images))
-        return images
+    def no_ad_image(self, w):
+        raise AssertionError("the certified series walked an ad image")
 
     monkeypatch.setattr(EchelonBasis, "insert", recording_insert)
+    monkeypatch.setattr(LieAlgebra, "_ad_image", no_ad_image)
+    report = L.series("lower-central")
+    assert report.dims == (33, 30, 28, 23, 14, 0) and report.terminated_at_zero
+    assert all(inserted), "an empty vector reached the echelon"
+    assert len(inserted) == 135
+
+
+# (generators, lower-central dims, derived dims, center) of the ad-image loop
+FALLBACK = [
+    (("Dx", "x*Dx", "x^2*Dx"), (3,), (3,), []),  # sl2: [g, g] = g, so V is empty
+    (("Dx", "x*Dx"), (2, 1), (2, 1, 0), []),
+    (("Dx", "x*Dy", "y*Dy"), (4, 2), (4, 2, 0), []),
+    (("Dx", "x*Dx", "Dz"), (3, 1), (3, 1, 0), [[Q(0), Q(0), Q(1)]]),
+]
+
+
+@pytest.mark.parametrize("texts, lower, derived, center", FALLBACK)
+def test_non_nilpotent_algebras_take_the_fallback(monkeypatch, texts, lower, derived, center):
+    L = algebra(*texts)
+    ad_images, tensor_centers = [], []
+    real_ad_image, real_center = LieAlgebra._ad_image, vflie.algebra.center_of_tensor
+
+    def counting_ad_image(self, w):
+        ad_images.append(w)
+        return real_ad_image(self, w)
+
+    def counting_center(tensor, dim):
+        tensor_centers.append(dim)
+        return real_center(tensor, dim)
+
     monkeypatch.setattr(LieAlgebra, "_ad_image", counting_ad_image)
-    assert L.series("lower-central").terminated_at_zero
-    assert inserted and all(inserted), "an empty vector reached the echelon"
-    assert len(inserted) <= sum(image_entries)
+    monkeypatch.setattr(vflie.algebra, "center_of_tensor", counting_center)
+    assert L._nilpotency_certificate is None
+    assert L.center_coeffs() == center and tensor_centers == [L.dim]
+    for kind, dims in (("lower-central", lower), ("derived", derived)):
+        report = L.series(kind)
+        assert report.dims == dims
+        assert report.terminated_at_zero == (dims[-1] == 0)
+        assert list(dims) == [len(t) for t in oracle_series_terms(L, kind)]
+    assert ad_images, "the lower-central series did not walk the ad images"
+    assert not L.is_nilpotent()
+
+
+def test_nilpotency_certificate_premises(oracle_corpus):
+    """V spans g modulo [g, g], each W_{k+1} is exactly [V, W_k], the last
+    layer brackets to zero, and the layers span g: checked with the dense
+    oracle bracket and rank, not the engine's elimination."""
+    large = [close(build(random_spec("center-rank1", s, b)).generators) for s, b in ((5, 5), (9, 6))]
+    for L in oracle_corpus + large:
+        assert L.is_nilpotent()
+        certificate = L._nilpotency_certificate
+        assert certificate is not None, L.dim
+        gens, dims = certificate
+        n = L.dim
+        bracket = oracle_bracket(L)
+        unit = lambda i: [Q(int(j == i)) for j in range(n)]
+        squares = [v for a, b in combinations(range(n), 2) if any(v := bracket(unit(a), unit(b)))]
+        assert oracle_rank([unit(v) for v in gens] + squares) == n
+        assert oracle_rank(squares) == n - len(gens)
+        layers = [[[Q(row.get(j, 0)) for j in range(n)] for row in W] for W in L._layers(gens)]
+        assert layers[0] == [unit(v) for v in gens]
+        for k, rows in enumerate(layers):
+            images = [v for g in gens for w in rows if any(v := bracket(unit(g), w))]
+            if k + 1 == len(layers):
+                assert not images, "the last layer does not bracket to zero"
+            else:
+                following = layers[k + 1]
+                assert oracle_rank(following) == len(following)
+                assert oracle_rank(images) == len(following) == oracle_rank(images + following)
+        tails = [[row for rows in layers[k:] for row in rows] for k in range(len(layers))]
+        assert oracle_rank(tails[0]) == n
+        assert dims == (*map(oracle_rank, tails), 0)
 
 
 def test_series_are_cached_per_algebra(monkeypatch):

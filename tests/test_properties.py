@@ -2,9 +2,10 @@
 bracket against the term-list oracle and the Lie identities, canonical ring
 results, the monomial order, the support test that lets close() skip a
 bracket, the integer echelon kernel and its coordinates against the dense
-oracles, run-time exactness, pushforward as a bracket homomorphism, and
-closure invariance under a change of generating set.  Derandomized, so every
-run draws the same examples."""
+oracles, run-time exactness, pushforward as a bracket homomorphism,
+closure invariance under a change of generating set, and the series and
+center of nilpotent and non-nilpotent closures against the dense oracles.
+Derandomized, so every run draws the same examples."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vflie import (
+    ClosureCapExceeded,
     DEFAULT_CONTEXT,
     RECIPES,
     CoordinateChange,
@@ -35,8 +37,10 @@ from conftest import (
     naive_mul,
     naive_of,
     oracle_coords,
+    oracle_center,
     oracle_member,
     oracle_row_basis,
+    oracle_series_terms,
 )
 
 ctx = DEFAULT_CONTEXT
@@ -417,3 +421,31 @@ def test_closure_ignores_generator_order_and_scale(recipe, seed, data):
     M = close([gens[i] * s for i, s in zip(order, scales)])
     assert M.basis == L.basis
     assert M.structure == L.structure
+
+
+# nilpotent and non-nilpotent generators: affine and sl2 actions, a diagonal
+# one, an exponential shift and Heisenberg-type chains
+SERIES_POOL = tuple(
+    parse_field(text, ctx)
+    for text in (
+        "Dx", "Dy", "Dz", "x*Dx", "x^2*Dx", "y*Dy", "x*Dx + 2*z*Dz", "exp(x)*Dy",
+        "y*Dx", "x*Dz", "z*Dy", "y*Dx + x*Dz", "exp(y)*Dz", "x*y*Dz",
+    )
+)
+
+
+@settings(checks, max_examples=40)
+@given(st.lists(st.sampled_from(SERIES_POOL), min_size=1, max_size=4, unique=True))
+def test_series_and_center_match_the_dense_oracles(gens):
+    try:
+        L = close(gens, cap_dim=12, cap_degree=4)
+    except ClosureCapExceeded:
+        return
+    for kind in ("lower-central", "derived"):
+        report = L.series(kind)
+        terms = oracle_series_terms(L, kind)
+        assert list(report.dims) == [len(t) for t in terms], kind
+        assert report.terminated_at_zero == (not terms[-1])
+    # the certificate holds exactly for the nilpotent closures
+    assert (L._nilpotency_certificate is not None) == L.is_nilpotent()
+    assert L.center_coeffs() == oracle_center(L)
