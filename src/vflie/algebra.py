@@ -6,17 +6,21 @@ set of fields, one generator layer (bracket depth) per round.  A LieAlgebra
 is built from the echelon of such a span, which close() and project() hand
 over: it reads the canonical reduced row-echelon basis (ordered by pivot
 key, hence independent of generator order) and brackets it into the exact
-structure-constant tensor.  All queries (center, series, projections,
-adjoints, quotients) are exact and deterministic.  The lower-central series
-and the center of a nilpotent algebra are read from the brackets of a few
-unit vectors spanning a complement of [g, g], which generate g; ideal checks,
-quotients, split lifts and the series of any other algebra walk only the
-nonzero structure constants (LieAlgebra._ad_image), so a pair whose bracket
-is structurally zero is never visited.
+structure-constant tensor.  Both bracket fields made from the echelon's
+integer rows and take the bracket back as a coordinate vector, never as a
+field, and neither brackets a pair whose support masks prove it commuting.
+All queries (center, series, projections, adjoints, quotients) are exact
+and deterministic.  The lower-central series and the center of a nilpotent
+algebra are read from the brackets of a few unit vectors spanning a
+complement of [g, g], which generate g; ideal checks, quotients, split lifts
+and the series of any other algebra walk only the nonzero structure
+constants (LieAlgebra._ad_image), so a pair whose bracket is structurally
+zero is never visited.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,11 +37,14 @@ from .errors import (
 from .fields import VariableContext, VectorField
 from .linalg import (
     ZERO,
+    CoordVector,
     EchelonBasis,
     Q,
     SparseVector,
     _axpy,
     coordinatize,
+    coordinatize_terms,
+    degree_of,
     echelon_of,
     generic_rank,
     null_space,
@@ -72,12 +79,19 @@ def center_of_tensor(
     return null_space(columns)
 
 
-def _bracket_unless_commuting(u: VectorField, v: VectorField) -> VectorField | None:
-    """[u, v], or None when it is zero or the support masks prove it zero:
-    neither field moves a variable that the other's coefficients read."""
-    (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
-    w = u.bracket(v) if moves_u & reads_v or moves_v & reads_u else None
-    return None if w is None or w.is_zero else w
+def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
+    """False when the support masks s and t (VectorField.support) prove the
+    bracket zero: neither field moves a variable that the other's
+    coefficients read."""
+    return bool(s[0] & t[1] or t[0] & s[1])
+
+
+def _bracket_unless_commuting(u: VectorField, v: VectorField) -> CoordVector | None:
+    """The coordinates of [u, v], or None when it is zero or the support
+    masks prove it zero."""
+    if not _can_fail_to_commute(u.support(), v.support()):
+        return None
+    return coordinatize_terms(u._bracket_terms(v)) or None
 
 
 def close(
@@ -103,11 +117,15 @@ def close(
     positive multiple of its unit row: [a*u, b*v] = a*b*[u, v], and insert
     makes every residual primitive with a positive pivot, so each insert
     leaves the same rows, degrees and independence as the unit rows would.
+    Each pair is first put to the support test (_bracket_unless_commuting),
+    and a bracket goes into the echelon as coordinates, never as a field.
     The echelon goes to LieAlgebra, which brackets the final basis pairs
-    into the tensor.  ClosureCapExceeded is raised past cap_dim, past
-    cap_rounds layers, or by a field of degree above cap_degree; its `round`
-    is the layer and `pending` the pairs of that layer not yet visited,
-    where a pair that _bracket_unless_commuting skips counts as visited.
+    into the tensor; with it go the operands made here from the rows that
+    no later insert changed, so those are not made twice.
+    ClosureCapExceeded is raised past cap_dim, past cap_rounds layers, or by
+    a field of degree above cap_degree; its `round` is the layer and
+    `pending` the pairs of that layer not yet visited, where a pair that the
+    support test skips counts as visited.
     """
     gens = list(generators)
     if not gens:
@@ -125,16 +143,25 @@ def close(
     def cap_error(cap: str, limit: int, detail: str = "") -> ClosureCapExceeded:
         return ClosureCapExceeded(cap, limit, len(echelon), rounds, pending, detail)
 
-    def add(field: VectorField) -> None:
-        degree = max(c.degree for c in field.comps)
+    def add(vec: CoordVector) -> None:
+        degree = degree_of(vec)
         if degree > cap_degree:
             raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
-        if echelon.insert(coordinatize(field)).independent and len(echelon) > cap_dim:
+        if echelon.insert(vec).independent and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
+    # row index -> (the stored row, the operand made from it)
+    operands: dict[int, tuple[dict, VectorField]] = {}
+
+    def operands_from(start: int) -> list[VectorField]:
+        for i in range(start, len(echelon)):
+            row = echelon.primitive_row(i)
+            operands[i] = (row, uncoordinatize(row, ctx))
+        return [operands[i][1] for i in range(start, len(echelon))]
+
     for g in gens:
-        add(g)
-    S = [uncoordinatize(echelon.primitive_row(i), ctx) for i in range(len(echelon))]
+        add(coordinatize(g))
+    S = operands_from(0)
     pairs = list(combinations(S, 2))
     while pairs:
         pending = len(pairs)
@@ -144,13 +171,14 @@ def close(
         start = len(echelon)
         for s, t in pairs:
             pending -= 1
-            if (w := _bracket_unless_commuting(s, t)) is not None:
-                add(w)
-        frontier = [
-            uncoordinatize(echelon.primitive_row(i), ctx) for i in range(start, len(echelon))
-        ]
+            if (vec := _bracket_unless_commuting(s, t)) is not None:
+                add(vec)
+        frontier = operands_from(start)
         pairs = [(s, t) for s in S for t in frontier]
-    return LieAlgebra(ctx, echelon)
+    # an insert that changes a row stores a new dict, so identity tells
+    # which operands still match their rows
+    current = {i: u for i, (row, u) in operands.items() if echelon.primitive_row(i) is row}
+    return LieAlgebra(ctx, echelon, _operands=current)
 
 
 @dataclass(frozen=True)
@@ -221,16 +249,28 @@ class LieAlgebra:
 
     Built from the (component, monomial)-keyed echelon of a bracket-closed
     span, which it keeps as its one record of the span.  The basis is the
-    unit rows in pivot order.  The tensor brackets the primitive integer
-    rows h_a*e_a and h_b*e_b of every basis pair the support test cannot
-    rule out, reduces the bracket on the echelon, and divides its
-    coordinates by h_a*h_b, since [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b];
-    a bracket outside the span raises InternalInvariantViolation.  Series,
-    ideal checks, quotients and split lifts walk only its nonzero entries,
-    through the ad tables.
+    unit rows in pivot order.  The tensor brackets the fields of the
+    primitive integer rows, h_a*e_a and h_b*e_b, reduces the bracket's
+    coordinates on the echelon, and divides them by h_a*h_b, since
+    [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b]; a bracket outside the span
+    raises InternalInvariantViolation.  The operands fall into at most 64
+    support classes (VectorField.support), and only the pairs a < b whose
+    classes the support test cannot prove commuting are bracketed, in
+    ascending (a, b) order.  Series, ideal checks, quotients and split lifts
+    walk only the tensor's nonzero entries, through the ad tables.
+
+    close() passes _operands, the fields it already made, by row index, for
+    the rows that no insert changed since; each other row's field is made
+    here.
     """
 
-    def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
+    def __init__(
+        self,
+        ctx: VariableContext,
+        echelon: EchelonBasis,
+        *,
+        _operands: Mapping[int, VectorField] | None = None,
+    ):
         self.ctx = ctx
         self._echelon = echelon
         self._order = echelon.order()
@@ -238,20 +278,36 @@ class LieAlgebra:
         position = {row: k for k, row in enumerate(self._order)}
         rows = [echelon.primitive_row(i) for i in self._order]
         heads = [row[echelon.pivots[i]] for row, i in zip(rows, self._order)]
-        scaled = [uncoordinatize(row, ctx) for row in rows]
+        given = _operands or {}
+        scaled = [
+            given[i] if i in given else uncoordinatize(row, ctx)
+            for i, row in zip(self._order, rows)
+        ]
+        supports = [u.support() for u in scaled]
+        members: dict[tuple[int, int], list[int]] = {}
+        for a, s in enumerate(supports):
+            members.setdefault(s, []).append(a)
+        # per support class, the operands of every class it may not commute with
+        partners = {
+            s: sorted(b for t, bs in members.items() if _can_fail_to_commute(s, t) for b in bs)
+            for s in members
+        }
         self.structure: Tensor = {}
-        for (a, u), (b, v) in combinations(enumerate(scaled), 2):
-            if (w := _bracket_unless_commuting(u, v)) is None:
-                continue
-            residual, coeffs = echelon.reduce(coordinatize(w))
-            if residual:
-                raise InternalInvariantViolation(
-                    "bracket of basis elements escapes the span; closure is broken"
-                )
-            scale = heads[a] * heads[b]
-            self.structure[(a, b)] = {
-                k: c / scale for k, c in sorted((position[i], c) for i, c in coeffs.items())
-            }
+        for a, u in enumerate(scaled):
+            later = partners[supports[a]]
+            for b in later[bisect_right(later, a):]:
+                vec = coordinatize_terms(u._bracket_terms(scaled[b]))
+                if not vec:
+                    continue
+                residual, coeffs = echelon.reduce(vec)
+                if residual:
+                    raise InternalInvariantViolation(
+                        "bracket of basis elements escapes the span; closure is broken"
+                    )
+                scale = heads[a] * heads[b]
+                self.structure[(a, b)] = {
+                    k: c / scale for k, c in sorted((position[i], c) for i, c in coeffs.items())
+                }
         # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
         self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]
         for (i, j), comps in self.structure.items():
@@ -425,14 +481,16 @@ class LieAlgebra:
         """The nonzero layers W_1 = span{e_v : v in gens}, W_{k+1} =
         span{[e_v, w] : v in gens, w a row of W_k}, each as the rows of its
         own echelon (W_1 as the unit vectors); None when W_{dim+1} is still
-        nonzero, which no nilpotent algebra allows."""
+        nonzero, which no nilpotent algebra allows.  A central e_v (empty ad
+        table) brackets every row to zero, so only the others are walked."""
         layers: list[list[SparseVector]] = []
         layer: list[SparseVector] = [{v: 1} for v in gens]
+        acting = [v for v in gens if self._ad[v]]
         while layer:
             if len(layers) == self.dim:
                 return None
             layers.append(layer)
-            span = echelon_of(b for v in gens for w in layer if (b := self._bracket({v: 1}, w)))
+            span = echelon_of(b for v in acting for w in layer if (b := self._bracket({v: 1}, w)))
             layer = [span.primitive_row(i) for i in range(len(span))]
         return layers
 

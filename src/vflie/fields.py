@@ -171,11 +171,17 @@ class VectorField:
         return masks
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [self, other]; bilinear and antisymmetric.
+        """Lie bracket [self, other]; bilinear and antisymmetric."""
+        self._check(other)
+        n = self.ctx.nvars
+        return VectorField(self.ctx, [_poly(n, out) for out in self._bracket_terms(other)])
+
+    def _bracket_terms(self, other: "VectorField") -> list[dict]:
+        """The term maps of [self, other], one per component, owned by the
+        caller; the contexts are not checked.
 
         Component i is sum_j self_j * d other_i/d var j - other_j * d self_i/d var j,
         accumulated into one term map."""
-        self._check(other)
         n = self.ctx.nvars
         v, w = self.comps, other.comps
         dv, dw = self._jacobian(), other._jacobian()
@@ -185,8 +191,8 @@ class VectorField:
             for j in range(n):
                 mul_add(out, v[j], dw[i][j])
                 mul_add(out, w[j], dv[i][j], -1)
-            comps.append(_poly(n, out))
-        return VectorField(self.ctx, comps)
+            comps.append(out)
+        return comps
 
     def pushforward(self, change: "CoordinateChange") -> "VectorField":
         """Transform under the change's differential, expressed in the new chart."""

@@ -4,11 +4,14 @@ EchelonBasis is the one elimination routine: a fully reduced row set over
 sparse vectors, so span membership, residuals, coordinates and null spaces
 are all exact.  It eliminates on primitive integer rows, integer-preserving
 in the spirit of Bareiss (Math. Comp. 22, 1968).  `primitive_row` hands out
-a stored integer row itself, which callers must not mutate; close() and
-LieAlgebra bracket those.  The unit-pivot Fraction rows are built only when a
-caller reads them, for the basis and the analysis callers.  Given Fractions
-or ints, every value it returns is a Fraction, and a value that is not
-rational (a float) raises TypeError.  Its keys are either (component,
+a stored integer row itself, which callers must not mutate, and an insert
+that changes a row stores a new dict in its place.  close() and LieAlgebra
+bracket fields made from those rows (uncoordinatize) and take each bracket
+back as a vector built from its term maps (coordinatize_terms), so no
+bracket becomes a VectorField.  The unit-pivot Fraction rows are built only
+when a caller reads them, for the basis and the analysis callers.  Given
+Fractions or ints, every value it returns is a Fraction, and a value that is
+not rational (a float) raises TypeError.  Its keys are either (component,
 monomial) pairs, which coordinatize vector fields and are spelled only in
 this module, or integer basis coordinates, which the structure-constant
 layer uses; both kinds compare natively (ExpMonomial orders itself), so a
@@ -42,11 +45,20 @@ ZERO = Q(0)
 
 def coordinatize(field: VectorField) -> CoordVector:
     """Linear bijection onto sparse coordinates keyed by (component, monomial)."""
-    out: CoordVector = {}
-    for i, comp in enumerate(field.comps):
-        for mono, coeff in comp.term_map().items():
-            out[(i, mono)] = coeff
-    return out
+    return coordinatize_terms(comp.term_map() for comp in field.comps)
+
+
+def coordinatize_terms(comps: Iterable[Mapping[ExpMonomial, Any]]) -> CoordVector:
+    """coordinatize of the field with these per-component term maps (nonzero
+    coefficients), such as VectorField._bracket_terms returns, with no field
+    built in between."""
+    return {(i, mono): c for i, terms in enumerate(comps) for mono, c in terms.items()}
+
+
+def degree_of(vec: CoordVector) -> int:
+    """Total degree of the field with coordinates vec: the largest over its
+    monomials, and -1 for the zero vector, as ExpPoly.degree counts it."""
+    return max((mono.degree for _, mono in vec), default=-1)
 
 
 def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
@@ -54,8 +66,9 @@ def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
 
     It also takes a primitive integer row (EchelonBasis.primitive_row) and
     then returns a scaled representative with int coefficients.  Such a
-    field is a bracket operand only: every field the engine returns keeps
-    the _poly contract of Fraction coefficients."""
+    field is a bracket operand, for close() and the structure tensor, and
+    nothing else: every field the engine returns keeps the _poly contract of
+    Fraction coefficients."""
     n = ctx.nvars
     comps: list[dict[ExpMonomial, Fraction]] = [{} for _ in range(n)]
     for (i, mono), coeff in vec.items():

@@ -22,7 +22,8 @@ input: a power that is not an int, or a rate or coefficient that is not an
 int or Fraction (a float, say), is a TypeError.  Values the ring builds itself
 (sums, negatives, products, derivatives, restrictions) are canonical by
 construction and skip that re-validation.  Products of term maps go through
-one multiply-accumulate helper, mul_add, which VectorField.bracket shares.
+one multiply-accumulate helper, mul_add, which the field bracket's term-level
+kernel (VectorField._bracket_terms) and VectorField.apply share.
 
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.

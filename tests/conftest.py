@@ -80,6 +80,13 @@ def inverted(change: CoordinateChange) -> CoordinateChange:
     return CoordinateChange(change.ctx, change.inverse, change.forward)
 
 
+def provably_commute(u: VectorField, v: VectorField) -> bool:
+    """The support test of close() and the tensor, pair by pair: neither
+    field moves a variable that the other's coefficients read."""
+    (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
+    return not (moves_u & reads_v or moves_v & reads_u)
+
+
 def adjoint_matrix(L: LieAlgebra, v) -> list[list[Fraction]]:
     """Matrix of ad(v) on the basis from the structure constants alone:
     entry [k][j] is the e_k-coefficient of [v, e_j]."""

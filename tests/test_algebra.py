@@ -28,7 +28,7 @@ from vflie import (
     VariableContext,
     VectorField,
 )
-from vflie.linalg import coordinatize, echelon_of, null_space
+from vflie.linalg import coordinatize, echelon_of, null_space, uncoordinatize
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     oracle_quotient,
     oracle_rank,
     oracle_series_terms,
+    provably_commute,
     rng,
 )
 
@@ -191,7 +192,7 @@ def test_close_brackets_the_integer_rows(monkeypatch):
     # the unit rows are read once per basis field and for nothing else
     gens = build(random_spec("center-rank1", 7, 6)).generators
     calls = {"row": 0, "bracket": 0}
-    real_row, real_bracket = EchelonBasis.row, VectorField.bracket
+    real_row, real_bracket = EchelonBasis.row, VectorField._bracket_terms
 
     def counting_row(self, index):
         calls["row"] += 1
@@ -202,10 +203,91 @@ def test_close_brackets_the_integer_rows(monkeypatch):
         return real_bracket(self, other)
 
     monkeypatch.setattr(EchelonBasis, "row", counting_row)
-    monkeypatch.setattr(VectorField, "bracket", counting_bracket)
+    monkeypatch.setattr(VectorField, "_bracket_terms", counting_bracket)
     L = close(gens, cap_dim=200)
     assert L.dim == 88
     assert calls == {"row": 88, "bracket": 351}
+
+
+def test_tensor_brackets_the_pairs_its_support_classes_allow(monkeypatch):
+    # the tensor groups its operands by support masks and brackets only the
+    # pairs a < b of classes that may not commute, ascending: exactly the
+    # pairs that the per-pair support test keeps, with one support() call
+    # per operand where the per-pair test made two per pair
+    L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
+    echelon = L._echelon
+    scaled = [uncoordinatize(echelon.primitive_row(i), ctx) for i in echelon.order()]
+    index = {u: k for k, u in enumerate(scaled)}
+    assert len(index) == L.dim == 88
+    expected = [
+        (a, b)
+        for (a, u), (b, v) in combinations(enumerate(scaled), 2)
+        if not provably_commute(u, v)
+    ]
+    pairs, supports = [], []
+    real_bracket, real_support = VectorField._bracket_terms, VectorField.support
+
+    def recording_bracket(u, v):
+        pairs.append((index[u], index[v]))
+        return real_bracket(u, v)
+
+    def counting_support(v):
+        supports.append(v)
+        return real_support(v)
+
+    monkeypatch.setattr(VectorField, "_bracket_terms", recording_bracket)
+    monkeypatch.setattr(VectorField, "support", counting_support)
+    fresh = LieAlgebra(L.ctx, echelon)
+    assert pairs == expected and len(pairs) == 165
+    assert len(supports) == 88
+    assert fresh.structure == L.structure and list(fresh.structure) == sorted(fresh.structure)
+    supports.clear()
+    monkeypatch.setattr(VectorField, "_bracket_terms", real_bracket)
+    close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
+    assert len(supports) == 938  # 8,506 when the tensor tested every pair
+
+
+def test_close_hands_over_only_current_operands(monkeypatch):
+    # close() hands LieAlgebra the fields it made from rows that no later
+    # insert changed: each equals a fresh one, the tensor is the one a fresh
+    # constructor builds, and some rows do go stale and are left out
+    draws = [build(random_spec(recipe, 0, 3)).generators for recipe in RECIPES]
+    draws.append(build(random_spec("center-rank1", 7, 6)).generators)
+    handed = []
+    real_init = LieAlgebra.__init__
+
+    def recording_init(self, ctx, echelon, **kw):
+        handed.append(kw.get("_operands"))
+        real_init(self, ctx, echelon, **kw)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", recording_init)
+    stale = 0
+    for gens in draws:
+        handed.clear()
+        L = close(gens, cap_dim=200)
+        operands = handed[0]
+        for i, u in operands.items():
+            assert u == uncoordinatize(L._echelon.primitive_row(i), L.ctx)
+        stale += L.dim - len(operands)
+        fresh = LieAlgebra(L.ctx, L._echelon)
+        assert handed[-1] is None
+        assert fresh.structure == L.structure
+        assert list(fresh.structure) == list(L.structure)
+    assert stale > 0
+
+
+def test_zero_generators_close_through_the_vector_path():
+    zero = F("0")
+    assert close([zero]).dim == 0
+    assert close([zero], cap_degree=1).dim == 0  # the zero field has degree -1
+    L = close([zero, F("Dx")])
+    assert L.dim == 1 and L.basis == (F("Dx"),)
+    # [x^2*Dx, x^2*Dy] = 2*x^3*Dy: the cap names the bracket's degree
+    with pytest.raises(ClosureCapExceeded) as info:
+        algebra("0", "x^2*Dx", "x^2*Dy", cap_degree=2)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_degree", 2, 2, 1, 0)
+    assert "degree 3" in str(exc)
 
 
 def test_cap_degree_is_a_closure_limit():
@@ -502,6 +584,24 @@ def test_lower_central_series_insert_count_is_pinned(monkeypatch):
     assert report.dims == (33, 30, 28, 23, 14, 0) and report.terminated_at_zero
     assert all(inserted), "an empty vector reached the echelon"
     assert len(inserted) == 135
+
+
+def test_layers_skip_central_generators(monkeypatch):
+    # every e_v of an abelian algebra is central, so its chain W_1, 0 needs
+    # no bracket at all
+    draws = [close(build(random_spec("abelian-rank2", s, 3)).generators) for s in range(13)]
+    calls = []
+    real_bracket = LieAlgebra._bracket
+
+    def counting_bracket(self, u, w):
+        calls.append(1)
+        return real_bracket(self, u, w)
+
+    monkeypatch.setattr(LieAlgebra, "_bracket", counting_bracket)
+    for L in draws:
+        assert L.is_abelian()
+        assert L._nilpotency_certificate == (tuple(range(L.dim)), (L.dim, 0))
+    assert calls == []
 
 
 # (generators, lower-central dims, derived dims, center) of the ad-image loop

@@ -1,8 +1,9 @@
 """Property-based checks with hypothesis: the text round trip, the field
 bracket against the term-list oracle and the Lie identities, canonical ring
 results, the monomial order, the support test that lets close() skip a
-bracket, the integer echelon kernel and its coordinates against the dense
-oracles, run-time exactness, pushforward as a bracket homomorphism,
+bracket, the term-level bracket kernel against the field bracket, the
+integer echelon kernel and its coordinates against the dense oracles,
+run-time exactness, pushforward as a bracket homomorphism,
 closure invariance under a change of generating set, and the series and
 center of nilpotent and non-nilpotent closures against the dense oracles.
 Derandomized, so every run draws the same examples."""
@@ -12,6 +13,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,14 @@ from vflie import (
     close,
     random_spec,
 )
-from vflie.linalg import EchelonBasis, coordinatize, null_space, uncoordinatize
+from vflie.algebra import _bracket_unless_commuting
+from vflie.linalg import (
+    EchelonBasis,
+    coordinatize,
+    coordinatize_terms,
+    null_space,
+    uncoordinatize,
+)
 from vflie.parser import parse_expression, parse_field
 from vflie.ring import ExpMonomial
 
@@ -41,6 +50,7 @@ from conftest import (
     oracle_member,
     oracle_row_basis,
     oracle_series_terms,
+    provably_commute,
 )
 
 ctx = DEFAULT_CONTEXT
@@ -212,11 +222,6 @@ def test_express_matches_oracle_in_any_insertion_order(vs, data):
 # -- the support test of close() -----------------------------------------------
 
 
-def provably_commute(u: VectorField, v: VectorField) -> bool:
-    (moves_u, reads_u), (moves_v, reads_v) = u.support(), v.support()
-    return not (moves_u & reads_v or moves_v & reads_u)
-
-
 @st.composite
 def supported_fields(draw) -> VectorField:
     """A field that moves and reads only drawn subsets of the variables,
@@ -254,6 +259,41 @@ def test_support_test_is_sound(u, v):
         assert u.bracket(v).is_zero and v.bracket(u).is_zero
 
 
+# fractional rates, as in test_algebra.EXP_RATIONAL_RATES: an integer operand
+# times such a rate gives a Fraction coefficient
+fractional_rates = st.sampled_from(
+    (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(1, 7))
+)
+fractional_terms = st.tuples(
+    st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[fractional_rates] * 3), coefficients
+)
+zero_field = ctx.field([ExpPoly.zero(3)] * 3)
+operands = st.one_of(fields(3, fractional_terms), supported_fields(), st.just(zero_field))
+
+
+def integer_operand(v: VectorField) -> VectorField:
+    """v times the lcm of its denominators, with int coefficients, as
+    uncoordinatize makes it from a primitive integer row."""
+    vec = coordinatize(v)
+    scale = lcm(1, *(c.denominator for c in vec.values()))
+    return uncoordinatize({k: int(c * scale) for k, c in vec.items()}, ctx)
+
+
+@settings(checks, max_examples=150)
+@given(operands, operands)
+def test_bracket_kernel_matches_coordinatized_bracket(u, v):
+    # the kernel's vector is coordinatize(u.bracket(v)), also on the
+    # int-coefficient operands that close() makes from primitive rows
+    for a, b in ((u, v), (v, u), (integer_operand(u), integer_operand(v))):
+        want = coordinatize(a.bracket(b))
+        assert coordinatize_terms(a._bracket_terms(b)) == want
+        got = _bracket_unless_commuting(a, b)
+        if provably_commute(a, b):
+            assert got is None and not want
+        else:
+            assert got == (want or None)
+
+
 def test_support_test_examples():
     # both move z only and read only x and y: every term X_z * d/dz vanishes
     assert provably_commute(parse_field("x*y*Dz", ctx), parse_field("y^2*exp(y)*Dz", ctx))
@@ -267,7 +307,7 @@ def test_support_test_examples():
 def test_close_never_brackets_a_provably_commuting_pair(monkeypatch):
     draws = [build(random_spec(recipe, seed, 3)).generators for recipe in RECIPES for seed in (0, 1)]
     draws.append(build(random_spec("center-rank1", 23, 6)).generators)
-    real_bracket = VectorField.bracket
+    real_bracket = VectorField._bracket_terms
     calls, skippable = 0, []
 
     def counting_bracket(u, v):
@@ -277,7 +317,7 @@ def test_close_never_brackets_a_provably_commuting_pair(monkeypatch):
             skippable.append((str(u), str(v)))
         return real_bracket(u, v)
 
-    monkeypatch.setattr(VectorField, "bracket", counting_bracket)
+    monkeypatch.setattr(VectorField, "_bracket_terms", counting_bracket)
     skipping = [close(gens) for gens in draws]
     skipped_calls = calls
     assert skippable == []
