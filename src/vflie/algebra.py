@@ -250,13 +250,14 @@ class LieAlgebra:
     Built from the (component, monomial)-keyed echelon of a bracket-closed
     span, which it keeps as its one record of the span.  The basis is the
     unit rows in pivot order.  The tensor brackets the fields of the
-    primitive integer rows, h_a*e_a and h_b*e_b, reduces the bracket's
-    coordinates on the echelon, and divides them by h_a*h_b, since
-    [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b]; a bracket outside the span
-    raises InternalInvariantViolation.  The operands fall into at most 64
-    support classes (VectorField.support), and only the pairs a < b whose
-    classes the support test cannot prove commuting are bracketed, in
-    ascending (a, b) order.  Series, ideal checks, quotients and split lifts
+    primitive integer rows, h_a*e_a and h_b*e_b, reads the bracket's value
+    c at each pivot it hits (its coordinate on that unit row, by full
+    reduction) and builds each structure constant as one Fraction,
+    Fraction(c, h_a*h_b), since [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b]; a
+    bracket outside the span raises InternalInvariantViolation.  The
+    operands fall into at most 64 support classes (VectorField.support),
+    and only the pairs a < b whose classes the support test cannot prove
+    commuting are bracketed, in ascending (a, b) order.  Series, ideal checks, quotients and split lifts
     walk only the tensor's nonzero entries, through the ad tables.
 
     close() passes _operands, the fields it already made, by row index, for
@@ -299,14 +300,15 @@ class LieAlgebra:
                 vec = coordinatize_terms(u._bracket_terms(scaled[b]))
                 if not vec:
                     continue
-                residual, coeffs = echelon.reduce(vec)
+                residual, _, coeffs = echelon._residual(vec)
                 if residual:
                     raise InternalInvariantViolation(
                         "bracket of basis elements escapes the span; closure is broken"
                     )
                 scale = heads[a] * heads[b]
                 self.structure[(a, b)] = {
-                    k: c / scale for k, c in sorted((position[i], c) for i, c in coeffs.items())
+                    k: Fraction(c, scale)
+                    for k, c in sorted((position[i], c) for i, c in coeffs.items())
                 }
         # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
         self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]

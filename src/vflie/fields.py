@@ -15,6 +15,9 @@ DEFAULT_NAMES = ("x", "y", "z")
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
+# sparse (index, nonzero ring element) pairs, as the Jacobian cache keeps them
+Entries = tuple[tuple[int, ExpPoly], ...]
+
 
 @dataclass(frozen=True)
 class VariableContext:
@@ -66,13 +69,14 @@ DEFAULT_CONTEXT = VariableContext(DEFAULT_NAMES)
 class VectorField:
     """First-order differential operator sum_i comps[i] * d/d(var i).
 
-    The Jacobian (d comps[i] / d var j for all i, j) is computed lazily, on
-    the field's first bracket, and kept in a slot, so a field bracketed many
-    times is differentiated n^2 times in all.  So are the support masks of
-    `support()`: bit j of `moves` is set when comps[j] is nonzero, and bit j
-    of `reads` when some coefficient depends on var j (a power > 0 or a rate
-    != 0).  The caches take no part in == or hash, and the field stays
-    immutable to callers.
+    The sparse Jacobian (`_jacobian`) is computed lazily, on the field's
+    first bracket, and kept in a slot: each nonzero component is
+    differentiated once in each variable the field reads, so a field
+    bracketed many times costs (nonzero components) x (read variables)
+    derivatives in all.  So are the support masks of `support()`: bit j of
+    `moves` is set when comps[j] is nonzero, and bit j of `reads` when some
+    coefficient depends on var j (a power > 0 or a rate != 0).  The caches
+    take no part in == or hash, and the field stays immutable to callers.
     """
 
     __slots__ = ("ctx", "comps", "_jac", "_support")
@@ -134,12 +138,26 @@ class VectorField:
                 mul_add(out, c, p.diff(i))
         return _poly(p.nvars, out)
 
-    def _jacobian(self) -> tuple[tuple[ExpPoly, ...], ...]:
-        """Entry [i][j] is d comps[i] / d var j; computed once per field."""
+    def _jacobian(self) -> tuple[Entries, tuple[Entries, ...]]:
+        """(nonzero, columns), computed once per field: nonzero lists the
+        pairs (j, comps[j]) with comps[j] != 0, and columns[j] the pairs
+        (i, d comps[i] / d var j) with a nonzero derivative.
+
+        Only the variables the field reads are differentiated in; every
+        other column is empty.  The reads mask comes from the support slot:
+        close() and the tensor fill it in their support test before any
+        bracket, and support() fills it otherwise."""
         jac = self._jac
         if jac is None:
-            n = self.ctx.nvars
-            jac = tuple(tuple(c.diff(j) if c else c for j in range(n)) for c in self.comps)
+            reads = (self._support or self.support())[1]
+            nonzero = tuple((j, c) for j, c in enumerate(self.comps) if c)
+            columns = tuple(
+                tuple((i, d) for i, c in nonzero if (d := c.diff(j)))
+                if reads >> j & 1
+                else ()
+                for j in range(self.ctx.nvars)
+            )
+            jac = (nonzero, columns)
             object.__setattr__(self, "_jac", jac)
         return jac
 
@@ -181,17 +199,18 @@ class VectorField:
         caller; the contexts are not checked.
 
         Component i is sum_j self_j * d other_i/d var j - other_j * d self_i/d var j,
-        accumulated into one term map."""
-        n = self.ctx.nvars
-        v, w = self.comps, other.comps
-        dv, dw = self._jacobian(), other._jacobian()
-        comps = []
-        for i in range(n):
-            out: dict = {}
-            for j in range(n):
-                mul_add(out, v[j], dw[i][j])
-                mul_add(out, w[j], dv[i][j], -1)
-            comps.append(out)
+        accumulated into one term map over the sparse Jacobians: only the
+        nonzero self_j meet only the nonzero d other_i/d var j, and likewise
+        for the mirror term, so no product has a zero factor."""
+        v, dv = self._jacobian()
+        w, dw = other._jacobian()
+        comps: list[dict] = [{} for _ in range(self.ctx.nvars)]
+        for j, vj in v:
+            for i, d in dw[j]:
+                mul_add(comps[i], vj, d)
+        for j, wj in w:
+            for i, d in dv[j]:
+                mul_add(comps[i], wj, d, -1)
         return comps
 
     def pushforward(self, change: "CoordinateChange") -> "VectorField":

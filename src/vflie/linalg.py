@@ -58,7 +58,7 @@ def coordinatize_terms(comps: Iterable[Mapping[ExpMonomial, Any]]) -> CoordVecto
 def degree_of(vec: CoordVector) -> int:
     """Total degree of the field with coordinates vec: the largest over its
     monomials, and -1 for the zero vector, as ExpPoly.degree counts it."""
-    return max((mono.degree for _, mono in vec), default=-1)
+    return max((sum(mono[1]) for _, mono in vec), default=-1)
 
 
 def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
@@ -200,10 +200,14 @@ class EchelonBasis:
         """Every row with unit pivot, in insertion order."""
         return [self.row(i) for i in range(len(self._ints))]
 
-    def _residual(self, vec: Mapping) -> tuple[dict, int, dict[int, Fraction]]:
+    def _residual(self, vec: Mapping) -> tuple[dict, int, dict[int, Any]]:
         """(r, s, coeffs): an integer residual r and scale s with
         vec - sum(coeffs[i] * row(i)) == r / s, where coeffs[i] is vec's
-        value at the pivot of row i, for every pivot that vec hits."""
+        value at the pivot of row i, as given (an int for an int vector),
+        for every pivot that vec hits.  The scale starts at 1 and takes an
+        lcm only for a denominator other than 1, so a vector of ints, such
+        as a bracket of close()'s integer operands without fractional
+        rates, takes none for its entries."""
         v = {k: c for k, c in vec.items() if c}
         pivot_row, ints = self._pivot_row, self._ints
         hits = [(k, ints[pivot_row[k]]) for k in v if k in pivot_row]
@@ -211,7 +215,8 @@ class EchelonBasis:
         scale = 1
         try:
             for c in v.values():
-                scale = _lcm(scale, c.denominator)
+                if c.denominator != 1:
+                    scale = _lcm(scale, c.denominator)
         except AttributeError:
             key = next(k for k, c in v.items() if not hasattr(c, "denominator"))
             raise TypeError(f"coefficient at key {key!r} is not rational: {v[key]!r}") from None

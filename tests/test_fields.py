@@ -58,22 +58,26 @@ def test_bracket_numeric_cross_check():
 
 
 def test_bracket_differentiates_each_field_once(monkeypatch):
-    # each field's Jacobian is computed on first use and kept: bracketing one
-    # field against ten others takes at most n^2 derivatives per field
+    # each field's sparse Jacobian is computed on first use and kept: every
+    # nonzero component is differentiated once in each variable the field
+    # reads, and in no other
     calls = []
     original = ExpPoly.diff
 
     def counted(self, index):
-        calls.append(index)
+        calls.append((self, index))
         return original(self, index)
 
     monkeypatch.setattr(ExpPoly, "diff", counted)
-    texts = [f"y*Dx + x^{k}*exp(y)*Dz + z*Dy" for k in range(11)]
+    texts = [f"y*Dx + x^{k}*exp(y)*Dz + z*Dy" for k in range(11)] + ["x*y*Dz"]
     v, *others = [F(t) for t in texts]
     fresh = [F(t) for t in texts]
     hashes = [hash(f) for f in fresh]
     first = [v.bracket(w) for w in others]
-    assert 0 < len(calls) <= 9 * len(texts)
+    # k = 0 reads y and z, k = 1..10 read all three, x*y*Dz reads x and y
+    assert len(calls) == 3 * 2 + 10 * 3 * 3 + 1 * 2
+    xy = others[-1].comps[2]
+    assert sorted(j for p, j in calls if p is xy) == [0, 1]
     count = len(calls)
     assert [v.bracket(w) for w in others] == first
     assert len(calls) == count

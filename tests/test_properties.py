@@ -15,9 +15,11 @@ import pickle
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vflie.fields
 from vflie import (
     ClosureCapExceeded,
     DEFAULT_CONTEXT,
@@ -292,6 +294,25 @@ def test_bracket_kernel_matches_coordinatized_bracket(u, v):
             assert got is None and not want
         else:
             assert got == (want or None)
+
+
+@settings(checks, max_examples=150)
+@given(operands, operands)
+def test_bracket_kernel_never_multiplies_by_zero(u, v):
+    # the sparse kernel meets only nonzero components with nonzero Jacobian
+    # entries, so no product it forms has a zero factor
+    factors = []
+    real_mul_add = vflie.fields.mul_add
+
+    def recording(out, a, b, sign=1):
+        factors.append((a, b))
+        real_mul_add(out, a, b, sign)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vflie.fields, "mul_add", recording)
+        for a, b in ((u, v), (v, u), (integer_operand(u), integer_operand(v))):
+            a._bracket_terms(b)
+    assert all(a and b for a, b in factors)
 
 
 def test_support_test_examples():
