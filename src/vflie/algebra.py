@@ -52,6 +52,7 @@ from .linalg import (
     to_sparse,
     uncoordinatize,
 )
+from .ring import _rational
 
 DEFAULT_CAP_DIM = 64
 DEFAULT_CAP_ROUNDS = 32
@@ -263,6 +264,13 @@ class LieAlgebra:
     close() passes _operands, the fields it already made, by row index, for
     the rows that no insert changed since; each other row's field is made
     here.
+
+    What an algebra computes once, it keeps: both series, [g, g] and the
+    nilpotency certificate, the center's coefficients and fields, and per
+    kept set the parts of a projection (its image algebra, kernel fields
+    and kernel coefficients), never the Projection itself.  None of these
+    refers back to the algebra, so an algebra makes no reference cycle and
+    is freed by reference counting alone, not left to the cyclic collector.
     """
 
     def __init__(
@@ -316,7 +324,10 @@ class LieAlgebra:
             self._ad[i][j] = comps
             self._ad[j][i] = {k: -c for k, c in comps.items()}
         self._center_coeffs: list[list[Fraction]] | None = None
+        self._center_fields: tuple[VectorField, ...] | None = None
         self._series: dict[str, SeriesReport] = {}
+        # sorted kept indices -> (image, kernel fields, kernel coefficients)
+        self._projections: dict[tuple[int, ...], tuple] = {}
 
     # -- basics --------------------------------------------------------------
 
@@ -370,11 +381,22 @@ class LieAlgebra:
         return to_dense(self._bracket(to_sparse(u), to_sparse(w)), self.dim)
 
     def element(self, coeffs: Sequence[Fraction]) -> VectorField:
-        """sum_k coeffs[k] * basis[k], summed in coordinates."""
+        """sum_k coeffs[k] * basis[k] for one int or Fraction per basis
+        element (TypeError for any other value, a float included, and
+        ValueError for a vector of the wrong length).
+
+        A vector with one nonzero coefficient c, at k, is basis[k] itself
+        when c == 1 and basis[k] * c otherwise, so no coordinates are
+        summed; any other vector is summed in coordinates.
+        """
+        values = self._checked(coeffs)
+        nonzero = [k for k, c in enumerate(values) if c]
+        if len(nonzero) == 1:
+            k = nonzero[0]
+            return self.basis[k] if values[k] == 1 else self.basis[k] * values[k]
         vec: dict = {}
-        for c, row in zip(coeffs, self._order):
-            if c:
-                _axpy(vec, self._echelon.row(row), Q(c))
+        for k in nonzero:
+            _axpy(vec, self._echelon.row(self._order[k]), values[k])
         return uncoordinatize(vec, self.ctx)
 
     def express(self, field: VectorField) -> list[Fraction]:
@@ -393,10 +415,15 @@ class LieAlgebra:
     def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> list[Fraction]:
         if isinstance(v, VectorField):
             return self.express(v)
-        coeffs = [Q(c) for c in v]
-        if len(coeffs) != self.dim:
+        return [Q(c) for c in self._checked(v)]
+
+    def _checked(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
+        """coeffs as a list, once each is an int or Fraction and there is one
+        per basis element."""
+        values = [_rational(c, "coefficient") for c in coeffs]
+        if len(values) != self.dim:
             raise ValueError("coefficient vector has the wrong length")
-        return coeffs
+        return values
 
     # -- center ---------------------------------------------------------------
 
@@ -427,7 +454,14 @@ class LieAlgebra:
         return self._center_coeffs
 
     def center(self) -> list[VectorField]:
-        return [self.element(v) for v in self.center_coeffs()]
+        """The center as fields, element() of each center_coeffs() vector.
+
+        Computed once per algebra; each call returns a new list of the same
+        fields, so a caller may change the list it gets.
+        """
+        if self._center_fields is None:
+            self._center_fields = tuple(self.element(v) for v in self.center_coeffs())
+        return list(self._center_fields)
 
     # -- series and flags -------------------------------------------------------
 
@@ -542,17 +576,32 @@ class LieAlgebra:
 
         Requires every component of every basis element to depend only on the
         kept variables (this is what makes the dropped part an abelian ideal
-        and the kept part a homomorphic image).
+        and the kept part a homomorphic image).  The kept variables may be
+        names or indices, in any order.  The image algebra, the kernel
+        fields and the kernel coefficients are computed once per sorted kept
+        set, and each call returns a new Projection around them; a
+        ProjectionHypothesisViolated is not kept, so it is raised again on
+        every call.
         """
-        indices = sorted(
+        indices = tuple(sorted(
             self.ctx.index(k) if isinstance(k, str) else int(k) for k in kept
-        )
+        ))
         if not indices or len(set(indices)) != len(indices):
             raise ValueError("kept variables must be a nonempty distinct subset")
         if not all(0 <= i < self.ctx.nvars for i in indices):
             raise ValueError("kept variable index out of range")
         if len(indices) == self.ctx.nvars:
             raise ValueError("at least one variable must be dropped")
+        parts = self._projections.get(indices)
+        if parts is None:
+            parts = self._projections[indices] = self._projection_parts(indices)
+        return Projection(self, indices, *parts)
+
+    def _projection_parts(
+        self, indices: tuple[int, ...]
+    ) -> tuple["LieAlgebra", tuple[VectorField, ...], tuple[tuple[Fraction, ...], ...]]:
+        """(image, kernel fields, kernel coefficients) of project(indices):
+        what project() keeps, none of it referring back to this algebra."""
         for b in self.basis:
             for ci, comp in enumerate(b.comps):
                 if not comp.depends_only_on(indices):
@@ -571,13 +620,7 @@ class LieAlgebra:
         kernel_fields = tuple(self.element(v) for v in kernel_coeffs)
         if image.dim + len(kernel_fields) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")
-        return Projection(
-            self,
-            tuple(indices),
-            image,
-            kernel_fields,
-            tuple(tuple(v) for v in kernel_coeffs),
-        )
+        return image, kernel_fields, tuple(tuple(v) for v in kernel_coeffs)
 
     # -- ideals and quotients --------------------------------------------------------
 

@@ -34,7 +34,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
 from .fields import VariableContext, VectorField
-from .ring import ExpMonomial, ExpPoly, Q, _poly
+from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational
 
 Key = tuple[int, ExpMonomial]
 CoordVector = dict[Key, Fraction]
@@ -78,8 +78,9 @@ def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
 
 
 def to_sparse(vec: Sequence[Fraction]) -> SparseVector:
-    """Integer-key sparse form of a dense coefficient list."""
-    return {i: Q(c) for i, c in enumerate(vec) if c}
+    """Integer-key sparse form of a dense list of ints and Fractions; any
+    other value, a float included, raises TypeError."""
+    return {i: Q(c) for i, c in enumerate(vec) if _rational(c, "coefficient")}
 
 
 def to_dense(vec: Mapping[int, Fraction], n: int) -> list[Fraction]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -24,9 +26,12 @@ from vflie import (
     ProjectionHypothesisViolated,
     RECIPES,
     build,
+    classify,
     close,
     generic_rank,
+    jordan_chains,
     random_spec,
+    split_check,
     VariableContext,
     VectorField,
 )
@@ -516,6 +521,44 @@ def test_express_and_element_round_trip():
         L.express(F("x^5*Dz"))
 
 
+def test_element_of_a_unit_vector_is_the_basis_field():
+    L = algebra(*EX_EXP)
+    for k in range(L.dim):
+        for one in (1, Q(1)):
+            unit = [0] * L.dim
+            unit[k] = one
+            assert L.element(unit) is L.basis[k]
+        unit[k] = Q(-3, 2)
+        assert L.element(unit) == L.basis[k] * Q(-3, 2)
+    assert L.element([0] * L.dim).is_zero
+
+
+def test_element_checks_the_length_of_the_vector():
+    # zip would drop the fourth coefficient, or read a missing one as zero
+    L = algebra(*HEISENBERG)
+    for coeffs in ([1, 1, 1, 1], [1, 1], [], [0, 0, 1, 0]):
+        with pytest.raises(ValueError, match="wrong length"):
+            L.element(coeffs)
+    assert str(L.element([1, 1, 1])) == "Dx + y*Dx + Dz + x*Dz"
+
+
+def test_float_coefficients_are_type_errors():
+    # Fraction(0.5) would pass for 1/2, and Fraction(0.1) is not 1/10
+    L = algebra(*HEISENBERG)
+    calls = (
+        L.element,
+        lambda v: L.ideal_subspace([v]),
+        lambda v: L.verify_ideal([v]),
+        lambda v: L.quotient_structure([v]),
+    )
+    for call in calls:
+        for coeffs in ([0.5, 0, 0], [0, 0, 0.1], [0.0, 0, 1]):
+            with pytest.raises(TypeError, match="is not an int or Fraction"):
+                call(coeffs)
+    assert L.element([Q(1, 2), 0, 0]) == F("1/2*Dx")
+    assert L.quotient_structure([[0, 0, Q(1, 2)]]).dim == 2
+
+
 def test_membership_checks_the_context():
     L = algebra(*HEISENBERG)
     other = parse_field("Da", VariableContext(("a", "b", "c")))
@@ -560,6 +603,34 @@ def test_center_matches_oracle_randomized():
         for seed in range(3):
             L = close(build(random_spec(recipe, seed, 2)).generators)
             assert len(L.center()) == center_oracle(L)
+
+
+def test_center_fields_are_computed_once(monkeypatch):
+    L = algebra(*EX_EXP)
+    first = L.center()
+    calls = []
+    real_null_space = vflie.algebra.null_space
+    real_element = LieAlgebra.element
+
+    def counting_null_space(columns):
+        calls.append("null_space")
+        return real_null_space(columns)
+
+    def counting_element(self, coeffs):
+        calls.append("element")
+        return real_element(self, coeffs)
+
+    monkeypatch.setattr(vflie.algebra, "null_space", counting_null_space)
+    monkeypatch.setattr(LieAlgebra, "element", counting_element)
+    second = L.center()
+    assert calls == []
+    assert second == first and second is not first
+    second.clear()
+    assert L.center() == first and len(first) == 4
+    assert calls == []
+    # a fresh algebra computes its own center through both
+    assert algebra(*EX_EXP).center() == first
+    assert "null_space" in calls and "element" in calls
 
 
 # -- series -------------------------------------------------------------------------
@@ -861,6 +932,56 @@ def test_projection_matches_closing_the_restricted_images():
                 assert proj.kernel_coeffs == tuple(map(tuple, null_space(padded)))
                 checked += 1
     assert checked > len(sources)
+
+
+def test_projection_parts_are_computed_once_per_kept_set(monkeypatch):
+    L = algebra(*EX_EXP)
+    first = L.project(["x", "y"])
+    real_init = LieAlgebra.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", counting_init)
+    for kept in (["x", "y"], ["y", "x"], [1, 0], (0, 1), ["y", 0]):
+        again = L.project(kept)
+        assert again is not first and again.source is L and again.kept == (0, 1)
+        assert again.kernel_coeffs == first.kernel_coeffs
+        assert again.kernel_basis == first.kernel_basis
+        assert again.image.basis == first.image.basis
+    assert built == []
+    # each kept set has its own parts
+    T = algebra("Dx", "Dy", "Dz")
+    built.clear()
+    assert T.project(["x", "y"]).kernel_dim == 1 and T.project(["z"]).kernel_dim == 2
+    assert T.project([1, 0]).image.dim == 2 and len(built) == 2
+    broken = algebra("Dx", "z*Dx")
+    for _ in range(2):
+        with pytest.raises(ProjectionHypothesisViolated):
+            broken.project(["x", "y"])
+
+
+def test_an_analysed_algebra_is_freed_by_reference_counting():
+    # every cache holds data without a reference back to the algebra, so
+    # the last reference going frees it with the cyclic collector off
+    L = algebra(*EX_SPLIT_FAIL)
+    ref = weakref.ref(L)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        center = L.center()
+        kernel = list(L.project(["x", "y"]).kernel_coeffs)
+        report = classify(L)
+        chains = jordan_chains(L, L.basis[0], kernel)
+        verdict = split_check(L, kernel)
+        assert center and report.case and chains.chains and verdict.split is not None
+        del L
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_projection_with_an_empty_image():

@@ -245,6 +245,19 @@ def test_jordan_two_chain_example():
     assert sorted(str(t) for t in jd.terminals) == ["2*Dx", "Dy"]
 
 
+def test_float_coefficient_vectors_are_type_errors():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968: no float
+    # becomes a basis coordinate, whether operator, ideal row or ideal
+    L = algebra(*HEISENBERG)
+    with pytest.raises(TypeError, match="coefficient 0.5 is not an int or Fraction"):
+        jordan_chains(L, [0.5, 0, 0], [2])
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        jordan_chains(L, F("Dx"), [[0, 0, 0.5]])
+    with pytest.raises(TypeError, match="is not an int or Fraction"):
+        split_check(L, [[0, 0, 0.5]])
+    assert jordan_chains(L, [Q(1, 2), 0, 0], [2]).operator == F("1/2*Dx")
+
+
 def test_jordan_aligned_heads_degree_pattern():
     L = algebra(*TWO_CHAIN)
     proj = L.project(["z"])

@@ -4,8 +4,9 @@ results, the monomial order, the support test that lets close() skip a
 bracket, the term-level bracket kernel against the field bracket, the
 integer echelon kernel and its coordinates against the dense oracles,
 run-time exactness, pushforward as a bracket homomorphism,
-closure invariance under a change of generating set, and the series and
-center of nilpotent and non-nilpotent closures against the dense oracles.
+closure invariance under a change of generating set, basis combinations
+(LieAlgebra.element) against term-list sums, and the series and center of
+nilpotent and non-nilpotent closures against the dense oracles.
 Derandomized, so every run draws the same examples."""
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from vflie.ring import ExpMonomial
 
 from conftest import (
     naive_add,
+    naive_canon,
     naive_diff,
     naive_mul,
     naive_of,
@@ -482,6 +484,33 @@ def test_closure_ignores_generator_order_and_scale(recipe, seed, data):
     M = close([gens[i] * s for i, s in zip(order, scales)])
     assert M.basis == L.basis
     assert M.structure == L.structure
+
+
+def naive_combination(basis, coeffs) -> list[dict]:
+    """sum_k coeffs[k] * basis[k] per component, on raw term lists."""
+    return [
+        naive_canon([(p, r, a * c) for b, a in zip(basis, coeffs) if a
+                     for p, r, c in naive_of(b.comps[i])])
+        for i in range(ctx.nvars)
+    ]
+
+
+@settings(checks, max_examples=30)
+@given(st.sampled_from(RECIPES), st.integers(0, 40), st.data())
+def test_element_is_the_sum_of_scaled_basis_fields(recipe, seed, data):
+    L = close(build(random_spec(recipe, seed, 2)).generators)
+    n = L.dim
+    k = data.draw(st.integers(0, n - 1))
+    vectors = [[0] * n]
+    for c in (-1, Fraction(1, 2), 3):
+        vectors.append([c if t == k else 0 for t in range(n)])
+    vectors.append(data.draw(st.lists(coefficients, min_size=n, max_size=n)))
+    vectors.append(data.draw(st.lists(
+        st.sampled_from((0, 1, -2, Fraction(1, 2), Fraction(-5, 3))), min_size=n, max_size=n)))
+    for coeffs in vectors:
+        v = L.element(coeffs)
+        assert [naive_canon(naive_of(c)) for c in v.comps] == naive_combination(L.basis, coeffs)
+        assert_fractions(c for comp in v.comps for c in comp.term_map().values())
 
 
 # nilpotent and non-nilpotent generators: affine and sl2 actions, a diagonal
