@@ -15,7 +15,9 @@ algebra are read from the brackets of a few unit vectors spanning a
 complement of [g, g], which generate g; ideal checks, quotients, split lifts
 and the series of any other algebra walk only the nonzero structure
 constants (LieAlgebra._ad_image), so a pair whose bracket is structurally
-zero is never visited.
+zero is never visited.  Every center, that of a central quotient included,
+is one routine: common_kernel over the ad tables (ad_tables) and a
+generating set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ClosureCapExceeded,
@@ -62,22 +64,34 @@ IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fracti
 Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero coords of [e_i, e_j]
 
 
-def center_of_tensor(
-    tensor: Mapping[tuple[int, int], Mapping[int, Fraction]], dim: int
-) -> list[list[Fraction]]:
-    """Center of the algebra with structure constants `tensor`, as the
-    canonical null space of the stacked adjoint maps.
+def ad_tables(tensor: Tensor, dim: int) -> list[dict[int, SparseVector]]:
+    """Entry [i][j] is [e_i, e_j] in basis coordinates, for each nonzero
+    bracket of the structure constants `tensor`."""
+    ad: list[dict[int, SparseVector]] = [{} for _ in range(dim)]
+    for (i, j), comps in tensor.items():
+        ad[i][j] = comps
+        ad[j][i] = {k: -c for k, c in comps.items()}
+    return ad
 
-    `tensor` maps (a, b) with a < b to the coordinates of [e_a, e_b].  Column
-    a of the stacked maps is ad(e_a) keyed by (b, c), so the center is every
-    x with sum_a x_a c(a, b, c) = 0 for all b and c.
-    """
-    columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(dim)]
-    for (a, b), comps in tensor.items():
-        for c, coeff in comps.items():
-            columns[a][b, c] = coeff
-            columns[b][a, c] = -coeff
+
+def common_kernel(ad: Sequence[Mapping], acting: Iterable[int]) -> list[list[Fraction]]:
+    """Canonical null-space basis of the stacked maps ad(e_v), v in acting:
+    the center when the e_v generate the algebra, since the centralizer of
+    an element is a subalgebra.  null_space gives the canonical basis of the
+    subspace, so the answer does not depend on the generating set."""
+    # column a, row (v, c): coefficient of e_c in [e_v, e_a]
+    columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(len(ad))]
+    for v in acting:
+        for a, comps in ad[v].items():
+            for c, coeff in comps.items():
+                columns[a][v, c] = coeff
     return null_space(columns)
+
+
+def _entries(tensor: Tensor) -> list[list]:
+    """The nonzero structure constants as sorted [a, b, c, str(value)] lists."""
+    return [[a, b, c, str(coeff)] for (a, b), comps in sorted(tensor.items())
+            for c, coeff in sorted(comps.items())]
 
 
 def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
@@ -238,11 +252,7 @@ class QuotientStructure:
         return len(self.rep_indices)
 
     def to_dict(self) -> dict:
-        entries = []
-        for (a, b), comps in sorted(self.tensor.items()):
-            for c, coeff in sorted(comps.items()):
-                entries.append([a, b, c, str(coeff)])
-        return {"rep_indices": list(self.rep_indices), "structure": entries}
+        return {"rep_indices": list(self.rep_indices), "structure": _entries(self.tensor)}
 
 
 class LieAlgebra:
@@ -265,10 +275,11 @@ class LieAlgebra:
     the rows that no insert changed since; each other row's field is made
     here.
 
-    What an algebra computes once, it keeps: both series, [g, g] and the
-    nilpotency certificate, the center's coefficients and fields, and per
-    kept set the parts of a projection (its image algebra, kernel fields
-    and kernel coefficients), never the Projection itself.  None of these
+    What an algebra computes once, it keeps: the ad tables (on first read),
+    both series, [g, g] and the nilpotency certificate, the center's
+    coefficients and fields, and per kept set the parts of a projection (its
+    image algebra, kernel fields and kernel coefficients), never the
+    Projection itself.  None of these
     refers back to the algebra, so an algebra makes no reference cycle and
     is freed by reference counting alone, not left to the cyclic collector.
     """
@@ -318,13 +329,6 @@ class LieAlgebra:
                     k: Fraction(c, scale)
                     for k, c in sorted((position[i], c) for i, c in coeffs.items())
                 }
-        # ad tables: self._ad[i][j] is [e_i, e_j] in basis coordinates
-        self._ad: list[dict[int, SparseVector]] = [{} for _ in range(self.dim)]
-        for (i, j), comps in self.structure.items():
-            self._ad[i][j] = comps
-            self._ad[j][i] = {k: -c for k, c in comps.items()}
-        self._center_coeffs: list[list[Fraction]] | None = None
-        self._center_fields: tuple[VectorField, ...] | None = None
         self._series: dict[str, SeriesReport] = {}
         # sorted kept indices -> (image, kernel fields, kernel coefficients)
         self._projections: dict[tuple[int, ...], tuple] = {}
@@ -334,6 +338,11 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _ad(self) -> list[dict[int, SparseVector]]:
+        """ad_tables of the structure tensor, built on first read."""
+        return ad_tables(self.structure, self.dim)
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant: coefficient of e_k in [e_i, e_j]."""
@@ -428,30 +437,17 @@ class LieAlgebra:
     # -- center ---------------------------------------------------------------
 
     def center_coeffs(self) -> list[list[Fraction]]:
-        """Canonical basis of the center, in basis coordinates.
+        """Canonical basis of the center in basis coordinates: common_kernel
+        of the e_v, v in V, when the nilpotency certificate holds (they
+        generate g), else of the whole basis; the route does not change the
+        answer.  Computed once; each call returns new lists."""
+        return [list(v) for v in self._center]
 
-        The centralizer of an element is a subalgebra, so whatever commutes
-        with a generating set is central.  When the nilpotency certificate
-        holds, the unit vectors e_v (v in V) generate g, and the center is
-        the common kernel of their ad maps: null-space columns from
-        self._ad[v] alone, at most |V| * dim rows.  Otherwise it is the null
-        space of every stacked ad map (center_of_tensor).  Both are the same
-        subspace, and null_space returns its canonical basis, so the answer
-        does not depend on the route.
-        """
-        if self._center_coeffs is None:
-            certificate = self._nilpotency_certificate
-            if certificate is None:
-                self._center_coeffs = center_of_tensor(self.structure, self.dim)
-            else:
-                # column a, row (v, c): coefficient of e_c in [e_v, e_a]
-                columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(self.dim)]
-                for v in certificate[0]:
-                    for a, comps in self._ad[v].items():
-                        for c, coeff in comps.items():
-                            columns[a][v, c] = coeff
-                self._center_coeffs = null_space(columns)
-        return self._center_coeffs
+    @cached_property
+    def _center(self) -> tuple[tuple[Fraction, ...], ...]:
+        certificate = self._nilpotency_certificate
+        acting = range(self.dim) if certificate is None else certificate[0]
+        return tuple(map(tuple, common_kernel(self._ad, acting)))
 
     def center(self) -> list[VectorField]:
         """The center as fields, element() of each center_coeffs() vector.
@@ -459,9 +455,11 @@ class LieAlgebra:
         Computed once per algebra; each call returns a new list of the same
         fields, so a caller may change the list it gets.
         """
-        if self._center_fields is None:
-            self._center_fields = tuple(self.element(v) for v in self.center_coeffs())
         return list(self._center_fields)
+
+    @cached_property
+    def _center_fields(self) -> tuple[VectorField, ...]:
+        return tuple(self.element(v) for v in self.center_coeffs())
 
     # -- series and flags -------------------------------------------------------
 
@@ -632,9 +630,7 @@ class LieAlgebra:
             raise ValueError("ideal must be nonempty")
         vecs: list[SparseVector] = []
         for item in items:
-            if isinstance(item, VectorField):
-                vecs.append(to_sparse(self.express(item)))
-            elif isinstance(item, int):
+            if isinstance(item, int):
                 if not 0 <= item < self.dim:
                     raise ValueError(f"basis index {item} out of range")
                 vecs.append({item: Q(1)})
@@ -684,15 +680,11 @@ class LieAlgebra:
         """
         center_fields = self.center()
         nilpotent = self.is_nilpotent()
-        entries = []
-        for (i, j), comps in sorted(self.structure.items()):
-            for k, coeff in sorted(comps.items()):
-                entries.append([i, j, k, str(coeff)])
         return {
             "variables": list(self.ctx.names),
             "basis": [str(b) for b in self.basis],
             "dim": self.dim,
-            "structure": entries,
+            "structure": _entries(self.structure),
             "nilpotent": nilpotent,
             "solvable": nilpotent or self.is_solvable(),
             "abelian": self.is_abelian(),

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
-from .algebra import IdealLike, LieAlgebra, center_of_tensor
+from .algebra import IdealLike, LieAlgebra, ad_tables, common_kernel
 from .errors import (
     ContextMismatch,
     IdealNotAbelian,
@@ -214,7 +214,7 @@ class JordanDecomposition:
         decomposition does not apply.
         """
         terms = self.terminals
-        n = terms[0].ctx.nvars
+        n = self.operator.ctx.nvars
         # row j is terminal j's constant components, tagged with unknown n + j:
         # reducing a vector over components leaves minus its terminal
         # coordinates on the tags, and nothing below n when it is in the span
@@ -358,7 +358,7 @@ def one_dim_ideals_mod_center(algebra: LieAlgebra) -> OneDimIdealFamily:
         raise NotNilpotent("one-dimensional-ideal analysis requires nilpotency")
     center = algebra.center_coeffs()
     quotient = algebra.quotient_structure(center)
-    qcenter = center_of_tensor(quotient.tensor, quotient.dim)
+    qcenter = common_kernel(ad_tables(quotient.tensor, quotient.dim), range(quotient.dim))
     lifts = []
     for vec in qcenter:
         coeffs = [Q(0)] * algebra.dim

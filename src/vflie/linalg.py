@@ -15,10 +15,11 @@ not rational (a float) raises TypeError.  Its keys are either (component,
 monomial) pairs, which coordinatize vector fields and are spelled only in
 this module, or integer basis coordinates, which the structure-constant
 layer uses; both kinds compare natively (ExpMonomial orders itself), so a
-row's pivot is just its least key.  The dense helpers (rref_dense,
-null_space_dense, solve_dense) are thin list adapters over integer-key
-bases; no engine code calls them, and they remain for the tests and the
-benchmark tracer (bench/tracing.py).
+row's pivot is just its least key.  One sparse multiply-accumulate, _axpy,
+serves the integer elimination and every Fraction combination alike.  The
+dense helpers (rref_dense, null_space_dense, solve_dense) are thin list
+adapters over integer-key bases; no engine code calls them, and they remain
+for the tests and the benchmark tracer (bench/tracing.py).
 generic_rank decides the pointwise-span dimension of a field family by
 greedy span growth over the fraction field: a field is kept when one of at
 most three small symbolic minors over the moved columns is nonzero, so a
@@ -87,10 +88,11 @@ def to_dense(vec: Mapping[int, Fraction], n: int) -> list[Fraction]:
     return [vec.get(i, ZERO) for i in range(n)]
 
 
-def _axpy(dst: dict, src: Mapping, scale: Fraction) -> None:
-    """dst += scale * src, dropping exact zeros."""
+def _axpy(dst: dict, src: Mapping, scale: Any) -> None:
+    """dst += scale * src, dropping exact zeros; integer rows with an int
+    scale stay int, so elimination and Fraction combinations share it."""
     for key, coeff in src.items():
-        acc = dst.get(key, ZERO) + scale * coeff
+        acc = dst.get(key, 0) + scale * coeff
         if acc:
             dst[key] = acc
         else:
@@ -107,16 +109,6 @@ def _gcd(a: int, b: int) -> int:
 def _lcm(a: int, b: int) -> int:
     """Least common multiple of two positive integers."""
     return a if a % b == 0 else a // _gcd(a, b) * b
-
-
-def _sub_multiple(dst: dict, src: Mapping, factor: int) -> None:
-    """dst -= factor * src on integer vectors, dropping exact zeros."""
-    for key, a in src.items():
-        acc = dst.get(key, 0) - factor * a
-        if acc:
-            dst[key] = acc
-        else:
-            dst.pop(key, None)
 
 
 def _primitive(vec: dict[Any, int], lead: Any) -> dict[Any, int]:
@@ -227,7 +219,7 @@ class EchelonBasis:
                 scale = _lcm(scale, c.denominator * (head // _gcd(c.numerator, head)))
         residual = {k: scale // c.denominator * c.numerator for k, c in v.items()}
         for k, row in hits:
-            _sub_multiple(residual, row, residual[k] // row[k])
+            _axpy(residual, row, -(residual[k] // row[k]))
         return residual, scale, {pivot_row[k]: v[k] for k, _ in hits}
 
     def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
@@ -250,7 +242,7 @@ class EchelonBasis:
             c = other.get(lead)
             if c:
                 combo = {k: head * a for k, a in other.items()}
-                _sub_multiple(combo, new, c)
+                _axpy(combo, new, -c)
                 self._ints[i] = _primitive(combo, self.pivots[i])
                 self._units[i] = None
                 dirtied.append(i)

@@ -19,55 +19,38 @@ basis symbol.  The zero field prints and parses as "0".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from string import ascii_letters, digits
 
 from .errors import ParseError
 from .fields import VariableContext, VectorField
 from .ring import ExpPoly, Q
 
-_SYMBOLS = "+-*^/()[]"
-_DIGITS = frozenset(digits)
-_NAME_START = frozenset(ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# one token after optional whitespace; \s accepts exactly what str.isspace does
+_TOKEN = re.compile(
+    r"\s*(?:(?P<NAT>[0-9]+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<SYMBOL>[-+*^/()\[\]]))"
+)
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # NAT | NAME | one of _SYMBOLS | END
+    kind: str  # NAT | NAME | the symbol itself | END
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("NAT", text[i:j], i))
-            i = j
-            continue
-        if ch in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
+    i = 0
+    while m := _TOKEN.match(text, i):
+        kind = m.lastgroup
+        tokens.append(_Token(m[kind] if kind == "SYMBOL" else kind, m[kind], m.start(kind)))
+        i = m.end()
+    rest = text[i:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 

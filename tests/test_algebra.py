@@ -48,6 +48,7 @@ from conftest import (
     naive_mul,
     naive_of,
     oracle_bracket,
+    oracle_center,
     oracle_member,
     oracle_quotient,
     oracle_rank,
@@ -633,6 +634,27 @@ def test_center_fields_are_computed_once(monkeypatch):
     assert "null_space" in calls and "element" in calls
 
 
+def test_center_coeffs_hands_out_copies():
+    # editing a vector before center() is first read used to edit the cache
+    expected = algebra(*HEISENBERG).center_coeffs()
+    L = algebra(*HEISENBERG)
+    edited = L.center_coeffs()
+    edited[0][0] = 1
+    edited[0][2] = 5
+    assert L.center_coeffs() == expected != edited
+    assert [str(v) for v in L.center()] == ["Dz"]
+    assert classify(L).subcase == "a"
+
+
+def test_ad_tables_are_built_on_first_read():
+    L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
+    assert "_ad" not in vars(L)
+    (i, j), comps = next(iter(L.structure.items()))
+    k, value = next(iter(comps.items()))
+    assert L.c(i, j, k) == value and L.c(j, i, k) == -value
+    assert vars(L)["_ad"] == vflie.algebra.ad_tables(L.structure, L.dim)
+
+
 # -- series -------------------------------------------------------------------------
 
 
@@ -712,21 +734,21 @@ FALLBACK = [
 @pytest.mark.parametrize("texts, lower, derived, center", FALLBACK)
 def test_non_nilpotent_algebras_take_the_fallback(monkeypatch, texts, lower, derived, center):
     L = algebra(*texts)
-    ad_images, tensor_centers = [], []
-    real_ad_image, real_center = LieAlgebra._ad_image, vflie.algebra.center_of_tensor
+    ad_images, kernel_acting = [], []
+    real_ad_image, real_kernel = LieAlgebra._ad_image, vflie.algebra.common_kernel
 
     def counting_ad_image(self, w):
         ad_images.append(w)
         return real_ad_image(self, w)
 
-    def counting_center(tensor, dim):
-        tensor_centers.append(dim)
-        return real_center(tensor, dim)
+    def counting_kernel(ad, acting):
+        kernel_acting.append(acting)
+        return real_kernel(ad, acting)
 
     monkeypatch.setattr(LieAlgebra, "_ad_image", counting_ad_image)
-    monkeypatch.setattr(vflie.algebra, "center_of_tensor", counting_center)
+    monkeypatch.setattr(vflie.algebra, "common_kernel", counting_kernel)
     assert L._nilpotency_certificate is None
-    assert L.center_coeffs() == center and tensor_centers == [L.dim]
+    assert L.center_coeffs() == center and kernel_acting == [range(L.dim)]
     for kind, dims in (("lower-central", lower), ("derived", derived)):
         report = L.series(kind)
         assert report.dims == dims
@@ -734,6 +756,23 @@ def test_non_nilpotent_algebras_take_the_fallback(monkeypatch, texts, lower, der
         assert list(dims) == [len(t) for t in oracle_series_terms(L, kind)]
     assert ad_images, "the lower-central series did not walk the ad images"
     assert not L.is_nilpotent()
+
+
+def test_both_center_routes_match_the_oracle(oracle_corpus):
+    """common_kernel over the whole basis and over the certificate's V give
+    the canonical center of the dense all-pairs oracle."""
+    draws = [close(build(random_spec(r, s, 2)).generators) for r in RECIPES for s in (1, 2)]
+    fallback = [algebra(*texts) for texts, *_ in FALLBACK]
+    certified = 0
+    for L in oracle_corpus + draws + fallback:
+        expected = oracle_center(L)
+        assert vflie.algebra.common_kernel(L._ad, range(L.dim)) == expected, L.dim
+        certificate = L._nilpotency_certificate
+        if certificate is not None:
+            certified += 1
+            assert vflie.algebra.common_kernel(L._ad, certificate[0]) == expected, L.dim
+        assert L.center_coeffs() == expected
+    assert certified == len(oracle_corpus) + len(draws)
 
 
 def test_nilpotency_certificate_premises(oracle_corpus):

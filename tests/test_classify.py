@@ -33,7 +33,16 @@ from vflie import (
 from vflie.classify import SUBCASE_UNDETERMINED
 from vflie.parser import parse_expression, parse_field
 
-from conftest import Q, naive_field_coords, oracle_coords, oracle_member, oracle_rank
+from conftest import (
+    Q,
+    naive_field_coords,
+    oracle_bracket,
+    oracle_center,
+    oracle_coords,
+    oracle_member,
+    oracle_quotient,
+    oracle_rank,
+)
 
 ctx = DEFAULT_CONTEXT
 
@@ -271,6 +280,13 @@ def test_jordan_aligned_heads_degree_pattern():
     assert short_head[0].degree < short_head[1].degree
 
 
+def test_jordan_aligned_heads_without_chains():
+    # the zero ideal has no chains, so there is no head to align
+    jd = jordan_chains(algebra(*HEISENBERG), [1, 0, 0], [[0, 0, 0]])
+    assert jd.chains == ()
+    assert jd.aligned_heads() == []
+
+
 def test_jordan_polynomial_example_three_chains():
     L = algebra(*EX_POLY)
     proj = L.project(["x", "y"])
@@ -328,6 +344,41 @@ def test_one_dim_ideals_two_chain_shape():
     assert (alpha, beta) != (0, 0)
     residual = lift - F("z*Dx") * alpha - F("z*Dy") * beta
     assert all(c.is_constant for c in residual.comps)
+
+
+def test_one_dim_ideal_lifts_match_the_oracles():
+    """Modulo the center, the lifts span the center of L/Z(L), as the dense
+    oracle_center and oracle_quotient give it: each lift brackets every
+    basis element into Z(L), the lifts are independent modulo Z(L), and
+    there are as many as the quotient's center has dimensions."""
+    checked = 0
+    for recipe in RECIPES:
+        for seed in range(3):
+            L = close(build(random_spec(recipe, seed, 2)).generators)
+            if L.is_abelian():
+                continue
+            center = oracle_center(L)
+            reps, tensor = oracle_quotient(L, center)
+            q = len(reps)
+
+            def mu(a: int, b: int, c: int) -> Fraction:
+                if a > b:
+                    return -mu(b, a, c)
+                return tensor.get((a, b), {}).get(c, Q(0))
+
+            constraints = [[mu(a, b, c) for a in range(q)] for b in range(q) for c in range(q)]
+            family = one_dim_ideals_mod_center(L)
+            assert family.center_dim == len(center)
+            assert family.parameter_dim == len(family.lifts) == q - oracle_rank(constraints)
+            lifts = [L.express(v) for v in family.lifts]
+            assert oracle_rank(center + lifts) == len(center) + len(lifts)
+            bracket = oracle_bracket(L)
+            units = [[Q(int(i == j)) for i in range(L.dim)] for j in range(L.dim)]
+            for lift in lifts:
+                for unit in units:
+                    assert oracle_member(center, bracket(lift, unit))
+            checked += 1
+    assert checked >= 15
 
 
 def test_one_dim_ideals_abelian_degenerate():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from string import ascii_letters, digits
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vflie import DEFAULT_CONTEXT, ParseError, VariableContext
-from vflie.parser import parse_expression, parse_field
+from vflie.parser import _tokenize, parse_expression, parse_field
 
 from conftest import rand_field, rand_poly, rng
 from vflie.ring import format_poly
@@ -123,3 +127,65 @@ def test_round_trip_on_random_fields():
         assert parse_field(str(v), DEFAULT_CONTEXT) == v
         # printing is canonical: a second round trip reproduces the string
         assert str(parse_field(str(v), DEFAULT_CONTEXT)) == str(v)
+
+
+# -- tokenizer ----------------------------------------------------------------------
+
+_SYMBOLS = "+-*^/()[]"
+_DIGITS = frozenset(digits)
+_NAME_START = frozenset(ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """A character-by-character scanner: ASCII digit runs, ASCII names, the
+    nine symbols, str.isspace skipped, anything else a ParseError."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("NAT", text[i:j], i))
+            i = j
+            continue
+        if ch in _NAME_START:
+            j = i
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        if ch in _SYMBOLS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", n))
+    return tokens
+
+
+def scan(tokenize, text: str):
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        return ("error", exc.position, str(exc))
+    return [t if isinstance(t, tuple) else (t.kind, t.text, t.pos) for t in tokens]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@example("\u0663 x\u00e9")
+@example("x\u3000+\x1c")
+@example(" y \u3000")
+@given(st.text(st.one_of(
+    # grammar characters, Unicode digits, letters and whitespace, stray symbols
+    st.sampled_from([*"09azAZ_Dxexp+-*^/()[]. !{\t\n\r", "\u0663", "\u00e9", "\x1c", "\u3000", "\x85", "\u00b2"]),
+    st.characters(),
+), max_size=16))
+def test_tokenizer_matches_a_reference_scanner(text):
+    assert scan(_tokenize, text) == scan(reference_tokens, text)
