@@ -121,22 +121,31 @@ def close(
     One round per generator layer.  S is the echelon rows once the generators
     are in (same span, same algebra).  Layer 1 brackets S[a], S[b] for a < b;
     layer k > 1 brackets each s in S with each frontier field, the rows layer
-    k - 1 inserted, read at its end; a layer that inserts nothing ends it.
+    k - 1 added, read at its end; a layer that adds nothing ends it.
     Why the span V is the generated algebra: frontier rows are zero at all
     older pivots, so S and the frontiers span V, and [S, t] lies in V for
     each frontier field t.  So V is ad(S)-invariant and contains S, hence
     every left-normed bracket [s1, [s2, ..., s_k]], and those span the
     algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The
-    reduced echelon of a span is unique, so the basis is canonical.  The
+    reduced echelon of a span is unique, so the basis is canonical.
+    Each layer's brackets go into the echelon's open layer (`extend`), which
+    touches no older row, and the layer is settled once, at its end, before
+    any row is read.  The frontier rows are then the rows that inserting
+    each bracket into a fully reduced echelon would leave: a vector's
+    residual modulo the rows so far, zero at their pivots, is unique, so
+    both ways make the same independence decision and append the same pivot
+    in the same order, and the settled rows are the unique reduced rows of
+    the span with those pivots.  So the operands, the pair order, the
+    degree cap and every cap report do not depend on the layering.  The
     fields bracketed are the echelon's primitive integer rows, each a
-    positive multiple of its unit row: [a*u, b*v] = a*b*[u, v], and insert
-    makes every residual primitive with a positive pivot, so each insert
-    leaves the same rows, degrees and independence as the unit rows would.
+    positive multiple of its unit row: [a*u, b*v] = a*b*[u, v], and the
+    echelon makes every row primitive with a positive pivot, so the layers
+    see the same rows, degrees and independence as the unit rows would.
     Each pair is first put to the support test (_bracket_unless_commuting),
     and a bracket goes into the echelon as coordinates, never as a field.
     The echelon goes to LieAlgebra, which brackets the final basis pairs
     into the tensor; with it go the operands made here from the rows that
-    no later insert changed, so those are not made twice.
+    no later settle changed, so those are not made twice.
     ClosureCapExceeded is raised past cap_dim, past cap_rounds layers, or by
     a field of degree above cap_degree; its `round` is the layer and
     `pending` the pairs of that layer not yet visited, where a pair that the
@@ -162,13 +171,14 @@ def close(
         degree = degree_of(vec)
         if degree > cap_degree:
             raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
-        if echelon.insert(vec).independent and len(echelon) > cap_dim:
+        if echelon.extend(vec) and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
     # row index -> (the stored row, the operand made from it)
     operands: dict[int, tuple[dict, VectorField]] = {}
 
     def operands_from(start: int) -> list[VectorField]:
+        echelon.settle()
         for i in range(start, len(echelon)):
             row = echelon.primitive_row(i)
             operands[i] = (row, uncoordinatize(row, ctx))
@@ -190,7 +200,7 @@ def close(
                 add(vec)
         frontier = operands_from(start)
         pairs = [(s, t) for s in S for t in frontier]
-    # an insert that changes a row stores a new dict, so identity tells
+    # settle stores a new dict for each row it changes, so identity tells
     # which operands still match their rows
     current = {i: u for i, (row, u) in operands.items() if echelon.primitive_row(i) is row}
     return LieAlgebra(ctx, echelon, _operands=current)
@@ -272,7 +282,7 @@ class LieAlgebra:
     walk only the tensor's nonzero entries, through the ad tables.
 
     close() passes _operands, the fields it already made, by row index, for
-    the rows that no insert changed since; each other row's field is made
+    the rows that no settle changed since; each other row's field is made
     here.
 
     What an algebra computes once, it keeps: the ad tables (on first read),
@@ -424,7 +434,7 @@ class LieAlgebra:
     def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> list[Fraction]:
         if isinstance(v, VectorField):
             return self.express(v)
-        return [Q(c) for c in self._checked(v)]
+        return [c if type(c) is Fraction else Fraction(c) for c in self._checked(v)]
 
     def _checked(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
         """coeffs as a list, once each is an int or Fraction and there is one

@@ -3,12 +3,17 @@
 EchelonBasis is the one elimination routine: a fully reduced row set over
 sparse vectors, so span membership, residuals, coordinates and null spaces
 are all exact.  It eliminates on primitive integer rows, integer-preserving
-in the spirit of Bareiss (Math. Comp. 22, 1968).  `primitive_row` hands out
-a stored integer row itself, which callers must not mutate, and an insert
-that changes a row stores a new dict in its place.  close() and LieAlgebra
-bracket fields made from those rows (uncoordinatize) and take each bracket
-back as a vector built from its term maps (coordinatize_terms), so no
-bracket becomes a VectorField.  The unit-pivot Fraction rows are built only
+in the spirit of Bareiss (Math. Comp. 22, 1968), with one integer row
+update, _eliminate.  Besides `insert`, which keeps the rows fully reduced
+after each vector, it takes a layer of vectors: `extend` reduces each one
+forward on the rows so far and stores it, touching no other row, and
+`settle` restores full reduction once for the whole layer.  Every reader
+requires a settled echelon.  `primitive_row` hands out a stored integer row
+itself, which callers must not mutate, and an insert or settle that changes
+a row stores a new dict in its place.  close() and LieAlgebra bracket
+fields made from those rows (uncoordinatize) and take each bracket back as
+a vector built from its term maps (coordinatize_terms), so no bracket
+becomes a VectorField.  The unit-pivot Fraction rows are built only
 when a caller reads them, for the basis and the analysis callers.  Given
 Fractions or ints, every value it returns is a Fraction, and a value that is
 not rational (a float) raises TypeError.  Its keys are either (component,
@@ -112,15 +117,40 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _primitive(vec: dict[Any, int], lead: Any) -> dict[Any, int]:
-    """vec divided by its content, signed so that vec[lead] is positive."""
-    g = 0
-    for c in vec.values():
-        g = _gcd(c, g)
-        if g == 1:
-            break
+    """vec divided by its content, signed so that vec[lead] is positive.  The
+    gcd starts from vec[lead], a multiple of the content, so a row whose
+    pivot coefficient is 1 skips the scan."""
+    g = abs(vec[lead])
+    if g != 1:
+        for c in vec.values():
+            g = _gcd(c, g)
+            if g == 1:
+                break
     if vec[lead] < 0:
         g = -g
     return vec if g == 1 else {k: c // g for k, c in vec.items()}
+
+
+def _eliminate(dst: Mapping[Any, int], row: Mapping[Any, int], key: Any) -> dict[Any, int]:
+    """The one integer row update: (h/g)*dst - (c/g)*row as a new dict, with
+    c = dst[key], h = row[key] > 0 and g = gcd(c, h).  It is zero at key
+    and, up to a positive scale, equals dst - (c/h)*row, so _primitive of it
+    is the primitive form of that difference."""
+    c, h = dst[key], row[key]
+    g = 1 if h == 1 else _gcd(c, h)
+    out = dict(dst) if h == g else {k: h // g * a for k, a in dst.items()}
+    _axpy(out, row, -(c // g))
+    return out
+
+
+def _cleared(row: Mapping[Any, int], lead: Any, rows: Mapping[Any, dict[Any, int]]) -> dict[Any, int]:
+    """A new primitive dict: row with the pivots of `rows` (pivot -> row,
+    each zero at the others' pivots, so the order of clearing does not
+    matter) cleared.  The caller has checked that row holds one of them."""
+    for p, other in rows.items():
+        if p in row:
+            row = _eliminate(row, other, p)
+    return _primitive(row, lead)
 
 
 def _fractions(coeffs: dict[int, Any]) -> dict[int, Fraction]:
@@ -145,22 +175,36 @@ class EchelonBasis:
     callers can keep stable indices while the basis grows; `order()` gives
     the pivot-sorted (reduced row-echelon) view.
 
-    Invariant (full reduction): every row is zero at every other row's
-    pivot.  So subtracting one row never changes a vector's coefficient at
-    another pivot, `reduce` may clear the pivots in any order, and the
-    sorted rows depend only on the span, not on the insertion order.  It
-    also gives coordinates for free: a vector in the span has, on the unit
-    row of pivot p, its own value at p.
+    Invariant of the settled rows (full reduction): every settled row is
+    zero at every other settled row's pivot.  So subtracting one row never
+    changes a vector's coefficient at another pivot, `reduce` may clear the
+    pivots in any order, and the sorted rows depend only on the span, not
+    on the insertion order.  It also gives coordinates for free: a vector
+    in the span has, on the unit row of pivot p, its own value at p.
+
+    Invariant of the open layer (the rows `extend` stored since the last
+    `settle`): each layer row is zero at every settled pivot and at the
+    pivots of the layer rows before it.  Such rows are independent and the
+    residual of a vector on them is unique, so `extend` decides
+    independence and picks the pivot exactly as `insert` would.  `settle`
+    reduces the layer's rows among themselves in descending pivot order,
+    then clears the layer's pivots from the settled rows; the rows are then
+    the same as after inserting the layer's vectors one by one.  Only the
+    settled rows are indexed by pivot, so `extend` reduces on them through
+    `_residual` and on the layer one row at a time.  Every other method
+    requires a settled echelon (no open layer).
 
     Rows are kept integer-preserving, in the spirit of Bareiss, "Sylvester's
     identity and multistep integer-preserving Gaussian elimination", Math.
     Comp. 22 (1968): each is a primitive integer vector (content removed)
     with a positive pivot coefficient, so elimination does no rational
-    arithmetic.  `reduce` scales its input once to integers; `insert`
-    back-substitutes with other = b * other - c * new and divides out the
-    content.  `primitive_row` returns a stored integer row as it is, to be
+    arithmetic.  `reduce` scales its input once to integers; `insert`,
+    `extend` and `settle` update a row with the one step other = (h/g) *
+    other - (c/g) * row, g = gcd(c, h), and divide out the content once at
+    the end.  `primitive_row` returns a stored integer row as it is, to be
     read and never mutated.  The unit-pivot Fraction rows (`row`, `rows`)
-    are built on read and cached per row until an insert changes that row.
+    are built on read and cached per row until an insert or settle changes
+    that row.
     """
 
     def __init__(self) -> None:
@@ -168,6 +212,7 @@ class EchelonBasis:
         self._pivot_row: dict = {}
         self._ints: list[dict[Any, int]] = []
         self._units: list[dict | None] = []
+        self._settled = 0  # rows [0, _settled) are settled; the rest form the open layer
 
     def __len__(self) -> int:
         return len(self._ints)
@@ -231,26 +276,72 @@ class EchelonBasis:
         return not self._residual(vec)[0]
 
     def insert(self, vec: Mapping) -> InsertResult:
+        """Add vec to a settled echelon and keep it fully reduced: the new
+        row's pivot is cleared from each older row at once."""
+        if self._settled != len(self._ints):
+            raise ValueError("insert needs a settled echelon; settle the open layer first")
         residual = self._residual(vec)[0]
         if not residual:
             return InsertResult(False, ())
         lead = min(residual)
         new = _primitive(residual, lead)
-        head = new[lead]
+        ints, pivots = self._ints, self.pivots
+        n = len(ints)
         dirtied = []
-        for i, other in enumerate(self._ints):
-            c = other.get(lead)
-            if c:
-                combo = {k: head * a for k, a in other.items()}
-                _axpy(combo, new, -c)
-                self._ints[i] = _primitive(combo, self.pivots[i])
+        for i in range(n):
+            if lead in ints[i]:
+                ints[i] = _primitive(_eliminate(ints[i], new, lead), pivots[i])
                 self._units[i] = None
                 dirtied.append(i)
-        self._pivot_row[lead] = len(self._ints)
-        self._ints.append(new)
+        self._pivot_row[lead] = n
+        ints.append(new)
         self._units.append(None)
-        self.pivots.append(lead)
+        pivots.append(lead)
+        self._settled = n + 1
         return InsertResult(True, tuple(dirtied))
+
+    def extend(self, vec: Mapping) -> bool:
+        """Add vec to the open layer; True when it is outside the span, its
+        row then the last.  vec is reduced on the settled rows, then on the
+        layer's rows in insertion order, and stored primitive; no other row
+        changes until `settle`."""
+        residual = self._residual(vec)[0]
+        pivots, ints = self.pivots, self._ints
+        for i in range(self._settled, len(ints)):
+            if pivots[i] in residual:
+                residual = _eliminate(residual, ints[i], pivots[i])
+        if not residual:
+            return False
+        lead = min(residual)
+        ints.append(_primitive(residual, lead))
+        self._units.append(None)
+        pivots.append(lead)
+        return True
+
+    def settle(self) -> tuple[int, ...]:
+        """Close the open layer, restoring full reduction; returns the indices
+        of the settled rows it changed.  The layer's rows are reduced among
+        themselves in descending pivot order, so each meets only pivots
+        already final, and then the layer's pivots are cleared from each
+        older row in one pass.  A row that hits no new pivot keeps its dict."""
+        start, end = self._settled, len(self._ints)
+        pivots, ints = self.pivots, self._ints
+        layer: dict = {}  # pivot -> fully reduced row, filled downwards
+        done = layer.keys()
+        for i in sorted(range(start, end), key=pivots.__getitem__, reverse=True):
+            if not done.isdisjoint(ints[i].keys()):
+                ints[i] = _cleared(ints[i], pivots[i], layer)
+            layer[pivots[i]] = ints[i]
+        dirtied = []
+        for i in range(start):
+            if not done.isdisjoint(ints[i].keys()):
+                ints[i] = _cleared(ints[i], pivots[i], layer)
+                self._units[i] = None
+                dirtied.append(i)
+        for i in range(start, end):
+            self._pivot_row[pivots[i]] = i
+        self._settled = end
+        return tuple(dirtied)
 
     def express(self, vec: Mapping) -> list[Fraction]:
         """Exact coordinates of vec over the rows (insertion order)."""
@@ -293,7 +384,8 @@ def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[list[Fraction]
         vec = [ZERO] * ncols
         vec[free] = Q(1)
         for row, pivot in zip(basis.rows, basis.pivots):
-            vec[pivot] = -row.get(free, ZERO)
+            if c := row.get(free):
+                vec[pivot] = -c
         out.append(vec)
     return out
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import weakref
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,31 @@ def test_dim_cap_fields_are_pinned_mid_closure():
         close(gens, cap_dim=40)
     exc = info.value
     assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_dim", 40, 41, 3, 31)
+
+
+def test_dim_cap_fields_are_pinned_mid_layer_at_a_larger_dimension():
+    # center-rank1 seed 11, degree bound 10 (dimension 227) passes dimension
+    # 150 inside its seventh generator layer, with 114 pairs still to visit
+    gens = build(random_spec("center-rank1", 11, 10)).generators
+    with pytest.raises(ClosureCapExceeded) as info:
+        close(gens, cap_dim=150)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_dim", 150, 151, 7, 114)
+
+
+def test_close_hands_over_a_fully_reduced_echelon():
+    # close() settles each layer, so the echelon LieAlgebra reads has every
+    # row primitive, with a positive pivot and zero at every other pivot
+    L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
+    echelon = L._echelon
+    assert len(echelon) == L.dim == 88
+    pivots = set(echelon.pivots)
+    assert len(pivots) == 88
+    for i in range(len(echelon)):
+        row, pivot = echelon.primitive_row(i), echelon.pivots[i]
+        assert pivot == min(row) and row[pivot] > 0
+        assert pivots & set(row) == {pivot}
+        assert gcd(*row.values()) == 1
 
 
 def test_close_brackets_the_integer_rows(monkeypatch):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vflie import (
     ContextMismatch,
@@ -203,6 +205,48 @@ def test_echelon_invariants():
             for j, other in enumerate(rows):
                 if i != j:
                     assert pivots[i] not in other
+
+
+# entries with denominators, so pivot coefficients other than 1 and
+# primitive rows with content to divide out, over few keys, so later vectors
+# often depend on earlier ones
+ENTRIES = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+LAYERS = st.lists(
+    st.lists(st.dictionaries(st.integers(0, 5), ENTRIES, max_size=4), max_size=6),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(LAYERS)
+def test_settled_layers_match_one_by_one_inserts(layers):
+    # the same vectors as layers (extend, then settle) and one at a time
+    # (insert) give the same pivots, the same primitive rows in the same
+    # order after every layer, and the same independence flags
+    layered, single = EchelonBasis(), EchelonBasis()
+    for layer in layers:
+        flags = [layered.extend(v) for v in layer]
+        layered.settle()
+        assert flags == [single.insert(v).independent for v in layer]
+        assert layered.pivots == single.pivots
+        assert [layered.primitive_row(i) for i in range(len(layered))] == [
+            single.primitive_row(i) for i in range(len(single))
+        ]
+
+
+def test_settle_rewrites_only_the_rows_the_layer_hits():
+    basis = EchelonBasis()
+    basis.insert({0: 1, 2: 3})
+    basis.insert({1: 2, 3: 1})
+    kept = basis.primitive_row(1)
+    # 4*e2 + 2*e4 has pivot 2, which row 0 holds: that row alone changes
+    assert basis.extend({2: 4, 4: 2}) and not basis.extend({2: 2, 4: 1})
+    with pytest.raises(ValueError, match="settle"):
+        basis.insert({5: 1})
+    assert basis.settle() == (0,)
+    assert basis.primitive_row(0) == {0: 2, 4: -3} and basis.primitive_row(2) == {2: 2, 4: 1}
+    assert basis.primitive_row(1) is kept
+    assert basis.settle() == ()
 
 
 # -- dense helpers ------------------------------------------------------------------
