@@ -128,7 +128,7 @@ def close(
     every left-normed bracket [s1, [s2, ..., s_k]], and those span the
     algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The
     reduced echelon of a span is unique, so the basis is canonical.
-    Each layer's brackets go into the echelon's open layer (`extend`), which
+    Each layer's brackets go into the echelon's open layer (`_extend`), which
     touches no older row, and the layer is settled once, at its end, before
     any row is read.  The frontier rows are then the rows that inserting
     each bracket into a fully reduced echelon would leave: a vector's
@@ -171,14 +171,14 @@ def close(
         degree = degree_of(vec)
         if degree > cap_degree:
             raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
-        if echelon.extend(vec) and len(echelon) > cap_dim:
+        if echelon._extend(vec) and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
     # row index -> (the stored row, the operand made from it)
     operands: dict[int, tuple[dict, VectorField]] = {}
 
     def operands_from(start: int) -> list[VectorField]:
-        echelon.settle()
+        echelon._settle()
         for i in range(start, len(echelon)):
             row = echelon.primitive_row(i)
             operands[i] = (row, uncoordinatize(row, ctx))

@@ -4,13 +4,14 @@ EchelonBasis is the one elimination routine: a fully reduced row set over
 sparse vectors, so span membership, residuals, coordinates and null spaces
 are all exact.  It eliminates on primitive integer rows, integer-preserving
 in the spirit of Bareiss (Math. Comp. 22, 1968), with one integer row
-update, _eliminate.  Besides `insert`, which keeps the rows fully reduced
-after each vector, it takes a layer of vectors: `extend` reduces each one
+update, _eliminate.  Vectors go in by layers: `_extend` reduces each one
 forward on the rows so far and stores it, touching no other row, and
-`settle` restores full reduction once for the whole layer.  Every reader
-requires a settled echelon.  `primitive_row` hands out a stored integer row
-itself, which callers must not mutate, and an insert or settle that changes
-a row stores a new dict in its place.  close() and LieAlgebra bracket
+`_settle` restores full reduction once for the whole layer.  `insert` is a
+layer of one vector, settled at once; close() is the one caller that opens
+a longer layer, and it settles it before reading any row, so every public
+method sees and leaves a settled echelon.  `primitive_row` hands out a
+stored integer row itself, which callers must not mutate, and a settle that
+changes a row stores a new dict in its place.  close() and LieAlgebra bracket
 fields made from those rows (uncoordinatize) and take each bracket back as
 a vector built from its term maps (coordinatize_terms), so no bracket
 becomes a VectorField.  The unit-pivot Fraction rows are built only
@@ -182,29 +183,30 @@ class EchelonBasis:
     on the insertion order.  It also gives coordinates for free: a vector
     in the span has, on the unit row of pivot p, its own value at p.
 
-    Invariant of the open layer (the rows `extend` stored since the last
-    `settle`): each layer row is zero at every settled pivot and at the
+    Invariant of the open layer (the rows `_extend` stored since the last
+    `_settle`): each layer row is zero at every settled pivot and at the
     pivots of the layer rows before it.  Such rows are independent and the
-    residual of a vector on them is unique, so `extend` decides
-    independence and picks the pivot exactly as `insert` would.  `settle`
-    reduces the layer's rows among themselves in descending pivot order,
-    then clears the layer's pivots from the settled rows; the rows are then
-    the same as after inserting the layer's vectors one by one.  Only the
-    settled rows are indexed by pivot, so `extend` reduces on them through
-    `_residual` and on the layer one row at a time.  Every other method
-    requires a settled echelon (no open layer).
+    residual of a vector on them is unique, so `_extend` decides
+    independence and picks the pivot exactly as a one-vector layer would.
+    `_settle` reduces the layer's rows among themselves in descending pivot
+    order, then clears the layer's pivots from the settled rows; the rows
+    are then the same as after inserting the layer's vectors one by one.
+    Only the settled rows are indexed by pivot (`_pivot_row`, whose size is
+    the number of settled rows), so `_extend` reduces on them through
+    `_residual` and on the layer one row at a time.  The public methods
+    require a settled echelon; `insert` settles its own layer of one, and
+    only close() holds a longer layer open, settling it before any read.
 
     Rows are kept integer-preserving, in the spirit of Bareiss, "Sylvester's
     identity and multistep integer-preserving Gaussian elimination", Math.
     Comp. 22 (1968): each is a primitive integer vector (content removed)
     with a positive pivot coefficient, so elimination does no rational
-    arithmetic.  `reduce` scales its input once to integers; `insert`,
-    `extend` and `settle` update a row with the one step other = (h/g) *
-    other - (c/g) * row, g = gcd(c, h), and divide out the content once at
-    the end.  `primitive_row` returns a stored integer row as it is, to be
+    arithmetic.  `reduce` scales its input once to integers; `_extend` and
+    `_settle` update a row with the one step other = (h/g) * other -
+    (c/g) * row, g = gcd(c, h), and divide out the content once at the
+    end.  `primitive_row` returns a stored integer row as it is, to be
     read and never mutated.  The unit-pivot Fraction rows (`row`, `rows`)
-    are built on read and cached per row until an insert or settle changes
-    that row.
+    are built on read and cached per row until a settle changes that row.
     """
 
     def __init__(self) -> None:
@@ -212,7 +214,6 @@ class EchelonBasis:
         self._pivot_row: dict = {}
         self._ints: list[dict[Any, int]] = []
         self._units: list[dict | None] = []
-        self._settled = 0  # rows [0, _settled) are settled; the rest form the open layer
 
     def __len__(self) -> int:
         return len(self._ints)
@@ -276,38 +277,21 @@ class EchelonBasis:
         return not self._residual(vec)[0]
 
     def insert(self, vec: Mapping) -> InsertResult:
-        """Add vec to a settled echelon and keep it fully reduced: the new
-        row's pivot is cleared from each older row at once."""
-        if self._settled != len(self._ints):
-            raise ValueError("insert needs a settled echelon; settle the open layer first")
-        residual = self._residual(vec)[0]
-        if not residual:
+        """Add vec and keep the rows fully reduced: a layer of one vector,
+        settled at once, so the new row's pivot is cleared from each older
+        row."""
+        if not self._extend(vec):
             return InsertResult(False, ())
-        lead = min(residual)
-        new = _primitive(residual, lead)
-        ints, pivots = self._ints, self.pivots
-        n = len(ints)
-        dirtied = []
-        for i in range(n):
-            if lead in ints[i]:
-                ints[i] = _primitive(_eliminate(ints[i], new, lead), pivots[i])
-                self._units[i] = None
-                dirtied.append(i)
-        self._pivot_row[lead] = n
-        ints.append(new)
-        self._units.append(None)
-        pivots.append(lead)
-        self._settled = n + 1
-        return InsertResult(True, tuple(dirtied))
+        return InsertResult(True, self._settle())
 
-    def extend(self, vec: Mapping) -> bool:
+    def _extend(self, vec: Mapping) -> bool:
         """Add vec to the open layer; True when it is outside the span, its
         row then the last.  vec is reduced on the settled rows, then on the
         layer's rows in insertion order, and stored primitive; no other row
-        changes until `settle`."""
+        changes until `_settle`."""
         residual = self._residual(vec)[0]
         pivots, ints = self.pivots, self._ints
-        for i in range(self._settled, len(ints)):
+        for i in range(len(self._pivot_row), len(ints)):
             if pivots[i] in residual:
                 residual = _eliminate(residual, ints[i], pivots[i])
         if not residual:
@@ -318,13 +302,13 @@ class EchelonBasis:
         pivots.append(lead)
         return True
 
-    def settle(self) -> tuple[int, ...]:
+    def _settle(self) -> tuple[int, ...]:
         """Close the open layer, restoring full reduction; returns the indices
         of the settled rows it changed.  The layer's rows are reduced among
         themselves in descending pivot order, so each meets only pivots
         already final, and then the layer's pivots are cleared from each
         older row in one pass.  A row that hits no new pivot keeps its dict."""
-        start, end = self._settled, len(self._ints)
+        start, end = len(self._pivot_row), len(self._ints)
         pivots, ints = self.pivots, self._ints
         layer: dict = {}  # pivot -> fully reduced row, filled downwards
         done = layer.keys()
@@ -340,7 +324,6 @@ class EchelonBasis:
                 dirtied.append(i)
         for i in range(start, end):
             self._pivot_row[pivots[i]] = i
-        self._settled = end
         return tuple(dirtied)
 
     def express(self, vec: Mapping) -> list[Fraction]:

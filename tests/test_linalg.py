@@ -220,18 +220,24 @@ LAYERS = st.lists(
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(LAYERS)
 def test_settled_layers_match_one_by_one_inserts(layers):
-    # the same vectors as layers (extend, then settle) and one at a time
+    # the same vectors as layers (_extend, then _settle) and one at a time
     # (insert) give the same pivots, the same primitive rows in the same
-    # order after every layer, and the same independence flags
+    # order after every layer, and the same independence flags; the settled
+    # rows are fully reduced and span every vector put in
     layered, single = EchelonBasis(), EchelonBasis()
+    seen = []
     for layer in layers:
-        flags = [layered.extend(v) for v in layer]
-        layered.settle()
+        flags = [layered._extend(v) for v in layer]
+        layered._settle()
         assert flags == [single.insert(v).independent for v in layer]
         assert layered.pivots == single.pivots
-        assert [layered.primitive_row(i) for i in range(len(layered))] == [
-            single.primitive_row(i) for i in range(len(single))
-        ]
+        rows = [layered.primitive_row(i) for i in range(len(layered))]
+        assert rows == [single.primitive_row(i) for i in range(len(single))]
+        for row, pivot in zip(rows, layered.pivots):
+            assert row[pivot] > 0 and pivot == min(row)
+            assert all(p not in row for p in layered.pivots if p != pivot)
+        seen += layer
+        assert all(layered.contains(v) for v in seen)
 
 
 def test_settle_rewrites_only_the_rows_the_layer_hits():
@@ -240,13 +246,13 @@ def test_settle_rewrites_only_the_rows_the_layer_hits():
     basis.insert({1: 2, 3: 1})
     kept = basis.primitive_row(1)
     # 4*e2 + 2*e4 has pivot 2, which row 0 holds: that row alone changes
-    assert basis.extend({2: 4, 4: 2}) and not basis.extend({2: 2, 4: 1})
-    with pytest.raises(ValueError, match="settle"):
-        basis.insert({5: 1})
-    assert basis.settle() == (0,)
+    assert basis._extend({2: 4, 4: 2}) and not basis._extend({2: 2, 4: 1})
+    assert basis._settle() == (0,)
     assert basis.primitive_row(0) == {0: 2, 4: -3} and basis.primitive_row(2) == {2: 2, 4: 1}
     assert basis.primitive_row(1) is kept
-    assert basis.settle() == ()
+    assert basis._settle() == ()
+    # insert is a settled layer of one: it reports the rows it reduced
+    assert basis.insert({4: 1, 5: 1}).dirtied == (0, 2)
 
 
 # -- dense helpers ------------------------------------------------------------------
