@@ -23,11 +23,12 @@ generating set.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import (
     ClosureCapExceeded,
@@ -54,7 +55,6 @@ from .linalg import (
     to_sparse,
     uncoordinatize,
 )
-from .ring import _rational
 
 DEFAULT_CAP_DIM = 64
 DEFAULT_CAP_ROUNDS = 32
@@ -74,11 +74,11 @@ def ad_tables(tensor: Tensor, dim: int) -> list[dict[int, SparseVector]]:
     return ad
 
 
-def common_kernel(ad: Sequence[Mapping], acting: Iterable[int]) -> list[list[Fraction]]:
-    """Canonical null-space basis of the stacked maps ad(e_v), v in acting:
-    the center when the e_v generate the algebra, since the centralizer of
-    an element is a subalgebra.  null_space gives the canonical basis of the
-    subspace, so the answer does not depend on the generating set."""
+def common_kernel(ad: Sequence[Mapping], acting: Iterable[int]) -> list[SparseVector]:
+    """Canonical null-space basis, sparse, of the stacked maps ad(e_v), v in
+    acting: the center when the e_v generate the algebra, since a centralizer
+    is a subalgebra.  null_space gives the canonical basis of the subspace,
+    so the answer does not depend on the generating set."""
     # column a, row (v, c): coefficient of e_c in [e_v, e_a]
     columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(len(ad))]
     for v in acting:
@@ -285,13 +285,17 @@ class LieAlgebra:
     the rows that no settle changed since; each other row's field is made
     here.
 
-    What an algebra computes once, it keeps: the ad tables (on first read),
-    both series, [g, g] and the nilpotency certificate, the center's
-    coefficients and fields, and per kept set the parts of a projection (its
-    image algebra, kernel fields and kernel coefficients), never the
-    Projection itself.  None of these
-    refers back to the algebra, so an algebra makes no reference cycle and
-    is freed by reference counting alone, not left to the cyclic collector.
+    Basis coordinates are sparse (index -> nonzero Fraction) throughout;
+    only the public methods take or return dense lists, validated once where
+    they enter (_checked), and _field is the one map back to fields.
+
+    What an algebra computes once, it keeps: its unit rows in basis order,
+    the ad tables (on first read), both series, [g, g] and the nilpotency
+    certificate, the center's coefficients and fields, and per kept set the
+    parts of a projection (its image algebra, kernel fields and kernel
+    coefficients), never the Projection itself.  None of these refers back
+    to the algebra, so an algebra makes no reference cycle and is freed by
+    reference counting alone, not left to the cyclic collector.
     """
 
     def __init__(
@@ -304,7 +308,8 @@ class LieAlgebra:
         self.ctx = ctx
         self._echelon = echelon
         self._order = echelon.order()
-        self.basis = tuple(uncoordinatize(echelon.row(i), ctx) for i in self._order)
+        self._rows = [echelon.row(i) for i in self._order]
+        self.basis = tuple(uncoordinatize(row, ctx) for row in self._rows)
         position = {row: k for k, row in enumerate(self._order)}
         rows = [echelon.primitive_row(i) for i in self._order]
         heads = [row[echelon.pivots[i]] for row, i in zip(rows, self._order)]
@@ -329,15 +334,14 @@ class LieAlgebra:
                 vec = coordinatize_terms(u._bracket_terms(scaled[b]))
                 if not vec:
                     continue
-                residual, _, coeffs = echelon._residual(vec)
-                if residual:
+                if echelon._residual(vec)[0]:
                     raise InternalInvariantViolation(
                         "bracket of basis elements escapes the span; closure is broken"
                     )
                 scale = heads[a] * heads[b]
+                coeffs = echelon._coefficients(vec)
                 self.structure[(a, b)] = {
-                    k: Fraction(c, scale)
-                    for k, c in sorted((position[i], c) for i, c in coeffs.items())
+                    k: Fraction(c, scale) for k, c in sorted((position[i], c) for i, c in coeffs.items())
                 }
         self._series: dict[str, SeriesReport] = {}
         # sorted kept indices -> (image, kernel fields, kernel coefficients)
@@ -397,25 +401,27 @@ class LieAlgebra:
         Dense form of _bracket; no engine code calls it, and it remains for
         the tests and the benchmark tracer.
         """
-        return to_dense(self._bracket(to_sparse(u), to_sparse(w)), self.dim)
+        return to_dense(self._bracket(self._checked(u), self._checked(w)), self.dim)
 
     def element(self, coeffs: Sequence[Fraction]) -> VectorField:
-        """sum_k coeffs[k] * basis[k] for one int or Fraction per basis
-        element (TypeError for any other value, a float included, and
-        ValueError for a vector of the wrong length).
+        """sum_k coeffs[k] * basis[k] for a sequence of one int or Fraction
+        per basis element, validated into sparse coordinates (_checked) and
+        mapped by _field."""
+        return self._field(self._checked(coeffs))
 
-        A vector with one nonzero coefficient c, at k, is basis[k] itself
-        when c == 1 and basis[k] * c otherwise, so no coordinates are
-        summed; any other vector is summed in coordinates.
+    def _field(self, coeffs: Mapping[int, Fraction]) -> VectorField:
+        """sum_k coeffs[k] * basis[k] for sparse basis coordinates.
+
+        A vector with one entry c, at k, is basis[k] itself when c == 1 and
+        basis[k] * c otherwise, so no coordinates are summed; any other
+        vector is summed over the unit rows.
         """
-        values = self._checked(coeffs)
-        nonzero = [k for k, c in enumerate(values) if c]
-        if len(nonzero) == 1:
-            k = nonzero[0]
-            return self.basis[k] if values[k] == 1 else self.basis[k] * values[k]
+        if len(coeffs) == 1:
+            (k, c), = coeffs.items()
+            return self.basis[k] if c == 1 else self.basis[k] * c
         vec: dict = {}
-        for k in nonzero:
-            _axpy(vec, self._echelon.row(self._order[k]), values[k])
+        for k, c in coeffs.items():
+            _axpy(vec, self._rows[k], c)
         return uncoordinatize(vec, self.ctx)
 
     def express(self, field: VectorField) -> list[Fraction]:
@@ -431,18 +437,19 @@ class LieAlgebra:
             raise ContextMismatch("field belongs to a different context")
         return self._echelon.contains(coordinatize(field))
 
-    def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> list[Fraction]:
-        if isinstance(v, VectorField):
-            return self.express(v)
-        return [c if type(c) is Fraction else Fraction(c) for c in self._checked(v)]
+    def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> SparseVector:
+        return to_sparse(self.express(v)) if isinstance(v, VectorField) else self._checked(v)
 
-    def _checked(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
-        """coeffs as a list, once each is an int or Fraction and there is one
-        per basis element."""
-        values = [_rational(c, "coefficient") for c in coeffs]
-        if len(values) != self.dim:
+    def _checked(self, coeffs: Sequence[Fraction]) -> SparseVector:
+        """coeffs as sparse coordinates: TypeError unless a sequence of ints
+        and Fractions (a float, or a dict, is not), then ValueError unless
+        one per basis element."""
+        if not isinstance(coeffs, Sequence):
+            raise TypeError(f"coefficient vector {coeffs!r} is not a sequence")
+        vec = to_sparse(coeffs)
+        if len(coeffs) != self.dim:
             raise ValueError("coefficient vector has the wrong length")
-        return values
+        return vec
 
     # -- center ---------------------------------------------------------------
 
@@ -450,17 +457,17 @@ class LieAlgebra:
         """Canonical basis of the center in basis coordinates: common_kernel
         of the e_v, v in V, when the nilpotency certificate holds (they
         generate g), else of the whole basis; the route does not change the
-        answer.  Computed once; each call returns new lists."""
-        return [list(v) for v in self._center]
+        answer.  Computed once, sparse; each call returns new dense lists."""
+        return [to_dense(v, self.dim) for v in self._center]
 
     @cached_property
-    def _center(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _center(self) -> tuple[SparseVector, ...]:
         certificate = self._nilpotency_certificate
         acting = range(self.dim) if certificate is None else certificate[0]
-        return tuple(map(tuple, common_kernel(self._ad, acting)))
+        return tuple(common_kernel(self._ad, acting))
 
     def center(self) -> list[VectorField]:
-        """The center as fields, element() of each center_coeffs() vector.
+        """The center as fields, _field of each center vector.
 
         Computed once per algebra; each call returns a new list of the same
         fields, so a caller may change the list it gets.
@@ -469,7 +476,7 @@ class LieAlgebra:
 
     @cached_property
     def _center_fields(self) -> tuple[VectorField, ...]:
-        return tuple(self.element(v) for v in self.center_coeffs())
+        return tuple(map(self._field, self._center))
 
     # -- series and flags -------------------------------------------------------
 
@@ -585,15 +592,15 @@ class LieAlgebra:
         Requires every component of every basis element to depend only on the
         kept variables (this is what makes the dropped part an abelian ideal
         and the kept part a homomorphic image).  The kept variables may be
-        names or indices, in any order.  The image algebra, the kernel
-        fields and the kernel coefficients are computed once per sorted kept
-        set, and each call returns a new Projection around them; a
-        ProjectionHypothesisViolated is not kept, so it is raised again on
-        every call.
+        names or int indices (else TypeError), in any order.  The image
+        algebra, the kernel fields and the kernel coefficients are computed
+        once per sorted kept set, and each call returns a new Projection
+        around them; a ProjectionHypothesisViolated is not kept, so it is
+        raised again on every call.
         """
-        indices = tuple(sorted(
-            self.ctx.index(k) if isinstance(k, str) else int(k) for k in kept
-        ))
+        if bad := [k for k in kept if not isinstance(k, (str, int))]:
+            raise TypeError(f"kept variable {bad[0]!r} is not a name or an index")
+        indices = tuple(sorted(self.ctx.index(k) if isinstance(k, str) else k for k in kept))
         if not indices or len(set(indices)) != len(indices):
             raise ValueError("kept variables must be a nonempty distinct subset")
         if not all(0 <= i < self.ctx.nvars for i in indices):
@@ -624,17 +631,18 @@ class LieAlgebra:
         ]
         # no closure: under the block hypothesis dropping components is a homomorphism
         image = LieAlgebra(sub_ctx, echelon_of(images))
-        kernel_coeffs = null_space(images)
-        kernel_fields = tuple(self.element(v) for v in kernel_coeffs)
-        if image.dim + len(kernel_fields) != self.dim:
+        kernel = null_space(images)
+        if image.dim + len(kernel) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")
-        return image, kernel_fields, tuple(tuple(v) for v in kernel_coeffs)
+        kernel_fields = tuple(map(self._field, kernel))
+        return image, kernel_fields, tuple(tuple(to_dense(v, self.dim)) for v in kernel)
 
     # -- ideals and quotients --------------------------------------------------------
 
     def ideal_subspace(self, ideal: IdealLike) -> EchelonBasis:
         """Span of an ideal given as basis indices, fields, or coefficient
-        vectors, as an integer-key echelon basis (not yet verified)."""
+        vectors (any other item is a TypeError), as an integer-key echelon
+        basis (not yet verified)."""
         items = list(ideal)
         if not items:
             raise ValueError("ideal must be nonempty")
@@ -644,8 +652,12 @@ class LieAlgebra:
                 if not 0 <= item < self.dim:
                     raise ValueError(f"basis index {item} out of range")
                 vecs.append({item: Q(1)})
+            elif isinstance(item, (VectorField, Sequence)):
+                vecs.append(self._coeffs_of(item))
             else:
-                vecs.append(to_sparse(self._coeffs_of(item)))
+                raise TypeError(
+                    f"ideal item {item!r} is not a basis index, a field or a coefficient vector"
+                )
         return echelon_of(vecs)
 
     def verify_ideal(self, ideal: IdealLike) -> EchelonBasis:

@@ -32,14 +32,12 @@ from .errors import (
 from .fields import VectorField
 from .linalg import (
     ZERO,
-    EchelonBasis,
     Q,
     SparseVector,
     _axpy,
     echelon_of,
     generic_rank,
     null_space,
-    to_dense,
     to_sparse,
 )
 from .ring import ExpPoly
@@ -267,9 +265,8 @@ def jordan_chains(
     Deterministic: candidate heads are drawn from the canonical null-space
     bases of the operator powers in decreasing chain length.
     """
-    op_coeffs = algebra._coeffs_of(operator)
-    op_field = operator if isinstance(operator, VectorField) else algebra.element(op_coeffs)
-    op = to_sparse(op_coeffs)
+    op = algebra._coeffs_of(operator)
+    op_field = operator if isinstance(operator, VectorField) else algebra._field(op)
     span = algebra.ideal_subspace(ideal)
     order = span.order()
     position = {row: t for t, row in enumerate(order)}
@@ -294,7 +291,7 @@ def jordan_chains(
     p = len(powers)  # nilpotency index; p = 1 for the zero operator
     null_spaces: dict[int, list[SparseVector]] = {0: []}
     for j in range(1, p + 1):
-        null_spaces[j] = [to_sparse(v) for v in null_space(powers[j - 1])]
+        null_spaces[j] = null_space(powers[j - 1])
 
     chains_vec: list[list[SparseVector]] = []
     for j in range(p, 0, -1):
@@ -313,12 +310,9 @@ def jordan_chains(
     if len(chains_vec) != len(null_spaces[1]):
         raise InternalInvariantViolation("chain count differs from operator kernel dimension")
 
-    def to_field(vec: Mapping[int, Fraction]) -> VectorField:
-        return algebra.element(to_dense(vec, algebra.dim))
-
-    ideal_fields = tuple(to_field(r) for r in rows)
+    ideal_fields = tuple(map(algebra._field, rows))
     chains = tuple(
-        tuple(to_field(_combination(rows, v)) for v in chain) for chain in chains_vec
+        tuple(algebra._field(_combination(rows, v)) for v in chain) for chain in chains_vec
     )
     return JordanDecomposition(op_field, ideal_fields, chains)
 
@@ -356,16 +350,12 @@ def one_dim_ideals_mod_center(algebra: LieAlgebra) -> OneDimIdealFamily:
         return OneDimIdealFamily(True, algebra.dim, algebra.dim, tuple(algebra.basis))
     if not algebra.is_nilpotent():
         raise NotNilpotent("one-dimensional-ideal analysis requires nilpotency")
-    center = algebra.center_coeffs()
-    quotient = algebra.quotient_structure(center)
+    center = algebra._center
+    quotient = algebra._quotient_by(echelon_of(center))
     qcenter = common_kernel(ad_tables(quotient.tensor, quotient.dim), range(quotient.dim))
-    lifts = []
-    for vec in qcenter:
-        coeffs = [Q(0)] * algebra.dim
-        for a, c in enumerate(vec):
-            coeffs[quotient.rep_indices[a]] = c
-        lifts.append(algebra.element(coeffs))
-    return OneDimIdealFamily(False, len(center), len(qcenter), tuple(lifts))
+    reps = quotient.rep_indices
+    lifts = tuple(algebra._field({reps[a]: c for a, c in vec.items()}) for vec in qcenter)
+    return OneDimIdealFamily(False, len(center), len(qcenter), lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +433,7 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     images = [algebra._ad_image(row) for row in rows]
     bracket_lift_ideal = [[image.get(rep, {}) for image in images] for rep in reps]
 
-    ideal_names = [str(algebra.element(to_dense(row, algebra.dim))) for row in rows]
+    ideal_names = [str(algebra._field(row)) for row in rows]
     unknowns = tuple(
         {"lift": reps[a], "ideal_index": t, "ideal_element": ideal_names[t]}
         for a in range(q)
@@ -475,17 +465,14 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     nunk = q * m
     system = echelon_of({**row.coeffs, nunk: -row.const} for row in raw_rows)
     solution = {pivot: row.get(nunk, ZERO) for row, pivot in zip(system.rows, system.pivots)}
-    if nunk not in solution and all(
-        sum(c * solution.get(u, ZERO) for u, c in row.coeffs.items()) == -row.const
-        for row in raw_rows
-    ):
-        complement = []
+    if nunk not in solution:
+        lifts = []
         for a in range(q):
             lift = _combination(rows, {t: solution.get(u_index(a, t), ZERO) for t in range(m)})
             _axpy(lift, units[a], Q(1))
-            complement.append(algebra.element(to_dense(lift, algebra.dim)))
-        _verify_complement(algebra, complement, span)
-        return SplitVerdict(True, tuple(complement), None)
+            lifts.append(lift)
+        _verify_complement(algebra, lifts, rows)
+        return SplitVerdict(True, tuple(map(algebra._field, lifts)), None)
 
     conflicts: list[dict] = []
     singles: dict[int, list[tuple[int, Fraction]]] = {}
@@ -513,15 +500,16 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
 
 
 def _verify_complement(
-    algebra: LieAlgebra, complement: list[VectorField], ideal: EchelonBasis
+    algebra: LieAlgebra, lifts: list[SparseVector], ideal_rows: list[SparseVector]
 ) -> None:
-    coords = [to_sparse(algebra.express(v)) for v in complement]
-    span = echelon_of(coords)
-    if len(span) != len(complement):
+    """The lifts, in basis coordinates, are independent, span L with the
+    ideal, and are closed under brackets."""
+    span = echelon_of(lifts)
+    if len(span) != len(lifts):
         raise InternalInvariantViolation("complement is not independent")
-    if len(echelon_of(span.rows + ideal.rows)) != algebra.dim:
+    if len(echelon_of([*lifts, *ideal_rows])) != algebra.dim:
         raise InternalInvariantViolation("complement + ideal do not span the algebra")
-    for u, w in combinations(coords, 2):
+    for u, w in combinations(lifts, 2):
         if not span.contains(algebra._bracket(u, w)):
             raise InternalInvariantViolation("complement is not a subalgebra")
 

@@ -14,10 +14,10 @@ stored integer row itself, which callers must not mutate, and a settle that
 changes a row stores a new dict in its place.  close() and LieAlgebra bracket
 fields made from those rows (uncoordinatize) and take each bracket back as
 a vector built from its term maps (coordinatize_terms), so no bracket
-becomes a VectorField.  The unit-pivot Fraction rows are built only
-when a caller reads them, for the basis and the analysis callers.  Given
-Fractions or ints, every value it returns is a Fraction, and a value that is
-not rational (a float) raises TypeError.  Its keys are either (component,
+becomes a VectorField.  The unit-pivot Fraction rows are built on each
+read, for the basis and the analysis callers.  Given Fractions or ints,
+every value it returns is a Fraction, and a value that is not rational (a
+float) raises TypeError.  Its keys are either (component,
 monomial) pairs, which coordinatize vector fields and are spelled only in
 this module, or integer basis coordinates, which the structure-constant
 layer uses; both kinds compare natively (ExpMonomial orders itself), so a
@@ -206,27 +206,22 @@ class EchelonBasis:
     (c/g) * row, g = gcd(c, h), and divide out the content once at the
     end.  `primitive_row` returns a stored integer row as it is, to be
     read and never mutated.  The unit-pivot Fraction rows (`row`, `rows`)
-    are built on read and cached per row until a settle changes that row.
+    are built on each read.
     """
 
     def __init__(self) -> None:
         self.pivots: list = []
         self._pivot_row: dict = {}
         self._ints: list[dict[Any, int]] = []
-        self._units: list[dict | None] = []
 
     def __len__(self) -> int:
         return len(self._ints)
 
     def row(self, index: int) -> dict:
         """Row `index` (insertion order) with unit pivot, as Fractions."""
-        unit = self._units[index]
-        if unit is None:
-            ints = self._ints[index]
-            head = ints[self.pivots[index]]
-            unit = {k: Fraction(c, head) for k, c in ints.items()}
-            self._units[index] = unit
-        return unit
+        ints = self._ints[index]
+        head = ints[self.pivots[index]]
+        return {k: Fraction(c, head) for k, c in ints.items()}
 
     def primitive_row(self, index: int) -> dict:
         """Row `index` (insertion order) as stored: a primitive integer vector
@@ -239,14 +234,13 @@ class EchelonBasis:
         """Every row with unit pivot, in insertion order."""
         return [self.row(i) for i in range(len(self._ints))]
 
-    def _residual(self, vec: Mapping) -> tuple[dict, int, dict[int, Any]]:
-        """(r, s, coeffs): an integer residual r and scale s with
-        vec - sum(coeffs[i] * row(i)) == r / s, where coeffs[i] is vec's
-        value at the pivot of row i, as given (an int for an int vector),
-        for every pivot that vec hits.  The scale starts at 1 and takes an
-        lcm only for a denominator other than 1, so a vector of ints, such
-        as a bracket of close()'s integer operands without fractional
-        rates, takes none for its entries."""
+    def _residual(self, vec: Mapping) -> tuple[dict, int]:
+        """(r, s): an integer residual r and scale s with
+        vec - sum(coeffs[i] * row(i)) == r / s for the coefficients that
+        _coefficients gives.  The scale starts at 1 and takes an lcm only
+        for a denominator other than 1, so a vector of ints, such as a
+        bracket of close()'s integer operands without fractional rates,
+        takes none for its entries."""
         v = {k: c for k, c in vec.items() if c}
         pivot_row, ints = self._pivot_row, self._ints
         hits = [(k, ints[pivot_row[k]]) for k in v if k in pivot_row]
@@ -266,12 +260,19 @@ class EchelonBasis:
         residual = {k: scale // c.denominator * c.numerator for k, c in v.items()}
         for k, row in hits:
             _axpy(residual, row, -(residual[k] // row[k]))
-        return residual, scale, {pivot_row[k]: v[k] for k, _ in hits}
+        return residual, scale
+
+    def _coefficients(self, vec: Mapping) -> dict[int, Any]:
+        """Row -> vec's value at the row's pivot (an int for an int vector)
+        for each pivot vec hits: by full reduction, its unit row's coefficient."""
+        pivot_row = self._pivot_row
+        return {pivot_row[k]: c for k, c in vec.items() if c and k in pivot_row}
 
     def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
         """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
-        residual, scale, coeffs = self._residual(vec)
-        return {k: Fraction(c, scale) for k, c in residual.items()}, _fractions(coeffs)
+        residual, scale = self._residual(vec)
+        coeffs = _fractions(self._coefficients(vec))
+        return {k: Fraction(c, scale) for k, c in residual.items()}, coeffs
 
     def contains(self, vec: Mapping) -> bool:
         return not self._residual(vec)[0]
@@ -298,7 +299,6 @@ class EchelonBasis:
             return False
         lead = min(residual)
         ints.append(_primitive(residual, lead))
-        self._units.append(None)
         pivots.append(lead)
         return True
 
@@ -320,7 +320,6 @@ class EchelonBasis:
         for i in range(start):
             if not done.isdisjoint(ints[i].keys()):
                 ints[i] = _cleared(ints[i], pivots[i], layer)
-                self._units[i] = None
                 dirtied.append(i)
         for i in range(start, end):
             self._pivot_row[pivots[i]] = i
@@ -328,10 +327,9 @@ class EchelonBasis:
 
     def express(self, vec: Mapping) -> list[Fraction]:
         """Exact coordinates of vec over the rows (insertion order)."""
-        residual, _, coeffs = self._residual(vec)
-        if residual:
+        if self._residual(vec)[0]:
             raise NotInSpan("vector is outside the span of the basis")
-        coeffs = _fractions(coeffs)
+        coeffs = _fractions(self._coefficients(vec))
         return [coeffs.get(i, ZERO) for i in range(len(self._ints))]
 
     def order(self) -> list[int]:
@@ -350,9 +348,10 @@ def echelon_of(rows: Iterable[Mapping[Any, Fraction]]) -> EchelonBasis:
     return basis
 
 
-def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[list[Fraction]]:
+def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[SparseVector]:
     """Canonical null-space basis of the matrix with these sparse columns
-    (row keys of any hashable kind): one vector per free column, ascending."""
+    (row keys of any hashable kind): one sparse vector over the column
+    indices per free column, ascending, with 1 at that column."""
     rows: dict[Any, SparseVector] = {}
     for s, col in enumerate(columns):
         for t, c in col.items():
@@ -360,13 +359,13 @@ def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[list[Fraction]
     ncols = len(columns)
     basis = echelon_of(rows.values())
     pivots = set(basis.pivots)
+    unit_rows = list(zip(basis.rows, basis.pivots))
     out = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [ZERO] * ncols
-        vec[free] = Q(1)
-        for row, pivot in zip(basis.rows, basis.pivots):
+        vec = {free: Q(1)}
+        for row, pivot in unit_rows:
             if c := row.get(free):
                 vec[pivot] = -c
         out.append(vec)
@@ -383,12 +382,13 @@ def rref_dense(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction
     basis = echelon_of(map(to_sparse, matrix))
     order = basis.order()
     ncols = len(matrix[0])
-    return [to_dense(basis.rows[i], ncols) for i in order], [basis.pivots[i] for i in order]
+    return [to_dense(row, ncols) for row in basis.rows_sorted()], [basis.pivots[i] for i in order]
 
 
 def null_space_dense(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical null-space basis: one vector per free column, ascending."""
-    return null_space([{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)])
+    columns = [{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)]
+    return [to_dense(vec, ncols) for vec in null_space(columns)]
 
 
 def solve_dense(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import weakref
 from itertools import combinations
 from math import gcd
@@ -36,7 +37,7 @@ from vflie import (
     VariableContext,
     VectorField,
 )
-from vflie.linalg import coordinatize, echelon_of, null_space, uncoordinatize
+from vflie.linalg import coordinatize, echelon_of, null_space, to_dense, uncoordinatize
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -586,6 +587,31 @@ def test_float_coefficients_are_type_errors():
     assert L.quotient_structure([[0, 0, Q(1, 2)]]).dim == 2
 
 
+def test_a_float_index_is_a_type_error():
+    # int(1.9) would keep variable 1, and int(1.0) would take basis element 1
+    L = algebra(*HEISENBERG)
+    for kept in ([0, 1.9], [1.0], [0, Q(1)]):
+        with pytest.raises(TypeError, match="kept variable .* is not a name or an index"):
+            L.project(kept)
+    for call in (L.ideal_subspace, L.verify_ideal, L.quotient_structure):
+        for item in (1.0, 2.5, Q(2)):
+            with pytest.raises(TypeError, match=re.escape(f"ideal item {item!r} is not a basis index")):
+                call([item])
+    assert L.project(["x", 1]).kept == (0, 1)
+    assert L.quotient_structure([2]).dim == 2
+
+
+def test_a_coefficient_vector_must_be_a_sequence():
+    # a dict was read as its keys: {0: 5, 1: 0, 2: 0} gave basis[1] + 2*basis[2]
+    L = algebra(*HEISENBERG)
+    for coeffs in ({0: 5, 1: 0, 2: 0}, {1, 2, 3}, iter([1, 0, 0])):
+        with pytest.raises(TypeError, match="is not a sequence"):
+            L.element(coeffs)
+    with pytest.raises(TypeError, match="is not a basis index, a field or a coefficient vector"):
+        L.ideal_subspace([{0: 5, 1: 0, 2: 0}])
+    assert L.element((1, 0, 0)) is L.basis[0]
+
+
 def test_membership_checks_the_context():
     L = algebra(*HEISENBERG)
     other = parse_field("Da", VariableContext(("a", "b", "c")))
@@ -637,18 +663,18 @@ def test_center_fields_are_computed_once(monkeypatch):
     first = L.center()
     calls = []
     real_null_space = vflie.algebra.null_space
-    real_element = LieAlgebra.element
+    real_field = LieAlgebra._field
 
     def counting_null_space(columns):
         calls.append("null_space")
         return real_null_space(columns)
 
-    def counting_element(self, coeffs):
-        calls.append("element")
-        return real_element(self, coeffs)
+    def counting_field(self, coeffs):
+        calls.append("_field")
+        return real_field(self, coeffs)
 
     monkeypatch.setattr(vflie.algebra, "null_space", counting_null_space)
-    monkeypatch.setattr(LieAlgebra, "element", counting_element)
+    monkeypatch.setattr(LieAlgebra, "_field", counting_field)
     second = L.center()
     assert calls == []
     assert second == first and second is not first
@@ -657,7 +683,7 @@ def test_center_fields_are_computed_once(monkeypatch):
     assert calls == []
     # a fresh algebra computes its own center through both
     assert algebra(*EX_EXP).center() == first
-    assert "null_space" in calls and "element" in calls
+    assert "null_space" in calls and "_field" in calls
 
 
 def test_center_coeffs_hands_out_copies():
@@ -790,13 +816,17 @@ def test_both_center_routes_match_the_oracle(oracle_corpus):
     draws = [close(build(random_spec(r, s, 2)).generators) for r in RECIPES for s in (1, 2)]
     fallback = [algebra(*texts) for texts, *_ in FALLBACK]
     certified = 0
+
+    def dense_kernel(L, acting):
+        return [to_dense(v, L.dim) for v in vflie.algebra.common_kernel(L._ad, acting)]
+
     for L in oracle_corpus + draws + fallback:
         expected = oracle_center(L)
-        assert vflie.algebra.common_kernel(L._ad, range(L.dim)) == expected, L.dim
+        assert dense_kernel(L, range(L.dim)) == expected, L.dim
         certificate = L._nilpotency_certificate
         if certificate is not None:
             certified += 1
-            assert vflie.algebra.common_kernel(L._ad, certificate[0]) == expected, L.dim
+            assert dense_kernel(L, certificate[0]) == expected, L.dim
         assert L.center_coeffs() == expected
     assert certified == len(oracle_corpus) + len(draws)
 
@@ -994,7 +1024,7 @@ def test_projection_matches_closing_the_restricted_images():
                 padded = [coordinatize(ctx.field([c if i in kept else zero
                                                   for i, c in enumerate(b.comps)]))
                           for b in L.basis]
-                assert proj.kernel_coeffs == tuple(map(tuple, null_space(padded)))
+                assert proj.kernel_coeffs == tuple(tuple(to_dense(v, L.dim)) for v in null_space(padded))
                 checked += 1
     assert checked > len(sources)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import vflie
 from vflie import (
     RECIPES,
     CoordinateChange,
@@ -265,6 +266,53 @@ def test_float_coefficient_vectors_are_type_errors():
     with pytest.raises(TypeError, match="is not an int or Fraction"):
         split_check(L, [[0, 0, 0.5]])
     assert jordan_chains(L, [Q(1, 2), 0, 0], [2]).operator == F("1/2*Dx")
+
+
+def test_a_float_ideal_index_is_a_type_error():
+    # not "'float' object is not iterable": the error names the item
+    L = algebra(*HEISENBERG)
+    with pytest.raises(TypeError, match="ideal item 2.0 is not a basis index"):
+        jordan_chains(L, F("Dx"), [2.0])
+    with pytest.raises(TypeError, match="ideal item 2.0 is not a basis index"):
+        split_check(L, [2.0])
+
+
+def test_split_check_verifies_in_basis_coordinates(monkeypatch):
+    # the acceptance gate's split checks (recipe-mix's projection draws):
+    # the complement is checked in the coordinates solved for, so no field
+    # is re-expressed through the (component, monomial) echelon
+    cases = []
+    for recipe in ("nonabelian-projection", "abelian-projection"):
+        for seed in range(13):
+            L = close(build(random_spec(recipe, seed, 3)).generators)
+            cases.append((L, list(L.project([0, 1]).kernel_coeffs)))
+    calls = []
+    real_express, real_coordinatize = vflie.LieAlgebra.express, vflie.linalg.coordinatize
+
+    def counting_express(self, field):
+        calls.append("express")
+        return real_express(self, field)
+
+    def counting_coordinatize(field):
+        calls.append("coordinatize")
+        return real_coordinatize(field)
+
+    monkeypatch.setattr(vflie.LieAlgebra, "express", counting_express)
+    monkeypatch.setattr(vflie.linalg, "coordinatize", counting_coordinatize)
+    monkeypatch.setattr(vflie.algebra, "coordinatize", counting_coordinatize)
+    verdicts = [split_check(L, kernel) for L, kernel in cases]
+    assert calls == []
+    assert len(verdicts) == 26 and sum(v.split for v in verdicts) == 23
+    monkeypatch.undo()
+    for (L, kernel), verdict in zip(cases, verdicts):
+        if verdict.split:
+            # dense oracle: the complement is a subalgebra, and with the
+            # kernel it spans L
+            lifts = [L.express(v) for v in verdict.complement]
+            assert oracle_rank(lifts + [list(k) for k in kernel]) == L.dim
+            for a, u in enumerate(verdict.complement):
+                for w in verdict.complement[a + 1:]:
+                    assert oracle_member(lifts, L.express(u.bracket(w)))
 
 
 def test_jordan_aligned_heads_degree_pattern():

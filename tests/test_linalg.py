@@ -255,6 +255,18 @@ def test_settle_rewrites_only_the_rows_the_layer_hits():
     assert basis.insert({4: 1, 5: 1}).dirtied == (0, 2)
 
 
+def test_an_echelon_keeps_only_its_integer_rows_and_pivots():
+    # the unit rows are built on each read, so nothing beside the rows and
+    # their pivots has to follow a settle
+    basis = EchelonBasis()
+    basis.insert({0: 1, 2: Q(3, 2)})
+    assert basis._extend({1: 2, 2: 1}) and basis._extend({2: 4, 3: 1})
+    basis._settle()
+    assert basis.row(0) == {0: 1, 3: Q(-3, 8)} and basis.rows[2] == {2: 1, 3: Q(1, 4)}
+    assert basis.row(0) is not basis.row(0)
+    assert set(vars(basis)) == {"pivots", "_pivot_row", "_ints"}
+
+
 # -- dense helpers ------------------------------------------------------------------
 
 

@@ -413,7 +413,8 @@ def test_integer_kernel_matches_dense_oracle(matrix, data):
     kernel = null_space(columns)
     assert len(kernel) == ncols - len(expected_rows)
     for x in kernel:
-        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in matrix)
+        assert all(x.values())
+        assert all(sum(row[c] * a for c, a in x.items()) == 0 for row in matrix)
 
 
 def assert_fractions(values) -> None:
@@ -447,7 +448,7 @@ def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
     for row in int_basis.rows:
         assert_fractions(row.values())
     for x in null_space([sparse([row[c] for row in matrix]) for c in range(ncols)]):
-        assert_fractions(x)
+        assert_fractions(x.values())
     # close() brackets integer rows; none of their int coefficients may leak
     # into the basis, the center or the structure constants
     drawn = close(build(random_spec(recipe, seed, 2)).generators)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 import re
@@ -111,6 +112,31 @@ def test_package_computes_no_floats():
     pattern = re.compile(r"\bfloat\(|^\s*(import|from) math\b", re.MULTILINE)
     offenders = [p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+def test_package_imports_only_what_it_uses():
+    # no linter runs in the gate: every module-level import in src/vflie is
+    # read somewhere in its module, or re-exported through __all__
+    src = Path(__file__).resolve().parent.parent / "src" / "vflie"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read and name not in exported]
+    assert unused == []
 
 
 # -- substitution ------------------------------------------------------------------
