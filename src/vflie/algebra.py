@@ -16,8 +16,15 @@ complement of [g, g], which generate g; ideal checks, quotients, split lifts
 and the series of any other algebra walk only the nonzero structure
 constants (LieAlgebra._ad_image), so a pair whose bracket is structurally
 zero is never visited.  Every center, that of a central quotient included,
-is one routine: common_kernel over the ad tables (ad_tables) and a
-generating set.
+is one routine: common_kernel over the ad tables and a generating set.
+
+There are two kinds of ad table, each built from the tensor on first read.
+The integer tables (integer_ad_tables: ad(e_v) as integer rows over one
+denominator D_v) serve what reads only spans, with no Fraction arithmetic:
+[g, g], the certificate's layers, the center and the center of the central
+quotient.  The Fraction tables (ad_tables) serve what needs exact values:
+c(), _bracket and _ad_image, hence the fallback series, ideal checks and
+classify's Jordan chains and split lifts.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .linalg import (
     Q,
     SparseVector,
     _axpy,
+    _lcm,
     coordinatize,
     coordinatize_terms,
     degree_of,
@@ -62,6 +70,7 @@ DEFAULT_CAP_DEGREE = 64
 
 IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fraction]]]
 Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero coords of [e_i, e_j]
+IntTable = dict[int, dict[int, int]]  # j -> nonzero integer coords of D_v * [e_v, e_j]
 
 
 def ad_tables(tensor: Tensor, dim: int) -> list[dict[int, SparseVector]]:
@@ -74,11 +83,42 @@ def ad_tables(tensor: Tensor, dim: int) -> list[dict[int, SparseVector]]:
     return ad
 
 
+def integer_ad_tables(tensor: Tensor, dim: int) -> tuple[list[IntTable], list[int]]:
+    """(tables, D): for each basis index v, ad(e_v) as integer rows over one
+    positive denominator D[v], the lcm of the denominators of its structure
+    constants, so that tables[v][j][k] / D[v] is the coefficient of e_k in
+    [e_v, e_j].  Built from the tensor directly, not from ad_tables."""
+    dens = [1] * dim
+    for (i, j), comps in tensor.items():
+        for c in comps.values():
+            if c.denominator != 1:
+                dens[i], dens[j] = _lcm(dens[i], c.denominator), _lcm(dens[j], c.denominator)
+    tables: list[IntTable] = [{} for _ in range(dim)]
+    for (i, j), comps in tensor.items():
+        di, dj = dens[i], dens[j]
+        tables[i][j] = {k: di // c.denominator * c.numerator for k, c in comps.items()}
+        tables[j][i] = {k: -(dj // c.denominator * c.numerator) for k, c in comps.items()}
+    return tables, dens
+
+
+def _image(table: IntTable, w: Mapping[int, int]) -> dict[int, int]:
+    """D_v * [e_v, w] for ad(e_v)'s integer table and integer coordinates w,
+    exact zeros dropped."""
+    out: dict[int, int] = {}
+    for j, b in w.items():
+        col = table.get(j)
+        if col:
+            _axpy(out, col, b)
+    return out
+
+
 def common_kernel(ad: Sequence[Mapping], acting: Iterable[int]) -> list[SparseVector]:
     """Canonical null-space basis, sparse, of the stacked maps ad(e_v), v in
     acting: the center when the e_v generate the algebra, since a centralizer
     is a subalgebra.  null_space gives the canonical basis of the subspace,
-    so the answer does not depend on the generating set."""
+    so the answer does not depend on the generating set.  The tables may be
+    the integer ones (integer_ad_tables): scaling the rows of ad(e_v) by
+    D_v > 0 leaves the null space unchanged."""
     # column a, row (v, c): coefficient of e_c in [e_v, e_a]
     columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(len(ad))]
     for v in acting:
@@ -278,8 +318,11 @@ class LieAlgebra:
     bracket outside the span raises InternalInvariantViolation.  The
     operands fall into at most 64 support classes (VectorField.support),
     and only the pairs a < b whose classes the support test cannot prove
-    commuting are bracketed, in ascending (a, b) order.  Series, ideal checks, quotients and split lifts
-    walk only the tensor's nonzero entries, through the ad tables.
+    commuting are bracketed, in ascending (a, b) order.  Series, ideal
+    checks, quotients and split lifts walk only the tensor's nonzero
+    entries, through the ad tables: the integer ones (_int_ad) for [g, g],
+    the certificate and the center, which read spans only, and the Fraction
+    ones (_ad) for c(), _bracket and _ad_image, which need exact values.
 
     close() passes _operands, the fields it already made, by row index, for
     the rows that no settle changed since; each other row's field is made
@@ -290,12 +333,12 @@ class LieAlgebra:
     they enter (_checked), and _field is the one map back to fields.
 
     What an algebra computes once, it keeps: its unit rows in basis order,
-    the ad tables (on first read), both series, [g, g] and the nilpotency
-    certificate, the center's coefficients and fields, and per kept set the
-    parts of a projection (its image algebra, kernel fields and kernel
-    coefficients), never the Projection itself.  None of these refers back
-    to the algebra, so an algebra makes no reference cycle and is freed by
-    reference counting alone, not left to the cyclic collector.
+    both kinds of ad table (each on first read), both series, [g, g] and
+    the nilpotency certificate, the center's coefficients and fields, and
+    per kept set the parts of a projection (its image algebra, kernel fields
+    and kernel coefficients), never the Projection itself.  None of these
+    refers back to the algebra, so an algebra makes no reference cycle and
+    is freed by reference counting alone, not left to the cyclic collector.
     """
 
     def __init__(
@@ -355,8 +398,16 @@ class LieAlgebra:
 
     @cached_property
     def _ad(self) -> list[dict[int, SparseVector]]:
-        """ad_tables of the structure tensor, built on first read."""
+        """ad_tables of the structure tensor, built on first read, for the
+        consumers that need exact values: c(), _bracket and _ad_image."""
         return ad_tables(self.structure, self.dim)
+
+    @cached_property
+    def _int_ad(self) -> tuple[list[IntTable], list[int]]:
+        """integer_ad_tables of the structure tensor, built on first read,
+        for the consumers that read only spans: [g, g], the certificate's
+        layers and the center."""
+        return integer_ad_tables(self.structure, self.dim)
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant: coefficient of e_k in [e_i, e_j]."""
@@ -464,7 +515,7 @@ class LieAlgebra:
     def _center(self) -> tuple[SparseVector, ...]:
         certificate = self._nilpotency_certificate
         acting = range(self.dim) if certificate is None else certificate[0]
-        return tuple(common_kernel(self._ad, acting))
+        return tuple(common_kernel(self._int_ad[0], acting))
 
     def center(self) -> list[VectorField]:
         """The center as fields, _field of each center vector.
@@ -524,24 +575,28 @@ class LieAlgebra:
 
     @cached_property
     def _square(self) -> EchelonBasis:
-        """[g, g] as the echelon of the nonzero structure constants, each
-        basis pair once.  Shared and read-only."""
-        return echelon_of(self.structure.values())
+        """[g, g] as the echelon of the nonzero brackets [e_i, e_j], i < j,
+        each as its integer row D_i * [e_i, e_j].  Shared and read-only."""
+        tables = self._int_ad[0]
+        return echelon_of(tables[i][j] for i, j in self.structure)
 
-    def _layers(self, gens: Sequence[int]) -> list[list[SparseVector]] | None:
+    def _layers(self, gens: Sequence[int]) -> list[list[dict[int, int]]] | None:
         """The nonzero layers W_1 = span{e_v : v in gens}, W_{k+1} =
         span{[e_v, w] : v in gens, w a row of W_k}, each as the rows of its
         own echelon (W_1 as the unit vectors); None when W_{dim+1} is still
-        nonzero, which no nilpotent algebra allows.  A central e_v (empty ad
-        table) brackets every row to zero, so only the others are walked."""
-        layers: list[list[SparseVector]] = []
-        layer: list[SparseVector] = [{v: 1} for v in gens]
-        acting = [v for v in gens if self._ad[v]]
+        nonzero, which no nilpotent algebra allows.  The rows are integer:
+        each [e_v, w] is taken as D_v * [e_v, w] (_image), which spans the
+        same line.  A central e_v (empty ad table) brackets every row to
+        zero, so only the others are walked."""
+        tables = self._int_ad[0]
+        layers: list[list[dict[int, int]]] = []
+        layer: list[dict[int, int]] = [{v: 1} for v in gens]
+        acting = [tables[v] for v in gens if tables[v]]
         while layer:
             if len(layers) == self.dim:
                 return None
             layers.append(layer)
-            span = echelon_of(b for v in acting for w in layer if (b := self._bracket({v: 1}, w)))
+            span = echelon_of(b for table in acting for w in layer if (b := _image(table, w)))
             layer = [span.primitive_row(i) for i in range(len(span))]
         return layers
 

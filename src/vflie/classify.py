@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
-from .algebra import IdealLike, LieAlgebra, ad_tables, common_kernel
+from .algebra import IdealLike, LieAlgebra, common_kernel, integer_ad_tables
 from .errors import (
     ContextMismatch,
     IdealNotAbelian,
@@ -352,7 +352,7 @@ def one_dim_ideals_mod_center(algebra: LieAlgebra) -> OneDimIdealFamily:
         raise NotNilpotent("one-dimensional-ideal analysis requires nilpotency")
     center = algebra._center
     quotient = algebra._quotient_by(echelon_of(center))
-    qcenter = common_kernel(ad_tables(quotient.tensor, quotient.dim), range(quotient.dim))
+    qcenter = common_kernel(integer_ad_tables(quotient.tensor, quotient.dim)[0], range(quotient.dim))
     reps = quotient.rep_indices
     lifts = tuple(algebra._field({reps[a]: c for a, c in vec.items()}) for vec in qcenter)
     return OneDimIdealFamily(False, len(center), len(qcenter), lifts)
@@ -433,13 +433,6 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     images = [algebra._ad_image(row) for row in rows]
     bracket_lift_ideal = [[image.get(rep, {}) for image in images] for rep in reps]
 
-    ideal_names = [str(algebra._field(row)) for row in rows]
-    unknowns = tuple(
-        {"lift": reps[a], "ideal_index": t, "ideal_element": ideal_names[t]}
-        for a in range(q)
-        for t in range(m)
-    )
-
     def u_index(a: int, t: int) -> int:
         return a * m + t
 
@@ -495,6 +488,13 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
             )
     if not conflicts:
         conflicts.append({"kind": "elimination", "detail": "system is inconsistent under exact elimination"})
+    # only a non-split verdict names the ideal's elements, in its unknowns
+    ideal_names = [str(algebra._field(row)) for row in rows]
+    unknowns = tuple(
+        {"lift": reps[a], "ideal_index": t, "ideal_element": ideal_names[t]}
+        for a in range(q)
+        for t in range(m)
+    )
     certificate = SplitCertificate(unknowns, tuple(raw_rows), tuple(conflicts))
     return SplitVerdict(False, None, certificate)
 

@@ -7,9 +7,15 @@ in the spirit of Bareiss (Math. Comp. 22, 1968), with one integer row
 update, _eliminate.  Vectors go in by layers: `_extend` reduces each one
 forward on the rows so far and stores it, touching no other row, and
 `_settle` restores full reduction once for the whole layer.  `insert` is a
-layer of one vector, settled at once; close() is the one caller that opens
-a longer layer, and it settles it before reading any row, so every public
-method sees and leaves a settled echelon.  `primitive_row` hands out a
+layer of one vector, settled at once, whose pivot the settle looks up in
+each older row; echelon_of inserts its vectors so.  close() is the one
+caller that opens a longer layer, and it settles it before reading any
+row, so every public method sees and leaves a settled echelon.  Every
+vector enters through `_extend` and so through `_residual`, one pass that
+drops zeros, checks that each entry is rational, finds the pivots hit and
+grows the scale; an integer vector (scale 1), such as a bracket of
+integer rows or an integer ad-table row, is never turned into Fractions.
+`primitive_row` hands out a
 stored integer row itself, which callers must not mutate, and a settle that
 changes a row stores a new dict in its place.  close() and LieAlgebra bracket
 fields made from those rows (uncoordinatize) and take each bracket back as
@@ -237,27 +243,34 @@ class EchelonBasis:
     def _residual(self, vec: Mapping) -> tuple[dict, int]:
         """(r, s): an integer residual r and scale s with
         vec - sum(coeffs[i] * row(i)) == r / s for the coefficients that
-        _coefficients gives.  The scale starts at 1 and takes an lcm only
-        for a denominator other than 1, so a vector of ints, such as a
-        bracket of close()'s integer operands without fractional rates,
-        takes none for its entries."""
-        v = {k: c for k, c in vec.items() if c}
+        _coefficients gives.  One pass over vec drops its zeros, checks each
+        entry is rational, finds the pivots it hits and grows the scale,
+        which takes an lcm only for a denominator or pivot head other than
+        1.  At scale 1, the common case of an integer vector such as a
+        bracket of integer rows, that pass has already written the integer
+        residual before elimination; any other scale rebuilds it once."""
         pivot_row, ints = self._pivot_row, self._ints
-        hits = [(k, ints[pivot_row[k]]) for k in v if k in pivot_row]
-        # scale: clears every denominator and makes every row multiple integral
+        residual: dict = {}
+        hits = []
         scale = 1
-        try:
-            for c in v.values():
-                if c.denominator != 1:
-                    scale = _lcm(scale, c.denominator)
-        except AttributeError:
-            key = next(k for k, c in v.items() if not hasattr(c, "denominator"))
-            raise TypeError(f"coefficient at key {key!r} is not rational: {v[key]!r}") from None
-        for k, row in hits:
-            c, head = v[k], row[k]
-            if head != 1:
-                scale = _lcm(scale, c.denominator * (head // _gcd(c.numerator, head)))
-        residual = {k: scale // c.denominator * c.numerator for k, c in v.items()}
+        for k, c in vec.items():
+            if not c:
+                continue
+            try:
+                num, den = c.numerator, c.denominator
+            except AttributeError:
+                raise TypeError(f"coefficient at key {k!r} is not rational: {c!r}") from None
+            residual[k] = num
+            if den != 1:
+                scale = _lcm(scale, den)
+            if k in pivot_row:
+                row = ints[pivot_row[k]]
+                head = row[k]
+                if head != 1:
+                    scale = _lcm(scale, den * (head // _gcd(num, head)))
+                hits.append((k, row))
+        if scale != 1:
+            residual = {k: scale // c.denominator * c.numerator for k, c in vec.items() if c}
         for k, row in hits:
             _axpy(residual, row, -(residual[k] // row[k]))
         return residual, scale
@@ -307,20 +320,28 @@ class EchelonBasis:
         of the settled rows it changed.  The layer's rows are reduced among
         themselves in descending pivot order, so each meets only pivots
         already final, and then the layer's pivots are cleared from each
-        older row in one pass.  A row that hits no new pivot keeps its dict."""
+        older row in one pass.  A row that hits no new pivot keeps its dict.
+        A layer of one row, as `insert` opens, tests its pivot by lookup."""
         start, end = len(self._pivot_row), len(self._ints)
         pivots, ints = self.pivots, self._ints
-        layer: dict = {}  # pivot -> fully reduced row, filled downwards
-        done = layer.keys()
-        for i in sorted(range(start, end), key=pivots.__getitem__, reverse=True):
-            if not done.isdisjoint(ints[i].keys()):
-                ints[i] = _cleared(ints[i], pivots[i], layer)
-            layer[pivots[i]] = ints[i]
         dirtied = []
-        for i in range(start):
-            if not done.isdisjoint(ints[i].keys()):
-                ints[i] = _cleared(ints[i], pivots[i], layer)
-                dirtied.append(i)
+        if end - start == 1:
+            p, new = pivots[start], ints[start]
+            for i in range(start):
+                if p in ints[i]:
+                    ints[i] = _primitive(_eliminate(ints[i], new, p), pivots[i])
+                    dirtied.append(i)
+        else:
+            layer: dict = {}  # pivot -> fully reduced row, filled downwards
+            done = layer.keys()
+            for i in sorted(range(start, end), key=pivots.__getitem__, reverse=True):
+                if not done.isdisjoint(ints[i].keys()):
+                    ints[i] = _cleared(ints[i], pivots[i], layer)
+                layer[pivots[i]] = ints[i]
+            for i in range(start):
+                if not done.isdisjoint(ints[i].keys()):
+                    ints[i] = _cleared(ints[i], pivots[i], layer)
+                    dirtied.append(i)
         for i in range(start, end):
             self._pivot_row[pivots[i]] = i
         return tuple(dirtied)
@@ -341,7 +362,11 @@ class EchelonBasis:
 
 
 def echelon_of(rows: Iterable[Mapping[Any, Fraction]]) -> EchelonBasis:
-    """Echelon basis of the span of the given sparse rows (keys of one kind)."""
+    """Echelon basis of the span of the given sparse rows (keys of one kind),
+    inserted one at a time.  Settling them as one layer leaves the same rows
+    but forward-reduces each vector on rows that are not yet reduced among
+    themselves; on a system of near full rank, such as a center's kernel,
+    those rows keep large entries that full reduction would have cleared."""
     basis = EchelonBasis()
     for row in rows:
         basis.insert(row)

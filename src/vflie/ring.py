@@ -443,7 +443,9 @@ def format_linform(rates: Sequence[Fraction], names: Sequence[str]) -> str:
 
 
 def term_text(coeff: Fraction, mono: ExpMonomial, names: Sequence[str], tail: str = "") -> tuple[bool, str]:
-    """Magnitude text of one term plus its sign; `tail` appends a basis symbol."""
+    """Magnitude text of one term plus its sign; `tail` appends a basis symbol.
+    The magnitude is written from the numerator and denominator, as
+    str(abs(coeff)) spells it, with no Fraction arithmetic."""
     parts: list[str] = []
     for name, a in zip(names, mono.powers):
         if a == 1:
@@ -454,10 +456,13 @@ def term_text(coeff: Fraction, mono: ExpMonomial, names: Sequence[str], tail: st
         parts.append(f"exp({format_linform(mono.rates, names)})")
     if tail:
         parts.append(tail)
-    mag = abs(coeff)
-    if mag != 1 or not parts:
+    num, den = coeff.numerator, coeff.denominator
+    mag = -num if num < 0 else num
+    if den != 1:
+        parts.insert(0, f"{mag}/{den}")
+    elif mag != 1 or not parts:
         parts.insert(0, str(mag))
-    return coeff < 0, "*".join(parts)
+    return num < 0, "*".join(parts)
 
 
 def join_terms(terms: Iterable[tuple[bool, str]]) -> str:

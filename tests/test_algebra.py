@@ -32,6 +32,7 @@ from vflie import (
     close,
     generic_rank,
     jordan_chains,
+    one_dim_ideals_mod_center,
     random_spec,
     split_check,
     VariableContext,
@@ -707,6 +708,53 @@ def test_ad_tables_are_built_on_first_read():
     assert vars(L)["_ad"] == vflie.algebra.ad_tables(L.structure, L.dim)
 
 
+LARGE_REPORT_DRAWS = (("center-rank1", 5, 5), ("center-rank1", 9, 6), ("center-rank1", 10, 5))
+
+
+def test_integer_ad_rows_are_exact():
+    """Each row of the integer ad tables over its denominator D_v is the
+    exact structure constant, D_v is the lcm of that row's denominators, and
+    the tables are built without the Fraction ones."""
+    draws = [close(build(random_spec(r, s, 3)).generators) for r in RECIPES for s in (0, 1)]
+    draws += [close(build(random_spec(*spec)).generators, cap_dim=200) for spec in LARGE_REPORT_DRAWS]
+    fractional = 0
+    for L in draws:
+        tables, dens = L._int_ad
+        assert "_ad" not in vars(L)
+        n = L.dim
+        for v in range(n):
+            lcm = 1
+            for j in range(n):
+                for k in range(n):
+                    entry = tables[v].get(j, {}).get(k, 0)
+                    assert type(entry) is int
+                    assert Q(entry, dens[v]) == L.c(v, j, k), (n, v, j, k)
+                    d = L.c(v, j, k).denominator
+                    lcm = lcm * d // gcd(lcm, d)
+            assert dens[v] == lcm
+            assert all(all(row.values()) for row in tables[v].values()), "a zero entry is stored"
+            fractional += dens[v] != 1
+    assert fractional, "no draw has a structure constant that is not an integer"
+
+
+def test_report_reads_no_fraction_ad_table(monkeypatch):
+    # the center, [g, g] and the certificate read spans only, from the
+    # integer tables, as does the center of the central quotient
+    expected = [close(build(random_spec(*spec)).generators, cap_dim=200) for spec in LARGE_REPORT_DRAWS]
+    expected = [(L.report(), one_dim_ideals_mod_center(L).to_dict()) for L in expected]
+
+    def no_ad(self):
+        raise AssertionError("a span-only consumer read the Fraction ad tables")
+
+    monkeypatch.setattr(LieAlgebra, "_ad", property(no_ad))
+    for spec, (report, ideals) in zip(LARGE_REPORT_DRAWS, expected):
+        L = close(build(random_spec(*spec)).generators, cap_dim=200)
+        assert L.report() == report
+        assert one_dim_ideals_mod_center(L).to_dict() == ideals
+    with pytest.raises(AssertionError, match="Fraction ad tables"):
+        L.c(0, 1, 2)
+
+
 # -- series -------------------------------------------------------------------------
 
 
@@ -735,20 +783,21 @@ def test_series_match_structure_constant_oracle(oracle_corpus):
 def test_lower_central_series_insert_count_is_pinned(monkeypatch):
     """Center-rank1 seed 5 (dim 33) takes the certificate: [g, g] once per
     nonzero pair, the layers W_2, W_3, ... of V's chain and their sum make
-    exactly 135 inserts, none of them empty, and no ad image is walked.
-    The ad-image loop made 219."""
+    exactly 135 echelon entries (_extend, which insert and echelon_of both
+    go through), none of them empty, and no ad image is walked.  The
+    ad-image loop made 219."""
     L = close(build(random_spec("center-rank1", 5, 5)).generators)
     inserted = []
-    real_insert = EchelonBasis.insert
+    real_extend = EchelonBasis._extend
 
-    def recording_insert(self, vec):
+    def recording_extend(self, vec):
         inserted.append(dict(vec))
-        return real_insert(self, vec)
+        return real_extend(self, vec)
 
     def no_ad_image(self, w):
         raise AssertionError("the certified series walked an ad image")
 
-    monkeypatch.setattr(EchelonBasis, "insert", recording_insert)
+    monkeypatch.setattr(EchelonBasis, "_extend", recording_extend)
     monkeypatch.setattr(LieAlgebra, "_ad_image", no_ad_image)
     report = L.series("lower-central")
     assert report.dims == (33, 30, 28, 23, 14, 0) and report.terminated_at_zero
@@ -761,13 +810,13 @@ def test_layers_skip_central_generators(monkeypatch):
     # no bracket at all
     draws = [close(build(random_spec("abelian-rank2", s, 3)).generators) for s in range(13)]
     calls = []
-    real_bracket = LieAlgebra._bracket
+    real_image = vflie.algebra._image
 
-    def counting_bracket(self, u, w):
+    def counting_image(table, w):
         calls.append(1)
-        return real_bracket(self, u, w)
+        return real_image(table, w)
 
-    monkeypatch.setattr(LieAlgebra, "_bracket", counting_bracket)
+    monkeypatch.setattr(vflie.algebra, "_image", counting_image)
     for L in draws:
         assert L.is_abelian()
         assert L._nilpotency_certificate == (tuple(range(L.dim)), (L.dim, 0))

@@ -240,6 +240,41 @@ def test_settled_layers_match_one_by_one_inserts(layers):
         assert all(layered.contains(v) for v in seen)
 
 
+@st.composite
+def vectors_with_duplicates(draw):
+    """Sparse int and Fraction vectors with explicit zero entries, where some
+    vectors repeat an earlier one, or a multiple of it, exactly."""
+    vecs = draw(st.lists(st.dictionaries(st.integers(0, 5), ENTRIES, max_size=4), max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if vecs else 0):
+        vec = draw(st.sampled_from(vecs))
+        scale = draw(st.sampled_from([1, -2, Q(1, 3)]))
+        vecs.insert(draw(st.integers(0, len(vecs))), {k: scale * c for k, c in vec.items()})
+    return vecs
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(vectors_with_duplicates())
+def test_one_open_layer_matches_echelon_of(vecs):
+    # all the vectors put into one open layer (_extend) and settled once, as
+    # close() does, leave the pivots, every primitive row and the pivot
+    # order that echelon_of, one insert at a time, leaves
+    layered, sequential = EchelonBasis(), linalg.echelon_of(vecs)
+    flags = [layered._extend(v) for v in vecs]
+    layered._settle()
+    assert sum(flags) == len(sequential)
+    assert layered.pivots == sequential.pivots
+    assert [layered.primitive_row(i) for i in range(len(layered))] == [
+        sequential.primitive_row(i) for i in range(len(sequential))
+    ]
+    assert layered.order() == sequential.order()
+    # a float still names its key, whether or not the key is a pivot
+    for key in (0, 9, *sequential.pivots[:1]):
+        bad = {1: Q(1, 2), key: 0.5}
+        for call in (sequential.reduce, sequential.contains, sequential.insert, layered._extend):
+            with pytest.raises(TypeError, match=f"key {key} is not rational: 0.5"):
+                call(bad)
+
+
 def test_settle_rewrites_only_the_rows_the_layer_hits():
     basis = EchelonBasis()
     basis.insert({0: 1, 2: 3})

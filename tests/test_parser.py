@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vflie import DEFAULT_CONTEXT, ParseError, VariableContext
+from vflie import DEFAULT_CONTEXT, ExpPoly, ParseError, VariableContext
 from vflie.parser import _tokenize, parse_expression, parse_field
 
-from conftest import rand_field, rand_poly, rng
-from vflie.ring import format_poly
+from conftest import Q, rand_field, rand_poly, rng
+from vflie.ring import ExpMonomial, format_poly, term_text
 
 
 def test_field_example_from_text():
@@ -66,6 +66,37 @@ def test_signs_and_rationals():
     p = parse_expression("-3/2*x + y - 1/7", DEFAULT_CONTEXT)
     assert str(p) == "-1/7 - 3/2*x + y"
     assert parse_expression(str(p), DEFAULT_CONTEXT) == p
+
+
+# (coefficient, the magnitude text it is written with)
+TERM_COEFFS = [
+    (Q(1), ""), (Q(-1), ""), (Q(3), "3"), (Q(-3), "3"),
+    (Q(1, 2), "1/2"), (Q(-1, 2), "1/2"), (Q(7, 3), "7/3"), (Q(-12, 5), "12/5"),
+]
+# (monomial, its text)
+TERM_MONOS = {
+    "constant": (ExpMonomial((0, 0, 0), (0, 0, 0)), ""),
+    "exp-only": (ExpMonomial((0, 0, 0), (0, Q(-3, 2), 1)), "exp(-3/2*y+z)"),
+    "powers": (ExpMonomial((1, 2, 0), (0, 0, 0)), "x*y^2"),
+    "mixed": (ExpMonomial((0, 0, 3), (1, 0, 0)), "z^3*exp(x)"),
+}
+
+
+@pytest.mark.parametrize("coeff, mag", TERM_COEFFS, ids=lambda v: str(v))
+@pytest.mark.parametrize("kind", TERM_MONOS)
+def test_term_text_spells_signs_and_magnitudes(coeff, mag, kind):
+    """term_text writes the magnitude from numerator and denominator: no
+    text for a unit coefficient unless the term is otherwise empty, the
+    sign apart; and the term and its field re-parse to themselves."""
+    mono, shape = TERM_MONOS[kind]
+    names = DEFAULT_CONTEXT.names
+    for tail in ("", "Dy"):
+        expected = "*".join(part for part in (mag, shape, tail) if part) or "1"
+        assert term_text(coeff, mono, names, tail) == (coeff < 0, expected)
+    p = ExpPoly(3, {mono: coeff})
+    assert parse_expression(str(p), DEFAULT_CONTEXT) == p
+    v = parse_field(f"({p})*Dy - ({p})*x*Dz", DEFAULT_CONTEXT)
+    assert parse_field(str(v), DEFAULT_CONTEXT) == v
 
 
 def test_leading_minus_on_fields():
