@@ -16,15 +16,14 @@ complement of [g, g], which generate g; ideal checks, quotients, split lifts
 and the series of any other algebra walk only the nonzero structure
 constants (LieAlgebra._ad_image), so a pair whose bracket is structurally
 zero is never visited.  Every center, that of a central quotient included,
-is one routine: common_kernel over the ad tables and a generating set.
+is one routine: common_kernel over the ad table and a generating set.
 
-There are two kinds of ad table, each built from the tensor on first read.
-The integer tables (integer_ad_tables: ad(e_v) as integer rows over one
-denominator D_v) serve what reads only spans, with no Fraction arithmetic:
-[g, g], the certificate's layers, the center and the center of the central
-quotient.  The Fraction tables (ad_tables) serve what needs exact values:
-c(), _bracket and _ad_image, hence the fallback series, ideal checks and
-classify's Jordan chains and split lifts.
+There is one ad table, built from the tensor on first read:
+integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  What
+reads only spans ([g, g], the certificate's layers, the center and the
+center of the central quotient) uses the rows as they are, with no Fraction
+arithmetic; _bracket and _ad_image scale them by 1/D_v to exact values.
+c() reads the tensor itself.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .linalg import (
     Q,
     SparseVector,
     _axpy,
+    _combination,
     _lcm,
     coordinatize,
     coordinatize_terms,
@@ -73,21 +73,11 @@ Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero 
 IntTable = dict[int, dict[int, int]]  # j -> nonzero integer coords of D_v * [e_v, e_j]
 
 
-def ad_tables(tensor: Tensor, dim: int) -> list[dict[int, SparseVector]]:
-    """Entry [i][j] is [e_i, e_j] in basis coordinates, for each nonzero
-    bracket of the structure constants `tensor`."""
-    ad: list[dict[int, SparseVector]] = [{} for _ in range(dim)]
-    for (i, j), comps in tensor.items():
-        ad[i][j] = comps
-        ad[j][i] = {k: -c for k, c in comps.items()}
-    return ad
-
-
 def integer_ad_tables(tensor: Tensor, dim: int) -> tuple[list[IntTable], list[int]]:
     """(tables, D): for each basis index v, ad(e_v) as integer rows over one
     positive denominator D[v], the lcm of the denominators of its structure
     constants, so that tables[v][j][k] / D[v] is the coefficient of e_k in
-    [e_v, e_j].  Built from the tensor directly, not from ad_tables."""
+    [e_v, e_j]: the algebra's one ad table."""
     dens = [1] * dim
     for (i, j), comps in tensor.items():
         for c in comps.values():
@@ -101,10 +91,10 @@ def integer_ad_tables(tensor: Tensor, dim: int) -> tuple[list[IntTable], list[in
     return tables, dens
 
 
-def _image(table: IntTable, w: Mapping[int, int]) -> dict[int, int]:
-    """D_v * [e_v, w] for ad(e_v)'s integer table and integer coordinates w,
-    exact zeros dropped."""
-    out: dict[int, int] = {}
+def _image(table: IntTable, w: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """D_v * [e_v, w] for ad(e_v)'s integer table and coordinates w, exact
+    zeros dropped; integer when w is."""
+    out: dict[int, Fraction] = {}
     for j, b in w.items():
         col = table.get(j)
         if col:
@@ -112,15 +102,15 @@ def _image(table: IntTable, w: Mapping[int, int]) -> dict[int, int]:
     return out
 
 
-def common_kernel(ad: Sequence[Mapping], acting: Iterable[int]) -> list[SparseVector]:
+def common_kernel(ad: Sequence[IntTable], acting: Iterable[int]) -> list[SparseVector]:
     """Canonical null-space basis, sparse, of the stacked maps ad(e_v), v in
-    acting: the center when the e_v generate the algebra, since a centralizer
-    is a subalgebra.  null_space gives the canonical basis of the subspace,
-    so the answer does not depend on the generating set.  The tables may be
-    the integer ones (integer_ad_tables): scaling the rows of ad(e_v) by
-    D_v > 0 leaves the null space unchanged."""
-    # column a, row (v, c): coefficient of e_c in [e_v, e_a]
-    columns: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(len(ad))]
+    acting, given as integer tables (integer_ad_tables): the center when the
+    e_v generate the algebra, since a centralizer is a subalgebra.  Scaling
+    the rows of ad(e_v) by D_v > 0 leaves the null space unchanged, and
+    null_space gives the canonical basis of the subspace, so the answer
+    does not depend on the generating set."""
+    # column a, row (v, c): D_v times the coefficient of e_c in [e_v, e_a]
+    columns: list[dict[tuple[int, int], int]] = [{} for _ in range(len(ad))]
     for v in acting:
         for a, comps in ad[v].items():
             for c, coeff in comps.items():
@@ -320,9 +310,9 @@ class LieAlgebra:
     and only the pairs a < b whose classes the support test cannot prove
     commuting are bracketed, in ascending (a, b) order.  Series, ideal
     checks, quotients and split lifts walk only the tensor's nonzero
-    entries, through the ad tables: the integer ones (_int_ad) for [g, g],
-    the certificate and the center, which read spans only, and the Fraction
-    ones (_ad) for c(), _bracket and _ad_image, which need exact values.
+    entries, through the one ad table (_int_ad): its integer rows as they
+    are for what reads spans only, scaled by 1/D_v in _bracket and
+    _ad_image.
 
     close() passes _operands, the fields it already made, by row index, for
     the rows that no settle changed since; each other row's field is made
@@ -333,7 +323,7 @@ class LieAlgebra:
     they enter (_checked), and _field is the one map back to fields.
 
     What an algebra computes once, it keeps: its unit rows in basis order,
-    both kinds of ad table (each on first read), both series, [g, g] and
+    the ad table (on first read), both series, [g, g] and
     the nilpotency certificate, the center's coefficients and fields, and
     per kept set the parts of a projection (its image algebra, kernel fields
     and kernel coefficients), never the Projection itself.  None of these
@@ -397,52 +387,46 @@ class LieAlgebra:
         return len(self.basis)
 
     @cached_property
-    def _ad(self) -> list[dict[int, SparseVector]]:
-        """ad_tables of the structure tensor, built on first read, for the
-        consumers that need exact values: c(), _bracket and _ad_image."""
-        return ad_tables(self.structure, self.dim)
-
-    @cached_property
     def _int_ad(self) -> tuple[list[IntTable], list[int]]:
-        """integer_ad_tables of the structure tensor, built on first read,
-        for the consumers that read only spans: [g, g], the certificate's
-        layers and the center."""
+        """integer_ad_tables of the structure tensor, built on first read."""
         return integer_ad_tables(self.structure, self.dim)
 
     def c(self, i: int, j: int, k: int) -> Fraction:
-        """Structure constant: coefficient of e_k in [e_i, e_j]."""
-        return self._ad[i].get(j, {}).get(k, ZERO)
+        """Structure constant: coefficient of e_k in [e_i, e_j], read from
+        the tensor.  TypeError for an index that is not an int (1.0 would
+        read e_1), ValueError for one outside range(dim)."""
+        for index in (i, j, k):
+            if not isinstance(index, int):
+                raise TypeError(f"basis index {index!r} is not an int")
+            if not 0 <= index < self.dim:
+                raise ValueError(f"basis index {index} out of range")
+        if i < j:
+            return self.structure.get((i, j), {}).get(k, ZERO)
+        return -self.structure.get((j, i), {}).get(k, ZERO)
 
     def _bracket(self, u: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> SparseVector:
-        """[u, w] for sparse basis coordinates, summed over the ad tables."""
+        """[u, w] for sparse basis coordinates: sum_i u_i / D_i times the
+        integer image D_i * [e_i, w] (_image)."""
+        tables, dens = self._int_ad
         out: SparseVector = {}
         for i, a in u.items():
-            ad_i = self._ad[i]
-            for j, b in w.items():
-                col = ad_i.get(j)
-                if col:
-                    ab = a * b
-                    for k, c in col.items():
-                        out[k] = out.get(k, ZERO) + ab * c
-        return {k: c for k, c in out.items() if c}
+            _axpy(out, _image(tables[i], w), Fraction(a, dens[i]))
+        return out
 
     def _ad_image(self, w: Mapping[int, Fraction]) -> dict[int, SparseVector]:
         """{i: [e_i, w]} for every i whose bracket with w is nonzero.
 
-        [e_i, w] = -sum_j w_j [e_j, e_i], so only the ad tables of the j in
-        supp(w) are walked; terms that cancel leave no entry.
+        [e_i, w] = -sum_j w_j / D_j * (D_j [e_j, e_i]), so only the ad
+        tables of the j in supp(w) are walked; terms that cancel leave no
+        entry.
         """
+        tables, dens = self._int_ad
         images: dict[int, SparseVector] = {}
         for j, b in w.items():
-            for i, col in self._ad[j].items():
-                out = images.setdefault(i, {})
-                for k, c in col.items():
-                    out[k] = out.get(k, ZERO) - b * c
-        return {
-            i: nonzero
-            for i, out in images.items()
-            if (nonzero := {k: c for k, c in out.items() if c})
-        }
+            scale = -Fraction(b, dens[j])
+            for i, col in tables[j].items():
+                _axpy(images.setdefault(i, {}), col, scale)
+        return {i: out for i, out in images.items() if out}
 
     def bracket_coeffs(
         self, u: Sequence[Fraction], w: Sequence[Fraction]
@@ -470,10 +454,7 @@ class LieAlgebra:
         if len(coeffs) == 1:
             (k, c), = coeffs.items()
             return self.basis[k] if c == 1 else self.basis[k] * c
-        vec: dict = {}
-        for k, c in coeffs.items():
-            _axpy(vec, self._rows[k], c)
-        return uncoordinatize(vec, self.ctx)
+        return uncoordinatize(_combination(self._rows, coeffs), self.ctx)
 
     def express(self, field: VectorField) -> list[Fraction]:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .algebra import IdealLike, LieAlgebra, common_kernel, integer_ad_tables
 from .errors import (
@@ -35,6 +35,7 @@ from .linalg import (
     Q,
     SparseVector,
     _axpy,
+    _combination,
     echelon_of,
     generic_rank,
     null_space,
@@ -245,14 +246,6 @@ class JordanDecomposition:
             "chain_lengths": list(self.lengths),
             "kernel_dim": len(self.chains),
         }
-
-
-def _combination(vectors: Sequence[Mapping[int, Fraction]], coeffs: Mapping[int, Fraction]) -> SparseVector:
-    """sum_s coeffs[s] * vectors[s] over sparse integer-key vectors."""
-    out: SparseVector = {}
-    for s, c in coeffs.items():
-        _axpy(out, vectors[s], c)
-    return out
 
 
 def jordan_chains(

@@ -28,7 +28,8 @@ monomial) pairs, which coordinatize vector fields and are spelled only in
 this module, or integer basis coordinates, which the structure-constant
 layer uses; both kinds compare natively (ExpMonomial orders itself), so a
 row's pivot is just its least key.  One sparse multiply-accumulate, _axpy,
-serves the integer elimination and every Fraction combination alike.  The
+serves the integer elimination and every Fraction combination alike, and
+_combination sums scaled vectors through it.  The
 dense helpers (rref_dense, null_space_dense, solve_dense) are thin list
 adapters over integer-key bases; no engine code calls them, and they remain
 for the tests and the benchmark tracer (bench/tracing.py).
@@ -109,6 +110,14 @@ def _axpy(dst: dict, src: Mapping, scale: Any) -> None:
             dst[key] = acc
         else:
             dst.pop(key, None)
+
+
+def _combination(vectors: Sequence[Mapping], coeffs: Mapping[int, Any]) -> dict:
+    """sum_s coeffs[s] * vectors[s] over sparse vectors, by _axpy."""
+    out: dict = {}
+    for s, c in coeffs.items():
+        _axpy(out, vectors[s], c)
+    return out
 
 
 def _gcd(a: int, b: int) -> int:

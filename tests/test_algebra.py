@@ -32,7 +32,6 @@ from vflie import (
     close,
     generic_rank,
     jordan_chains,
-    one_dim_ideals_mod_center,
     random_spec,
     split_check,
     VariableContext,
@@ -424,6 +423,23 @@ def test_closure_agrees_with_naive_fixpoint_oracle():
             assert L.contains(f)
 
 
+@pytest.mark.parametrize("index, error, message", [
+    ((-4, 1, 3), ValueError, "basis index -4 out of range"),
+    ((0, 1, 7), ValueError, "basis index 7 out of range"),
+    ((0, -3, 3), ValueError, "basis index -3 out of range"),
+    ((5, 0, 0), ValueError, "basis index 5 out of range"),
+    ((0, 1.0, 3), TypeError, "basis index 1.0 is not an int"),
+])
+def test_structure_constant_rejects_a_bad_index(index, error, message):
+    # [e_0, e_1] = e_3: a negative index used to wrap round to (0, 1, 3) and
+    # return 1, one past the end to return 0 or raise a bare IndexError, and
+    # a float to read the int it equals
+    L = algebra("Dx", "y*Dx + x*Dz", "Dy")
+    assert L.dim == 4 and L.c(0, 1, 3) == 1 and L.c(1, 0, 3) == -1
+    with pytest.raises(error, match=re.escape(message)):
+        L.c(*index)
+
+
 def test_structure_tensor_antisymmetry_and_jacobi():
     for texts in (EX_SPLIT_FAIL, EX_EXP, HEISENBERG, TWO_CHAIN):
         L = algebra(*texts)
@@ -468,7 +484,7 @@ def coordinate_vectors(draw, L: LieAlgebra) -> dict:
         w = {j: draw(mixed) for j in support}
     shared = [
         (ad_i, j, k, t)
-        for ad_i in L._ad
+        for ad_i in L._int_ad[0]
         for j, k in combinations(sorted(ad_i), 2)
         for t in set(ad_i[j]) & set(ad_i[k])
     ]
@@ -482,7 +498,13 @@ def coordinate_vectors(draw, L: LieAlgebra) -> dict:
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.data())
 def test_ad_image_is_every_nonzero_bracket_with_a_unit(oracle_corpus, data):
+    """_ad_image(w) is the nonzero [e_i, w] of _bracket, and _bracket(u, w)
+    is the dense oracle's bracket, which reads only c(); both have Fraction
+    values, including on algebras whose ad rows have denominators D_v != 1."""
+    fractional = [n for n, L in enumerate(oracle_corpus) if any(d != 1 for d in L._int_ad[1])]
+    assert fractional, "no corpus algebra has an ad row with a denominator"
     source = data.draw(st.one_of(
+        st.sampled_from(fractional),
         st.sampled_from(range(len(oracle_corpus))),
         st.tuples(st.sampled_from(RECIPES), st.integers(0, 40)),
     ))
@@ -490,9 +512,15 @@ def test_ad_image_is_every_nonzero_bracket_with_a_unit(oracle_corpus, data):
         L = oracle_corpus[source]
     else:
         L = close(build(random_spec(source[0], source[1], 2)).generators)
+    u = data.draw(coordinate_vectors(L))
     w = data.draw(coordinate_vectors(L))
+    bracket = L._bracket(u, w)
+    assert to_dense(bracket, L.dim) == oracle_bracket(L)(to_dense(u, L.dim), to_dense(w, L.dim))
     expected = {i: v for i in range(L.dim) if (v := L._bracket({i: Q(1)}, w))}
-    assert L._ad_image(w) == expected
+    images = L._ad_image(w)
+    assert images == expected
+    values = [*bracket.values(), *(c for v in images.values() for c in v.values())]
+    assert all(type(c) is Q for c in values)
 
 
 def test_ad_image_drops_a_bracket_that_cancels():
@@ -699,28 +727,20 @@ def test_center_coeffs_hands_out_copies():
     assert classify(L).subcase == "a"
 
 
-def test_ad_tables_are_built_on_first_read():
-    L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
-    assert "_ad" not in vars(L)
-    (i, j), comps = next(iter(L.structure.items()))
-    k, value = next(iter(comps.items()))
-    assert L.c(i, j, k) == value and L.c(j, i, k) == -value
-    assert vars(L)["_ad"] == vflie.algebra.ad_tables(L.structure, L.dim)
-
-
 LARGE_REPORT_DRAWS = (("center-rank1", 5, 5), ("center-rank1", 9, 6), ("center-rank1", 10, 5))
 
 
 def test_integer_ad_rows_are_exact():
-    """Each row of the integer ad tables over its denominator D_v is the
-    exact structure constant, D_v is the lcm of that row's denominators, and
-    the tables are built without the Fraction ones."""
+    """Each entry of the integer ad tables over its row's denominator D_v is
+    the structure constant that c() reads from the tensor, D_v is the lcm of
+    that row's denominators, no zero is stored, and the tables are not built
+    before their first read."""
     draws = [close(build(random_spec(r, s, 3)).generators) for r in RECIPES for s in (0, 1)]
     draws += [close(build(random_spec(*spec)).generators, cap_dim=200) for spec in LARGE_REPORT_DRAWS]
     fractional = 0
     for L in draws:
+        assert "_int_ad" not in vars(L)
         tables, dens = L._int_ad
-        assert "_ad" not in vars(L)
         n = L.dim
         for v in range(n):
             lcm = 1
@@ -735,24 +755,6 @@ def test_integer_ad_rows_are_exact():
             assert all(all(row.values()) for row in tables[v].values()), "a zero entry is stored"
             fractional += dens[v] != 1
     assert fractional, "no draw has a structure constant that is not an integer"
-
-
-def test_report_reads_no_fraction_ad_table(monkeypatch):
-    # the center, [g, g] and the certificate read spans only, from the
-    # integer tables, as does the center of the central quotient
-    expected = [close(build(random_spec(*spec)).generators, cap_dim=200) for spec in LARGE_REPORT_DRAWS]
-    expected = [(L.report(), one_dim_ideals_mod_center(L).to_dict()) for L in expected]
-
-    def no_ad(self):
-        raise AssertionError("a span-only consumer read the Fraction ad tables")
-
-    monkeypatch.setattr(LieAlgebra, "_ad", property(no_ad))
-    for spec, (report, ideals) in zip(LARGE_REPORT_DRAWS, expected):
-        L = close(build(random_spec(*spec)).generators, cap_dim=200)
-        assert L.report() == report
-        assert one_dim_ideals_mod_center(L).to_dict() == ideals
-    with pytest.raises(AssertionError, match="Fraction ad tables"):
-        L.c(0, 1, 2)
 
 
 # -- series -------------------------------------------------------------------------
@@ -867,7 +869,7 @@ def test_both_center_routes_match_the_oracle(oracle_corpus):
     certified = 0
 
     def dense_kernel(L, acting):
-        return [to_dense(v, L.dim) for v in vflie.algebra.common_kernel(L._ad, acting)]
+        return [to_dense(v, L.dim) for v in vflie.algebra.common_kernel(L._int_ad[0], acting)]
 
     for L in oracle_corpus + draws + fallback:
         expected = oracle_center(L)

@@ -139,6 +139,32 @@ def test_package_imports_only_what_it_uses():
     assert unused == []
 
 
+# read only outside the package, by bench/tracing.py and the tests
+UNREAD_IN_PACKAGE = {"rref_dense", "null_space_dense", "solve_dense"}
+
+
+def test_package_defines_only_what_it_reads():
+    # no linter runs in the gate: every module-level function and class in
+    # src/vflie is read somewhere in src/vflie, or exported through __all__;
+    # the allow-list holds exactly the definitions that are neither
+    src = Path(__file__).resolve().parent.parent / "src" / "vflie"
+    defined = []
+    read = set()
+    exported = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        read |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unread = sorted((name, where) for name, where in defined if name not in read | exported)
+    assert {name for name, _ in unread} == UNREAD_IN_PACKAGE, unread
+
+
 # -- substitution ------------------------------------------------------------------
 
 
