@@ -9,6 +9,9 @@ key, hence independent of generator order) and brackets it into the exact
 structure-constant tensor.  Both bracket fields made from the echelon's
 integer rows and take the bracket back as a coordinate vector, never as a
 field, and neither brackets a pair whose support masks prove it commuting.
+Field coordinates are int column ids: close() makes one column table
+(linalg.Columns) per closure, and the algebra it returns reads that table
+for its basis, operands, tensor, _field, express and contains.
 All queries (center, series, projections, adjoints, quotients) are exact
 and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
@@ -41,12 +44,13 @@ from .errors import (
     ContextMismatch,
     InternalInvariantViolation,
     NotAnIdeal,
+    NotInSpan,
     ProjectionHypothesisViolated,
 )
 from .fields import VariableContext, VectorField
 from .linalg import (
     ZERO,
-    CoordVector,
+    Columns,
     EchelonBasis,
     Q,
     SparseVector,
@@ -54,14 +58,11 @@ from .linalg import (
     _combination,
     _lcm,
     coordinatize,
-    coordinatize_terms,
-    degree_of,
     echelon_of,
     generic_rank,
     null_space,
     to_dense,
     to_sparse,
-    uncoordinatize,
 )
 
 DEFAULT_CAP_DIM = 64
@@ -131,12 +132,30 @@ def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
     return bool(s[0] & t[1] or t[0] & s[1])
 
 
-def _bracket_unless_commuting(u: VectorField, v: VectorField) -> CoordVector | None:
-    """The coordinates of [u, v], or None when it is zero or the support
-    masks prove it zero."""
+def _bracket_unless_commuting(
+    columns: Columns, u: VectorField, v: VectorField
+) -> dict[int, Fraction] | None:
+    """The vector of [u, v] over columns, or None when it is zero or the
+    support masks prove it zero."""
     if not _can_fail_to_commute(u.support(), v.support()):
         return None
-    return coordinatize_terms(u._bracket_terms(v)) or None
+    return columns.vector(u._bracket_terms(v)) or None
+
+
+def _rekeyed(ctx: VariableContext, echelon: EchelonBasis) -> EchelonBasis:
+    """A settled (component, monomial)-keyed echelon, such as echelon_of
+    gives on coordinatize vectors, as the same rows in the same order over a
+    new column table: each row is zero at the others' pivots, so inserting
+    them one by one changes none of them, and each keeps its pivot, the
+    least key."""
+    columns = Columns(ctx.nvars)
+    out = EchelonBasis(columns)
+    for i in range(len(echelon)):
+        comps: list[dict] = [{} for _ in range(ctx.nvars)]
+        for (c, mono), coeff in echelon.primitive_row(i).items():
+            comps[c][mono] = coeff
+        out.insert(columns.vector(comps))
+    return out
 
 
 def close(
@@ -172,7 +191,11 @@ def close(
     echelon makes every row primitive with a positive pivot, so the layers
     see the same rows, degrees and independence as the unit rows would.
     Each pair is first put to the support test (_bracket_unless_commuting),
-    and a bracket goes into the echelon as coordinates, never as a field.
+    and a bracket goes into the echelon as coordinates, never as a field:
+    one column table (linalg.Columns) numbers the closure's (component,
+    monomial) keys, so every elimination step hashes int column ids, while
+    the pivots stay the least keys in (component, monomial) order, and with
+    them the basis, the pair order, the degree cap and every cap report.
     The echelon goes to LieAlgebra, which brackets the final basis pairs
     into the tensor; with it go the operands made here from the rows that
     no later settle changed, so those are not made twice.
@@ -191,14 +214,15 @@ def close(
         if g.ctx != ctx:
             raise ContextMismatch("generators belong to different contexts")
 
-    echelon = EchelonBasis()
+    columns = Columns(ctx.nvars)
+    echelon = EchelonBasis(columns)
     rounds = pending = 0
 
     def cap_error(cap: str, limit: int, detail: str = "") -> ClosureCapExceeded:
         return ClosureCapExceeded(cap, limit, len(echelon), rounds, pending, detail)
 
-    def add(vec: CoordVector) -> None:
-        degree = degree_of(vec)
+    def add(vec: dict[int, Fraction]) -> None:
+        degree = columns.degree(vec)
         if degree > cap_degree:
             raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
         if echelon._extend(vec) and len(echelon) > cap_dim:
@@ -211,11 +235,11 @@ def close(
         echelon._settle()
         for i in range(start, len(echelon)):
             row = echelon.primitive_row(i)
-            operands[i] = (row, uncoordinatize(row, ctx))
+            operands[i] = (row, columns.field(row, ctx))
         return [operands[i][1] for i in range(start, len(echelon))]
 
     for g in gens:
-        add(coordinatize(g))
+        add(columns.vector(comp.term_map() for comp in g.comps))
     S = operands_from(0)
     pairs = list(combinations(S, 2))
     while pairs:
@@ -226,7 +250,7 @@ def close(
         start = len(echelon)
         for s, t in pairs:
             pending -= 1
-            if (vec := _bracket_unless_commuting(s, t)) is not None:
+            if (vec := _bracket_unless_commuting(columns, s, t)) is not None:
                 add(vec)
         frontier = operands_from(start)
         pairs = [(s, t) for s in S for t in frontier]
@@ -298,17 +322,24 @@ class QuotientStructure:
 class LieAlgebra:
     """Closed algebra: canonical echelon basis plus exact structure tensor.
 
-    Built from the (component, monomial)-keyed echelon of a bracket-closed
-    span, which it keeps as its one record of the span.  The basis is the
-    unit rows in pivot order.  The tensor brackets the fields of the
-    primitive integer rows, h_a*e_a and h_b*e_b, reads the bracket's value
-    c at each pivot it hits (its coordinate on that unit row, by full
-    reduction) and builds each structure constant as one Fraction,
-    Fraction(c, h_a*h_b), since [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b]; a
-    bracket outside the span raises InternalInvariantViolation.  The
-    operands fall into at most 64 support classes (VectorField.support),
-    and only the pairs a < b whose classes the support test cannot prove
-    commuting are bracketed, in ascending (a, b) order.  Series, ideal
+    Built from the echelon of a bracket-closed span over a column table
+    (linalg.Columns), which it keeps as its one record of the span; every
+    field it makes (basis, operands, _field) and every field it reads into
+    coordinates (the tensor's brackets, express, contains) goes through
+    that table.  An echelon without a table, keyed by (component, monomial)
+    as coordinatize gives, is re-keyed once onto a new table (_rekeyed);
+    a query field with a monomial the table lacks is outside the span, and
+    a query makes no column.  The basis is the unit rows in pivot order,
+    pivot order being (component, monomial) key order.  The tensor brackets
+    the fields of the primitive integer rows, h_a*e_a and h_b*e_b, reads
+    the bracket's value c at each pivot it hits (its coordinate on that
+    unit row, by full reduction) and builds each structure constant as one
+    Fraction, Fraction(c, h_a*h_b), since [h_a*e_a, h_b*e_b] =
+    h_a*h_b*[e_a, e_b]; a bracket outside the span raises
+    InternalInvariantViolation.  The operands fall into at most 64 support
+    classes (VectorField.support), and only the pairs a < b whose classes
+    the support test cannot prove commuting are bracketed, in ascending
+    (a, b) order.  Series, ideal
     checks, quotients and split lifts walk only the tensor's nonzero
     entries, through the one ad table (_int_ad): its integer rows as they
     are for what reads spans only, scaled by 1/D_v in _bracket and
@@ -338,17 +369,20 @@ class LieAlgebra:
         *,
         _operands: Mapping[int, VectorField] | None = None,
     ):
+        if echelon.columns is None:
+            echelon = _rekeyed(ctx, echelon)
+        columns = echelon.columns
         self.ctx = ctx
         self._echelon = echelon
         self._order = echelon.order()
         self._rows = [echelon.row(i) for i in self._order]
-        self.basis = tuple(uncoordinatize(row, ctx) for row in self._rows)
+        self.basis = tuple(columns.field(row, ctx) for row in self._rows)
         position = {row: k for k, row in enumerate(self._order)}
         rows = [echelon.primitive_row(i) for i in self._order]
         heads = [row[echelon.pivots[i]] for row, i in zip(rows, self._order)]
         given = _operands or {}
         scaled = [
-            given[i] if i in given else uncoordinatize(row, ctx)
+            given[i] if i in given else columns.field(row, ctx)
             for i, row in zip(self._order, rows)
         ]
         supports = [u.support() for u in scaled]
@@ -364,7 +398,7 @@ class LieAlgebra:
         for a, u in enumerate(scaled):
             later = partners[supports[a]]
             for b in later[bisect_right(later, a):]:
-                vec = coordinatize_terms(u._bracket_terms(scaled[b]))
+                vec = columns.vector(u._bracket_terms(scaled[b]))
                 if not vec:
                     continue
                 if echelon._residual(vec)[0]:
@@ -454,20 +488,24 @@ class LieAlgebra:
         if len(coeffs) == 1:
             (k, c), = coeffs.items()
             return self.basis[k] if c == 1 else self.basis[k] * c
-        return uncoordinatize(_combination(self._rows, coeffs), self.ctx)
+        return self._echelon.columns.field(_combination(self._rows, coeffs), self.ctx)
 
     def express(self, field: VectorField) -> list[Fraction]:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""
         if field.ctx != self.ctx:
             raise ContextMismatch("field belongs to a different context")
+        vec = self._echelon.columns.find(coordinatize(field))
+        if vec is None:
+            raise NotInSpan("vector is outside the span of the basis")
         # the echelon's rows are in insertion order, the basis in pivot order
-        coeffs = self._echelon.express(coordinatize(field))
+        coeffs = self._echelon.express(vec)
         return [coeffs[row] for row in self._order]
 
     def contains(self, field: VectorField) -> bool:
         if field.ctx != self.ctx:
             raise ContextMismatch("field belongs to a different context")
-        return self._echelon.contains(coordinatize(field))
+        vec = self._echelon.columns.find(coordinatize(field))
+        return vec is not None and self._echelon.contains(vec)
 
     def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> SparseVector:
         return to_sparse(self.express(v)) if isinstance(v, VectorField) else self._checked(v)
@@ -661,12 +699,16 @@ class LieAlgebra:
                         "depends on a dropped variable"
                     )
         sub_ctx = VariableContext(tuple(self.ctx.names[i] for i in indices))
+        columns = Columns(sub_ctx.nvars)
         images = [
-            coordinatize(VectorField(sub_ctx, tuple(b.comps[i].restrict(indices) for i in indices)))
+            columns.vector(b.comps[i].restrict(indices).term_map() for i in indices)
             for b in self.basis
         ]
+        echelon = EchelonBasis(columns)
+        for vec in images:
+            echelon.insert(vec)
         # no closure: under the block hypothesis dropping components is a homomorphism
-        image = LieAlgebra(sub_ctx, echelon_of(images))
+        image = LieAlgebra(sub_ctx, echelon)
         kernel = null_space(images)
         if image.dim + len(kernel) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")

@@ -15,24 +15,30 @@ vector enters through `_extend` and so through `_residual`, one pass that
 drops zeros, checks that each entry is rational, finds the pivots hit and
 grows the scale; an integer vector (scale 1), such as a bracket of
 integer rows or an integer ad-table row, is never turned into Fractions.
-`primitive_row` hands out a
-stored integer row itself, which callers must not mutate, and a settle that
-changes a row stores a new dict in its place.  close() and LieAlgebra bracket
-fields made from those rows (uncoordinatize) and take each bracket back as
-a vector built from its term maps (coordinatize_terms), so no bracket
-becomes a VectorField.  The unit-pivot Fraction rows are built on each
-read, for the basis and the analysis callers.  Given Fractions or ints,
-every value it returns is a Fraction, and a value that is not rational (a
-float) raises TypeError.  Its keys are either (component,
-monomial) pairs, which coordinatize vector fields and are spelled only in
-this module, or integer basis coordinates, which the structure-constant
-layer uses; both kinds compare natively (ExpMonomial orders itself), so a
-row's pivot is just its least key.  One sparse multiply-accumulate, _axpy,
-serves the integer elimination and every Fraction combination alike, and
-_combination sums scaled vectors through it.  The
-dense helpers (rref_dense, null_space_dense, solve_dense) are thin list
-adapters over integer-key bases; no engine code calls them, and they remain
-for the tests and the benchmark tracer (bench/tracing.py).
+`primitive_row` hands out a stored integer row itself, which callers must
+not mutate, and a settle that changes a row stores a new dict in its place.
+The unit-pivot Fraction rows are built on each read.  Given Fractions or
+ints, every value it returns is a Fraction, and a value that is not
+rational (a float) raises TypeError.
+
+Its keys are of two kinds.  Field coordinates are int column ids of a
+Columns table, the one map between ids and (component, monomial) keys,
+which are spelled only in this module.  close() makes one table per
+closure, the LieAlgebra it returns reads that table, and no elimination
+step hashes a tuple.  Ids are given in first-seen order, so an echelon over
+a table (EchelonBasis(columns)) orders pivots by their (component,
+monomial) keys: a row's pivot is its least key.  Integer basis
+coordinates, which the structure-constant layer uses, take no table and
+order themselves.  close() and LieAlgebra bracket fields made from the rows
+(Columns.field) and take each bracket back as a vector built from its term
+maps (Columns.vector), so no bracket becomes a VectorField; coordinatize
+gives the public (component, monomial)-keyed form of a field.
+
+One sparse multiply-accumulate, _axpy, serves the integer elimination and
+every Fraction combination alike, and _combination sums scaled vectors
+through it.  The dense helpers (rref_dense, null_space_dense, solve_dense)
+are thin list adapters over integer-key bases; no engine code calls them,
+and they remain for the tests and the benchmark tracer (bench/tracing.py).
 generic_rank decides the pointwise-span dimension of a field family by
 greedy span growth over the fraction field: a field is kept when one of at
 most three small symbolic minors over the moved columns is nonzero, so a
@@ -51,44 +57,95 @@ from .fields import VariableContext, VectorField
 from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational
 
 Key = tuple[int, ExpMonomial]
-CoordVector = dict[Key, Fraction]
 SparseVector = dict[int, Fraction]
 
 ZERO = Q(0)
 
 
-def coordinatize(field: VectorField) -> CoordVector:
+def coordinatize(field: VectorField) -> dict[Key, Fraction]:
     """Linear bijection onto sparse coordinates keyed by (component, monomial)."""
-    return coordinatize_terms(comp.term_map() for comp in field.comps)
+    return {
+        (i, mono): c for i, comp in enumerate(field.comps) for mono, c in comp.term_map().items()
+    }
 
 
-def coordinatize_terms(comps: Iterable[Mapping[ExpMonomial, Any]]) -> CoordVector:
-    """coordinatize of the field with these per-component term maps (nonzero
-    coefficients), such as VectorField._bracket_terms returns, with no field
-    built in between."""
-    return {(i, mono): c for i, terms in enumerate(comps) for mono, c in terms.items()}
-
-
-def degree_of(vec: CoordVector) -> int:
-    """Total degree of the field with coordinates vec: the largest over its
-    monomials, and -1 for the zero vector, as ExpPoly.degree counts it."""
-    return max((sum(mono[1]) for _, mono in vec), default=-1)
-
-
-def uncoordinatize(vec: CoordVector, ctx: VariableContext) -> VectorField:
-    """Inverse of coordinatize on the Fraction vectors it and EchelonBasis give.
-
-    It also takes a primitive integer row (EchelonBasis.primitive_row) and
-    then returns a scaled representative with int coefficients.  Such a
-    field is a bracket operand, for close() and the structure tensor, and
-    nothing else: every field the engine returns keeps the _poly contract of
-    Fraction coefficients."""
+def uncoordinatize(vec: Mapping[Key, Fraction], ctx: VariableContext) -> VectorField:
+    """Inverse of coordinatize."""
     n = ctx.nvars
     comps: list[dict[ExpMonomial, Fraction]] = [{} for _ in range(n)]
     for (i, mono), coeff in vec.items():
         if coeff:
             comps[i][mono] = coeff
     return VectorField(ctx, tuple(_poly(n, c) for c in comps))
+
+
+class Columns:
+    """The column table of field coordinates: the one map between
+    (component, monomial) keys and int column ids.
+
+    ids[i] maps a monomial of component i to its id, keys[id] maps back and
+    degrees[id] is the monomial's total degree.  Ids are given in the order
+    the keys are first seen, so they do not follow the key order; an
+    EchelonBasis over the table pivots on the least key, not the least id.
+    A vector over the table is a dict id -> coefficient.  `field` also takes
+    a primitive integer row (EchelonBasis.primitive_row) and then returns a
+    scaled representative with int coefficients: a bracket operand, for
+    close() and the structure tensor, and nothing else, since every field
+    the engine returns keeps the _poly contract of Fraction coefficients.
+    """
+
+    def __init__(self, nvars: int) -> None:
+        self.ids: list[dict[ExpMonomial, int]] = [{} for _ in range(nvars)]
+        self.keys: list[Key] = []
+        self.degrees: list[int] = []
+
+    def _new(self, i: int, mono: ExpMonomial) -> int:
+        k = self.ids[i][mono] = len(self.keys)
+        self.keys.append((i, mono))
+        self.degrees.append(sum(mono[1]))
+        return k
+
+    def vector(self, comps: Iterable[Mapping[ExpMonomial, Any]]) -> dict[int, Any]:
+        """The vector of the field with these per-component term maps
+        (nonzero coefficients), such as VectorField._bracket_terms returns,
+        with no field built in between; a monomial first seen gets an id."""
+        out = {}
+        for i, terms in enumerate(comps):
+            ids = self.ids[i]
+            for mono, c in terms.items():
+                k = ids.get(mono)
+                out[self._new(i, mono) if k is None else k] = c
+        return out
+
+    def find(self, vec: Mapping[Key, Fraction]) -> dict[int, Fraction] | None:
+        """A coordinatize vector over this table, or None when one of its
+        keys has no id: it then lies outside the span of any rows over the
+        table.  Makes no id, so a query does not grow the table."""
+        ids = self.ids
+        out = {}
+        for (i, mono), c in vec.items():
+            k = ids[i].get(mono)
+            if k is None:
+                return None
+            out[k] = c
+        return out
+
+    def field(self, row: Mapping[int, Any], ctx: VariableContext) -> VectorField:
+        """The field whose vector is row."""
+        n = ctx.nvars
+        keys = self.keys
+        comps: list[dict[ExpMonomial, Any]] = [{} for _ in range(n)]
+        for k, coeff in row.items():
+            if coeff:
+                i, mono = keys[k]
+                comps[i][mono] = coeff
+        return VectorField(ctx, tuple(_poly(n, c) for c in comps))
+
+    def degree(self, vec: Iterable[int]) -> int:
+        """Total degree of the field with this vector: the largest over its
+        monomials, and -1 for the zero vector, as ExpPoly.degree counts it."""
+        degrees = self.degrees
+        return max((degrees[k] for k in vec), default=-1)
 
 
 def to_sparse(vec: Sequence[Fraction]) -> SparseVector:
@@ -191,6 +248,15 @@ class EchelonBasis:
     callers can keep stable indices while the basis grows; `order()` gives
     the pivot-sorted (reduced row-echelon) view.
 
+    Keys are of one kind per echelon.  Without a column table they order
+    themselves (integer basis coordinates, or the (component, monomial)
+    pairs of coordinatize).  With one (`columns`, for field coordinates)
+    they are its int ids, hashed as ints, and the key order is still that
+    of their (component, monomial) keys, through columns.keys: it is read
+    at exactly three sites, the least key in `_extend`, the descending
+    sort in `_settle` and `order()`, so the pivots, rows and order are
+    those of the tuple-keyed echelon, translated.
+
     Invariant of the settled rows (full reduction): every settled row is
     zero at every other settled row's pivot.  So subtracting one row never
     changes a vector's coefficient at another pivot, `reduce` may clear the
@@ -224,7 +290,8 @@ class EchelonBasis:
     are built on each read.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, columns: Columns | None = None) -> None:
+        self.columns = columns
         self.pivots: list = []
         self._pivot_row: dict = {}
         self._ints: list[dict[Any, int]] = []
@@ -319,7 +386,8 @@ class EchelonBasis:
                 residual = _eliminate(residual, ints[i], pivots[i])
         if not residual:
             return False
-        lead = min(residual)
+        columns = self.columns
+        lead = min(residual) if columns is None else min(residual, key=columns.keys.__getitem__)
         ints.append(_primitive(residual, lead))
         pivots.append(lead)
         return True
@@ -343,7 +411,7 @@ class EchelonBasis:
         else:
             layer: dict = {}  # pivot -> fully reduced row, filled downwards
             done = layer.keys()
-            for i in sorted(range(start, end), key=pivots.__getitem__, reverse=True):
+            for i in self._by_pivot(range(start, end), reverse=True):
                 if not done.isdisjoint(ints[i].keys()):
                     ints[i] = _cleared(ints[i], pivots[i], layer)
                 layer[pivots[i]] = ints[i]
@@ -364,7 +432,15 @@ class EchelonBasis:
 
     def order(self) -> list[int]:
         """Row indices sorted by pivot key (the reduced row-echelon order)."""
-        return sorted(range(len(self._ints)), key=self.pivots.__getitem__)
+        return self._by_pivot(range(len(self._ints)))
+
+    def _by_pivot(self, indices: Iterable[int], reverse: bool = False) -> list[int]:
+        """Row indices sorted by their pivots' keys."""
+        pivots = self.pivots
+        if self.columns is None:
+            return sorted(indices, key=pivots.__getitem__, reverse=reverse)
+        keys = self.columns.keys
+        return sorted(indices, key=lambda i: keys[pivots[i]], reverse=reverse)
 
     def rows_sorted(self) -> list[dict]:
         return [self.row(i) for i in self.order()]

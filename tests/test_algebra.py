@@ -37,7 +37,7 @@ from vflie import (
     VariableContext,
     VectorField,
 )
-from vflie.linalg import coordinatize, echelon_of, null_space, to_dense, uncoordinatize
+from vflie.linalg import coordinatize, echelon_of, null_space, to_dense
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -209,15 +209,17 @@ def test_dim_cap_fields_are_pinned_mid_layer_at_a_larger_dimension():
 
 def test_close_hands_over_a_fully_reduced_echelon():
     # close() settles each layer, so the echelon LieAlgebra reads has every
-    # row primitive, with a positive pivot and zero at every other pivot
+    # row primitive, with a positive pivot and zero at every other pivot;
+    # the pivot is the least (component, monomial) key of the column table
     L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
     echelon = L._echelon
     assert len(echelon) == L.dim == 88
     pivots = set(echelon.pivots)
     assert len(pivots) == 88
+    key = echelon.columns.keys.__getitem__
     for i in range(len(echelon)):
         row, pivot = echelon.primitive_row(i), echelon.pivots[i]
-        assert pivot == min(row) and row[pivot] > 0
+        assert pivot == min(row, key=key) and row[pivot] > 0
         assert pivots & set(row) == {pivot}
         assert gcd(*row.values()) == 1
 
@@ -274,7 +276,7 @@ def test_tensor_brackets_the_pairs_its_support_classes_allow(monkeypatch):
     # per operand where the per-pair test made two per pair
     L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
     echelon = L._echelon
-    scaled = [uncoordinatize(echelon.primitive_row(i), ctx) for i in echelon.order()]
+    scaled = [echelon.columns.field(echelon.primitive_row(i), ctx) for i in echelon.order()]
     index = {u: k for k, u in enumerate(scaled)}
     assert len(index) == L.dim == 88
     expected = [
@@ -325,7 +327,7 @@ def test_close_hands_over_only_current_operands(monkeypatch):
         L = close(gens, cap_dim=200)
         operands = handed[0]
         for i, u in operands.items():
-            assert u == uncoordinatize(L._echelon.primitive_row(i), L.ctx)
+            assert u == L._echelon.columns.field(L._echelon.primitive_row(i), L.ctx)
         stale += L.dim - len(operands)
         fresh = LieAlgebra(L.ctx, L._echelon)
         assert handed[-1] is None
@@ -1139,6 +1141,45 @@ def test_algebra_over_a_span_that_is_not_closed_is_refused():
     # [Dx, x*Dy] = Dy leaves the span
     with pytest.raises(InternalInvariantViolation):
         LieAlgebra(ctx, echelon_of([coordinatize(F("Dx")), coordinatize(F("x*Dy"))]))
+
+
+def test_an_echelon_of_field_coordinates_is_rekeyed_once():
+    # LieAlgebra takes an echelon of public coordinatize vectors, keyed by
+    # (component, monomial), and re-keys it once onto a column table of its
+    # own; the algebra is the one close() gave
+    draws = [build(random_spec(recipe, 0, 3)).generators for recipe in RECIPES]
+    draws.append(build(random_spec("center-rank1", 7, 6)).generators)
+    for gens in draws:
+        L = close(gens, cap_dim=200)
+        M = LieAlgebra(L.ctx, echelon_of(map(coordinatize, L.basis)))
+        assert M._echelon.columns is not None
+        assert [str(b) for b in M.basis] == [str(b) for b in L.basis]
+        assert M.structure == L.structure and list(M.structure) == list(L.structure)
+        # the basis went in in pivot order, so it is the order read back
+        assert M._order == list(range(L.dim))
+        # L's own rows, keyed back in L's insertion order, give L's order
+        echelon, keys = L._echelon, L._echelon.columns.keys
+        keyed = echelon_of(
+            {keys[k]: c for k, c in echelon.primitive_row(i).items()} for i in range(len(echelon))
+        )
+        N = LieAlgebra(L.ctx, keyed)
+        assert N._order == L._order and N.structure == L.structure
+
+
+def test_a_monomial_without_a_column_is_outside_the_span():
+    L = algebra(*HEISENBERG)
+    rekeyed = LieAlgebra(ctx, echelon_of(map(coordinatize, L.basis)))
+    for M in (L, rekeyed):
+        keys = M._echelon.columns.keys
+        size = len(keys)
+        for f in (F("x^5*Dy"), M.basis[0] + F("exp(z)*Dx")):
+            assert not M.contains(f)
+            with pytest.raises(NotInSpan):
+                M.express(f)
+        # a query makes no column; a field in the span still expresses
+        assert len(keys) == size
+        assert M.contains(M.basis[1] * 3)
+        assert M.express(M.basis[1] * 3) == [Q(3) if k == 1 else Q(0) for k in range(M.dim)]
 
 
 # -- adjoint -------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vflie import (
@@ -21,7 +21,7 @@ from vflie import (
     random_spec,
     uncoordinatize,
 )
-from vflie.linalg import null_space_dense, rref_dense, solve_dense, to_sparse
+from vflie.linalg import Columns, null_space_dense, rref_dense, solve_dense, to_sparse
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -275,6 +275,59 @@ def test_one_open_layer_matches_echelon_of(vecs):
                 call(bad)
 
 
+# six (component, monomial) keys in key order
+MONOMIAL_KEYS = sorted(coordinatize(F("Dx + y*Dx + x*Dy + x^2*Dy + exp(y)*Dz + z*Dz")))
+
+
+def columns_seen_in(order):
+    """A column table whose ids follow `order`, a permutation of the indices
+    of MONOMIAL_KEYS: the keys are first seen in that order, not in key order."""
+    columns = Columns(3)
+    for k in order:
+        i, mono = MONOMIAL_KEYS[k]
+        terms = [{}, {}, {}]
+        terms[i][mono] = 1
+        columns.vector(terms)
+    return columns
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.permutations(range(len(MONOMIAL_KEYS))), LAYERS)
+# ids reverse the key order: one layer whose first row holds the second's
+# pivot needs the least key at _extend, the descending key sort at _settle
+# and the key order at order()
+@example([5, 4, 3, 2, 1, 0], [[{0: 1, 1: 1}, {1: 1, 2: 1}]])
+def test_column_ids_keep_the_key_order(order, layers):
+    # the same vectors, keyed by (component, monomial) and by column ids
+    # first seen in another order, give the same pivots, order() and
+    # primitive rows once translated back, by insert and by layers
+    columns = columns_seen_in(order)
+    ids = [columns.ids[i][mono] for i, mono in MONOMIAL_KEYS]
+    assert sorted(ids, key=columns.keys.__getitem__) == ids
+
+    def keyed(row):
+        return {columns.keys[k]: c for k, c in row.items()}
+
+    inserted = (EchelonBasis(), EchelonBasis(columns))
+    layered = (EchelonBasis(), EchelonBasis(columns))
+    for layer in layers:
+        by_key = [{MONOMIAL_KEYS[k]: c for k, c in v.items()} for v in layer]
+        by_id = [{ids[k]: c for k, c in v.items()} for v in layer]
+        assert [inserted[0].insert(v).independent for v in by_key] == [
+            inserted[1].insert(v).independent for v in by_id
+        ]
+        assert [layered[0]._extend(v) for v in by_key] == [layered[1]._extend(v) for v in by_id]
+        layered[0]._settle()
+        layered[1]._settle()
+        for tuples, numbered in (inserted, layered):
+            assert numbered.columns is columns and tuples.columns is None
+            assert tuples.pivots == [columns.keys[p] for p in numbered.pivots]
+            assert tuples.order() == numbered.order()
+            assert [tuples.primitive_row(i) for i in range(len(tuples))] == [
+                keyed(numbered.primitive_row(i)) for i in range(len(numbered))
+            ]
+
+
 def test_settle_rewrites_only_the_rows_the_layer_hits():
     basis = EchelonBasis()
     basis.insert({0: 1, 2: 3})
@@ -299,7 +352,7 @@ def test_an_echelon_keeps_only_its_integer_rows_and_pivots():
     basis._settle()
     assert basis.row(0) == {0: 1, 3: Q(-3, 8)} and basis.rows[2] == {2: 1, 3: Q(1, 4)}
     assert basis.row(0) is not basis.row(0)
-    assert set(vars(basis)) == {"pivots", "_pivot_row", "_ints"}
+    assert set(vars(basis)) == {"columns", "pivots", "_pivot_row", "_ints"}
 
 
 # -- dense helpers ------------------------------------------------------------------

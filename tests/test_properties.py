@@ -34,9 +34,9 @@ from vflie import (
 )
 from vflie.algebra import _bracket_unless_commuting
 from vflie.linalg import (
+    Columns,
     EchelonBasis,
     coordinatize,
-    coordinatize_terms,
     null_space,
     uncoordinatize,
 )
@@ -286,16 +286,22 @@ def integer_operand(v: VectorField) -> VectorField:
 @settings(checks, max_examples=150)
 @given(operands, operands)
 def test_bracket_kernel_matches_coordinatized_bracket(u, v):
-    # the kernel's vector is coordinatize(u.bracket(v)), also on the
-    # int-coefficient operands that close() makes from primitive rows
+    # the kernel's vector, read back through the column table, is
+    # coordinatize(u.bracket(v)), also on the int-coefficient operands that
+    # close() makes from primitive rows
+    columns = Columns(3)
+
+    def keyed(vec):
+        return {columns.keys[k]: c for k, c in vec.items()}
+
     for a, b in ((u, v), (v, u), (integer_operand(u), integer_operand(v))):
         want = coordinatize(a.bracket(b))
-        assert coordinatize_terms(a._bracket_terms(b)) == want
-        got = _bracket_unless_commuting(a, b)
+        assert keyed(columns.vector(a._bracket_terms(b))) == want
+        got = _bracket_unless_commuting(columns, a, b)
         if provably_commute(a, b):
             assert got is None and not want
         else:
-            assert got == (want or None)
+            assert (got and keyed(got)) == (want or None)
 
 
 @settings(checks, max_examples=150)
