@@ -6,12 +6,13 @@ set of fields, one generator layer (bracket depth) per round.  A LieAlgebra
 is built from the echelon of such a span, which close() and project() hand
 over: it reads the canonical reduced row-echelon basis (ordered by pivot
 key, hence independent of generator order) and brackets it into the exact
-structure-constant tensor.  Both bracket fields made from the echelon's
-integer rows and take the bracket back as a coordinate vector, never as a
-field, and neither brackets a pair whose support masks prove it commuting.
-Field coordinates are int column ids: close() makes one column table
-(linalg.Columns) per closure, and the algebra it returns reads that table
-for its basis, operands, tensor, _field, express and contains.
+structure-constant tensor.  Field coordinates are int column ids: close()
+makes one column table (linalg.Columns) per closure, and the algebra it
+returns reads that table for its basis, tensor, _field, express and
+contains.  Both close() and the tensor bracket the echelon's primitive
+integer rows on their column ids (Columns.bracket, over the table's pair
+table, which the tensor empties once built), so no bracket builds a field,
+and neither brackets a pair whose support masks prove it commuting.
 All queries (center, series, projections, adjoints, quotients) are exact
 and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
@@ -126,20 +127,10 @@ def _entries(tensor: Tensor) -> list[list]:
 
 
 def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
-    """False when the support masks s and t (VectorField.support) prove the
+    """False when the support masks s and t (Columns.support) prove the
     bracket zero: neither field moves a variable that the other's
     coefficients read."""
     return bool(s[0] & t[1] or t[0] & s[1])
-
-
-def _bracket_unless_commuting(
-    columns: Columns, u: VectorField, v: VectorField
-) -> dict[int, Fraction] | None:
-    """The vector of [u, v] over columns, or None when it is zero or the
-    support masks prove it zero."""
-    if not _can_fail_to_commute(u.support(), v.support()):
-        return None
-    return columns.vector(u._bracket_terms(v)) or None
 
 
 def _rekeyed(ctx: VariableContext, echelon: EchelonBasis) -> EchelonBasis:
@@ -186,19 +177,20 @@ def close(
     in the same order, and the settled rows are the unique reduced rows of
     the span with those pivots.  So the operands, the pair order, the
     degree cap and every cap report do not depend on the layering.  The
-    fields bracketed are the echelon's primitive integer rows, each a
-    positive multiple of its unit row: [a*u, b*v] = a*b*[u, v], and the
-    echelon makes every row primitive with a positive pivot, so the layers
-    see the same rows, degrees and independence as the unit rows would.
-    Each pair is first put to the support test (_bracket_unless_commuting),
-    and a bracket goes into the echelon as coordinates, never as a field:
-    one column table (linalg.Columns) numbers the closure's (component,
-    monomial) keys, so every elimination step hashes int column ids, while
-    the pivots stay the least keys in (component, monomial) order, and with
-    them the basis, the pair order, the degree cap and every cap report.
-    The echelon goes to LieAlgebra, which brackets the final basis pairs
-    into the tensor; with it go the operands made here from the rows that
-    no later settle changed, so those are not made twice.
+    operands are the echelon's primitive integer rows, each a positive
+    multiple of its unit row, with their support masks (Columns.support):
+    [a*u, b*v] = a*b*[u, v], and the echelon makes every row primitive with
+    a positive pivot, so the layers see the same rows, degrees and
+    independence as the unit rows would.  A pair whose masks prove it
+    commuting is skipped; any other is bracketed on column ids
+    (Columns.bracket), and the bracket goes into the echelon as that
+    vector, never as a field: one column table numbers the closure's
+    (component, monomial) keys and holds the brackets of its column pairs,
+    each computed once, so every elimination step hashes int column ids,
+    while the pivots stay the least keys in (component, monomial) order,
+    and with them the basis, the pair order, the degree cap and every cap
+    report.  The echelon goes to LieAlgebra, which brackets the final
+    basis rows into the tensor over the same table.
     ClosureCapExceeded is raised past cap_dim, past cap_rounds layers, or by
     a field of degree above cap_degree; its `round` is the layer and
     `pending` the pairs of that layer not yet visited, where a pair that the
@@ -228,15 +220,10 @@ def close(
         if echelon._extend(vec) and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
-    # row index -> (the stored row, the operand made from it)
-    operands: dict[int, tuple[dict, VectorField]] = {}
-
-    def operands_from(start: int) -> list[VectorField]:
+    def operands_from(start: int) -> list[tuple[dict, tuple[int, int]]]:
         echelon._settle()
-        for i in range(start, len(echelon)):
-            row = echelon.primitive_row(i)
-            operands[i] = (row, columns.field(row, ctx))
-        return [operands[i][1] for i in range(start, len(echelon))]
+        rows = [echelon.primitive_row(i) for i in range(start, len(echelon))]
+        return [(row, columns.support(row)) for row in rows]
 
     for g in gens:
         add(columns.vector(comp.term_map() for comp in g.comps))
@@ -248,16 +235,13 @@ def close(
             raise cap_error("cap_rounds", cap_rounds)
         rounds += 1
         start = len(echelon)
-        for s, t in pairs:
+        for (s, s_masks), (t, t_masks) in pairs:
             pending -= 1
-            if (vec := _bracket_unless_commuting(columns, s, t)) is not None:
+            if _can_fail_to_commute(s_masks, t_masks) and (vec := columns.bracket(s, t)):
                 add(vec)
         frontier = operands_from(start)
         pairs = [(s, t) for s in S for t in frontier]
-    # settle stores a new dict for each row it changes, so identity tells
-    # which operands still match their rows
-    current = {i: u for i, (row, u) in operands.items() if echelon.primitive_row(i) is row}
-    return LieAlgebra(ctx, echelon, _operands=current)
+    return LieAlgebra(ctx, echelon)
 
 
 @dataclass(frozen=True)
@@ -324,30 +308,26 @@ class LieAlgebra:
 
     Built from the echelon of a bracket-closed span over a column table
     (linalg.Columns), which it keeps as its one record of the span; every
-    field it makes (basis, operands, _field) and every field it reads into
-    coordinates (the tensor's brackets, express, contains) goes through
-    that table.  An echelon without a table, keyed by (component, monomial)
-    as coordinatize gives, is re-keyed once onto a new table (_rekeyed);
-    a query field with a monomial the table lacks is outside the span, and
-    a query makes no column.  The basis is the unit rows in pivot order,
-    pivot order being (component, monomial) key order.  The tensor brackets
-    the fields of the primitive integer rows, h_a*e_a and h_b*e_b, reads
-    the bracket's value c at each pivot it hits (its coordinate on that
-    unit row, by full reduction) and builds each structure constant as one
-    Fraction, Fraction(c, h_a*h_b), since [h_a*e_a, h_b*e_b] =
-    h_a*h_b*[e_a, e_b]; a bracket outside the span raises
-    InternalInvariantViolation.  The operands fall into at most 64 support
-    classes (VectorField.support), and only the pairs a < b whose classes
-    the support test cannot prove commuting are bracketed, in ascending
-    (a, b) order.  Series, ideal
-    checks, quotients and split lifts walk only the tensor's nonzero
-    entries, through the one ad table (_int_ad): its integer rows as they
-    are for what reads spans only, scaled by 1/D_v in _bracket and
-    _ad_image.
-
-    close() passes _operands, the fields it already made, by row index, for
-    the rows that no settle changed since; each other row's field is made
-    here.
+    field it makes (basis, _field) and every field it reads into
+    coordinates (express, contains) goes through that table.  An echelon
+    without a table, keyed by (component, monomial) as coordinatize gives,
+    is re-keyed once onto a new table (_rekeyed); a query field with a
+    monomial the table lacks is outside the span, and a query makes no
+    column.  The basis is the unit rows in pivot order, pivot order being
+    (component, monomial) key order.  The tensor brackets the primitive
+    integer rows, h_a*e_a and h_b*e_b, on their column ids
+    (Columns.bracket), reads the bracket's value c at each pivot it hits
+    (its coordinate on that unit row, by full reduction) and builds each
+    structure constant as one Fraction, Fraction(c, h_a*h_b), since
+    [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b]; a bracket outside the span
+    raises InternalInvariantViolation.  The rows fall into at most 64
+    support classes (Columns.support), and only the pairs a < b whose
+    classes the support test cannot prove commuting are bracketed, in
+    ascending (a, b) order.  The table's pair table, which close() filled,
+    is emptied once the tensor is built.  Series, ideal checks, quotients
+    and split lifts walk only the tensor's nonzero entries, through the one
+    ad table (_int_ad): its integer rows as they are for what reads spans
+    only, scaled by 1/D_v in _bracket and _ad_image.
 
     Basis coordinates are sparse (index -> nonzero Fraction) throughout;
     only the public methods take or return dense lists, validated once where
@@ -362,13 +342,7 @@ class LieAlgebra:
     is freed by reference counting alone, not left to the cyclic collector.
     """
 
-    def __init__(
-        self,
-        ctx: VariableContext,
-        echelon: EchelonBasis,
-        *,
-        _operands: Mapping[int, VectorField] | None = None,
-    ):
+    def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
         if echelon.columns is None:
             echelon = _rekeyed(ctx, echelon)
         columns = echelon.columns
@@ -380,25 +354,20 @@ class LieAlgebra:
         position = {row: k for k, row in enumerate(self._order)}
         rows = [echelon.primitive_row(i) for i in self._order]
         heads = [row[echelon.pivots[i]] for row, i in zip(rows, self._order)]
-        given = _operands or {}
-        scaled = [
-            given[i] if i in given else columns.field(row, ctx)
-            for i, row in zip(self._order, rows)
-        ]
-        supports = [u.support() for u in scaled]
+        supports = [columns.support(row) for row in rows]
         members: dict[tuple[int, int], list[int]] = {}
         for a, s in enumerate(supports):
             members.setdefault(s, []).append(a)
-        # per support class, the operands of every class it may not commute with
+        # per support class, the rows of every class it may not commute with
         partners = {
             s: sorted(b for t, bs in members.items() if _can_fail_to_commute(s, t) for b in bs)
             for s in members
         }
         self.structure: Tensor = {}
-        for a, u in enumerate(scaled):
+        for a, u in enumerate(rows):
             later = partners[supports[a]]
             for b in later[bisect_right(later, a):]:
-                vec = columns.vector(u._bracket_terms(scaled[b]))
+                vec = columns.bracket(u, rows[b])
                 if not vec:
                     continue
                 if echelon._residual(vec)[0]:
@@ -410,6 +379,7 @@ class LieAlgebra:
                 self.structure[(a, b)] = {
                     k: Fraction(c, scale) for k, c in sorted((position[i], c) for i, c in coeffs.items())
                 }
+        columns.release()
         self._series: dict[str, SeriesReport] = {}
         # sorted kept indices -> (image, kernel fields, kernel coefficients)
         self._projections: dict[tuple[int, ...], tuple] = {}

@@ -6,17 +6,85 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .errors import ContextMismatch, InvalidCoordinateChange
-from .ring import ExpPoly, Scalar, _poly, join_terms, mul_add, term_text
+from .ring import (
+    _ZEROS,
+    ExpMonomial,
+    ExpPoly,
+    Scalar,
+    _add_term,
+    _new,
+    _poly,
+    join_terms,
+    mul_add,
+    term_text,
+)
 
 DEFAULT_NAMES = ("x", "y", "z")
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-# sparse (index, nonzero ring element) pairs, as the Jacobian cache keeps them
-Entries = tuple[tuple[int, ExpPoly], ...]
+
+def monomial_reads(mono: ExpMonomial) -> int:
+    """Bitmask of the variables a monomial depends on: bit j is set when its
+    power or its rate in variable j is nonzero.  The monomial is read as
+    stored, (reversed rates, reversed powers), so position k of either
+    tuple is variable nvars - 1 - k."""
+    rates, powers = mono
+    top = 1 << (len(powers) - 1)
+    mask = 0
+    for k, (power, rate) in enumerate(zip(powers, rates)):
+        if power or rate:
+            mask |= top >> k
+    return mask
+
+
+def monomial_bracket(i: int, m: ExpMonomial, j: int, n: ExpMonomial) -> Sequence[tuple]:
+    """[m d_i, n d_j] = m d_i(n) d_j - n d_j(m) d_i, the one bracket formula,
+    as (component, monomial, coefficient) terms: at most four, no two on the
+    same component and monomial, none with a zero coefficient.
+
+    d_i(n) = a n / x_i + r n, with a and r the power and the rate of n in
+    variable i, and d_j(m) = b m / x_j + s m likewise, so each part is at
+    most a lowered-power term and a rate term of the product m n, which is
+    built once, and only when some part is nonzero.  For i == j both parts
+    fall on component i and are merged.  A coefficient is an int (a power)
+    or a stored rate (an int or a Fraction)."""
+    (rm, pm), (rn, pn) = m, n
+    ki, kj = len(pm) - 1 - i, len(pm) - 1 - j  # positions in the reversed tuples
+    a, r, b, s = pn[ki], rn[ki], pm[kj], rm[kj]
+    if i == j:
+        a, r, b, s = a - b, r - s, 0, 0
+    if not (a or r or b or s):
+        return ()
+    zeros = _ZEROS[len(pm)]
+    if rn is zeros:
+        rates = rm
+    elif rm is zeros:
+        rates = rn
+    else:
+        rates = tuple(map(add, rm, rn))
+        if not any(rates):
+            rates = zeros
+    powers = tuple(map(add, pm, pn))
+    mn = _new(ExpMonomial, (rates, powers))
+    terms = []
+    if a:
+        lowered = list(powers)
+        lowered[ki] -= 1
+        terms.append((j, _new(ExpMonomial, (rates, tuple(lowered))), a))
+    if r:
+        terms.append((j, mn, r))
+    if b:
+        lowered = list(powers)
+        lowered[kj] -= 1
+        terms.append((i, _new(ExpMonomial, (rates, tuple(lowered))), -b))
+    if s:
+        terms.append((i, mn, -s))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -69,17 +137,16 @@ DEFAULT_CONTEXT = VariableContext(DEFAULT_NAMES)
 class VectorField:
     """First-order differential operator sum_i comps[i] * d/d(var i).
 
-    The sparse Jacobian (`_jacobian`) is computed lazily, on the field's
-    first bracket, and kept in a slot: each nonzero component is
-    differentiated once in each variable the field reads, so a field
-    bracketed many times costs (nonzero components) x (read variables)
-    derivatives in all.  So are the support masks of `support()`: bit j of
-    `moves` is set when comps[j] is nonzero, and bit j of `reads` when some
-    coefficient depends on var j (a power > 0 or a rate != 0).  The caches
-    take no part in == or hash, and the field stays immutable to callers.
+    The bracket is the bilinear sum of monomial_bracket over the term
+    pairs of the two fields; the engine's row bracket (linalg.Columns)
+    sums the same formula over column ids.  The support masks of
+    `support()` are computed once and kept in a slot: bit j of `moves` is
+    set when comps[j] is nonzero, and bit j of `reads` when some
+    coefficient depends on var j (a power > 0 or a rate != 0).  The cache
+    takes no part in == or hash, and the field stays immutable to callers.
     """
 
-    __slots__ = ("ctx", "comps", "_jac", "_support")
+    __slots__ = ("ctx", "comps", "_support")
 
     def __init__(self, ctx: VariableContext, comps: Sequence[ExpPoly]):
         comps = tuple(comps)
@@ -90,7 +157,6 @@ class VectorField:
                 raise ContextMismatch("component over the wrong variable count")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "_jac", None)
         object.__setattr__(self, "_support", None)
 
     def __setattr__(self, name, value):  # immutable
@@ -138,36 +204,11 @@ class VectorField:
                 mul_add(out, c, p.diff(i))
         return _poly(p.nvars, out)
 
-    def _jacobian(self) -> tuple[Entries, tuple[Entries, ...]]:
-        """(nonzero, columns), computed once per field: nonzero lists the
-        pairs (j, comps[j]) with comps[j] != 0, and columns[j] the pairs
-        (i, d comps[i] / d var j) with a nonzero derivative.
-
-        Only the variables the field reads are differentiated in; every
-        other column is empty.  The reads mask comes from the support slot:
-        close() and the tensor fill it in their support test before any
-        bracket, and support() fills it otherwise."""
-        jac = self._jac
-        if jac is None:
-            reads = (self._support or self.support())[1]
-            nonzero = tuple((j, c) for j, c in enumerate(self.comps) if c)
-            columns = tuple(
-                tuple((i, d) for i, c in nonzero if (d := c.diff(j)))
-                if reads >> j & 1
-                else ()
-                for j in range(self.ctx.nvars)
-            )
-            jac = (nonzero, columns)
-            object.__setattr__(self, "_jac", jac)
-        return jac
-
     def support(self) -> tuple[int, int]:
         """(moves, reads) bitmasks over the variables; computed once per field.
 
-        Bit i of moves is set when comps[i] is nonzero; bit j of reads when
-        some term of some component has a power > 0 or a rate != 0 in
-        variable j.  The terms are read as stored, (reversed rates, reversed
-        powers), so position k of either tuple is variable nvars - 1 - k.
+        Bit i of moves is set when comps[i] is nonzero; reads is the union
+        of the monomial_reads masks of every term of every component.
 
         [X, Y] = 0 whenever moves(X) & reads(Y) and moves(Y) & reads(X) are
         both empty: every term X_j * d Y_i/d var j has X_j = 0 or
@@ -175,43 +216,31 @@ class VectorField:
         """
         masks = self._support
         if masks is None:
-            moves = reads = 0
-            top = 1 << (self.ctx.nvars - 1)
+            moves = mask = 0
             for i, c in enumerate(self.comps):
                 if c:
                     moves |= 1 << i
-                    for rates, powers in c.term_map():
-                        for k, (power, rate) in enumerate(zip(powers, rates)):
-                            if power or rate:
-                                reads |= top >> k
-            masks = (moves, reads)
+                    for mono in c._terms:
+                        mask |= monomial_reads(mono)
+            masks = (moves, mask)
             object.__setattr__(self, "_support", masks)
         return masks
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [self, other]; bilinear and antisymmetric."""
+        """Lie bracket [self, other]; bilinear and antisymmetric: the sum of
+        monomial_bracket over every pair of terms, scaled by the product of
+        their coefficients."""
         self._check(other)
         n = self.ctx.nvars
-        return VectorField(self.ctx, [_poly(n, out) for out in self._bracket_terms(other)])
-
-    def _bracket_terms(self, other: "VectorField") -> list[dict]:
-        """The term maps of [self, other], one per component, owned by the
-        caller; the contexts are not checked.
-
-        Component i is sum_j self_j * d other_i/d var j - other_j * d self_i/d var j,
-        accumulated into one term map over the sparse Jacobians: only the
-        nonzero self_j meet only the nonzero d other_i/d var j, and likewise
-        for the mirror term, so no product has a zero factor."""
-        v, dv = self._jacobian()
-        w, dw = other._jacobian()
-        comps: list[dict] = [{} for _ in range(self.ctx.nvars)]
-        for j, vj in v:
-            for i, d in dw[j]:
-                mul_add(comps[i], vj, d)
-        for j, wj in w:
-            for i, d in dv[j]:
-                mul_add(comps[i], wj, d, -1)
-        return comps
+        comps: list[dict] = [{} for _ in range(n)]
+        right = [(j, c._terms.items()) for j, c in enumerate(other.comps) if c]
+        for i, f in enumerate(self.comps):
+            for m, a in f._terms.items():
+                for j, g in right:
+                    for mono, b in g:
+                        for k, term, c in monomial_bracket(i, m, j, mono):
+                            _add_term(comps[k], term, a * b * c)
+        return VectorField(self.ctx, [_poly(n, out) for out in comps])
 
     def pushforward(self, change: "CoordinateChange") -> "VectorField":
         """Transform under the change's differential, expressed in the new chart."""
@@ -273,8 +302,3 @@ class CoordinateChange:
                 raise InvalidCoordinateChange(
                     f"inverse o forward is not the identity in coordinate {self.ctx.names[i]}"
                 )
-
-    @classmethod
-    def identity(cls, ctx: VariableContext) -> "CoordinateChange":
-        coords = tuple(ctx.var_poly(i) for i in range(ctx.nvars))
-        return cls(ctx, coords, coords)

@@ -29,16 +29,19 @@ step hashes a tuple.  Ids are given in first-seen order, so an echelon over
 a table (EchelonBasis(columns)) orders pivots by their (component,
 monomial) keys: a row's pivot is its least key.  Integer basis
 coordinates, which the structure-constant layer uses, take no table and
-order themselves.  close() and LieAlgebra bracket fields made from the rows
-(Columns.field) and take each bracket back as a vector built from its term
-maps (Columns.vector), so no bracket becomes a VectorField; coordinatize
-gives the public (component, monomial)-keyed form of a field.
+order themselves.  close() and LieAlgebra bracket the rows on their ids
+(Columns.bracket): the bracket of two column fields is computed once per
+closure, by the one monomial formula (fields.monomial_bracket), and a row
+bracket is a bilinear sum of those pair vectors, so no bracket builds a
+field, a Jacobian or a product of term maps.  coordinatize gives the
+public (component, monomial)-keyed form of a field.
 
-One sparse multiply-accumulate, _axpy, serves the integer elimination and
-every Fraction combination alike, and _combination sums scaled vectors
-through it.  The dense helpers (rref_dense, null_space_dense, solve_dense)
-are thin list adapters over integer-key bases; no engine code calls them,
-and they remain for the tests and the benchmark tracer (bench/tracing.py).
+One sparse multiply-accumulate, _axpy, serves the integer elimination, the
+row bracket and every Fraction combination alike, and _combination sums
+scaled vectors through it.  The dense helpers (rref_dense,
+null_space_dense, solve_dense) are thin list adapters over integer-key
+bases; no engine code calls them, and they remain for the tests and the
+benchmark tracer (bench/tracing.py).
 generic_rank decides the pointwise-span dimension of a field family by
 greedy span growth over the fraction field: a field is kept when one of at
 most three small symbolic minors over the moved columns is nonzero, so a
@@ -53,7 +56,7 @@ from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
-from .fields import VariableContext, VectorField
+from .fields import VariableContext, VectorField, monomial_bracket, monomial_reads
 from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational
 
 Key = tuple[int, ExpMonomial]
@@ -81,34 +84,87 @@ def uncoordinatize(vec: Mapping[Key, Fraction], ctx: VariableContext) -> VectorF
 
 class Columns:
     """The column table of field coordinates: the one map between
-    (component, monomial) keys and int column ids.
+    (component, monomial) keys and int column ids, and the one row bracket.
 
-    ids[i] maps a monomial of component i to its id, keys[id] maps back and
-    degrees[id] is the monomial's total degree.  Ids are given in the order
-    the keys are first seen, so they do not follow the key order; an
-    EchelonBasis over the table pivots on the least key, not the least id.
-    A vector over the table is a dict id -> coefficient.  `field` also takes
-    a primitive integer row (EchelonBasis.primitive_row) and then returns a
-    scaled representative with int coefficients: a bracket operand, for
-    close() and the structure tensor, and nothing else, since every field
-    the engine returns keeps the _poly contract of Fraction coefficients.
+    ids[i] maps a monomial of component i to its id, keys[id] maps back,
+    degrees[id] is the monomial's total degree and masks[id] its column's
+    (moves, reads) support masks (VectorField.support).  Ids are given in
+    the order the keys are first seen, so they do not follow the key order;
+    an EchelonBasis over the table pivots on the least key, not the least
+    id.  A vector over the table is a dict id -> coefficient.
+
+    `bracket` brackets two vectors on their ids: the bracket of the column
+    fields k and l, pair(k, l), is a fixed vector of at most four terms
+    (fields.monomial_bracket), filled on first use together with pair(l, k)
+    = -pair(k, l), and a row bracket is the bilinear sum of u[k] * v[l] *
+    pair(k, l).  So no bracket builds a field, differentiates or multiplies
+    term maps.  The pair table lives as long as the table, one closure;
+    `release` empties it once the structure tensor is built.
     """
 
     def __init__(self, nvars: int) -> None:
         self.ids: list[dict[ExpMonomial, int]] = [{} for _ in range(nvars)]
         self.keys: list[Key] = []
         self.degrees: list[int] = []
+        self.masks: list[tuple[int, int]] = []
+        self._pairs: dict[int, dict[int, dict[int, Any]]] = {}
 
     def _new(self, i: int, mono: ExpMonomial) -> int:
         k = self.ids[i][mono] = len(self.keys)
         self.keys.append((i, mono))
         self.degrees.append(sum(mono[1]))
+        self.masks.append((1 << i, monomial_reads(mono)))
         return k
+
+    def support(self, vec: Iterable[int]) -> tuple[int, int]:
+        """(moves, reads) of the field with this vector: the union of its
+        columns' masks, as VectorField.support gives them."""
+        masks = self.masks
+        moves = read = 0
+        for k in vec:
+            m, r = masks[k]
+            moves |= m
+            read |= r
+        return moves, read
+
+    def bracket(self, u: Mapping[int, Any], v: Mapping[int, Any]) -> dict[int, Any]:
+        """The vector of [u, v] for vectors u, v over the table, exact zeros
+        dropped: int for int vectors over integral rates, else exact
+        Fractions."""
+        pairs = self._pairs
+        out: dict[int, Any] = {}
+        for k, a in u.items():
+            row = pairs.get(k)
+            if row is None:
+                row = pairs[k] = {}
+            for l, b in v.items():
+                pair = row.get(l)
+                if pair is None:
+                    pair = self._pair(k, l)
+                if pair:
+                    _axpy(out, pair, a * b)
+        return out
+
+    def _pair(self, k: int, l: int) -> dict[int, Any]:
+        """Fill pair(k, l), the vector of the bracket of column fields k and
+        l, and pair(l, k), its negation; a monomial first seen gets an id."""
+        (i, m), (j, n) = self.keys[k], self.keys[l]
+        ids = self.ids
+        pair = {}
+        for c, mono, coeff in monomial_bracket(i, m, j, n):
+            key = ids[c].get(mono)
+            pair[self._new(c, mono) if key is None else key] = coeff
+        self._pairs.setdefault(k, {})[l] = pair
+        self._pairs.setdefault(l, {})[k] = {key: -coeff for key, coeff in pair.items()}
+        return pair
+
+    def release(self) -> None:
+        """Drop the pair table; a later bracket fills it again."""
+        self._pairs = {}
 
     def vector(self, comps: Iterable[Mapping[ExpMonomial, Any]]) -> dict[int, Any]:
         """The vector of the field with these per-component term maps
-        (nonzero coefficients), such as VectorField._bracket_terms returns,
-        with no field built in between; a monomial first seen gets an id."""
+        (nonzero coefficients); a monomial first seen gets an id."""
         out = {}
         for i, terms in enumerate(comps):
             ids = self.ids[i]
@@ -131,7 +187,9 @@ class Columns:
         return out
 
     def field(self, row: Mapping[int, Any], ctx: VariableContext) -> VectorField:
-        """The field whose vector is row."""
+        """The field whose vector is row, a vector of Fractions (a unit row
+        or a combination of unit rows), so that its coefficients keep the
+        _poly contract."""
         n = ctx.nvars
         keys = self.keys
         comps: list[dict[ExpMonomial, Any]] = [{} for _ in range(n)]

@@ -22,8 +22,9 @@ input: a power that is not an int, or a rate or coefficient that is not an
 int or Fraction (a float, say), is a TypeError.  Values the ring builds itself
 (sums, negatives, products, derivatives, restrictions) are canonical by
 construction and skip that re-validation.  Products of term maps go through
-one multiply-accumulate helper, mul_add, which the field bracket's term-level
-kernel (VectorField._bracket_terms) and VectorField.apply share.
+one multiply-accumulate helper, mul_add, which ExpPoly.__mul__ and
+VectorField.apply share.  Brackets multiply no term maps: they go through
+the monomial formula fields.monomial_bracket.
 
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.
@@ -58,7 +59,7 @@ def _rational(value: object, what: str) -> Scalar:
 class ExpMonomial(tuple):
     """One term shape: powers per variable plus exponential rates per variable.
 
-    The value is sort_key() itself, the tuple (reversed rates, reversed
+    The value is its own sort key, the tuple (reversed rates, reversed
     powers): equal iff powers and rates are, and `<` is the engine's term
     order, later variables more significant (1 < x < x^2 < y < x*y < y^2 ...).
     The properties read the stored tuple back, the rates as Fractions.
@@ -114,9 +115,6 @@ class ExpMonomial(tuple):
     @property
     def is_constant(self) -> bool:
         return not (any(self[0]) or any(self[1]))
-
-    def sort_key(self) -> tuple:
-        return tuple(self)
 
 
 def _poly(nvars: int, terms: dict) -> "ExpPoly":

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import vflie.algebra
 import vflie.fields
+import vflie.ring
 from vflie import (
     ClosureCapExceeded,
     ContextMismatch,
@@ -37,7 +38,7 @@ from vflie import (
     VariableContext,
     VectorField,
 )
-from vflie.linalg import coordinatize, echelon_of, null_space, to_dense
+from vflie.linalg import Columns, coordinatize, echelon_of, null_space, to_dense
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -225,115 +226,111 @@ def test_close_hands_over_a_fully_reduced_echelon():
 
 
 def test_close_brackets_the_integer_rows(monkeypatch):
-    # close() and the tensor bracket the echelon's primitive integer rows, so
-    # the unit rows are read once per basis field and for nothing else
+    # close() and the tensor bracket the echelon's primitive integer rows on
+    # their column ids, so the unit rows are read once per basis field and
+    # for nothing else
     gens = build(random_spec("center-rank1", 7, 6)).generators
     calls = {"row": 0, "bracket": 0}
-    real_row, real_bracket = EchelonBasis.row, VectorField._bracket_terms
+    real_row, real_bracket = EchelonBasis.row, Columns.bracket
 
     def counting_row(self, index):
         calls["row"] += 1
         return real_row(self, index)
 
-    def counting_bracket(self, other):
+    def counting_bracket(self, u, v):
         calls["bracket"] += 1
-        return real_bracket(self, other)
+        assert all(type(c) is int for c in (*u.values(), *v.values()))
+        return real_bracket(self, u, v)
 
     monkeypatch.setattr(EchelonBasis, "row", counting_row)
-    monkeypatch.setattr(VectorField, "_bracket_terms", counting_bracket)
+    monkeypatch.setattr(Columns, "bracket", counting_bracket)
     L = close(gens, cap_dim=200)
     assert L.dim == 88
     assert calls == {"row": 88, "bracket": 351}
 
 
-def test_close_multiplies_only_nonzero_jacobian_entries(monkeypatch):
-    # the sparse bracket kernel on the dimension-88 draw: the dense n x n
-    # kernel made 6,318 products, 5,965 of them with a zero factor, and 300
-    # derivatives
+def test_close_fills_each_column_pair_once(monkeypatch):
+    # the row bracket on the dimension-88 draw: each pair of column fields
+    # is bracketed by the formula once, its mirror stored with it, and no
+    # operand field is built, differentiated or multiplied
     gens = build(random_spec("center-rank1", 7, 6)).generators
-    calls = {"mul_add": 0, "diff": 0}
-    real_mul_add, real_diff = vflie.fields.mul_add, ExpPoly.diff
+    calls = {"mul_add": 0, "diff": 0, "field": 0}
+    filled = []
+    real_pair, real_mul_add, real_diff = Columns._pair, vflie.fields.mul_add, ExpPoly.diff
 
-    def counting_mul_add(out, a, b, sign=1):
-        calls["mul_add"] += 1
-        real_mul_add(out, a, b, sign)
+    def recording_pair(self, k, l):
+        filled.append((k, l))
+        return real_pair(self, k, l)
 
-    def counting_diff(self, index):
-        calls["diff"] += 1
-        return real_diff(self, index)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(vflie.fields, "mul_add", counting_mul_add)
-    monkeypatch.setattr(ExpPoly, "diff", counting_diff)
+    monkeypatch.setattr(Columns, "_pair", recording_pair)
+    for module in (vflie.ring, vflie.fields):
+        monkeypatch.setattr(module, "mul_add", counting("mul_add", real_mul_add))
+    monkeypatch.setattr(ExpPoly, "diff", counting("diff", real_diff))
+    monkeypatch.setattr(VectorField, "__init__", counting("field", VectorField.__init__))
     L = close(gens, cap_dim=200)
     assert L.dim == 88
-    assert calls == {"mul_add": 353, "diff": 191}
+    # the basis fields are the only fields built
+    assert calls == {"mul_add": 0, "diff": 0, "field": 88}
+    assert len(filled) == 1159
+    unordered = {frozenset(pair) for pair in filled}
+    assert len(unordered) == len(filled)
 
 
 def test_tensor_brackets_the_pairs_its_support_classes_allow(monkeypatch):
-    # the tensor groups its operands by support masks and brackets only the
+    # the tensor groups its rows by support masks and brackets only the
     # pairs a < b of classes that may not commute, ascending: exactly the
     # pairs that the per-pair support test keeps, with one support() call
-    # per operand where the per-pair test made two per pair
+    # per row where the per-pair test made two per pair
     L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
     echelon = L._echelon
-    scaled = [echelon.columns.field(echelon.primitive_row(i), ctx) for i in echelon.order()]
-    index = {u: k for k, u in enumerate(scaled)}
+    index = {id(echelon.primitive_row(i)): k for k, i in enumerate(echelon.order())}
     assert len(index) == L.dim == 88
     expected = [
         (a, b)
-        for (a, u), (b, v) in combinations(enumerate(scaled), 2)
+        for (a, u), (b, v) in combinations(enumerate(L.basis), 2)
         if not provably_commute(u, v)
     ]
     pairs, supports = [], []
-    real_bracket, real_support = VectorField._bracket_terms, VectorField.support
+    real_bracket, real_support = Columns.bracket, Columns.support
 
-    def recording_bracket(u, v):
-        pairs.append((index[u], index[v]))
-        return real_bracket(u, v)
+    def recording_bracket(self, u, v):
+        pairs.append((index[id(u)], index[id(v)]))
+        return real_bracket(self, u, v)
 
-    def counting_support(v):
-        supports.append(v)
-        return real_support(v)
+    def counting_support(self, vec):
+        supports.append(vec)
+        return real_support(self, vec)
 
-    monkeypatch.setattr(VectorField, "_bracket_terms", recording_bracket)
-    monkeypatch.setattr(VectorField, "support", counting_support)
+    monkeypatch.setattr(Columns, "bracket", recording_bracket)
+    monkeypatch.setattr(Columns, "support", counting_support)
     fresh = LieAlgebra(L.ctx, echelon)
     assert pairs == expected and len(pairs) == 165
     assert len(supports) == 88
     assert fresh.structure == L.structure and list(fresh.structure) == sorted(fresh.structure)
     supports.clear()
-    monkeypatch.setattr(VectorField, "_bracket_terms", real_bracket)
+    monkeypatch.setattr(Columns, "bracket", real_bracket)
     close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
-    assert len(supports) == 938  # 8,506 when the tensor tested every pair
+    assert len(supports) == 176  # 88 operands in close(), 88 in the tensor
 
 
-def test_close_hands_over_only_current_operands(monkeypatch):
-    # close() hands LieAlgebra the fields it made from rows that no later
-    # insert changed: each equals a fresh one, the tensor is the one a fresh
-    # constructor builds, and some rows do go stale and are left out
-    draws = [build(random_spec(recipe, 0, 3)).generators for recipe in RECIPES]
-    draws.append(build(random_spec("center-rank1", 7, 6)).generators)
-    handed = []
-    real_init = LieAlgebra.__init__
-
-    def recording_init(self, ctx, echelon, **kw):
-        handed.append(kw.get("_operands"))
-        real_init(self, ctx, echelon, **kw)
-
-    monkeypatch.setattr(LieAlgebra, "__init__", recording_init)
-    stale = 0
-    for gens in draws:
-        handed.clear()
-        L = close(gens, cap_dim=200)
-        operands = handed[0]
-        for i, u in operands.items():
-            assert u == L._echelon.columns.field(L._echelon.primitive_row(i), L.ctx)
-        stale += L.dim - len(operands)
-        fresh = LieAlgebra(L.ctx, L._echelon)
-        assert handed[-1] is None
-        assert fresh.structure == L.structure
-        assert list(fresh.structure) == list(L.structure)
-    assert stale > 0
+def test_a_closure_keeps_no_pair_table():
+    # the pair table belongs to one closure's column table and is emptied
+    # once the tensor is built; no two closures share one, so nothing is
+    # kept between closures or after them
+    gens = build(random_spec("center-rank1", 7, 6)).generators
+    first, second = close(gens, cap_dim=200), close(gens, cap_dim=200)
+    a, b = first._echelon.columns, second._echelon.columns
+    assert a is not b and a._pairs == {} and b._pairs == {}
+    fresh = LieAlgebra(first.ctx, first._echelon)
+    assert fresh.structure == first.structure and a._pairs == {}
+    for L in (algebra("Dx", "y*Dx + x*Dz", "Dz"), close(gens, cap_dim=200).project([0, 1]).image):
+        assert L._echelon.columns._pairs == {}
 
 
 def test_zero_generators_close_through_the_vector_path():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+import vflie.fields
+import vflie.ring
 from vflie import (
     ContextMismatch,
     CoordinateChange,
@@ -13,6 +17,7 @@ from vflie import (
     SubstitutionOutsideRing,
     VariableContext,
 )
+from vflie.fields import monomial_bracket
 from vflie.parser import parse_expression, parse_field
 
 from conftest import inverted, rand_field, rand_poly, rng
@@ -57,37 +62,56 @@ def test_bracket_numeric_cross_check():
         assert B.apply(f) == V.apply(W.apply(f)) - W.apply(V.apply(f))
 
 
-def test_bracket_differentiates_each_field_once(monkeypatch):
-    # each field's sparse Jacobian is computed on first use and kept: every
-    # nonzero component is differentiated once in each variable the field
-    # reads, and in no other
-    calls = []
-    original = ExpPoly.diff
+def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
+    # the bracket differentiates no component and multiplies no term maps:
+    # it calls monomial_bracket once per pair of terms, and the support
+    # cache it leaves is invisible to equality and hashing
+    calls = {"diff": 0, "mul_add": 0, "formula": 0}
+    real_diff, real_mul_add, real_formula = ExpPoly.diff, vflie.fields.mul_add, monomial_bracket
 
-    def counted(self, index):
-        calls.append((self, index))
-        return original(self, index)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(ExpPoly, "diff", counted)
     texts = [f"y*Dx + x^{k}*exp(y)*Dz + z*Dy" for k in range(11)] + ["x*y*Dz"]
     v, *others = [F(t) for t in texts]
     fresh = [F(t) for t in texts]
     hashes = [hash(f) for f in fresh]
+    monkeypatch.setattr(ExpPoly, "diff", counting("diff", real_diff))
+    for module in (vflie.ring, vflie.fields):
+        monkeypatch.setattr(module, "mul_add", counting("mul_add", real_mul_add))
+    monkeypatch.setattr(vflie.fields, "monomial_bracket", counting("formula", real_formula))
     first = [v.bracket(w) for w in others]
-    # k = 0 reads y and z, k = 1..10 read all three, x*y*Dz reads x and y
-    assert len(calls) == 3 * 2 + 10 * 3 * 3 + 1 * 2
-    xy = others[-1].comps[2]
-    assert sorted(j for p, j in calls if p is xy) == [0, 1]
-    count = len(calls)
+    # v has 3 terms; the others 3 each but x*y*Dz, which has 1
+    assert calls == {"diff": 0, "mul_add": 0, "formula": 3 * (10 * 3 + 1)}
     assert [v.bracket(w) for w in others] == first
-    assert len(calls) == count
-    # the filled cache is invisible to equality and hashing
+    for w in (v, *others):
+        w.support()
     assert [v, *others] == fresh
     assert [hash(f) for f in (v, *others)] == hashes
     with pytest.raises(AttributeError):
         v.comps = fresh[1].comps
     with pytest.raises(AttributeError):
         v.anything = None
+
+
+def test_monomial_bracket_examples():
+    # [x*y d_x, x^2*exp(y) d_z] = 2*x^2*y*exp(y) d_z: one lowered-power term
+    x_y, x2_exp = (next(iter(E(t).term_map())) for t in ("x*y", "x^2*exp(y)"))
+    (term,) = monomial_bracket(0, x_y, 2, x2_exp)
+    assert term == (2, next(iter(E("x^2*y*exp(y)").term_map())), 2)
+    # [exp(x/2) d_x, x d_x] = (1 - x/2)*exp(x/2) d_x: both parts on d_x, merged
+    e, x = (next(iter(E(t).term_map())) for t in ("exp(1/2*x)", "x"))
+    got = {(k, m): c for k, m, c in monomial_bracket(0, e, 0, x)}
+    assert got == {(0, next(iter(E("exp(1/2*x)").term_map()))): 1,
+                   (0, next(iter(E("x*exp(1/2*x)").term_map()))): -Fraction(1, 2)}
+    # [y d_x, z d_y]: z*d_y moves y, which y reads; y*d_x moves x, which z does not
+    x, y, z = (next(iter(E(t).term_map())) for t in ("x", "y", "z"))
+    assert [c for _, _, c in monomial_bracket(0, y, 1, z)] == [-1]
+    # [y d_z, x d_z] = 0: neither moves what the other reads
+    assert monomial_bracket(0, y, 0, y) == () and monomial_bracket(2, y, 2, x) == ()
 
 
 # -- derivation action ----------------------------------------------------------------
@@ -180,7 +204,8 @@ def z_affine() -> CoordinateChange:
 
 def test_pushforward_identity():
     v = F("y*Dx + x^2*exp(y)*Dz")
-    assert v.pushforward(CoordinateChange.identity(ctx)) == v
+    coords = tuple(ctx.var_poly(i) for i in range(3))
+    assert v.pushforward(CoordinateChange(ctx, coords, coords)) == v
 
 
 def test_pushforward_affine_rescale():

@@ -173,7 +173,9 @@ def int_vectors(r, count):
 
 
 # (basis factory, pivot order) for field keys and for integer basis coordinates
-FIELD_KEYS = (EchelonBasis, lambda k: (k[0], k[1].sort_key()))
+# the documented term order, from the public fields: component, then rates and
+# powers from the last variable to the first
+FIELD_KEYS = (EchelonBasis, lambda k: (k[0], k[1].rates[::-1], k[1].powers[::-1]))
 INT_KEYS = (EchelonBasis, lambda k: k)
 
 

@@ -1,8 +1,8 @@
 """Property-based checks with hypothesis: the text round trip, the field
 bracket against the term-list oracle and the Lie identities, canonical ring
 results, the monomial order, the support test that lets close() skip a
-bracket, the term-level bracket kernel against the field bracket, the
-integer echelon kernel and its coordinates against the dense oracles,
+bracket, the row bracket on column ids (and its pair table) against the
+field bracket and the term-list oracle, the integer echelon kernel and its coordinates against the dense oracles,
 run-time exactness, pushforward as a bracket homomorphism,
 closure invariance under a change of generating set, basis combinations
 (LieAlgebra.element) against term-list sums, and the series and center of
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import vflie.fields
+import vflie.linalg
 from vflie import (
     ClosureCapExceeded,
     DEFAULT_CONTEXT,
@@ -32,7 +32,6 @@ from vflie import (
     close,
     random_spec,
 )
-from vflie.algebra import _bracket_unless_commuting
 from vflie.linalg import (
     Columns,
     EchelonBasis,
@@ -125,10 +124,10 @@ def test_bracket_is_bilinear_and_antisymmetric(u, v, w, a):
     assert (u * a + v).bracket(w) == u.bracket(w) * a + v.bracket(w)
 
 
-@checks
-@given(fields(3), fields(3))
-def test_bracket_matches_term_list_oracle(v, w):
-    got = v.bracket(w)
+def naive_bracket(v: VectorField, w: VectorField) -> list[dict]:
+    """[v, w] per component as naive term dicts, by the term-list oracle:
+    component i is sum_j v_j * d w_i/d var j - w_j * d v_i/d var j."""
+    out = []
     for i in range(3):
         expected: dict = {}
         for j in range(3):
@@ -138,7 +137,16 @@ def test_bracket_matches_term_list_oracle(v, w):
             expected = naive_add(
                 as_terms(expected), [(p, r, -c) for p, r, c in as_terms(minus)]
             )
-        assert {(m.powers, m.rates): c for m, c in got.comps[i].term_map().items()} == expected
+        out.append(expected)
+    return out
+
+
+@checks
+@given(fields(3), fields(3))
+def test_bracket_matches_term_list_oracle(v, w):
+    got = v.bracket(w)
+    for comp, expected in zip(got.comps, naive_bracket(v, w)):
+        assert {(m.powers, m.rates): c for m, c in comp.term_map().items()} == expected
 
 
 @checks
@@ -186,7 +194,7 @@ def test_monomial_order_is_sort_key_order(a, b):
     ka, kb = oracle_key(a), oracle_key(b)
     assert (a < b) == (ka < kb) and (b < a) == (kb < ka)
     assert (a <= b) == (ka <= kb) and (a > b) == (ka > kb)
-    assert (a.sort_key() < b.sort_key()) == (ka < kb)
+    assert (tuple(a) < tuple(b)) == (ka < kb)  # the value is its own sort key
     assert [a < b, b < a, a == b].count(True) == 1
 
 
@@ -263,8 +271,8 @@ def test_support_test_is_sound(u, v):
         assert u.bracket(v).is_zero and v.bracket(u).is_zero
 
 
-# fractional rates, as in test_algebra.EXP_RATIONAL_RATES: an integer operand
-# times such a rate gives a Fraction coefficient
+# fractional rates, as in test_algebra.EXP_RATIONAL_RATES: an integer row
+# bracketed over such a rate gives a Fraction coefficient
 fractional_rates = st.sampled_from(
     (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(1, 7))
 )
@@ -275,52 +283,99 @@ zero_field = ctx.field([ExpPoly.zero(3)] * 3)
 operands = st.one_of(fields(3, fractional_terms), supported_fields(), st.just(zero_field))
 
 
-def integer_operand(v: VectorField) -> VectorField:
-    """v times the lcm of its denominators, with int coefficients, as
-    uncoordinatize makes it from a primitive integer row."""
-    vec = coordinatize(v)
+def vector_of(columns: Columns, v: VectorField) -> dict:
+    """v's vector over the column table, through its term-map path."""
+    return columns.vector(comp.term_map() for comp in v.comps)
+
+
+def integer_vector(vec: dict) -> tuple[dict, int]:
+    """(vec times the lcm s of its denominators, with int values; s), as a
+    primitive integer echelon row is a multiple of its unit row."""
     scale = lcm(1, *(c.denominator for c in vec.values()))
-    return uncoordinatize({k: int(c * scale) for k, c in vec.items()}, ctx)
+    return {k: int(c * scale) for k, c in vec.items()}, scale
+
+
+def oracle_masks(key) -> tuple[int, int]:
+    """(moves, reads) of the column field of a (component, monomial) key,
+    read off the monomial's public powers and rates."""
+    i, mono = key
+    reads = sum(1 << j for j in range(3) if mono.powers[j] or mono.rates[j])
+    return 1 << i, reads
+
+
+@settings(checks, max_examples=150)
+@given(operands, operands)
+def test_row_and_field_brackets_match_the_naive_bracket(u, v):
+    # Columns.bracket, read back through the keys, and VectorField.bracket
+    # against the term-list oracle, on Fraction coefficients and fractional
+    # exp rates; the pair table the row bracket fills is antisymmetric,
+    # stores no zero coefficient, and holds {} for a pair whose column masks
+    # commute
+    want = naive_bracket(u, v)
+    field = u.bracket(v)
+    for comp, expected in zip(field.comps, want):
+        assert {(m.powers, m.rates): c for m, c in comp.term_map().items()} == expected
+        assert all(type(c) is Fraction for c in comp.term_map().values())
+    columns = Columns(3)
+    got: list[dict] = [{}, {}, {}]
+    for k, c in columns.bracket(vector_of(columns, u), vector_of(columns, v)).items():
+        i, mono = columns.keys[k]
+        got[i][mono.powers, mono.rates] = c
+    assert got == want
+    table = columns._pairs
+    for k, row in table.items():
+        for l, pair in row.items():
+            assert table[l][k] == {key: -c for key, c in pair.items()}
+            assert all(pair.values())
+            (moves_k, reads_k), (moves_l, reads_l) = map(oracle_masks, (columns.keys[k], columns.keys[l]))
+            if not (moves_k & reads_l or moves_l & reads_k):
+                assert pair == {}
 
 
 @settings(checks, max_examples=150)
 @given(operands, operands)
 def test_bracket_kernel_matches_coordinatized_bracket(u, v):
-    # the kernel's vector, read back through the column table, is
-    # coordinatize(u.bracket(v)), also on the int-coefficient operands that
-    # close() makes from primitive rows
+    # the row bracket's vector, read back through the column table, is
+    # coordinatize(u.bracket(v)), also on the integer vectors close()
+    # brackets, where it is scaled by the product of the two scales; the
+    # columns' masks give the field's support, and a pair the support test
+    # proves commuting brackets to the empty vector
     columns = Columns(3)
 
     def keyed(vec):
         return {columns.keys[k]: c for k, c in vec.items()}
 
-    for a, b in ((u, v), (v, u), (integer_operand(u), integer_operand(v))):
-        want = coordinatize(a.bracket(b))
-        assert keyed(columns.vector(a._bracket_terms(b))) == want
-        got = _bracket_unless_commuting(columns, a, b)
-        if provably_commute(a, b):
-            assert got is None and not want
-        else:
-            assert (got and keyed(got)) == (want or None)
+    a, b = vector_of(columns, u), vector_of(columns, v)
+    assert columns.support(a) == u.support() and columns.support(b) == v.support()
+    for x, y, want in ((a, b, coordinatize(u.bracket(v))), (b, a, coordinatize(v.bracket(u)))):
+        assert keyed(columns.bracket(x, y)) == want
+    (ia, sa), (ib, sb) = integer_vector(a), integer_vector(b)
+    got = columns.bracket(ia, ib)
+    assert keyed(got) == {key: c * sa * sb for key, c in coordinatize(u.bracket(v)).items()}
+    if provably_commute(u, v):
+        assert got == {}
 
 
 @settings(checks, max_examples=150)
 @given(operands, operands)
 def test_bracket_kernel_never_multiplies_by_zero(u, v):
-    # the sparse kernel meets only nonzero components with nonzero Jacobian
-    # entries, so no product it forms has a zero factor
-    factors = []
-    real_mul_add = vflie.fields.mul_add
+    # the row bracket adds a pair only when the pair is nonzero, scaled by
+    # the product of two nonzero coordinates, so no product it forms has a
+    # zero factor
+    columns = Columns(3)
+    adds = []
+    real_axpy = vflie.linalg._axpy
 
-    def recording(out, a, b, sign=1):
-        factors.append((a, b))
-        real_mul_add(out, a, b, sign)
+    def recording(dst, src, scale):
+        adds.append((src, scale))
+        real_axpy(dst, src, scale)
 
+    a, b = vector_of(columns, u), vector_of(columns, v)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vflie.fields, "mul_add", recording)
-        for a, b in ((u, v), (v, u), (integer_operand(u), integer_operand(v))):
-            a._bracket_terms(b)
-    assert all(a and b for a, b in factors)
+        patch.setattr(vflie.linalg, "_axpy", recording)
+        for x, y in ((a, b), (b, a), (integer_vector(a)[0], integer_vector(b)[0])):
+            columns.bracket(x, y)
+    assert all(src and all(src.values()) and scale for src, scale in adds)
 
 
 def test_support_test_examples():
@@ -336,22 +391,23 @@ def test_support_test_examples():
 def test_close_never_brackets_a_provably_commuting_pair(monkeypatch):
     draws = [build(random_spec(recipe, seed, 3)).generators for recipe in RECIPES for seed in (0, 1)]
     draws.append(build(random_spec("center-rank1", 23, 6)).generators)
-    real_bracket = VectorField._bracket_terms
+    real_bracket = Columns.bracket
     calls, skippable = 0, []
 
-    def counting_bracket(u, v):
+    def counting_bracket(self, u, v):
         nonlocal calls
         calls += 1
-        if provably_commute(u, v):
-            skippable.append((str(u), str(v)))
-        return real_bracket(u, v)
+        fields_uv = [uncoordinatize({self.keys[k]: c for k, c in w.items()}, ctx) for w in (u, v)]
+        if provably_commute(*fields_uv):
+            skippable.append(tuple(map(str, fields_uv)))
+        return real_bracket(self, u, v)
 
-    monkeypatch.setattr(VectorField, "_bracket_terms", counting_bracket)
+    monkeypatch.setattr(Columns, "bracket", counting_bracket)
     skipping = [close(gens) for gens in draws]
     skipped_calls = calls
     assert skippable == []
     # every field moving and reading every variable: no pair can be skipped
-    monkeypatch.setattr(VectorField, "support", lambda v: (0b111, 0b111))
+    monkeypatch.setattr(Columns, "support", lambda self, vec: (0b111, 0b111))
     reference = [close(gens) for gens in draws]
     assert calls - skipped_calls > 2 * skipped_calls  # the skip does fire
     for got, want in zip(skipping, reference):
