@@ -2,17 +2,15 @@
 of vector fields.
 
 close() generates the smallest bracket-closed subspace containing a finite
-set of fields, one generator layer (bracket depth) per round.  A LieAlgebra
+set of fields, one generator layer (bracket depth) per round, over one
+column table (linalg.Columns) of int column ids per closure.  A LieAlgebra
 is built from the echelon of such a span, which close() and project() hand
 over: it reads the canonical reduced row-echelon basis (ordered by pivot
 key, hence independent of generator order) and brackets it into the exact
-structure-constant tensor.  Field coordinates are int column ids: close()
-makes one column table (linalg.Columns) per closure, and the algebra it
-returns reads that table for its basis, tensor, _field, express and
-contains.  Both close() and the tensor bracket the echelon's primitive
-integer rows on their column ids (Columns.bracket, over the table's pair
-table, which the tensor empties once built), so no bracket builds a field,
-and neither brackets a pair whose support masks prove it commuting.
+structure-constant tensor, kept in integers until read.  Both bracket the
+echelon's primitive integer rows on their column ids (Columns.bracket), so
+no bracket builds a field, and neither brackets a pair whose support masks
+prove it commuting.
 All queries (center, series, projections, adjoints, quotients) are exact
 and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
@@ -27,7 +25,7 @@ integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  What
 reads only spans ([g, g], the certificate's layers, the center and the
 center of the central quotient) uses the rows as they are, with no Fraction
 arithmetic; _bracket and _ad_image scale them by 1/D_v to exact values.
-c() reads the tensor itself.
+c() reads `structure`, the tensor's Fraction form.
 """
 
 from __future__ import annotations
@@ -53,10 +51,12 @@ from .linalg import (
     ZERO,
     Columns,
     EchelonBasis,
+    Operand,
     Q,
     SparseVector,
     _axpy,
     _combination,
+    _gcd,
     _lcm,
     coordinatize,
     echelon_of,
@@ -72,25 +72,36 @@ DEFAULT_CAP_DEGREE = 64
 
 IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fraction]]]
 Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero coords of [e_i, e_j]
+IntTensor = dict[tuple[int, int], tuple[int, list[tuple[int, int]]]]  # as Tensor: (s, [(k, s * c)])
 IntTable = dict[int, dict[int, int]]  # j -> nonzero integer coords of D_v * [e_v, e_j]
 
 
-def integer_ad_tables(tensor: Tensor, dim: int) -> tuple[list[IntTable], list[int]]:
+def integer_ad_tables(tensor: IntTensor, dim: int) -> tuple[list[IntTable], list[int]]:
     """(tables, D): for each basis index v, ad(e_v) as integer rows over one
     positive denominator D[v], the lcm of the denominators of its structure
     constants, so that tables[v][j][k] / D[v] is the coefficient of e_k in
-    [e_v, e_j]: the algebra's one ad table."""
+    [e_v, e_j]: the algebra's one ad table.  A pair's c / s have lcm
+    denominator d = s / gcd(s, c...)."""
     dens = [1] * dim
-    for (i, j), comps in tensor.items():
-        for c in comps.values():
-            if c.denominator != 1:
-                dens[i], dens[j] = _lcm(dens[i], c.denominator), _lcm(dens[j], c.denominator)
+    reduced = []
+    for (i, j), (s, entries) in tensor.items():
+        g = s
+        for _, c in entries:
+            g = g if g == 1 else _gcd(c, g)
+        reduced.append((i, j, s // g, g, entries))
+        if s != g:
+            dens[i], dens[j] = _lcm(dens[i], s // g), _lcm(dens[j], s // g)
     tables: list[IntTable] = [{} for _ in range(dim)]
-    for (i, j), comps in tensor.items():
-        di, dj = dens[i], dens[j]
-        tables[i][j] = {k: di // c.denominator * c.numerator for k, c in comps.items()}
-        tables[j][i] = {k: -(dj // c.denominator * c.numerator) for k, c in comps.items()}
+    for i, j, d, g, entries in reduced:
+        di, dj = dens[i] // d, dens[j] // d
+        tables[i][j] = {k: di * (c // g) for k, c in entries}
+        tables[j][i] = {k: -dj * (c // g) for k, c in entries}
     return tables, dens
+
+
+def _fraction_tensor(tensor: IntTensor) -> Tensor:
+    """The Fraction form of an integer tensor."""
+    return {ab: {k: Fraction(c, s) for k, c in entries} for ab, (s, entries) in tensor.items()}
 
 
 def _image(table: IntTable, w: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -127,7 +138,7 @@ def _entries(tensor: Tensor) -> list[list]:
 
 
 def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
-    """False when the support masks s and t (Columns.support) prove the
+    """False when the support masks s and t (Operand.masks) prove the
     bracket zero: neither field moves a variable that the other's
     coefficients read."""
     return bool(s[0] & t[1] or t[0] & s[1])
@@ -168,29 +179,20 @@ def close(
     every left-normed bracket [s1, [s2, ..., s_k]], and those span the
     algebra (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  The
     reduced echelon of a span is unique, so the basis is canonical.
-    Each layer's brackets go into the echelon's open layer (`_extend`), which
-    touches no older row, and the layer is settled once, at its end, before
-    any row is read.  The frontier rows are then the rows that inserting
-    each bracket into a fully reduced echelon would leave: a vector's
-    residual modulo the rows so far, zero at their pivots, is unique, so
-    both ways make the same independence decision and append the same pivot
-    in the same order, and the settled rows are the unique reduced rows of
-    the span with those pivots.  So the operands, the pair order, the
-    degree cap and every cap report do not depend on the layering.  The
-    operands are the echelon's primitive integer rows, each a positive
-    multiple of its unit row, with their support masks (Columns.support):
-    [a*u, b*v] = a*b*[u, v], and the echelon makes every row primitive with
-    a positive pivot, so the layers see the same rows, degrees and
-    independence as the unit rows would.  A pair whose masks prove it
-    commuting is skipped; any other is bracketed on column ids
-    (Columns.bracket), and the bracket goes into the echelon as that
-    vector, never as a field: one column table numbers the closure's
-    (component, monomial) keys and holds the brackets of its column pairs,
-    each computed once, so every elimination step hashes int column ids,
-    while the pivots stay the least keys in (component, monomial) order,
-    and with them the basis, the pair order, the degree cap and every cap
-    report.  The echelon goes to LieAlgebra, which brackets the final
-    basis rows into the tensor over the same table.
+    Each layer's brackets go into the echelon's open layer (`_extend`),
+    settled once at its end, before any row is read; the settled rows are
+    those that inserting each bracket into a fully reduced echelon would
+    leave (see EchelonBasis), so the operands, the pair order, the degree
+    cap and every cap report do not depend on the layering.  The operands
+    are the echelon's primitive integer rows (Columns.operand), positive
+    multiples of the unit rows, so as [a*u, b*v] = a*b*[u, v] the layers see
+    the same rows, degrees and independence.  A pair whose support masks
+    prove it commuting is skipped; any other is bracketed on column ids
+    (Columns.bracket) and goes into the echelon as that vector, never as a
+    field, so every elimination step hashes int column ids while the
+    pivots stay the least (component, monomial) keys.  The echelon goes to
+    LieAlgebra, which brackets the final rows into the tensor.
+    A cap that is not an int (a bool neither) is a TypeError.  A
     ClosureCapExceeded is raised past cap_dim, past cap_rounds layers, or by
     a field of degree above cap_degree; its `round` is the layer and
     `pending` the pairs of that layer not yet visited, where a pair that the
@@ -199,6 +201,9 @@ def close(
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
+    for name, cap in (("cap_dim", cap_dim), ("cap_rounds", cap_rounds), ("cap_degree", cap_degree)):
+        if type(cap) is not int:  # a bool is an int too
+            raise TypeError(f"{name} {cap!r} is not an int")
     if cap_dim <= 0 or cap_rounds <= 0 or cap_degree <= 0:
         raise ValueError("caps must be positive")
     ctx = gens[0].ctx
@@ -220,10 +225,9 @@ def close(
         if echelon._extend(vec) and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
-    def operands_from(start: int) -> list[tuple[dict, tuple[int, int]]]:
+    def operands_from(start: int) -> list[Operand]:
         echelon._settle()
-        rows = [echelon.primitive_row(i) for i in range(start, len(echelon))]
-        return [(row, columns.support(row)) for row in rows]
+        return [columns.operand(echelon.primitive_row(i)) for i in range(start, len(echelon))]
 
     for g in gens:
         add(columns.vector(comp.term_map() for comp in g.comps))
@@ -235,9 +239,9 @@ def close(
             raise cap_error("cap_rounds", cap_rounds)
         rounds += 1
         start = len(echelon)
-        for (s, s_masks), (t, t_masks) in pairs:
+        for s, t in pairs:
             pending -= 1
-            if _can_fail_to_commute(s_masks, t_masks) and (vec := columns.bracket(s, t)):
+            if _can_fail_to_commute(s.masks, t.masks) and (vec := columns.bracket(s, t)):
                 add(vec)
         frontier = operands_from(start)
         pairs = [(s, t) for s in S for t in frontier]
@@ -290,14 +294,19 @@ class Projection:
 
 @dataclass(frozen=True)
 class QuotientStructure:
-    """Structure constants of L/ideal on representatives e_r, r in rep_indices."""
+    """Structure constants of L/ideal on representatives e_r, r in
+    rep_indices, in integer form; `tensor`, their Fraction form, on first read."""
 
     rep_indices: tuple[int, ...]
-    tensor: dict  # (a, b) with a < b -> {c: Fraction}, indices into rep_indices
+    int_tensor: IntTensor  # indices into rep_indices
 
     @property
     def dim(self) -> int:
         return len(self.rep_indices)
+
+    @cached_property
+    def tensor(self) -> Tensor:
+        return _fraction_tensor(self.int_tensor)
 
     def to_dict(self) -> dict:
         return {"rep_indices": list(self.rep_indices), "structure": _entries(self.tensor)}
@@ -315,26 +324,23 @@ class LieAlgebra:
     monomial the table lacks is outside the span, and a query makes no
     column.  The basis is the unit rows in pivot order, pivot order being
     (component, monomial) key order.  The tensor brackets the primitive
-    integer rows, h_a*e_a and h_b*e_b, on their column ids
-    (Columns.bracket), reads the bracket's value c at each pivot it hits
-    (its coordinate on that unit row, by full reduction) and builds each
-    structure constant as one Fraction, Fraction(c, h_a*h_b), since
-    [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b]; a bracket outside the span
-    raises InternalInvariantViolation.  The rows fall into at most 64
-    support classes (Columns.support), and only the pairs a < b whose
-    classes the support test cannot prove commuting are bracketed, in
-    ascending (a, b) order.  The table's pair table, which close() filled,
-    is emptied once the tensor is built.  Series, ideal checks, quotients
-    and split lifts walk only the tensor's nonzero entries, through the one
-    ad table (_int_ad): its integer rows as they are for what reads spans
-    only, scaled by 1/D_v in _bracket and _ad_image.
+    integer rows h_a*e_a and h_b*e_b on their column ids (Columns.bracket)
+    for the pairs a < b whose support classes (Operand.masks, at most 64)
+    the support test cannot prove commuting, in ascending (a, b) order.  It
+    reads the bracket's value c at each pivot it hits (its coordinate on
+    that unit row, by full reduction) and keeps the constants c / (h_a*h_b)
+    in integers (_tensor), as [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b];
+    `structure`, their Fraction form, is built on first read.  A bracket
+    outside the span raises InternalInvariantViolation at construction, and
+    the half table close() filled is emptied once the tensor is built.
+    Queries walk only the nonzero entries, through the one ad table.
 
     Basis coordinates are sparse (index -> nonzero Fraction) throughout;
     only the public methods take or return dense lists, validated once where
     they enter (_checked), and _field is the one map back to fields.
 
     What an algebra computes once, it keeps: its unit rows in basis order,
-    the ad table (on first read), both series, [g, g] and
+    `structure` and the ad table (on first read), both series, [g, g] and
     the nilpotency certificate, the center's coefficients and fields, and
     per kept set the parts of a projection (its image algebra, kernel fields
     and kernel coefficients), never the Projection itself.  None of these
@@ -352,33 +358,32 @@ class LieAlgebra:
         self._rows = [echelon.row(i) for i in self._order]
         self.basis = tuple(columns.field(row, ctx) for row in self._rows)
         position = {row: k for k, row in enumerate(self._order)}
-        rows = [echelon.primitive_row(i) for i in self._order]
-        heads = [row[echelon.pivots[i]] for row, i in zip(rows, self._order)]
-        supports = [columns.support(row) for row in rows]
+        rows = [columns.operand(echelon.primitive_row(i)) for i in self._order]
+        heads = [row.vec[echelon.pivots[i]] for row, i in zip(rows, self._order)]
         members: dict[tuple[int, int], list[int]] = {}
-        for a, s in enumerate(supports):
-            members.setdefault(s, []).append(a)
+        for a, row in enumerate(rows):
+            members.setdefault(row.masks, []).append(a)
         # per support class, the rows of every class it may not commute with
         partners = {
             s: sorted(b for t, bs in members.items() if _can_fail_to_commute(s, t) for b in bs)
             for s in members
         }
-        self.structure: Tensor = {}
+        self._tensor: IntTensor = {}
         for a, u in enumerate(rows):
-            later = partners[supports[a]]
+            later = partners[u.masks]
             for b in later[bisect_right(later, a):]:
                 vec = columns.bracket(u, rows[b])
                 if not vec:
                     continue
-                if echelon._residual(vec)[0]:
+                residual, t = echelon._residual(vec)
+                if residual:
                     raise InternalInvariantViolation(
                         "bracket of basis elements escapes the span; closure is broken"
                     )
-                scale = heads[a] * heads[b]
-                coeffs = echelon._coefficients(vec)
-                self.structure[(a, b)] = {
-                    k: Fraction(c, scale) for k, c in sorted((position[i], c) for i, c in coeffs.items())
-                }
+                # the residual's scale t makes t * vec integral, also over a fractional rate
+                coeffs = echelon._coefficients(vec).items()
+                entries = sorted((position[i], t // c.denominator * c.numerator) for i, c in coeffs)
+                self._tensor[(a, b)] = (heads[a] * heads[b] * t, entries)
         columns.release()
         self._series: dict[str, SeriesReport] = {}
         # sorted kept indices -> (image, kernel fields, kernel coefficients)
@@ -391,16 +396,21 @@ class LieAlgebra:
         return len(self.basis)
 
     @cached_property
+    def structure(self) -> Tensor:
+        """(a, b), a < b -> {k: c(a, b, k)} in ascending order, built on first read."""
+        return _fraction_tensor(self._tensor)
+
+    @cached_property
     def _int_ad(self) -> tuple[list[IntTable], list[int]]:
-        """integer_ad_tables of the structure tensor, built on first read."""
-        return integer_ad_tables(self.structure, self.dim)
+        """integer_ad_tables of the integer tensor, built on first read."""
+        return integer_ad_tables(self._tensor, self.dim)
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant: coefficient of e_k in [e_i, e_j], read from
-        the tensor.  TypeError for an index that is not an int (1.0 would
-        read e_1), ValueError for one outside range(dim)."""
+        the tensor.  TypeError for an index that is not an int, or is a bool
+        (1.0 or True would read e_1), ValueError for one outside range(dim)."""
         for index in (i, j, k):
-            if not isinstance(index, int):
+            if type(index) is not int:
                 raise TypeError(f"basis index {index!r} is not an int")
             if not 0 <= index < self.dim:
                 raise ValueError(f"basis index {index} out of range")
@@ -567,7 +577,7 @@ class LieAlgebra:
         """[g, g] as the echelon of the nonzero brackets [e_i, e_j], i < j,
         each as its integer row D_i * [e_i, e_j].  Shared and read-only."""
         tables = self._int_ad[0]
-        return echelon_of(tables[i][j] for i, j in self.structure)
+        return echelon_of(tables[i][j] for i, j in self._tensor)
 
     def _layers(self, gens: Sequence[int]) -> list[list[dict[int, int]]] | None:
         """The nonzero layers W_1 = span{e_v : v in gens}, W_{k+1} =
@@ -620,7 +630,7 @@ class LieAlgebra:
         return gens, (self.dim, *reversed(dims))
 
     def is_abelian(self) -> bool:
-        return not self.structure
+        return not self._tensor
 
     def is_nilpotent(self) -> bool:
         return self.series("lower-central").terminated_at_zero
@@ -636,13 +646,13 @@ class LieAlgebra:
         Requires every component of every basis element to depend only on the
         kept variables (this is what makes the dropped part an abelian ideal
         and the kept part a homomorphic image).  The kept variables may be
-        names or int indices (else TypeError), in any order.  The image
-        algebra, the kernel fields and the kernel coefficients are computed
-        once per sorted kept set, and each call returns a new Projection
-        around them; a ProjectionHypothesisViolated is not kept, so it is
-        raised again on every call.
+        names or int indices (else TypeError, as for a bool), in any order.
+        The image algebra, the kernel fields and the kernel coefficients are
+        computed once per sorted kept set, and each call returns a new
+        Projection around them; a ProjectionHypothesisViolated is not kept,
+        so it is raised again on every call.
         """
-        if bad := [k for k in kept if not isinstance(k, (str, int))]:
+        if bad := [k for k in kept if type(k) not in (str, int)]:
             raise TypeError(f"kept variable {bad[0]!r} is not a name or an index")
         indices = tuple(sorted(self.ctx.index(k) if isinstance(k, str) else k for k in kept))
         if not indices or len(set(indices)) != len(indices):
@@ -689,14 +699,14 @@ class LieAlgebra:
 
     def ideal_subspace(self, ideal: IdealLike) -> EchelonBasis:
         """Span of an ideal given as basis indices, fields, or coefficient
-        vectors (any other item is a TypeError), as an integer-key echelon
-        basis (not yet verified)."""
+        vectors (any other item, a bool included, is a TypeError), as an
+        integer-key echelon basis (not yet verified)."""
         items = list(ideal)
         if not items:
             raise ValueError("ideal must be nonempty")
         vecs: list[SparseVector] = []
         for item in items:
-            if isinstance(item, int):
+            if type(item) is int:
                 if not 0 <= item < self.dim:
                     raise ValueError(f"basis index {item} out of range")
                 vecs.append({item: Q(1)})
@@ -730,14 +740,13 @@ class LieAlgebra:
         pivots = set(span.pivots)
         reps = tuple(i for i in range(self.dim) if i not in pivots)
         position = {rep: c for c, rep in enumerate(reps)}
-        tensor: Tensor = {}
-        for (i, j), comps in sorted(self.structure.items()):
+        tensor: IntTensor = {}
+        for (i, j), (s, entries) in self._tensor.items():
             if i in position and j in position:
-                reduced, _ = span.reduce(comps)
-                if reduced:
-                    tensor[(position[i], position[j])] = {
-                        position[k]: c for k, c in sorted(reduced.items())
-                    }
+                residual, scale = span._residual(dict(entries))
+                if residual:
+                    reduced = sorted((position[k], c) for k, c in residual.items())
+                    tensor[(position[i], position[j])] = (s * scale, reduced)
         return QuotientStructure(reps, tensor)
 
     # -- reporting -----------------------------------------------------------------

@@ -345,7 +345,7 @@ def one_dim_ideals_mod_center(algebra: LieAlgebra) -> OneDimIdealFamily:
         raise NotNilpotent("one-dimensional-ideal analysis requires nilpotency")
     center = algebra._center
     quotient = algebra._quotient_by(echelon_of(center))
-    qcenter = common_kernel(integer_ad_tables(quotient.tensor, quotient.dim)[0], range(quotient.dim))
+    qcenter = common_kernel(integer_ad_tables(quotient.int_tensor, quotient.dim)[0], range(quotient.dim))
     reps = quotient.rep_indices
     lifts = tuple(algebra._field({reps[a]: c for a, c in vec.items()}) for vec in qcenter)
     return OneDimIdealFamily(False, len(center), len(qcenter), lifts)

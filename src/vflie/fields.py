@@ -1,5 +1,7 @@
 """Vector fields with exact ring coefficients: bracket, derivation action,
-pushforward under user-supplied invertible polynomial coordinate changes."""
+pushforward under user-supplied invertible polynomial coordinate changes.
+Every bracket, of fields here and of rows over column ids
+(linalg.Columns), sums one half formula, monomial_half."""
 
 from __future__ import annotations
 
@@ -42,48 +44,31 @@ def monomial_reads(mono: ExpMonomial) -> int:
     return mask
 
 
-def monomial_bracket(i: int, m: ExpMonomial, j: int, n: ExpMonomial) -> Sequence[tuple]:
-    """[m d_i, n d_j] = m d_i(n) d_j - n d_j(m) d_i, the one bracket formula,
-    as (component, monomial, coefficient) terms: at most four, no two on the
-    same component and monomial, none with a zero coefficient.
+def monomial_half(i: int, m: ExpMonomial, n: ExpMonomial) -> Sequence[tuple]:
+    """m d_i(n) as (monomial, coefficient) terms with nonzero coefficients:
+    the half of [m d_i, n d_j] = m d_i(n) d_j - n d_j(m) d_i on d_j.
 
     d_i(n) = a n / x_i + r n, with a and r the power and the rate of n in
-    variable i, and d_j(m) = b m / x_j + s m likewise, so each part is at
-    most a lowered-power term and a rate term of the product m n, which is
-    built once, and only when some part is nonzero.  For i == j both parts
-    fall on component i and are merged.  A coefficient is an int (a power)
-    or a stored rate (an int or a Fraction)."""
+    variable i, so a half is at most a lowered-power term and a rate term of
+    m n, nonzero exactly when n reads x_i.  A coefficient is an int (a
+    power) or a stored rate (an int or a Fraction)."""
     (rm, pm), (rn, pn) = m, n
-    ki, kj = len(pm) - 1 - i, len(pm) - 1 - j  # positions in the reversed tuples
-    a, r, b, s = pn[ki], rn[ki], pm[kj], rm[kj]
-    if i == j:
-        a, r, b, s = a - b, r - s, 0, 0
-    if not (a or r or b or s):
+    k = len(pn) - 1 - i  # the position of variable i in the reversed tuples
+    a, r = pn[k], rn[k]
+    if not (a or r):
         return ()
     zeros = _ZEROS[len(pm)]
-    if rn is zeros:
-        rates = rm
-    elif rm is zeros:
-        rates = rn
-    else:
-        rates = tuple(map(add, rm, rn))
-        if not any(rates):
-            rates = zeros
+    rates = rm if rn is zeros else rn if rm is zeros else tuple(map(add, rm, rn))
+    if not any(rates):
+        rates = zeros
     powers = tuple(map(add, pm, pn))
-    mn = _new(ExpMonomial, (rates, powers))
     terms = []
     if a:
         lowered = list(powers)
-        lowered[ki] -= 1
-        terms.append((j, _new(ExpMonomial, (rates, tuple(lowered))), a))
+        lowered[k] -= 1
+        terms.append((_new(ExpMonomial, (rates, tuple(lowered))), a))
     if r:
-        terms.append((j, mn, r))
-    if b:
-        lowered = list(powers)
-        lowered[kj] -= 1
-        terms.append((i, _new(ExpMonomial, (rates, tuple(lowered))), -b))
-    if s:
-        terms.append((i, mn, -s))
+        terms.append((_new(ExpMonomial, (rates, powers)), r))
     return terms
 
 
@@ -137,9 +122,8 @@ DEFAULT_CONTEXT = VariableContext(DEFAULT_NAMES)
 class VectorField:
     """First-order differential operator sum_i comps[i] * d/d(var i).
 
-    The bracket is the bilinear sum of monomial_bracket over the term
-    pairs of the two fields; the engine's row bracket (linalg.Columns)
-    sums the same formula over column ids.  The support masks of
+    The bracket sums monomial_half over the term pairs of the two fields,
+    as the row bracket (linalg.Columns) does over column ids.  The masks of
     `support()` are computed once and kept in a slot: bit j of `moves` is
     set when comps[j] is nonzero, and bit j of `reads` when some
     coefficient depends on var j (a power > 0 or a rate != 0).  The cache
@@ -227,19 +211,21 @@ class VectorField:
         return masks
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [self, other]; bilinear and antisymmetric: the sum of
-        monomial_bracket over every pair of terms, scaled by the product of
-        their coefficients."""
+        """Lie bracket [self, other]: component j is sum_i self_i d_i(other_j)
+        - other_i d_i(self_j), monomial_half over every pair of terms in
+        both orders, scaled by the product of their coefficients."""
         self._check(other)
         n = self.ctx.nvars
         comps: list[dict] = [{} for _ in range(n)]
-        right = [(j, c._terms.items()) for j, c in enumerate(other.comps) if c]
-        for i, f in enumerate(self.comps):
-            for m, a in f._terms.items():
-                for j, g in right:
-                    for mono, b in g:
-                        for k, term, c in monomial_bracket(i, m, j, mono):
-                            _add_term(comps[k], term, a * b * c)
+        for u, v, sign in ((self, other, 1), (other, self, -1)):
+            right = [(comps[j], c._terms.items()) for j, c in enumerate(v.comps) if c]
+            for i, f in enumerate(u.comps):
+                for m, a in f._terms.items():
+                    a *= sign
+                    for out, g in right:
+                        for mono, b in g:
+                            for term, c in monomial_half(i, m, mono):
+                                _add_term(out, term, a * b * c)
         return VectorField(self.ctx, [_poly(n, out) for out in comps])
 
     def pushforward(self, change: "CoordinateChange") -> "VectorField":

@@ -4,22 +4,14 @@ EchelonBasis is the one elimination routine: a fully reduced row set over
 sparse vectors, so span membership, residuals, coordinates and null spaces
 are all exact.  It eliminates on primitive integer rows, integer-preserving
 in the spirit of Bareiss (Math. Comp. 22, 1968), with one integer row
-update, _eliminate.  Vectors go in by layers: `_extend` reduces each one
-forward on the rows so far and stores it, touching no other row, and
-`_settle` restores full reduction once for the whole layer.  `insert` is a
-layer of one vector, settled at once, whose pivot the settle looks up in
-each older row; echelon_of inserts its vectors so.  close() is the one
-caller that opens a longer layer, and it settles it before reading any
-row, so every public method sees and leaves a settled echelon.  Every
-vector enters through `_extend` and so through `_residual`, one pass that
-drops zeros, checks that each entry is rational, finds the pivots hit and
-grows the scale; an integer vector (scale 1), such as a bracket of
+update, _eliminate, and takes vectors in by layers (`_extend`, `_settle`);
+only close() holds a layer open, and every public method sees and leaves a
+settled echelon.  Every vector enters through `_residual`, one pass that
+checks each entry is rational; an integer vector, such as a bracket of
 integer rows or an integer ad-table row, is never turned into Fractions.
 `primitive_row` hands out a stored integer row itself, which callers must
-not mutate, and a settle that changes a row stores a new dict in its place.
-The unit-pivot Fraction rows are built on each read.  Given Fractions or
-ints, every value it returns is a Fraction, and a value that is not
-rational (a float) raises TypeError.
+not mutate.  Given Fractions or ints, every value it returns is a
+Fraction, and a value that is not rational (a float) raises TypeError.
 
 Its keys are of two kinds.  Field coordinates are int column ids of a
 Columns table, the one map between ids and (component, monomial) keys,
@@ -30,10 +22,10 @@ a table (EchelonBasis(columns)) orders pivots by their (component,
 monomial) keys: a row's pivot is its least key.  Integer basis
 coordinates, which the structure-constant layer uses, take no table and
 order themselves.  close() and LieAlgebra bracket the rows on their ids
-(Columns.bracket): the bracket of two column fields is computed once per
-closure, by the one monomial formula (fields.monomial_bracket), and a row
-bracket is a bilinear sum of those pair vectors, so no bracket builds a
-field, a Jacobian or a product of term maps.  coordinatize gives the
+(Columns.bracket), summing the nonzero halves m d_i(n) d_j of the
+brackets of their column fields (fields.monomial_half), each computed
+once per closure, so no bracket builds a field, a Jacobian or a product
+of term maps, and none touches a zero half.  coordinatize gives the
 public (component, monomial)-keyed form of a field.
 
 One sparse multiply-accumulate, _axpy, serves the integer elimination, the
@@ -50,19 +42,21 @@ family of m fields costs O(m) minors.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
-from .fields import VariableContext, VectorField, monomial_bracket, monomial_reads
+from .fields import VariableContext, VectorField, monomial_half, monomial_reads
 from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational
 
 Key = tuple[int, ExpMonomial]
 SparseVector = dict[int, Fraction]
 
 ZERO = Q(0)
+_READ_VARS = tuple(tuple(j for j in range(3) if mask >> j & 1) for mask in range(8))
 
 
 def coordinatize(field: VectorField) -> dict[Key, Fraction]:
@@ -82,85 +76,95 @@ def uncoordinatize(vec: Mapping[Key, Fraction], ctx: VariableContext) -> VectorF
     return VectorField(ctx, tuple(_poly(n, c) for c in comps))
 
 
+@dataclass
+class Operand:
+    """A vector over a column table, its (id, coefficient) terms grouped by
+    component and by each variable they read, and its support masks."""
+
+    vec: Mapping[int, Any]
+    masks: tuple[int, int]
+    comps: dict[int, list]
+    readers: dict[int, list]
+
+
 class Columns:
     """The column table of field coordinates: the one map between
     (component, monomial) keys and int column ids, and the one row bracket.
 
     ids[i] maps a monomial of component i to its id, keys[id] maps back,
-    degrees[id] is the monomial's total degree and masks[id] its column's
-    (moves, reads) support masks (VectorField.support).  Ids are given in
-    the order the keys are first seen, so they do not follow the key order;
-    an EchelonBasis over the table pivots on the least key, not the least
-    id.  A vector over the table is a dict id -> coefficient.
+    degrees[id] is the monomial's total degree and reads[id] the variables
+    it reads (fields.monomial_reads).  Ids are given in the order the keys
+    are first seen, so they do not follow the key order; an EchelonBasis
+    over the table pivots on the least key, not the least id.  A vector over
+    the table is a dict id -> coefficient.
 
-    `bracket` brackets two vectors on their ids: the bracket of the column
-    fields k and l, pair(k, l), is a fixed vector of at most four terms
-    (fields.monomial_bracket), filled on first use together with pair(l, k)
-    = -pair(k, l), and a row bracket is the bilinear sum of u[k] * v[l] *
-    pair(k, l).  So no bracket builds a field, differentiates or multiplies
-    term maps.  The pair table lives as long as the table, one closure;
-    `release` empties it once the structure tensor is built.
+    `bracket` brackets two operands (`operand`): [u, v] sums u[k] * v[l] *
+    half(k, l), half(k, l) the vector of m d_i(n) d_j for the columns
+    k = m d_i and l = n d_j (fields.monomial_half), over u's terms k on
+    each d_i and v's terms l that read x_i, whose halves are the nonzero
+    ones, minus the same with u and v swapped.  A half is filled on first
+    use; `release` empties the half table once the tensor is built.
     """
 
     def __init__(self, nvars: int) -> None:
         self.ids: list[dict[ExpMonomial, int]] = [{} for _ in range(nvars)]
         self.keys: list[Key] = []
         self.degrees: list[int] = []
-        self.masks: list[tuple[int, int]] = []
-        self._pairs: dict[int, dict[int, dict[int, Any]]] = {}
+        self.reads: list[tuple[int, ...]] = []
+        self._halves: defaultdict[int, dict[int, dict[int, Any]]] = defaultdict(dict)
 
     def _new(self, i: int, mono: ExpMonomial) -> int:
         k = self.ids[i][mono] = len(self.keys)
         self.keys.append((i, mono))
         self.degrees.append(sum(mono[1]))
-        self.masks.append((1 << i, monomial_reads(mono)))
+        self.reads.append(_READ_VARS[monomial_reads(mono)])
         return k
 
-    def support(self, vec: Iterable[int]) -> tuple[int, int]:
-        """(moves, reads) of the field with this vector: the union of its
-        columns' masks, as VectorField.support gives them."""
-        masks = self.masks
-        moves = read = 0
-        for k in vec:
-            m, r = masks[k]
-            moves |= m
-            read |= r
-        return moves, read
+    def operand(self, vec: Mapping[int, Any]) -> Operand:
+        """vec grouped by component and by the variables its terms read, with
+        the support masks read off the non-empty groups."""
+        comps, readers, keys, reads = {}, {}, self.keys, self.reads
+        for term in vec.items():
+            comps.setdefault(keys[term[0]][0], []).append(term)
+            for j in reads[term[0]]:
+                readers.setdefault(j, []).append(term)
+        bit = (1).__lshift__  # bit(i) == 1 << i
+        return Operand(vec, (sum(map(bit, comps)), sum(map(bit, readers))), comps, readers)
 
-    def bracket(self, u: Mapping[int, Any], v: Mapping[int, Any]) -> dict[int, Any]:
-        """The vector of [u, v] for vectors u, v over the table, exact zeros
+    def bracket(self, u: Operand, v: Operand) -> dict[int, Any]:
+        """The vector of [u, v] for operands over the table, exact zeros
         dropped: int for int vectors over integral rates, else exact
-        Fractions."""
-        pairs = self._pairs
+        Fractions.  A monomial first seen gets an id."""
+        halves = self._halves
         out: dict[int, Any] = {}
-        for k, a in u.items():
-            row = pairs.get(k)
-            if row is None:
-                row = pairs[k] = {}
-            for l, b in v.items():
-                pair = row.get(l)
-                if pair is None:
-                    pair = self._pair(k, l)
-                if pair:
-                    _axpy(out, pair, a * b)
+        for left, right, sign in ((u, v, 1), (v, u, -1)):
+            for i, terms in left.comps.items():
+                readers = right.readers.get(i)
+                if readers is None:
+                    continue
+                for k, a in terms:
+                    row = halves[k]
+                    a *= sign
+                    for l, b in readers:
+                        half = row.get(l)
+                        if half is None:
+                            half = row[l] = self._half(k, l)
+                        _axpy(out, half, a * b)
         return out
 
-    def _pair(self, k: int, l: int) -> dict[int, Any]:
-        """Fill pair(k, l), the vector of the bracket of column fields k and
-        l, and pair(l, k), its negation; a monomial first seen gets an id."""
+    def _half(self, k: int, l: int) -> dict[int, Any]:
+        """half(k, l), the vector of m d_i(n) d_j for columns m d_i, n d_j."""
         (i, m), (j, n) = self.keys[k], self.keys[l]
-        ids = self.ids
-        pair = {}
-        for c, mono, coeff in monomial_bracket(i, m, j, n):
-            key = ids[c].get(mono)
-            pair[self._new(c, mono) if key is None else key] = coeff
-        self._pairs.setdefault(k, {})[l] = pair
-        self._pairs.setdefault(l, {})[k] = {key: -coeff for key, coeff in pair.items()}
-        return pair
+        ids = self.ids[j]
+        half = {}
+        for mono, coeff in monomial_half(i, m, n):
+            key = ids.get(mono)
+            half[self._new(j, mono) if key is None else key] = coeff
+        return half
 
     def release(self) -> None:
-        """Drop the pair table; a later bracket fills it again."""
-        self._pairs = {}
+        """Drop the half table; a later bracket fills it again."""
+        self._halves = defaultdict(dict)
 
     def vector(self, comps: Iterable[Mapping[ExpMonomial, Any]]) -> dict[int, Any]:
         """The vector of the field with these per-component term maps

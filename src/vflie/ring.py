@@ -23,8 +23,8 @@ int or Fraction (a float, say), is a TypeError.  Values the ring builds itself
 (sums, negatives, products, derivatives, restrictions) are canonical by
 construction and skip that re-validation.  Products of term maps go through
 one multiply-accumulate helper, mul_add, which ExpPoly.__mul__ and
-VectorField.apply share.  Brackets multiply no term maps: they go through
-the monomial formula fields.monomial_bracket.
+VectorField.apply share.  Brackets multiply no term maps: they sum the
+half formula fields.monomial_half.
 
 Contexts with one or two variables use shorter tuples; the ring code only
 cares about tuple length.

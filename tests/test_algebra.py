@@ -21,6 +21,7 @@ from vflie import (
     CoordinateChange,
     DEFAULT_CONTEXT,
     EchelonBasis,
+    ExpMonomial,
     ExpPoly,
     InternalInvariantViolation,
     LieAlgebra,
@@ -52,6 +53,7 @@ from conftest import (
     naive_of,
     oracle_bracket,
     oracle_center,
+    oracle_coords,
     oracle_member,
     oracle_quotient,
     oracle_rank,
@@ -239,7 +241,7 @@ def test_close_brackets_the_integer_rows(monkeypatch):
 
     def counting_bracket(self, u, v):
         calls["bracket"] += 1
-        assert all(type(c) is int for c in (*u.values(), *v.values()))
+        assert all(type(c) is int for c in (*u.vec.values(), *v.vec.values()))
         return real_bracket(self, u, v)
 
     monkeypatch.setattr(EchelonBasis, "row", counting_row)
@@ -250,17 +252,18 @@ def test_close_brackets_the_integer_rows(monkeypatch):
 
 
 def test_close_fills_each_column_pair_once(monkeypatch):
-    # the row bracket on the dimension-88 draw: each pair of column fields
-    # is bracketed by the formula once, its mirror stored with it, and no
-    # operand field is built, differentiated or multiplied
+    # the row bracket on the dimension-88 draw: each half m d_i(n) d_j of a
+    # pair of column fields is filled by the formula once, no half it fills
+    # is empty, and no operand field is built, differentiated or multiplied
     gens = build(random_spec("center-rank1", 7, 6)).generators
     calls = {"mul_add": 0, "diff": 0, "field": 0}
     filled = []
-    real_pair, real_mul_add, real_diff = Columns._pair, vflie.fields.mul_add, ExpPoly.diff
+    real_half, real_mul_add, real_diff = Columns._half, vflie.fields.mul_add, ExpPoly.diff
 
-    def recording_pair(self, k, l):
-        filled.append((k, l))
-        return real_pair(self, k, l)
+    def recording_half(self, k, l):
+        half = real_half(self, k, l)
+        filled.append(((k, l), half))
+        return half
 
     def counting(name, real):
         def wrapper(*args):
@@ -268,7 +271,7 @@ def test_close_fills_each_column_pair_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(Columns, "_pair", recording_pair)
+    monkeypatch.setattr(Columns, "_half", recording_half)
     for module in (vflie.ring, vflie.fields):
         monkeypatch.setattr(module, "mul_add", counting("mul_add", real_mul_add))
     monkeypatch.setattr(ExpPoly, "diff", counting("diff", real_diff))
@@ -277,16 +280,16 @@ def test_close_fills_each_column_pair_once(monkeypatch):
     assert L.dim == 88
     # the basis fields are the only fields built
     assert calls == {"mul_add": 0, "diff": 0, "field": 88}
-    assert len(filled) == 1159
-    unordered = {frozenset(pair) for pair in filled}
-    assert len(unordered) == len(filled)
+    assert len(filled) == 393
+    assert len({pair for pair, _ in filled}) == len(filled)
+    assert all(half for _, half in filled)
 
 
 def test_tensor_brackets_the_pairs_its_support_classes_allow(monkeypatch):
     # the tensor groups its rows by support masks and brackets only the
     # pairs a < b of classes that may not commute, ascending: exactly the
-    # pairs that the per-pair support test keeps, with one support() call
-    # per row where the per-pair test made two per pair
+    # pairs that the per-pair support test keeps, with each row grouped
+    # once (Columns.operand), which gives its support masks
     L = close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
     echelon = L._echelon
     index = {id(echelon.primitive_row(i)): k for k, i in enumerate(echelon.order())}
@@ -296,41 +299,41 @@ def test_tensor_brackets_the_pairs_its_support_classes_allow(monkeypatch):
         for (a, u), (b, v) in combinations(enumerate(L.basis), 2)
         if not provably_commute(u, v)
     ]
-    pairs, supports = [], []
-    real_bracket, real_support = Columns.bracket, Columns.support
+    pairs, operands = [], []
+    real_bracket, real_operand = Columns.bracket, Columns.operand
 
     def recording_bracket(self, u, v):
-        pairs.append((index[id(u)], index[id(v)]))
+        pairs.append((index[id(u.vec)], index[id(v.vec)]))
         return real_bracket(self, u, v)
 
-    def counting_support(self, vec):
-        supports.append(vec)
-        return real_support(self, vec)
+    def counting_operand(self, vec):
+        operands.append(vec)
+        return real_operand(self, vec)
 
     monkeypatch.setattr(Columns, "bracket", recording_bracket)
-    monkeypatch.setattr(Columns, "support", counting_support)
+    monkeypatch.setattr(Columns, "operand", counting_operand)
     fresh = LieAlgebra(L.ctx, echelon)
     assert pairs == expected and len(pairs) == 165
-    assert len(supports) == 88
+    assert len(operands) == 88
     assert fresh.structure == L.structure and list(fresh.structure) == sorted(fresh.structure)
-    supports.clear()
+    operands.clear()
     monkeypatch.setattr(Columns, "bracket", real_bracket)
     close(build(random_spec("center-rank1", 7, 6)).generators, cap_dim=200)
-    assert len(supports) == 176  # 88 operands in close(), 88 in the tensor
+    assert len(operands) == 176  # each row grouped once in close(), once in the tensor
 
 
 def test_a_closure_keeps_no_pair_table():
-    # the pair table belongs to one closure's column table and is emptied
+    # the half table belongs to one closure's column table and is emptied
     # once the tensor is built; no two closures share one, so nothing is
     # kept between closures or after them
     gens = build(random_spec("center-rank1", 7, 6)).generators
     first, second = close(gens, cap_dim=200), close(gens, cap_dim=200)
     a, b = first._echelon.columns, second._echelon.columns
-    assert a is not b and a._pairs == {} and b._pairs == {}
+    assert a is not b and a._halves == {} and b._halves == {}
     fresh = LieAlgebra(first.ctx, first._echelon)
-    assert fresh.structure == first.structure and a._pairs == {}
+    assert fresh.structure == first.structure and a._halves == {}
     for L in (algebra("Dx", "y*Dx + x*Dz", "Dz"), close(gens, cap_dim=200).project([0, 1]).image):
-        assert L._echelon.columns._pairs == {}
+        assert L._echelon.columns._halves == {}
 
 
 def test_zero_generators_close_through_the_vector_path():
@@ -357,6 +360,21 @@ def test_cap_degree_is_a_closure_limit():
     assert "cap_degree=4" in message and "degree 5" in message
     assert "--degree-cap" in message and "infinite" not in message
     assert algebra("Dx", "x^5*Dy", cap_degree=5).dim == 7
+
+
+def test_a_cap_that_is_not_an_int_is_a_type_error(monkeypatch):
+    # cap_dim=2.5 ran and reported "closure exceeded cap_dim=2.5", and
+    # cap_dim=True ran as 1; either is refused before any bracket
+    def no_bracket(self, u, v):
+        raise AssertionError("a bracket was taken")
+
+    monkeypatch.setattr(Columns, "bracket", no_bracket)
+    for cap in ("cap_dim", "cap_rounds", "cap_degree"):
+        for value in (2.5, True, False, 3.0, Q(3), "3", None):
+            with pytest.raises(TypeError, match=f"{cap} {re.escape(repr(value))} is not an int"):
+                algebra(*HEISENBERG, **{cap: value})
+    monkeypatch.undo()
+    assert algebra(*HEISENBERG, cap_dim=3, cap_rounds=1, cap_degree=1).dim == 3
 
 
 def test_closure_deterministic_and_generator_order_independent():
@@ -629,6 +647,23 @@ def test_a_float_index_is_a_type_error():
     assert L.quotient_structure([2]).dim == 2
 
 
+def test_a_bool_index_is_a_type_error():
+    # True is an int: c(0, True, 2) read e_1 and gave 1, project([True])
+    # kept y, and ideal_subspace([True]) took e_1
+    L = algebra(*HEISENBERG)
+    for index in (True, False):
+        for args in ((0, index, 2), (index, 1, 2), (0, 1, index)):
+            with pytest.raises(TypeError, match=f"basis index {index!r} is not an int"):
+                L.c(*args)
+        with pytest.raises(TypeError, match=f"kept variable {index!r} is not a name or an index"):
+            L.project([index])
+        for call in (L.ideal_subspace, L.verify_ideal, L.quotient_structure):
+            with pytest.raises(TypeError, match=f"ideal item {index!r} is not a basis index"):
+                call([index])
+    assert L.c(0, 1, 2) == 1 and L.project([0, 1]).kept == (0, 1)
+    assert len(L.ideal_subspace([1])) == 1
+
+
 def test_a_coefficient_vector_must_be_a_sequence():
     # a dict was read as its keys: {0: 5, 1: 0, 2: 0} gave basis[1] + 2*basis[2]
     L = algebra(*HEISENBERG)
@@ -753,6 +788,52 @@ def test_integer_ad_rows_are_exact():
             assert dens[v] == lcm
             assert all(all(row.values()) for row in tables[v].values()), "a zero entry is stored"
             fractional += dens[v] != 1
+    assert fractional, "no draw has a structure constant that is not an integer"
+
+
+def dense_structure(L: LieAlgebra) -> dict[tuple[int, int], list]:
+    """(a, b) -> the dense coordinates of [b_a, b_b] for every a != b, by
+    the term-list bracket and one dense elimination (oracle_coords)."""
+    n = L.ctx.nvars
+    pairs = [(a, b) for a in range(L.dim) for b in range(L.dim) if a != b]
+    fields = [
+        L.ctx.field([ExpPoly(n, {ExpMonomial(p, r): c for (p, r), c in comp.items()})
+                     for comp in naive_bracket(L.basis[a], L.basis[b])])
+        for a, b in pairs
+    ]
+    return dict(zip(pairs, oracle_coords(list(L.basis), fields) if fields else []))
+
+
+def test_the_tensor_stays_integer_until_read():
+    """The tensor is kept as integers over one scale per pair; close(), and
+    the series, center and abelian test, which read the integer ad table,
+    leave the Fraction form unbuilt.  Once read, `structure`, c(), the ad
+    table and report()["structure"] are the dense oracle's constants."""
+    draws = [close(build(random_spec(r, s, 3)).generators) for r in RECIPES for s in (0, 1)]
+    draws += [algebra(*texts) for texts in EXP_RATIONAL_RATES]
+    fractional = 0
+    for L in draws:
+        assert "structure" not in vars(L)
+        assert all(type(s) is int and s > 0 and all(type(c) is int and c for _, c in entries)
+                   for s, entries in L._tensor.values())
+        for query in (L.is_abelian, L.is_nilpotent, L.center):
+            query()
+        assert "structure" not in vars(L)
+        dense = dense_structure(L)
+        want = {
+            (a, b): {k: c for k, c in enumerate(dense[a, b]) if c}
+            for a, b in combinations(range(L.dim), 2) if any(dense[a, b])
+        }
+        assert L.structure == want and list(L.structure) == sorted(want)
+        assert all(list(comps) == sorted(comps) for comps in L.structure.values())
+        tables, dens = L._int_ad
+        for (a, b), coords in dense.items():
+            for k, c in enumerate(coords):
+                assert L.c(a, b, k) == c and Q(tables[a].get(b, {}).get(k, 0), dens[a]) == c
+        assert L.report()["structure"] == [
+            [a, b, k, str(c)] for (a, b), comps in want.items() for k, c in comps.items()
+        ]
+        fractional += any(c.denominator != 1 for comps in want.values() for c in comps.values())
     assert fractional, "no draw has a structure constant that is not an integer"
 
 
@@ -1116,6 +1197,11 @@ def test_an_analysed_algebra_is_freed_by_reference_counting():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        closed = algebra(*EX_EXP)  # the integer tensor only
+        closed_ref = weakref.ref(closed)
+        del closed
+        assert closed_ref() is None
+        assert L.structure and L._int_ad
         center = L.center()
         kernel = list(L.project(["x", "y"]).kernel_coeffs)
         report = classify(L)

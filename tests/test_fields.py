@@ -17,7 +17,7 @@ from vflie import (
     SubstitutionOutsideRing,
     VariableContext,
 )
-from vflie.fields import monomial_bracket
+from vflie.fields import monomial_half
 from vflie.parser import parse_expression, parse_field
 
 from conftest import inverted, rand_field, rand_poly, rng
@@ -64,10 +64,10 @@ def test_bracket_numeric_cross_check():
 
 def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     # the bracket differentiates no component and multiplies no term maps:
-    # it calls monomial_bracket once per pair of terms, and the support
-    # cache it leaves is invisible to equality and hashing
+    # it calls monomial_half once per pair of terms in each order, and the
+    # support cache it leaves is invisible to equality and hashing
     calls = {"diff": 0, "mul_add": 0, "formula": 0}
-    real_diff, real_mul_add, real_formula = ExpPoly.diff, vflie.fields.mul_add, monomial_bracket
+    real_diff, real_mul_add, real_formula = ExpPoly.diff, vflie.fields.mul_add, monomial_half
 
     def counting(name, real):
         def wrapper(*args):
@@ -82,10 +82,10 @@ def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     monkeypatch.setattr(ExpPoly, "diff", counting("diff", real_diff))
     for module in (vflie.ring, vflie.fields):
         monkeypatch.setattr(module, "mul_add", counting("mul_add", real_mul_add))
-    monkeypatch.setattr(vflie.fields, "monomial_bracket", counting("formula", real_formula))
+    monkeypatch.setattr(vflie.fields, "monomial_half", counting("formula", real_formula))
     first = [v.bracket(w) for w in others]
     # v has 3 terms; the others 3 each but x*y*Dz, which has 1
-    assert calls == {"diff": 0, "mul_add": 0, "formula": 3 * (10 * 3 + 1)}
+    assert calls == {"diff": 0, "mul_add": 0, "formula": 2 * 3 * (10 * 3 + 1)}
     assert [v.bracket(w) for w in others] == first
     for w in (v, *others):
         w.support()
@@ -97,21 +97,23 @@ def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
         v.anything = None
 
 
-def test_monomial_bracket_examples():
-    # [x*y d_x, x^2*exp(y) d_z] = 2*x^2*y*exp(y) d_z: one lowered-power term
-    x_y, x2_exp = (next(iter(E(t).term_map())) for t in ("x*y", "x^2*exp(y)"))
-    (term,) = monomial_bracket(0, x_y, 2, x2_exp)
-    assert term == (2, next(iter(E("x^2*y*exp(y)").term_map())), 2)
-    # [exp(x/2) d_x, x d_x] = (1 - x/2)*exp(x/2) d_x: both parts on d_x, merged
-    e, x = (next(iter(E(t).term_map())) for t in ("exp(1/2*x)", "x"))
-    got = {(k, m): c for k, m, c in monomial_bracket(0, e, 0, x)}
-    assert got == {(0, next(iter(E("exp(1/2*x)").term_map()))): 1,
-                   (0, next(iter(E("x*exp(1/2*x)").term_map()))): -Fraction(1, 2)}
-    # [y d_x, z d_y]: z*d_y moves y, which y reads; y*d_x moves x, which z does not
-    x, y, z = (next(iter(E(t).term_map())) for t in ("x", "y", "z"))
-    assert [c for _, _, c in monomial_bracket(0, y, 1, z)] == [-1]
-    # [y d_z, x d_z] = 0: neither moves what the other reads
-    assert monomial_bracket(0, y, 0, y) == () and monomial_bracket(2, y, 2, x) == ()
+def test_monomial_half_examples():
+    def mono(text):
+        return next(iter(E(text).term_map()))
+
+    # x*y d_x(x^2*exp(y)) = 2*x^2*y*exp(y): one lowered-power term, and
+    # x^2*exp(y) d_z(x*y) = 0, so [x*y d_x, x^2*exp(y) d_z] = 2*x^2*y*exp(y) d_z
+    assert monomial_half(0, mono("x*y"), mono("x^2*exp(y)")) == [(mono("x^2*y*exp(y)"), 2)]
+    assert monomial_half(2, mono("x^2*exp(y)"), mono("x*y")) == ()
+    # exp(x/2) d_x(x) = exp(x/2), x d_x(exp(x/2)) = x*exp(x/2)/2: a rate term
+    e, x = mono("exp(1/2*x)"), mono("x")
+    assert monomial_half(0, e, x) == [(e, 1)]
+    assert monomial_half(0, x, e) == [(mono("x*exp(1/2*x)"), Fraction(1, 2))]
+    # y*exp(y) d_y(y*exp(-y)) = y - y^2: both terms, and the rates cancel
+    assert monomial_half(1, mono("y*exp(y)"), mono("y*exp(-y)")) == [(mono("y"), 1), (mono("y^2"), -1)]
+    # a half is nonzero exactly when n reads x_i
+    y, z = mono("y"), mono("z")
+    assert monomial_half(0, y, z) == () and monomial_half(1, z, y) == [(z, 1)]
 
 
 # -- derivation action ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Property-based checks with hypothesis: the text round trip, the field
 bracket against the term-list oracle and the Lie identities, canonical ring
 results, the monomial order, the support test that lets close() skip a
-bracket, the row bracket on column ids (and its pair table) against the
+bracket, the row bracket on column ids (and its half table) against the
 field bracket and the term-list oracle, the integer echelon kernel and its coordinates against the dense oracles,
 run-time exactness, pushforward as a bracket homomorphism,
 closure invariance under a change of generating set, basis combinations
@@ -303,33 +303,72 @@ def oracle_masks(key) -> tuple[int, int]:
     return 1 << i, reads
 
 
-@settings(checks, max_examples=150)
-@given(operands, operands)
-def test_row_and_field_brackets_match_the_naive_bracket(u, v):
+@st.composite
+def cancelling_pairs(draw) -> tuple[VectorField, VectorField]:
+    """Two fields on one component with one shared monomial m, so that the
+    halves m d_i(m) and -(m d_i(m)) of [m d_i, m d_i] meet and cancel."""
+    i = draw(st.integers(0, 2))
+    powers, rate, _ = draw(fractional_terms)
+    shared = ExpPoly.monomial(powers, rate, 1)
+    comps = [ExpPoly.zero(3)] * 3
+    u, v = list(comps), list(comps)
+    u[i] = shared * draw(coefficients) + draw(polys(1, fractional_terms))
+    v[i] = shared * draw(coefficients)
+    return ctx.field(u), ctx.field(v)
+
+
+bracket_pairs = st.one_of(
+    st.tuples(operands, operands),
+    operands.map(lambda u: (u, u)),
+    cancelling_pairs(),
+    st.tuples(fields(3, terms), fields(3, terms)),
+)
+
+
+def integral_rates(*fields: VectorField) -> bool:
+    return all(
+        r.denominator == 1 for f in fields for comp in f.comps for m in comp.term_map() for r in m.rates
+    )
+
+
+@settings(checks, max_examples=200)
+@given(bracket_pairs)
+def test_row_and_field_brackets_match_the_naive_bracket(pair):
     # Columns.bracket, read back through the keys, and VectorField.bracket
-    # against the term-list oracle, on Fraction coefficients and fractional
-    # exp rates; the pair table the row bracket fills is antisymmetric,
-    # stores no zero coefficient, and holds {} for a pair whose column masks
-    # commute
+    # against the term-list oracle, on Fraction coefficients, fractional exp
+    # rates and same-component pairs whose halves cancel; on the integer
+    # vectors of fields with integral rates the row bracket stays int.  The
+    # half table it fills holds only nonempty halves half(k, l) = m d_i(n)
+    # of columns k = m d_i and l = n d_j with n reading x_i, each equal to
+    # the oracle's m * d(n)/d var i on component j
+    u, v = pair
     want = naive_bracket(u, v)
     field = u.bracket(v)
     for comp, expected in zip(field.comps, want):
         assert {(m.powers, m.rates): c for m, c in comp.term_map().items()} == expected
         assert all(type(c) is Fraction for c in comp.term_map().values())
     columns = Columns(3)
+    a, b = vector_of(columns, u), vector_of(columns, v)
     got: list[dict] = [{}, {}, {}]
-    for k, c in columns.bracket(vector_of(columns, u), vector_of(columns, v)).items():
+    for k, c in columns.bracket(columns.operand(a), columns.operand(b)).items():
         i, mono = columns.keys[k]
         got[i][mono.powers, mono.rates] = c
     assert got == want
-    table = columns._pairs
-    for k, row in table.items():
-        for l, pair in row.items():
-            assert table[l][k] == {key: -c for key, c in pair.items()}
-            assert all(pair.values())
-            (moves_k, reads_k), (moves_l, reads_l) = map(oracle_masks, (columns.keys[k], columns.keys[l]))
-            if not (moves_k & reads_l or moves_l & reads_k):
-                assert pair == {}
+    (ia, sa), (ib, sb) = integer_vector(a), integer_vector(b)
+    scaled = columns.bracket(columns.operand(ia), columns.operand(ib))
+    if integral_rates(u, v):
+        assert all(type(c) is int for c in scaled.values())
+    for k, row in columns._halves.items():
+        (i, m), moves_k = columns.keys[k], oracle_masks(columns.keys[k])[0]
+        for l, half in row.items():
+            (j, n), reads_l = columns.keys[l], oracle_masks(columns.keys[l])[1]
+            assert half and all(half.values()) and moves_k & reads_l
+            expected = naive_mul([(m.powers, m.rates, Fraction(1))], as_terms(naive_diff(
+                [(n.powers, n.rates, Fraction(1))], i)))
+            assert {columns.keys[key][1]: c for key, c in half.items()} == {
+                ExpMonomial(*key): c for key, c in expected.items()
+            }
+            assert all(columns.keys[key][0] == j for key in half)
 
 
 @settings(checks, max_examples=150)
@@ -337,20 +376,20 @@ def test_row_and_field_brackets_match_the_naive_bracket(u, v):
 def test_bracket_kernel_matches_coordinatized_bracket(u, v):
     # the row bracket's vector, read back through the column table, is
     # coordinatize(u.bracket(v)), also on the integer vectors close()
-    # brackets, where it is scaled by the product of the two scales; the
-    # columns' masks give the field's support, and a pair the support test
+    # brackets, where it is scaled by the product of the two scales; an
+    # operand's masks give the field's support, and a pair the support test
     # proves commuting brackets to the empty vector
     columns = Columns(3)
 
     def keyed(vec):
         return {columns.keys[k]: c for k, c in vec.items()}
 
-    a, b = vector_of(columns, u), vector_of(columns, v)
-    assert columns.support(a) == u.support() and columns.support(b) == v.support()
+    a, b = columns.operand(vector_of(columns, u)), columns.operand(vector_of(columns, v))
+    assert a.masks == u.support() and b.masks == v.support()
     for x, y, want in ((a, b, coordinatize(u.bracket(v))), (b, a, coordinatize(v.bracket(u)))):
         assert keyed(columns.bracket(x, y)) == want
-    (ia, sa), (ib, sb) = integer_vector(a), integer_vector(b)
-    got = columns.bracket(ia, ib)
+    (ia, sa), (ib, sb) = integer_vector(a.vec), integer_vector(b.vec)
+    got = columns.bracket(columns.operand(ia), columns.operand(ib))
     assert keyed(got) == {key: c * sa * sb for key, c in coordinatize(u.bracket(v)).items()}
     if provably_commute(u, v):
         assert got == {}
@@ -359,7 +398,7 @@ def test_bracket_kernel_matches_coordinatized_bracket(u, v):
 @settings(checks, max_examples=150)
 @given(operands, operands)
 def test_bracket_kernel_never_multiplies_by_zero(u, v):
-    # the row bracket adds a pair only when the pair is nonzero, scaled by
+    # the row bracket adds a half only when the half is nonzero, scaled by
     # the product of two nonzero coordinates, so no product it forms has a
     # zero factor
     columns = Columns(3)
@@ -374,7 +413,7 @@ def test_bracket_kernel_never_multiplies_by_zero(u, v):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vflie.linalg, "_axpy", recording)
         for x, y in ((a, b), (b, a), (integer_vector(a)[0], integer_vector(b)[0])):
-            columns.bracket(x, y)
+            columns.bracket(columns.operand(x), columns.operand(y))
     assert all(src and all(src.values()) and scale for src, scale in adds)
 
 
@@ -397,7 +436,7 @@ def test_close_never_brackets_a_provably_commuting_pair(monkeypatch):
     def counting_bracket(self, u, v):
         nonlocal calls
         calls += 1
-        fields_uv = [uncoordinatize({self.keys[k]: c for k, c in w.items()}, ctx) for w in (u, v)]
+        fields_uv = [uncoordinatize({self.keys[k]: c for k, c in w.vec.items()}, ctx) for w in (u, v)]
         if provably_commute(*fields_uv):
             skippable.append(tuple(map(str, fields_uv)))
         return real_bracket(self, u, v)
@@ -407,7 +446,14 @@ def test_close_never_brackets_a_provably_commuting_pair(monkeypatch):
     skipped_calls = calls
     assert skippable == []
     # every field moving and reading every variable: no pair can be skipped
-    monkeypatch.setattr(Columns, "support", lambda self, vec: (0b111, 0b111))
+    real_operand = Columns.operand
+
+    def unmasked(self, vec):
+        operand = real_operand(self, vec)
+        operand.masks = (0b111, 0b111)
+        return operand
+
+    monkeypatch.setattr(Columns, "operand", unmasked)
     reference = [close(gens) for gens in draws]
     assert calls - skipped_calls > 2 * skipped_calls  # the skip does fire
     for got, want in zip(skipping, reference):
