@@ -15,7 +15,7 @@ import pytest
 
 from vflie import DEFAULT_CONTEXT, LieAlgebra, close
 from vflie.cli import build_arg_parser, main
-from vflie.parser import parse_field
+from vflie.parser import MAX_DEPTH, parse_field
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -277,6 +277,21 @@ def test_parse_error_exit_code_2():
     assert proc.returncode == 2
     err = json.loads(proc.stderr)
     assert err["error"] == "ParseError" and err["position"] == 2
+
+
+def test_cancelling_terms_without_basis_symbol_are_a_parse_error():
+    code, out, err = run_main(["closure", "--gen", "Dx + 3 - 3"])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ParseError" and report["position"] == 5
+
+
+def test_deep_nesting_is_a_parse_error_not_a_traceback():
+    code, out, err = run_main(["closure", "--gen", "(" * 10_000 + "x" + ")" * 10_000 + "*Dx"])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "ParseError" and report["position"] == MAX_DEPTH
 
 
 def test_non_ascii_digit_is_a_parse_error_with_position():
