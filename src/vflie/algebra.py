@@ -14,18 +14,21 @@ prove it commuting.
 All queries (center, series, projections, adjoints, quotients) are exact
 and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
-complement of [g, g], which generate g; ideal checks, quotients, split lifts
-and the series of any other algebra walk only the nonzero structure
-constants (LieAlgebra._ad_image), so a pair whose bracket is structurally
-zero is never visited.  Every center, that of a central quotient included,
-is one routine: common_kernel over the ad table and a generating set.
+complement of [g, g], which generate g; ideal checks, split lifts, Jordan
+chains and the series of any other algebra walk only the nonzero structure
+constants (LieAlgebra._ad_image, _bracket), so a pair whose bracket is
+structurally zero is never visited.  Every center, that of a central
+quotient included, is one routine: common_kernel over the ad table and a
+generating set.
 
 There is one ad table, built from the tensor on first read:
-integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  What
-reads only spans ([g, g], the certificate's layers, the center and the
-center of the central quotient) uses the rows as they are, with no Fraction
-arithmetic; _bracket and _ad_image scale them by 1/D_v to exact values.
-c() reads `structure`, the tensor's Fraction form.
+integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  It
+is read in integers only: _bracket and _ad_image take integer coordinates
+and return integer vectors with one scale L, the exact value being
+vector / L, so what reads only spans ([g, g], the certificate's layers, the
+centers, ideal and complement checks, the series) does no Fraction
+arithmetic.  A Fraction is made only where a value is printed or a field is
+built from it; c() reads `structure`, the tensor's Fraction form.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .linalg import (
     _axpy,
     _combination,
     _gcd,
+    _integral,
     _lcm,
     coordinatize,
     echelon_of,
@@ -74,6 +78,7 @@ IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fracti
 Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero coords of [e_i, e_j]
 IntTensor = dict[tuple[int, int], tuple[int, list[tuple[int, int]]]]  # as Tensor: (s, [(k, s * c)])
 IntTable = dict[int, dict[int, int]]  # j -> nonzero integer coords of D_v * [e_v, e_j]
+IntVector = dict[int, int]  # sparse integer basis coordinates
 
 
 def integer_ad_tables(tensor: IntTensor, dim: int) -> tuple[list[IntTable], list[int]]:
@@ -104,10 +109,10 @@ def _fraction_tensor(tensor: IntTensor) -> Tensor:
     return {ab: {k: Fraction(c, s) for k, c in entries} for ab, (s, entries) in tensor.items()}
 
 
-def _image(table: IntTable, w: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """D_v * [e_v, w] for ad(e_v)'s integer table and coordinates w, exact
-    zeros dropped; integer when w is."""
-    out: dict[int, Fraction] = {}
+def _image(table: IntTable, w: Mapping[int, int]) -> IntVector:
+    """D_v * [e_v, w] for ad(e_v)'s integer table and integer coordinates w,
+    exact zeros dropped."""
+    out: IntVector = {}
     for j, b in w.items():
         col = table.get(j)
         if col:
@@ -418,39 +423,51 @@ class LieAlgebra:
             return self.structure.get((i, j), {}).get(k, ZERO)
         return -self.structure.get((j, i), {}).get(k, ZERO)
 
-    def _bracket(self, u: Mapping[int, Fraction], w: Mapping[int, Fraction]) -> SparseVector:
-        """[u, w] for sparse basis coordinates: sum_i u_i / D_i times the
-        integer image D_i * [e_i, w] (_image)."""
+    def _bracket(self, u: Mapping[int, int], w: Mapping[int, int]) -> tuple[IntVector, int]:
+        """(vec, L) with [u, w] == vec / L for integer basis coordinates u
+        and w: L is the lcm of the D_i, i in supp(u), and vec sums
+        u_i * L / D_i times the integer image D_i * [e_i, w] (_image)."""
         tables, dens = self._int_ad
-        out: SparseVector = {}
+        scale = 1
+        for i in u:
+            scale = _lcm(scale, dens[i])
+        out: IntVector = {}
         for i, a in u.items():
-            _axpy(out, _image(tables[i], w), Fraction(a, dens[i]))
-        return out
+            _axpy(out, _image(tables[i], w), a * (scale // dens[i]))
+        return out, scale
 
-    def _ad_image(self, w: Mapping[int, Fraction]) -> dict[int, SparseVector]:
-        """{i: [e_i, w]} for every i whose bracket with w is nonzero.
+    def _ad_image(self, w: Mapping[int, int]) -> tuple[dict[int, IntVector], int]:
+        """(images, L) with [e_i, w] == images[i] / L for every i whose
+        bracket with w is nonzero, for integer basis coordinates w.
 
-        [e_i, w] = -sum_j w_j / D_j * (D_j [e_j, e_i]), so only the ad
-        tables of the j in supp(w) are walked; terms that cancel leave no
-        entry.
+        [e_i, w] = -sum_j w_j / D_j * (D_j [e_j, e_i]) with L the lcm of the
+        D_j, j in supp(w), so only the ad tables of those j are walked;
+        terms that cancel leave no entry.
         """
         tables, dens = self._int_ad
-        images: dict[int, SparseVector] = {}
+        scale = 1
+        for j in w:
+            scale = _lcm(scale, dens[j])
+        images: dict[int, IntVector] = {}
         for j, b in w.items():
-            scale = -Fraction(b, dens[j])
+            factor = -b * (scale // dens[j])
             for i, col in tables[j].items():
-                _axpy(images.setdefault(i, {}), col, scale)
-        return {i: out for i, out in images.items() if out}
+                _axpy(images.setdefault(i, {}), col, factor)
+        return {i: out for i, out in images.items() if out}, scale
 
     def bracket_coeffs(
         self, u: Sequence[Fraction], w: Sequence[Fraction]
     ) -> list[Fraction]:
         """[u, w] in basis coordinates, computed on the structure tensor.
 
-        Dense form of _bracket; no engine code calls it, and it remains for
-        the tests and the benchmark tracer.
+        Dense form of _bracket on u and w scaled to integers, divided by
+        the scales once; no engine code calls it, and it remains for the
+        tests and the benchmark tracer.
         """
-        return to_dense(self._bracket(self._checked(u), self._checked(w)), self.dim)
+        (u, su), (w, sw) = _integral(self._checked(u)), _integral(self._checked(w))
+        vec, scale = self._bracket(u, w)
+        scale *= su * sw
+        return [Fraction(vec.get(k, 0), scale) for k in range(self.dim)]
 
     def element(self, coeffs: Sequence[Fraction]) -> VectorField:
         """sum_k coeffs[k] * basis[k] for a sequence of one int or Fraction
@@ -541,9 +558,10 @@ class LieAlgebra:
         h_{k+1}; hence g^k lies in h_k, and h_k, spanned by brackets of k or
         more elements, lies in g^k.  So g^k = h_k, g^K = 0, and the dims are
         those of the h_k.  Any other algebra, every non-nilpotent one
-        included, walks the ad images of each term's rows (_ad_image).  The
-        derived series starts from [g, g], the echelon the certificate
-        shares, and brackets each later term's row pairs.
+        included, walks the ad images of each term's primitive integer rows
+        (_ad_image), which span the term as its unit rows do.  The derived
+        series starts from [g, g], the echelon the certificate shares, and
+        brackets each later term's row pairs (_bracket).
         """
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
@@ -555,19 +573,19 @@ class LieAlgebra:
         if kind == "lower-central" and self._nilpotency_certificate is not None:
             return SeriesReport(kind, self._nilpotency_certificate[1], True)
         dims = [self.dim]
-        current = [{i: Q(1)} for i in range(self.dim)]
+        current: list[Mapping[int, int]] = [{i: 1} for i in range(self.dim)]
         terminated = self.dim == 0
         while dims[-1] > 0:
             if kind == "lower-central":
-                nxt = echelon_of(v for w in current for v in self._ad_image(w).values())
+                nxt = echelon_of(v for w in current for v in self._ad_image(w)[0].values())
             elif len(dims) == 1:
                 nxt = self._square
             else:
-                nxt = echelon_of(self._bracket(u, w) for u, w in combinations(current, 2))
+                nxt = echelon_of(self._bracket(u, w)[0] for u, w in combinations(current, 2))
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))
-            current = nxt.rows
+            current = [nxt.primitive_row(i) for i in range(len(nxt))]
             if not nxt:
                 terminated = True
         return SeriesReport(kind, tuple(dims), terminated)
@@ -720,16 +738,21 @@ class LieAlgebra:
 
     def verify_ideal(self, ideal: IdealLike) -> EchelonBasis:
         """Span of the ideal; raises NotAnIdeal unless [L, ideal] lies in it."""
+        return self._verified_ideal(ideal)[0]
+
+    def _verified_ideal(
+        self, ideal: IdealLike
+    ) -> tuple[EchelonBasis, list[tuple[dict[int, IntVector], int]]]:
+        """verify_ideal's span and, per row in pivot order, the _ad_image of
+        its primitive row: the images that decide the test, kept for
+        split_check.  The integer images span the same lines as the exact
+        ones, so span membership reads them as they are."""
         span = self.ideal_subspace(ideal)
-        outside = [
-            i
-            for w in span.rows
-            for i, v in self._ad_image(w).items()
-            if not span.contains(v)
-        ]
+        images = [self._ad_image(span.primitive_row(r)) for r in span.order()]
+        outside = [i for image, _ in images for i, v in image.items() if not span.contains(v)]
         if outside:
             raise NotAnIdeal(f"[{self.basis[min(outside)]}, ideal] is not contained in the ideal")
-        return span
+        return span, images
 
     def quotient_structure(self, ideal: IdealLike) -> QuotientStructure:
         """Structure constants of L/ideal on the complementary basis lines."""

@@ -36,6 +36,8 @@ from .linalg import (
     SparseVector,
     _axpy,
     _combination,
+    _integral,
+    _lcm,
     echelon_of,
     generic_rank,
     null_space,
@@ -256,23 +258,28 @@ def jordan_chains(
     """Kernel-filtration chains of ad(operator) restricted to an invariant subspace.
 
     Deterministic: candidate heads are drawn from the canonical null-space
-    bases of the operator powers in decreasing chain length.
+    bases of the operator powers in decreasing chain length.  N's column
+    for the unit row p / h of the subspace is the integer bracket (vec, L)
+    of s * op with its primitive row p: [op, p / h] = vec / (L * s * h),
+    one Fraction per coordinate.
     """
     op = algebra._coeffs_of(operator)
     op_field = operator if isinstance(operator, VectorField) else algebra._field(op)
+    op, op_scale = _integral(op)
     span = algebra.ideal_subspace(ideal)
     order = span.order()
     position = {row: t for t, row in enumerate(order)}
-    rows = span.rows_sorted()
-    m = len(rows)
+    m = len(order)
 
     # columns of the restricted operator N over the subspace basis
     n_cols: list[SparseVector] = []
-    for row in rows:
-        residual, coeffs = span.reduce(algebra._bracket(op, row))
-        if residual:
+    for r in order:
+        row = span.primitive_row(r)
+        vec, scale = algebra._bracket(op, row)
+        if not span.contains(vec):
             raise NotInvariant("subspace is not invariant under the operator")
-        n_cols.append({position[i]: c for i, c in coeffs.items()})
+        scale *= op_scale * row[span.pivots[r]]
+        n_cols.append({position[i]: Fraction(c, scale) for i, c in span._coefficients(vec).items()})
 
     powers = [n_cols]  # columns of N, N^2, ...; grows until N^p = 0
     while any(powers[-1]):
@@ -303,6 +310,7 @@ def jordan_chains(
     if len(chains_vec) != len(null_spaces[1]):
         raise InternalInvariantViolation("chain count differs from operator kernel dimension")
 
+    rows = [span.row(r) for r in order]
     ideal_fields = tuple(map(algebra._field, rows))
     chains = tuple(
         tuple(algebra._field(_combination(rows, v)) for v in chain) for chain in chains_vec
@@ -411,55 +419,86 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     brackets with the quotient structure constants is a linear condition
     because the ideal is abelian.  Returns a verified complement or the
     infeasible system with the contradictory rows identified.
+
+    The system is integral and reads the ideal images of the ideal test
+    (LieAlgebra._verified_ideal), as the abelian test does: unknown (a, t)
+    is the coefficient of the primitive row p_t = h_t * r_t in lift a, and
+    each rep pair's rows have one scale S.  Row and column scaling keep
+    the pivot set, so the lifts are those of the unit-row system.  A
+    certificate prints the coefficient c of (a, t) as c / (S * h_t) and a
+    constant as const / S.
     """
-    span = algebra.verify_ideal(ideal)
-    rows = span.rows_sorted()
-    for u, w in combinations(rows, 2):
-        if algebra._bracket(u, w):
+    span, images = algebra._verified_ideal(ideal)
+    order = span.order()
+    rows = [span.primitive_row(r) for r in order]
+    # [p_s, p_t] = sum_i p_s[i] * [e_i, p_t], each [e_i, p_t] an ideal image
+    for s, t in combinations(range(len(rows)), 2):
+        bracket: dict[int, int] = {}
+        for i, c in rows[s].items():
+            _axpy(bracket, images[t][0].get(i, {}), c)
+        if bracket:
             raise IdealNotAbelian(
                 "split check requires an abelian ideal (linear lift system)"
             )
     quotient = algebra._quotient_by(span)
     reps = quotient.rep_indices
     q, m = len(reps), len(rows)
-    units = [{rep: Q(1)} for rep in reps]
-    images = [algebra._ad_image(row) for row in rows]
-    bracket_lift_ideal = [[image.get(rep, {}) for image in images] for rep in reps]
+    image_scale = 1
+    for _, scale in images:
+        image_scale = _lcm(image_scale, scale)
 
     def u_index(a: int, t: int) -> int:
         return a * m + t
 
-    raw_rows: list[ConstraintRow] = []
+    # per closure condition: (pair, coordinate, unknown -> coefficient, constant, S)
+    conditions: list[tuple] = []
     for a, b in combinations(range(q), 2):
-        mu = quotient.tensor.get((a, b), {})
-        const = algebra._bracket(units[a], units[b])
-        for c, coeff in mu.items():
-            _axpy(const, units[c], -coeff)
+        s0, entries = algebra._tensor.get((reps[a], reps[b]), (1, ()))
+        sq, mu = quotient.int_tensor.get((a, b), (1, ()))
+        scale = _lcm(_lcm(s0, sq), image_scale)
+        const = {k: scale // s0 * c for k, c in entries}
+        for c, coeff in mu:
+            _axpy(const, {reps[c]: 1}, -(scale // sq) * coeff)
         # per unknown, its coefficient in each coordinate of the closure condition
-        coeff_vecs: dict[int, SparseVector] = {}
-        for t in range(m):
-            _axpy(coeff_vecs.setdefault(u_index(b, t), {}), bracket_lift_ideal[a][t], Q(1))
-            _axpy(coeff_vecs.setdefault(u_index(a, t), {}), bracket_lift_ideal[b][t], Q(-1))
-            for c, coeff in mu.items():
-                _axpy(coeff_vecs.setdefault(u_index(c, t), {}), rows[t], -coeff)
+        coeff_vecs: dict[int, dict[int, int]] = {}
+        for t, (image, t_scale) in enumerate(images):
+            factor = scale // t_scale
+            _axpy(coeff_vecs.setdefault(u_index(b, t), {}), image.get(reps[a], {}), factor)
+            _axpy(coeff_vecs.setdefault(u_index(a, t), {}), image.get(reps[b], {}), -factor)
+            for c, coeff in mu:
+                _axpy(coeff_vecs.setdefault(u_index(c, t), {}), rows[t], -(scale // sq) * coeff)
         for k in sorted(set(const).union(*coeff_vecs.values())):
             coeffs = {u: vec[k] for u, vec in coeff_vecs.items() if k in vec}
-            raw_rows.append(ConstraintRow((reps[a], reps[b]), k, coeffs, const.get(k, ZERO)))
+            conditions.append(((reps[a], reps[b]), k, coeffs, const.get(k, 0), scale))
 
     # one echelon of the augmented rows [coeffs | -const]: a pivot in the
     # constant column means the system is inconsistent
     nunk = q * m
-    system = echelon_of({**row.coeffs, nunk: -row.const} for row in raw_rows)
-    solution = {pivot: row.get(nunk, ZERO) for row, pivot in zip(system.rows, system.pivots)}
-    if nunk not in solution:
+    system = echelon_of({**coeffs, nunk: -const} for _, _, coeffs, const, _ in conditions)
+    if nunk not in system.pivots:
+        solution = {}
+        for r, pivot in enumerate(system.pivots):
+            row = system.primitive_row(r)
+            solution[pivot] = Fraction(row.get(nunk, 0), row[pivot])
         lifts = []
         for a in range(q):
-            lift = _combination(rows, {t: solution.get(u_index(a, t), ZERO) for t in range(m)})
-            _axpy(lift, units[a], Q(1))
+            shares = {t: x for t in range(m) if (x := solution.get(u_index(a, t)))}
+            lift = _combination(rows, shares)
+            _axpy(lift, {reps[a]: Q(1)}, 1)
             lifts.append(lift)
         _verify_complement(algebra, lifts, rows)
         return SplitVerdict(True, tuple(map(algebra._field, lifts)), None)
 
+    heads = [row[span.pivots[r]] for row, r in zip(rows, order)]
+    raw_rows = [
+        ConstraintRow(
+            pair,
+            k,
+            {u: Fraction(c, scale * heads[u % m]) for u, c in coeffs.items()},
+            Fraction(const, scale),
+        )
+        for pair, k, coeffs, const, scale in conditions
+    ]
     conflicts: list[dict] = []
     singles: dict[int, list[tuple[int, Fraction]]] = {}
     for r, row in enumerate(raw_rows):
@@ -482,7 +521,7 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     if not conflicts:
         conflicts.append({"kind": "elimination", "detail": "system is inconsistent under exact elimination"})
     # only a non-split verdict names the ideal's elements, in its unknowns
-    ideal_names = [str(algebra._field(row)) for row in rows]
+    ideal_names = [str(algebra._field(span.row(r))) for r in order]
     unknowns = tuple(
         {"lift": reps[a], "ideal_index": t, "ideal_element": ideal_names[t]}
         for a in range(q)
@@ -493,17 +532,19 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
 
 
 def _verify_complement(
-    algebra: LieAlgebra, lifts: list[SparseVector], ideal_rows: list[SparseVector]
+    algebra: LieAlgebra, lifts: list[SparseVector], ideal_rows: list[dict[int, int]]
 ) -> None:
     """The lifts, in basis coordinates, are independent, span L with the
-    ideal, and are closed under brackets."""
+    ideal, and are closed under brackets: the integer brackets of their
+    echelon's primitive rows lie in its span."""
     span = echelon_of(lifts)
     if len(span) != len(lifts):
         raise InternalInvariantViolation("complement is not independent")
     if len(echelon_of([*lifts, *ideal_rows])) != algebra.dim:
         raise InternalInvariantViolation("complement + ideal do not span the algebra")
-    for u, w in combinations(lifts, 2):
-        if not span.contains(algebra._bracket(u, w)):
+    rows = [span.primitive_row(i) for i in range(len(span))]
+    for u, w in combinations(rows, 2):
+        if not span.contains(algebra._bracket(u, w)[0]):
             raise InternalInvariantViolation("complement is not a subalgebra")
 
 

@@ -20,6 +20,7 @@ from .ring import (
     _add_term,
     _new,
     _poly,
+    _stored_rates,
     join_terms,
     mul_add,
     term_text,
@@ -58,9 +59,7 @@ def monomial_half(i: int, m: ExpMonomial, n: ExpMonomial) -> Sequence[tuple]:
     if not (a or r):
         return ()
     zeros = _ZEROS[len(pm)]
-    rates = rm if rn is zeros else rn if rm is zeros else tuple(map(add, rm, rn))
-    if not any(rates):
-        rates = zeros
+    rates = rm if rn is zeros else rn if rm is zeros else _stored_rates(tuple(map(add, rm, rn)))
     powers = tuple(map(add, pm, pn))
     terms = []
     if a:

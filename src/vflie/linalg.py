@@ -239,6 +239,16 @@ def _combination(vectors: Sequence[Mapping], coeffs: Mapping[int, Any]) -> dict:
     return out
 
 
+def _integral(vec: Mapping[Any, Fraction]) -> tuple[dict[Any, int], int]:
+    """(ints, s): the integer vector ints and the least s > 0 with
+    vec == ints / s."""
+    scale = 1
+    for c in vec.values():
+        if c.denominator != 1:
+            scale = _lcm(scale, c.denominator)
+    return {k: scale // c.denominator * c.numerator for k, c in vec.items()}, scale
+
+
 def _gcd(a: int, b: int) -> int:
     """Greatest common divisor of two integers, by Euclid; never negative."""
     while b:

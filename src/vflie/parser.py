@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .fields import VariableContext, VectorField
-from .ring import _ZEROS, ExpMonomial, ExpPoly, Q, _add_term, _new, _poly, mul_add
+from .ring import ExpMonomial, ExpPoly, Q, _add_term, _new, _poly, _stored_rates, mul_add
 
 MAX_DEPTH = 100
 
@@ -57,13 +57,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _canonical(rates: tuple) -> tuple:
-    """Stored rates: the shared zeros, or ints where a rate is integral."""
-    if not any(rates):
-        return _ZEROS[len(rates)]
-    return tuple(r.numerator if r.denominator == 1 else r for r in rates)
-
-
 def _add_product(out: dict, mono: ExpMonomial, coeff: Fraction, parens: list) -> None:
     """out += coeff * mono * the product of the parenthesized factors."""
     terms = {mono: coeff}
@@ -71,9 +64,8 @@ def _add_product(out: dict, mono: ExpMonomial, coeff: Fraction, parens: list) ->
         product: dict = {}
         mul_add(product, _poly(p.nvars, terms), p)
         terms = product
-    for (rates, powers), c in terms.items():
-        # mul_add adds rates, and fractional rates may sum to an integer
-        _add_term(out, _new(ExpMonomial, (_canonical(rates), powers)), c)
+    for term in terms.items():
+        _add_term(out, *term)
 
 
 class _Parser:
@@ -171,9 +163,7 @@ class _Parser:
                     if name not in slots:
                         raise ParseError(f"unknown basis symbol D{name}", pos, ("basis symbol",))
                     if comp >= 0:
-                        raise ParseError(
-                            "more than one basis symbol in a term", tokens[self.i - 1][2]
-                        )
+                        raise ParseError("more than one basis symbol in a term", pos)
                     comp = n - 1 - slots[name]
                 else:
                     expected = _FACTOR_EXPECTED + (("basis symbol",) if field else ())
@@ -185,7 +175,7 @@ class _Parser:
             if field and comp < 0 and stray is None:
                 stray = start
             if num:
-                mono = _new(ExpMonomial, (_canonical(rates), tuple(powers)))
+                mono = _new(ExpMonomial, (_stored_rates(rates), tuple(powers)))
                 if parens:
                     _add_product(maps[comp], mono, Q(num, den), parens)
                 else:

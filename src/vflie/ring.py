@@ -16,6 +16,8 @@ printed terms, echelon pivots and basis order all follow it, and keys such as
 (component, monomial) compare natively.  Rates without an exponential factor
 are the shared int zeros (0,)*n and integral rates are ints, so only a
 fractional rate hashes in Python; the `rates` property gives Fractions back.
+Every monomial the ring or a bracket makes stores its rates through one
+helper, _stored_rates, also where fractional rates sum to an integer.
 
 The public constructors ExpMonomial(...) and ExpPoly(...) validate their
 input: a power that is not an int, or a rate or coefficient that is not an
@@ -50,6 +52,15 @@ _ZEROS = tuple((0,) * n for n in range(4))
 _new = tuple.__new__
 
 
+def _stored_rates(rates: tuple) -> tuple:
+    """Rates as a monomial stores them: the shared zeros when all vanish,
+    else ints where a rate is integral, so that a sum of fractional rates
+    such as 1/2 + 1/2 stores the int 1."""
+    if not any(rates):
+        return _ZEROS[len(rates)]
+    return tuple(r.numerator if r.denominator == 1 else r for r in rates)
+
+
 def _rational(value: object, what: str) -> Scalar:
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"{what} {value!r} is not an int or Fraction")
@@ -80,11 +91,7 @@ class ExpMonomial(tuple):
                 raise ValueError("powers must be natural numbers")
         for r in rates:
             _rational(r, "rate")
-        if any(rates):
-            stored = tuple(r.numerator if r.denominator == 1 else r for r in reversed(rates))
-        else:
-            stored = _ZEROS[len(rates)]
-        return _new(cls, (stored, powers[::-1]))
+        return _new(cls, (_stored_rates(rates[::-1]), powers[::-1]))
 
     def __reduce__(self):
         return ExpMonomial, (self.powers, self.rates)
@@ -146,9 +153,7 @@ def mul_add(out: dict, a: "ExpPoly", b: "ExpPoly", sign: int = 1) -> None:
             elif r1 is zeros:
                 rates = r2
             else:
-                rates = tuple(map(add, r1, r2))
-                if not any(rates):
-                    rates = zeros
+                rates = _stored_rates(tuple(map(add, r1, r2)))
             mono = _new(ExpMonomial, (rates, tuple(map(add, p1, p2))))
             acc = get(mono)
             if acc is None:

@@ -39,7 +39,7 @@ from vflie import (
     VariableContext,
     VectorField,
 )
-from vflie.linalg import Columns, coordinatize, echelon_of, null_space, to_dense
+from vflie.linalg import Columns, _integral, coordinatize, echelon_of, null_space, to_dense
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -512,12 +512,22 @@ def coordinate_vectors(draw, L: LieAlgebra) -> dict:
     return w
 
 
+def dense_value(vec: dict, scale: int, n: int) -> list:
+    """The exact dense value vec / scale of an integer routine's result."""
+    return [Q(vec.get(k, 0), scale) for k in range(n)]
+
+
+def assert_all_int(*values) -> None:
+    assert all(type(c) is int for c in values), [type(c) for c in values]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.data())
 def test_ad_image_is_every_nonzero_bracket_with_a_unit(oracle_corpus, data):
-    """_ad_image(w) is the nonzero [e_i, w] of _bracket, and _bracket(u, w)
-    is the dense oracle's bracket, which reads only c(); both have Fraction
-    values, including on algebras whose ad rows have denominators D_v != 1."""
+    """_ad_image(w) over its scale is the nonzero [e_i, w] of _bracket over
+    its scale, and _bracket(u, w) over its scale is the dense oracle's
+    bracket, which reads only c(); both take integer coordinates and return
+    ints, including on algebras whose ad rows have denominators D_v != 1."""
     fractional = [n for n, L in enumerate(oracle_corpus) if any(d != 1 for d in L._int_ad[1])]
     assert fractional, "no corpus algebra has an ad row with a denominator"
     source = data.draw(st.one_of(
@@ -529,23 +539,68 @@ def test_ad_image_is_every_nonzero_bracket_with_a_unit(oracle_corpus, data):
         L = oracle_corpus[source]
     else:
         L = close(build(random_spec(source[0], source[1], 2)).generators)
-    u = data.draw(coordinate_vectors(L))
-    w = data.draw(coordinate_vectors(L))
-    bracket = L._bracket(u, w)
-    assert to_dense(bracket, L.dim) == oracle_bracket(L)(to_dense(u, L.dim), to_dense(w, L.dim))
-    expected = {i: v for i in range(L.dim) if (v := L._bracket({i: Q(1)}, w))}
-    images = L._ad_image(w)
-    assert images == expected
-    values = [*bracket.values(), *(c for v in images.values() for c in v.values())]
-    assert all(type(c) is Q for c in values)
+    u = _integral(data.draw(coordinate_vectors(L)))[0]
+    w = _integral(data.draw(coordinate_vectors(L)))[0]
+    vec, scale = L._bracket(u, w)
+    assert dense_value(vec, scale, L.dim) == oracle_bracket(L)(to_dense(u, L.dim), to_dense(w, L.dim))
+    expected = {}
+    for i in range(L.dim):
+        unit_vec, unit_scale = L._bracket({i: 1}, w)
+        if unit_vec:
+            expected[i] = dense_value(unit_vec, unit_scale, L.dim)
+    images, image_scale = L._ad_image(w)
+    assert {i: dense_value(v, image_scale, L.dim) for i, v in images.items()} == expected
+    assert_all_int(scale, image_scale, *vec.values(), *(c for v in images.values() for c in v.values()))
 
 
 def test_ad_image_drops_a_bracket_that_cancels():
     # [Dx, (x+y)*Dz] = [Dy, (x+y)*Dz] = Dz, so [e, Dx - Dy] cancels to zero
     L = algebra("Dx", "Dy", "(x+y)*Dz")
-    w = {j: c for j, c in enumerate(L.express(F("Dx - Dy"))) if c}
-    assert len(w) == 2 and L._ad_image(w) == {}
-    assert L._ad_image({j: Q(1) for j in w}) == {3: {2: Q(-2)}}
+    w = {j: int(c) for j, c in enumerate(L.express(F("Dx - Dy"))) if c}
+    assert len(w) == 2 and L._ad_image(w) == ({}, 1)
+    assert L._ad_image({j: 1 for j in w}) == ({3: {2: -2}}, 1)
+
+
+# recipe-mix draws (the acceptance gate's degree bounds) whose ad tables
+# have denominators D_v of 2 to 4, and one draw of each recipe at seed 0
+DENOMINATOR_DRAWS = [("heisenberg", s) for s in range(7, 13)]
+DENOMINATOR_DRAWS += [("abelian-projection", 8), ("center-rank1", 4), ("center-rank1", 6)]
+
+
+@pytest.fixture(scope="module")
+def recipe_mix_draws() -> list[tuple[LieAlgebra, object]]:
+    """(algebra, oracle_bracket) for DENOMINATOR_DRAWS and seed 0 of every recipe."""
+    draws = DENOMINATOR_DRAWS + [(recipe, 0) for recipe in RECIPES]
+    out = []
+    for recipe, seed in draws:
+        bound = 4 if recipe in ("center-rank2", "single-chain") else 3
+        L = close(build(random_spec(recipe, seed, bound)).generators)
+        out.append((L, oracle_bracket(L)))
+    assert all(max(L._int_ad[1]) > 1 for L, _ in out[: len(DENOMINATOR_DRAWS)])
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(st.data())
+def test_integer_routines_match_the_oracle_on_recipe_draws(recipe_mix_draws, data):
+    """On recipe draws, several with D_v > 1: _bracket and _ad_image return
+    only ints, vector / L is the conftest oracle_bracket, and bracket_coeffs,
+    which scales Fraction coordinates to integers and divides once, is too."""
+    L, bracket = data.draw(st.sampled_from(recipe_mix_draws))
+    n = L.dim
+    # a full-support vector mixes the ad rows of every denominator
+    vectors = st.one_of(coordinate_vectors(L), st.fixed_dictionaries({i: mixed for i in range(n)}))
+    u, w = data.draw(vectors), data.draw(vectors)
+    dense_u, dense_w = to_dense(u, n), to_dense(w, n)
+    assert L.bracket_coeffs(dense_u, dense_w) == bracket(dense_u, dense_w)
+    (iu, su), (iw, sw) = _integral(u), _integral(w)
+    vec, scale = L._bracket(iu, iw)
+    assert dense_value(vec, scale * su * sw, n) == bracket(dense_u, dense_w)
+    images, image_scale = L._ad_image(iw)
+    units = [[Q(int(i == k)) for k in range(n)] for i in range(n)]
+    expected = {i: v for i in range(n) if any(v := bracket(units[i], dense_w))}
+    assert {i: dense_value(v, image_scale * sw, n) for i, v in images.items()} == expected
+    assert_all_int(scale, image_scale, *vec.values(), *(c for v in images.values() for c in v.values()))
 
 
 def _terms(canon: dict) -> list:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from conftest import (
     oracle_member,
     oracle_quotient,
     oracle_rank,
+    oracle_series_terms,
 )
 
 ctx = DEFAULT_CONTEXT
@@ -111,6 +113,53 @@ def recipe_corpus(recipe_draws):
         elif name.split("/")[0] in PROJECTION_RECIPES:
             out.append((name, L, None, L.project([0, 1])))
     return out
+
+
+# the fractional scales that the benchmark's generator draws use
+SCALES = (Q(1, 2), Q(-3, 2))
+
+
+@pytest.fixture(scope="module")
+def denominator_ideals():
+    """Ideals of recipe-mix draws whose ad tables have denominators D_v > 1,
+    read off the dense oracles, as (algebra, ideal coefficient vectors,
+    ideal fields): the heisenberg draws of seeds 7-12 (D_v of 2 and 3),
+    each with its center and with its [g, g]; and the abelian terms g^k,
+    k >= 2, of the lower central series and the basis lines that are
+    ideals of three draws whose primitive ideal rows have pivot
+    coefficients above 1 (center-rank1 seeds 6 and 11, D_v up to 4, and
+    center-rank2 seed 4).  Among the lines, y^2*Dz of center-rank1 seed 11
+    splits only with the lift correction x*Dz - 3/4*y^2*Dz."""
+    out = []
+    for seed in range(7, 13):
+        L = close(build(random_spec("heisenberg", seed, 3)).generators)
+        assert max(L._int_ad[1]) > 1
+        bracket = oracle_bracket(L)
+        units = [[Q(int(i == k)) for k in range(L.dim)] for i in range(L.dim)]
+        square = [v for a, b in combinations(units, 2) if any(v := bracket(a, b))]
+        for ideal in (oracle_center(L), square):
+            out.append((L, ideal, [L.element(v) for v in ideal]))
+    for recipe, seed, bound in ("center-rank1", 6, 3), ("center-rank1", 11, 3), ("center-rank2", 4, 4):
+        L = close(build(random_spec(recipe, seed, bound)).generators)
+        bracket = oracle_bracket(L)
+        units = [[Q(int(i == k)) for k in range(L.dim)] for i in range(L.dim)]
+        abelian = [t for t in oracle_series_terms(L, "lower-central")[1:]
+                   if t and not any(any(bracket(u, w)) for u, w in combinations(t, 2))]
+        lines = [[e] for e in units if all(oracle_member([e], bracket(f, e)) for f in units)]
+        out += [(L, ideal, [L.element(v) for v in ideal]) for ideal in abelian + lines]
+    return out
+
+
+def rescaled(vectors: list, scale: Fraction) -> list[list[Fraction]]:
+    return [[scale * c for c in v] for v in vectors]
+
+
+def split_cases(recipe_corpus) -> list[tuple]:
+    """(algebra, ideal coefficient vectors, ideal fields) of every split
+    input the acceptance gate gives, and of the two README examples."""
+    cases = [(L, proj) for _, L, operator, proj in recipe_corpus if operator is None]
+    cases += [(L, L.project(["x", "y"])) for L in (algebra(*EX_POLY), algebra(*EX_EXP))]
+    return [(L, list(proj.kernel_coeffs), list(proj.kernel_basis)) for L, proj in cases]
 
 
 def classify_outputs(corpus) -> dict:
@@ -472,19 +521,22 @@ def test_split_exponential_example():
     assert not verdict.split
 
 
-def test_split_certificate_reverified_by_independent_solver(recipe_corpus):
+def test_split_certificate_reverified_by_independent_solver(recipe_corpus, denominator_ideals):
     # every verdict is re-checked by field brackets and the conftest
     # elimination alone: a complement is a subalgebra spanning L with the
-    # ideal, and a certificate is an inconsistent system
-    cases = [(L, proj) for _, L, operator, proj in recipe_corpus if operator is None]
-    cases += [(L, L.project(["x", "y"])) for L in (algebra(*EX_POLY), algebra(*EX_EXP))]
+    # ideal, and a certificate is an inconsistent system; the ideals come
+    # from the acceptance gate and from algebras with D_v > 1, and an ideal
+    # given by rescaled vectors gets the same verdict
+    cases = split_cases(recipe_corpus)
+    for L, coeffs, _ in cases:
+        verdict = split_check(L, coeffs).to_dict()
+        assert all(split_check(L, rescaled(coeffs, s)).to_dict() == verdict for s in SCALES)
     verdicts = {True: 0, False: 0}
-    for L, proj in cases:
-        verdict = split_check(L, list(proj.kernel_coeffs))
+    for L, coeffs, ideal in cases + denominator_ideals:
+        verdict = split_check(L, coeffs)
         verdicts[verdict.split] += 1
         if verdict.split:
             comp = list(verdict.complement)
-            ideal = list(proj.kernel_basis)
             assert oracle_rank(naive_field_coords(comp + ideal)) == L.dim
             assert oracle_rank(naive_field_coords(comp)) == len(comp)
             for i in range(len(comp)):
@@ -560,20 +612,19 @@ def rebuild_lift_system(L, unknowns, kernel) -> list[tuple]:
     return rows
 
 
-def test_split_certificate_rows_are_the_lift_closure_conditions(recipe_corpus):
+def test_split_certificate_rows_are_the_lift_closure_conditions(recipe_corpus, denominator_ideals):
     # a non-split verdict is sound: its rows are exactly the closure
     # conditions rebuilt from field brackets, for lifts complementary to the
-    # projection kernel, and the rebuilt system has no solution
-    cases = [(L, proj) for _, L, operator, proj in recipe_corpus if operator is None]
-    cases += [(L, L.project(["x", "y"])) for L in (algebra(*EX_POLY), algebra(*EX_EXP))]
+    # ideal (a projection kernel, or a center or [g, g] where D_v > 1), and
+    # the rebuilt system has no solution
     certificates = 0
-    for L, proj in cases:
-        verdict = split_check(L, list(proj.kernel_coeffs))
+    for L, coeffs, ideal in split_cases(recipe_corpus) + denominator_ideals:
+        verdict = split_check(L, coeffs)
         if verdict.split:
             continue
         certificates += 1
         cert = verdict.certificate
-        rows = rebuild_lift_system(L, list(cert.unknowns), list(proj.kernel_basis))
+        rows = rebuild_lift_system(L, list(cert.unknowns), ideal)
         assert rows == [(r.pair, r.coordinate, r.coeffs, r.const) for r in cert.rows]
         nunk = len(cert.unknowns)
         matrix = [[coeffs.get(u, Q(0)) for u in range(nunk)] for _, _, coeffs, _ in rows]
@@ -582,15 +633,30 @@ def test_split_certificate_rows_are_the_lift_closure_conditions(recipe_corpus):
     assert certificates >= 5
 
 
-def test_jordan_chains_against_field_bracket_oracle(recipe_corpus):
+def test_jordan_chains_against_field_bracket_oracle(recipe_corpus, denominator_ideals):
+    # the acceptance gate's inputs as they are and with the operator and the
+    # kernel rescaled (the operator once as a field, once as coefficients),
+    # then every basis element of the algebras with D_v > 1, rescaled, on
+    # their center, their [g, g] and the whole algebra
     cases = [(L, op, proj) for _, L, op, proj in recipe_corpus if op is not None]
     cases += [
         (algebra(*TWO_CHAIN), F("Dz"), algebra(*TWO_CHAIN).project(["z"])),
         (algebra(*EX_POLY), F("Dx"), algebra(*EX_POLY).project(["x", "y"])),
     ]
-    for L, op, proj in cases:
-        jd = jordan_chains(L, op, list(proj.kernel_coeffs))
-        ideal = list(proj.kernel_basis)
+    cases = [(L, op, list(proj.kernel_coeffs), list(proj.kernel_basis)) for L, op, proj in cases]
+    (s1, s2), unscaled = SCALES, list(cases)
+    for L, op, coeffs, ideal in unscaled:
+        cases.append((L, op * s1, rescaled(coeffs, s1), ideal))
+        cases.append((L, [s2 * c for c in L.express(op)], rescaled(coeffs, s2), ideal))
+    algebras = {id(L): L for L, _, _ in denominator_ideals}.values()
+    ideals = denominator_ideals + [
+        (L, [[Q(int(i == k)) for k in range(L.dim)] for i in range(L.dim)], list(L.basis))
+        for L in algebras
+    ]
+    cases += [(L, b * s, coeffs, ideal) for L, coeffs, ideal in ideals for b in L.basis for s in SCALES]
+    for L, op, coeffs, ideal in cases:
+        jd = jordan_chains(L, op, coeffs)
+        op = jd.operator
         m = len(ideal)
         for chain in jd.chains:
             for a, b in zip(chain, chain[1:]):

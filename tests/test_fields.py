@@ -18,6 +18,7 @@ from vflie import (
     VariableContext,
 )
 from vflie.fields import monomial_half
+from vflie.linalg import Columns
 from vflie.parser import parse_expression, parse_field
 
 from conftest import inverted, rand_field, rand_poly, rng
@@ -114,6 +115,28 @@ def test_monomial_half_examples():
     # a half is nonzero exactly when n reads x_i
     y, z = mono("y"), mono("z")
     assert monomial_half(0, y, z) == () and monomial_half(1, z, y) == [(z, 1)]
+
+
+def test_integral_rate_sums_are_stored_as_ints():
+    """exp(x/2) * exp(x/2) stores the rate 1 as the int that parsing exp(x)
+    stores, not as Fraction(1): in a ring product, in a field bracket and
+    in a half of the column table."""
+    def rate_types(monos):
+        return {type(r) for rates, _ in monos for r in rates}
+
+    half = E("exp(1/2*x)")
+    product = half * half
+    assert product == E("exp(x)") and rate_types(product.term_map()) == {int}
+    u, v = F("exp(1/2*x)*Dz"), F("exp(1/2*x)*Dx")
+    bracket = u.bracket(v)
+    assert bracket == F("-1/2*exp(x)*Dz")
+    assert rate_types(m for comp in bracket.comps for m in comp.term_map()) == {int}
+    columns = Columns(3)
+    operands = [columns.operand(columns.vector(c.term_map() for c in f.comps)) for f in (u, v)]
+    vec = columns.bracket(*operands)
+    assert rate_types(columns.keys[k][1] for k in vec) == {int}
+    halves = [h for row in columns._halves.values() for h in row.values()]
+    assert halves and rate_types(columns.keys[k][1] for h in halves for k in h) == {int}
 
 
 # -- derivation action ----------------------------------------------------------------

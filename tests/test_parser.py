@@ -70,7 +70,8 @@ PARSE_ERRORS = [
     ("x*D[w]", "field", "unknown basis symbol Dw", 2, ("basis symbol",)),
     ("Dx*Dw", "field", "unknown basis symbol Dw", 3, ("basis symbol",)),
     ("Dx*Dz", "field", "more than one basis symbol in a term", 3, ()),
-    ("Dx*D[z]", "field", "more than one basis symbol in a term", 6, ()),
+    ("Dx*D[z]", "field", "more than one basis symbol in a term", 3, ()),
+    ("D[x]*D[z]", "field", "more than one basis symbol in a term", 5, ()),
     ("D[y]*x*Dy", "field", "more than one basis symbol in a term", 7, ()),
     ("(x+y*z", "expression", "unexpected 'end of input'", 6, ("')'",)),
     ("exp(x*Dx", "field", "unexpected '*'", 5, ("')'",)),
