@@ -22,13 +22,14 @@ quotient included, is one routine: common_kernel over the ad table and a
 generating set.
 
 There is one ad table, built from the tensor on first read:
-integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  It
-is read in integers only: _bracket and _ad_image take integer coordinates
-and return integer vectors with one scale L, the exact value being
-vector / L, so what reads only spans ([g, g], the certificate's layers, the
-centers, ideal and complement checks, the series) does no Fraction
-arithmetic.  A Fraction is made only where a value is printed or a field is
-built from it; c() reads `structure`, the tensor's Fraction form.
+integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  One
+bracket in basis coordinates reads it: _ad_image(w) gives each nonzero
+[e_i, w] as an integer vector over one scale L (the value is vector / L),
+and _bracket(u, w) sums u_i times those images.  So what reads only spans
+([g, g], the certificate's layers, the centers, ideal and complement
+checks, the series) does no Fraction arithmetic.  A Fraction is made only
+where a value is printed or a field is built from it; c() reads
+`structure`, the tensor's Fraction form.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .linalg import (
     _gcd,
     _integral,
     _lcm,
-    coordinatize,
     echelon_of,
     generic_rank,
     null_space,
@@ -109,17 +109,6 @@ def _fraction_tensor(tensor: IntTensor) -> Tensor:
     return {ab: {k: Fraction(c, s) for k, c in entries} for ab, (s, entries) in tensor.items()}
 
 
-def _image(table: IntTable, w: Mapping[int, int]) -> IntVector:
-    """D_v * [e_v, w] for ad(e_v)'s integer table and integer coordinates w,
-    exact zeros dropped."""
-    out: IntVector = {}
-    for j, b in w.items():
-        col = table.get(j)
-        if col:
-            _axpy(out, col, b)
-    return out
-
-
 def common_kernel(ad: Sequence[IntTable], acting: Iterable[int]) -> list[SparseVector]:
     """Canonical null-space basis, sparse, of the stacked maps ad(e_v), v in
     acting, given as integer tables (integer_ad_tables): the center when the
@@ -147,22 +136,6 @@ def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
     bracket zero: neither field moves a variable that the other's
     coefficients read."""
     return bool(s[0] & t[1] or t[0] & s[1])
-
-
-def _rekeyed(ctx: VariableContext, echelon: EchelonBasis) -> EchelonBasis:
-    """A settled (component, monomial)-keyed echelon, such as echelon_of
-    gives on coordinatize vectors, as the same rows in the same order over a
-    new column table: each row is zero at the others' pivots, so inserting
-    them one by one changes none of them, and each keeps its pivot, the
-    least key."""
-    columns = Columns(ctx.nvars)
-    out = EchelonBasis(columns)
-    for i in range(len(echelon)):
-        comps: list[dict] = [{} for _ in range(ctx.nvars)]
-        for (c, mono), coeff in echelon.primitive_row(i).items():
-            comps[c][mono] = coeff
-        out.insert(columns.vector(comps))
-    return out
 
 
 def close(
@@ -323,9 +296,8 @@ class LieAlgebra:
     Built from the echelon of a bracket-closed span over a column table
     (linalg.Columns), which it keeps as its one record of the span; every
     field it makes (basis, _field) and every field it reads into
-    coordinates (express, contains) goes through that table.  An echelon
-    without a table, keyed by (component, monomial) as coordinatize gives,
-    is re-keyed once onto a new table (_rekeyed); a query field with a
+    coordinates (express, contains, by Columns.find) goes through that
+    table.  Any other echelon is a TypeError.  A query field with a
     monomial the table lacks is outside the span, and a query makes no
     column.  The basis is the unit rows in pivot order, pivot order being
     (component, monomial) key order.  The tensor brackets the primitive
@@ -354,9 +326,9 @@ class LieAlgebra:
     """
 
     def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
-        if echelon.columns is None:
-            echelon = _rekeyed(ctx, echelon)
         columns = echelon.columns
+        if columns is None:
+            raise TypeError("a LieAlgebra is built from an echelon over a column table")
         self.ctx = ctx
         self._echelon = echelon
         self._order = echelon.order()
@@ -425,16 +397,9 @@ class LieAlgebra:
 
     def _bracket(self, u: Mapping[int, int], w: Mapping[int, int]) -> tuple[IntVector, int]:
         """(vec, L) with [u, w] == vec / L for integer basis coordinates u
-        and w: L is the lcm of the D_i, i in supp(u), and vec sums
-        u_i * L / D_i times the integer image D_i * [e_i, w] (_image)."""
-        tables, dens = self._int_ad
-        scale = 1
-        for i in u:
-            scale = _lcm(scale, dens[i])
-        out: IntVector = {}
-        for i, a in u.items():
-            _axpy(out, _image(tables[i], w), a * (scale // dens[i]))
-        return out, scale
+        and w: vec sums u_i * images[i] over w's _ad_image, of scale L."""
+        images, scale = self._ad_image(w)
+        return _combination(images, {i: a for i, a in u.items() if i in images}), scale
 
     def _ad_image(self, w: Mapping[int, int]) -> tuple[dict[int, IntVector], int]:
         """(images, L) with [e_i, w] == images[i] / L for every i whose
@@ -491,7 +456,7 @@ class LieAlgebra:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""
         if field.ctx != self.ctx:
             raise ContextMismatch("field belongs to a different context")
-        vec = self._echelon.columns.find(coordinatize(field))
+        vec = self._echelon.columns.find(field)
         if vec is None:
             raise NotInSpan("vector is outside the span of the basis")
         # the echelon's rows are in insertion order, the basis in pivot order
@@ -501,7 +466,7 @@ class LieAlgebra:
     def contains(self, field: VectorField) -> bool:
         if field.ctx != self.ctx:
             raise ContextMismatch("field belongs to a different context")
-        vec = self._echelon.columns.find(coordinatize(field))
+        vec = self._echelon.columns.find(field)
         return vec is not None and self._echelon.contains(vec)
 
     def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> SparseVector:
@@ -602,18 +567,19 @@ class LieAlgebra:
         span{[e_v, w] : v in gens, w a row of W_k}, each as the rows of its
         own echelon (W_1 as the unit vectors); None when W_{dim+1} is still
         nonzero, which no nilpotent algebra allows.  The rows are integer:
-        each [e_v, w] is taken as D_v * [e_v, w] (_image), which spans the
-        same line.  A central e_v (empty ad table) brackets every row to
-        zero, so only the others are walked."""
+        each nonzero [e_v, w] is taken as the image of index v in w's
+        _ad_image, which spans the same line.  A central e_v (empty ad
+        table) has no image, and when every e_v is central none is taken."""
         tables = self._int_ad[0]
+        acting = {v for v in gens if tables[v]}
         layers: list[list[dict[int, int]]] = []
         layer: list[dict[int, int]] = [{v: 1} for v in gens]
-        acting = [tables[v] for v in gens if tables[v]]
         while layer:
             if len(layers) == self.dim:
                 return None
             layers.append(layer)
-            span = echelon_of(b for table in acting for w in layer if (b := _image(table, w)))
+            images = (self._ad_image(w)[0].items() for w in layer if acting)
+            span = echelon_of(b for image in images for v, b in image if v in acting)
             layer = [span.primitive_row(i) for i in range(len(span))]
         return layers
 

@@ -1,7 +1,8 @@
 """Vector fields with exact ring coefficients: bracket, derivation action,
 pushforward under user-supplied invertible polynomial coordinate changes.
-Every bracket, of fields here and of rows over column ids
-(linalg.Columns), sums one half formula, monomial_half."""
+The one field bracket is the row bracket (linalg.Columns.bracket), which
+sums the half formula monomial_half; VectorField.bracket imports linalg at
+call time, since linalg imports this module."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .ring import (
     ExpMonomial,
     ExpPoly,
     Scalar,
-    _add_term,
     _new,
     _poly,
     _stored_rates,
@@ -121,12 +121,12 @@ DEFAULT_CONTEXT = VariableContext(DEFAULT_NAMES)
 class VectorField:
     """First-order differential operator sum_i comps[i] * d/d(var i).
 
-    The bracket sums monomial_half over the term pairs of the two fields,
-    as the row bracket (linalg.Columns) does over column ids.  The masks of
-    `support()` are computed once and kept in a slot: bit j of `moves` is
-    set when comps[j] is nonzero, and bit j of `reads` when some
-    coefficient depends on var j (a power > 0 or a rate != 0).  The cache
-    takes no part in == or hash, and the field stays immutable to callers.
+    The bracket is the row bracket (linalg.Columns.bracket) of the two
+    fields' vectors.  The masks of `support()` are computed once and kept
+    in a slot: bit j of `moves` is set when comps[j] is nonzero, and bit j
+    of `reads` when some coefficient depends on var j (a power > 0 or a
+    rate != 0).  The cache takes no part in == or hash, and the field stays
+    immutable to callers.
     """
 
     __slots__ = ("ctx", "comps", "_support")
@@ -210,22 +210,14 @@ class VectorField:
         return masks
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [self, other]: component j is sum_i self_i d_i(other_j)
-        - other_i d_i(self_j), monomial_half over every pair of terms in
-        both orders, scaled by the product of their coefficients."""
+        """Lie bracket [self, other]: the row bracket (linalg.Columns.bracket)
+        of the fields' vectors over a column table of their own."""
+        from .linalg import Columns  # linalg imports this module
+
         self._check(other)
-        n = self.ctx.nvars
-        comps: list[dict] = [{} for _ in range(n)]
-        for u, v, sign in ((self, other, 1), (other, self, -1)):
-            right = [(comps[j], c._terms.items()) for j, c in enumerate(v.comps) if c]
-            for i, f in enumerate(u.comps):
-                for m, a in f._terms.items():
-                    a *= sign
-                    for out, g in right:
-                        for mono, b in g:
-                            for term, c in monomial_half(i, m, mono):
-                                _add_term(out, term, a * b * c)
-        return VectorField(self.ctx, [_poly(n, out) for out in comps])
+        columns = Columns(self.ctx.nvars)
+        u, v = (columns.operand(columns.vector(c._terms for c in f.comps)) for f in (self, other))
+        return columns.field(columns.bracket(u, v), self.ctx)
 
     def pushforward(self, change: "CoordinateChange") -> "VectorField":
         """Transform under the change's differential, expressed in the new chart."""

@@ -133,8 +133,8 @@ def _poly(nvars: int, terms: dict) -> "ExpPoly":
     return p
 
 
-def mul_add(out: dict, a: "ExpPoly", b: "ExpPoly", sign: int = 1) -> None:
-    """out += sign * a * b on a term map, dropping exact zeros; sign is 1 or -1.
+def mul_add(out: dict, a: "ExpPoly", b: "ExpPoly") -> None:
+    """out += a * b on a term map, dropping exact zeros.
 
     Rates are added only when both factors carry an exponential factor."""
     if not b._terms:
@@ -143,8 +143,6 @@ def mul_add(out: dict, a: "ExpPoly", b: "ExpPoly", sign: int = 1) -> None:
     zeros = _ZEROS[a.nvars]
     b_terms = b._terms.items()
     for (r1, p1), c1 in a._terms.items():
-        if sign < 0:
-            c1 = -c1
         for (r2, p2), c2 in b_terms:
             # the shared zeros mark a factor without exp; any other zero
             # rates still come out right through the sum below

@@ -921,8 +921,8 @@ def test_lower_central_series_insert_count_is_pinned(monkeypatch):
     """Center-rank1 seed 5 (dim 33) takes the certificate: [g, g] once per
     nonzero pair, the layers W_2, W_3, ... of V's chain and their sum make
     exactly 135 echelon entries (_extend, which insert and echelon_of both
-    go through), none of them empty, and no ad image is walked.  The
-    ad-image loop made 219."""
+    go through), none of them empty.  The fallback ad-image loop made
+    219."""
     L = close(build(random_spec("center-rank1", 5, 5)).generators)
     inserted = []
     real_extend = EchelonBasis._extend
@@ -931,11 +931,7 @@ def test_lower_central_series_insert_count_is_pinned(monkeypatch):
         inserted.append(dict(vec))
         return real_extend(self, vec)
 
-    def no_ad_image(self, w):
-        raise AssertionError("the certified series walked an ad image")
-
     monkeypatch.setattr(EchelonBasis, "_extend", recording_extend)
-    monkeypatch.setattr(LieAlgebra, "_ad_image", no_ad_image)
     report = L.series("lower-central")
     assert report.dims == (33, 30, 28, 23, 14, 0) and report.terminated_at_zero
     assert all(inserted), "an empty vector reached the echelon"
@@ -947,13 +943,13 @@ def test_layers_skip_central_generators(monkeypatch):
     # no bracket at all
     draws = [close(build(random_spec("abelian-rank2", s, 3)).generators) for s in range(13)]
     calls = []
-    real_image = vflie.algebra._image
+    real_ad_image = LieAlgebra._ad_image
 
-    def counting_image(table, w):
-        calls.append(1)
-        return real_image(table, w)
+    def counting_ad_image(self, w):
+        calls.append(w)
+        return real_ad_image(self, w)
 
-    monkeypatch.setattr(vflie.algebra, "_image", counting_image)
+    monkeypatch.setattr(LieAlgebra, "_ad_image", counting_ad_image)
     for L in draws:
         assert L.is_abelian()
         assert L._nilpotency_certificate == (tuple(range(L.dim)), (L.dim, 0))
@@ -1275,39 +1271,46 @@ def test_projection_with_an_empty_image():
     assert proj.image.dim == 0 and proj.kernel_dim == 1
 
 
+def column_echelon(fields) -> EchelonBasis:
+    """The fields' vectors, inserted in order, over a new column table."""
+    columns = Columns(3)
+    echelon = EchelonBasis(columns)
+    for f in fields:
+        echelon.insert(columns.vector(comp.term_map() for comp in f.comps))
+    return echelon
+
+
 def test_algebra_over_a_span_that_is_not_closed_is_refused():
     # [Dx, x*Dy] = Dy leaves the span
     with pytest.raises(InternalInvariantViolation):
-        LieAlgebra(ctx, echelon_of([coordinatize(F("Dx")), coordinatize(F("x*Dy"))]))
+        LieAlgebra(ctx, column_echelon([F("Dx"), F("x*Dy")]))
 
 
-def test_an_echelon_of_field_coordinates_is_rekeyed_once():
-    # LieAlgebra takes an echelon of public coordinatize vectors, keyed by
-    # (component, monomial), and re-keys it once onto a column table of its
-    # own; the algebra is the one close() gave
+def test_an_echelon_without_a_column_table_is_refused():
+    # LieAlgebra takes only an echelon over a column table; one keyed by
+    # coordinatize's (component, monomial) pairs, or by integers, is a
+    # TypeError, and the basis put in over a table gives close()'s algebra
     draws = [build(random_spec(recipe, 0, 3)).generators for recipe in RECIPES]
     draws.append(build(random_spec("center-rank1", 7, 6)).generators)
     for gens in draws:
         L = close(gens, cap_dim=200)
-        M = LieAlgebra(L.ctx, echelon_of(map(coordinatize, L.basis)))
-        assert M._echelon.columns is not None
+        for echelon in (echelon_of(map(coordinatize, L.basis)), echelon_of([{0: Q(1)}])):
+            with pytest.raises(TypeError, match="column table"):
+                LieAlgebra(L.ctx, echelon)
+        M = LieAlgebra(L.ctx, column_echelon(L.basis))
         assert [str(b) for b in M.basis] == [str(b) for b in L.basis]
         assert M.structure == L.structure and list(M.structure) == list(L.structure)
         # the basis went in in pivot order, so it is the order read back
         assert M._order == list(range(L.dim))
-        # L's own rows, keyed back in L's insertion order, give L's order
-        echelon, keys = L._echelon, L._echelon.columns.keys
-        keyed = echelon_of(
-            {keys[k]: c for k, c in echelon.primitive_row(i).items()} for i in range(len(echelon))
-        )
-        N = LieAlgebra(L.ctx, keyed)
+        # put in in L's insertion order, the basis gives L's order
+        by_insertion = sorted(range(L.dim), key=L._order.__getitem__)
+        N = LieAlgebra(L.ctx, column_echelon([L.basis[k] for k in by_insertion]))
         assert N._order == L._order and N.structure == L.structure
 
 
 def test_a_monomial_without_a_column_is_outside_the_span():
     L = algebra(*HEISENBERG)
-    rekeyed = LieAlgebra(ctx, echelon_of(map(coordinatize, L.basis)))
-    for M in (L, rekeyed):
+    for M in (L, LieAlgebra(ctx, column_echelon(L.basis))):
         keys = M._echelon.columns.keys
         size = len(keys)
         for f in (F("x^5*Dy"), M.basis[0] + F("exp(z)*Dx")):

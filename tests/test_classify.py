@@ -33,6 +33,7 @@ from vflie import (
     split_check,
 )
 from vflie.classify import SUBCASE_UNDETERMINED
+from vflie.linalg import Columns
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -329,26 +330,25 @@ def test_a_float_ideal_index_is_a_type_error():
 def test_split_check_verifies_in_basis_coordinates(monkeypatch):
     # the acceptance gate's split checks (recipe-mix's projection draws):
     # the complement is checked in the coordinates solved for, so no field
-    # is re-expressed through the (component, monomial) echelon
+    # is re-expressed through the column table (Columns.find)
     cases = []
     for recipe in ("nonabelian-projection", "abelian-projection"):
         for seed in range(13):
             L = close(build(random_spec(recipe, seed, 3)).generators)
             cases.append((L, list(L.project([0, 1]).kernel_coeffs)))
     calls = []
-    real_express, real_coordinatize = vflie.LieAlgebra.express, vflie.linalg.coordinatize
+    real_express, real_find = vflie.LieAlgebra.express, Columns.find
 
     def counting_express(self, field):
         calls.append("express")
         return real_express(self, field)
 
-    def counting_coordinatize(field):
-        calls.append("coordinatize")
-        return real_coordinatize(field)
+    def counting_find(self, field):
+        calls.append("find")
+        return real_find(self, field)
 
     monkeypatch.setattr(vflie.LieAlgebra, "express", counting_express)
-    monkeypatch.setattr(vflie.linalg, "coordinatize", counting_coordinatize)
-    monkeypatch.setattr(vflie.algebra, "coordinatize", counting_coordinatize)
+    monkeypatch.setattr(Columns, "find", counting_find)
     verdicts = [split_check(L, kernel) for L, kernel in cases]
     assert calls == []
     assert len(verdicts) == 26 and sum(v.split for v in verdicts) == 23

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import vflie.fields
+import vflie.linalg
 import vflie.ring
 from vflie import (
     ContextMismatch,
@@ -65,8 +66,10 @@ def test_bracket_numeric_cross_check():
 
 def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     # the bracket differentiates no component and multiplies no term maps:
-    # it calls monomial_half once per pair of terms in each order, and the
-    # support cache it leaves is invisible to equality and hashing
+    # it is the row bracket, which calls monomial_half once per nonzero
+    # half, a term m*d_i of one field and a term of the other that reads
+    # x_i, and the support cache it leaves is invisible to equality and
+    # hashing
     calls = {"diff": 0, "mul_add": 0, "formula": 0}
     real_diff, real_mul_add, real_formula = ExpPoly.diff, vflie.fields.mul_add, monomial_half
 
@@ -83,10 +86,13 @@ def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     monkeypatch.setattr(ExpPoly, "diff", counting("diff", real_diff))
     for module in (vflie.ring, vflie.fields):
         monkeypatch.setattr(module, "mul_add", counting("mul_add", real_mul_add))
-    monkeypatch.setattr(vflie.fields, "monomial_half", counting("formula", real_formula))
+    monkeypatch.setattr(vflie.linalg, "monomial_half", counting("formula", real_formula))
     first = [v.bracket(w) for w in others]
-    # v has 3 terms; the others 3 each but x*y*Dz, which has 1
-    assert calls == {"diff": 0, "mul_add": 0, "formula": 2 * 3 * (10 * 3 + 1)}
+    # v = y*Dx + exp(y)*Dz + z*Dy makes 4 halves with each x^k*exp(y)
+    # field and 3 the other way round, one of them, z*Dy with y*Dx, the
+    # same column pair as one of the 4 and so filled once; with x*y*Dz, 2
+    # and 1
+    assert calls == {"diff": 0, "mul_add": 0, "formula": 10 * (4 + 3 - 1) + 2 + 1}
     assert [v.bracket(w) for w in others] == first
     for w in (v, *others):
         w.support()

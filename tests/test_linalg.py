@@ -137,7 +137,10 @@ def test_a_float_coefficient_is_a_type_error_naming_its_key():
 
 def test_to_sparse_takes_ints_and_fractions_only():
     assert to_sparse([0, 2, Q(1, 3), Q(0)]) == {1: Q(2), 2: Q(1, 3)}
-    assert all(type(c) is Q for c in to_sparse([3, Q(1, 2)]).values())
+    assert all(type(c) is Q for c in to_sparse([3, Q(1, 2), True]).values())
+    # a caller's Fraction is kept as it is, not copied
+    third = Q(1, 3)
+    assert to_sparse([0, third])[1] is third
     for bad in (0.5, 0.0, "1/2"):
         with pytest.raises(TypeError, match="is not an int or Fraction"):
             to_sparse([Q(1), bad])

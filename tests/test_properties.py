@@ -374,23 +374,31 @@ def test_row_and_field_brackets_match_the_naive_bracket(pair):
 @settings(checks, max_examples=150)
 @given(operands, operands)
 def test_bracket_kernel_matches_coordinatized_bracket(u, v):
-    # the row bracket's vector, read back through the column table, is
-    # coordinatize(u.bracket(v)), also on the integer vectors close()
-    # brackets, where it is scaled by the product of the two scales; an
-    # operand's masks give the field's support, and a pair the support test
-    # proves commuting brackets to the empty vector
+    # the row bracket's vector, read back through the column table, is the
+    # term-list oracle's bracket in (component, monomial) coordinates, also
+    # on the integer vectors close() brackets, where it is scaled by the
+    # product of the two scales; an operand's masks give the field's
+    # support, and a pair the support test proves commuting brackets to the
+    # empty vector
     columns = Columns(3)
 
     def keyed(vec):
-        return {columns.keys[k]: c for k, c in vec.items()}
+        out = {}
+        for k, c in vec.items():
+            i, m = columns.keys[k]
+            out[i, m.powers, m.rates] = c
+        return out
+
+    def oracle(x, y):
+        return {(i, *key): c for i, comp in enumerate(naive_bracket(x, y)) for key, c in comp.items()}
 
     a, b = columns.operand(vector_of(columns, u)), columns.operand(vector_of(columns, v))
     assert a.masks == u.support() and b.masks == v.support()
-    for x, y, want in ((a, b, coordinatize(u.bracket(v))), (b, a, coordinatize(v.bracket(u)))):
+    for x, y, want in ((a, b, oracle(u, v)), (b, a, oracle(v, u))):
         assert keyed(columns.bracket(x, y)) == want
     (ia, sa), (ib, sb) = integer_vector(a.vec), integer_vector(b.vec)
     got = columns.bracket(columns.operand(ia), columns.operand(ib))
-    assert keyed(got) == {key: c * sa * sb for key, c in coordinatize(u.bracket(v)).items()}
+    assert keyed(got) == {key: c * sa * sb for key, c in oracle(u, v).items()}
     if provably_commute(u, v):
         assert got == {}
 

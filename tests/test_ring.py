@@ -190,6 +190,52 @@ def test_package_defines_only_what_it_reads():
     assert {name for name, _ in unread_methods} == set(UNREAD_METHODS), unread_methods
 
 
+# the modules of src/vflie from the bottom layer up: a module-level import
+# points down this order, and only the call-time imports below point up
+LAYERS = ("errors", "ring", "fields", "linalg", "parser", "recipes", "algebra", "classify",
+          "__init__", "cli", "__main__")
+# (module, enclosing definition, imported module)
+CALL_TIME_IMPORTS = {
+    ("ring", "ExpPoly.__str__", "fields"),  # the default variable names
+    ("fields", "VectorField.bracket", "linalg"),  # the row bracket
+}
+
+
+def package_imports(node: ast.AST, scope: str = ""):
+    """(scope, imported vflie module) for every import of a vflie module
+    under node; scope is the dotted name of the enclosing class and
+    function definitions, "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and (child.level or child.module.startswith("vflie")):
+            name = child.module if child.level else child.module.partition(".")[2]
+            yield scope, name or "__init__"
+        elif isinstance(child, ast.Import):
+            for alias in child.names:
+                if alias.name.split(".")[0] == "vflie":
+                    yield scope, alias.name.partition(".")[2] or "__init__"
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from package_imports(child, inner)
+
+
+def test_package_imports_point_down_the_layers():
+    # no linter runs in the gate: the import graph of src/vflie is layered,
+    # so no module-level import cycle can form
+    src = Path(__file__).resolve().parent.parent / "src" / "vflie"
+    assert sorted(p.stem for p in src.glob("*.py")) == sorted(LAYERS)
+    upward, call_time = [], set()
+    for path in sorted(src.glob("*.py")):
+        rank = LAYERS.index(path.stem)
+        for scope, target in package_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if scope:
+                call_time.add((path.stem, scope, target))
+            elif LAYERS.index(target) >= rank:
+                upward.append((path.name, target))
+    assert upward == []
+    assert call_time == CALL_TIME_IMPORTS
+
+
 # -- substitution ------------------------------------------------------------------
 
 

@@ -38,7 +38,7 @@ def hook_calls():
     """One real call per traced target that has an after-hook, keyed by
     (module, attribute): the arguments the wrapper would pass to the hook."""
     from vflie import DEFAULT_CONTEXT, EchelonBasis, LieAlgebra, close
-    from vflie.linalg import coordinatize, echelon_of
+    from vflie.linalg import coordinatize
     from vflie.parser import parse_expression, parse_field
 
     ctx = DEFAULT_CONTEXT
@@ -57,7 +57,7 @@ def hook_calls():
         ("vflie.linalg", "generic_rank"): ([u, v],),
         ("vflie.algebra", "close"): ([u, v],),
         ("vflie.algebra", "LieAlgebra.__init__"): (
-            LieAlgebra.__new__(LieAlgebra), L.ctx, echelon_of(map(coordinatize, L.basis))),
+            LieAlgebra.__new__(LieAlgebra), L.ctx, L._echelon),
         ("vflie.algebra", "LieAlgebra.series"): (L, "lower-central"),
     }
 
