@@ -25,11 +25,14 @@ There is one ad table, built from the tensor on first read:
 integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  One
 bracket in basis coordinates reads it: _ad_image(w) gives each nonzero
 [e_i, w] as an integer vector over one scale L (the value is vector / L),
-and _bracket(u, w) sums u_i times those images.  So what reads only spans
-([g, g], the certificate's layers, the centers, ideal and complement
-checks, the series) does no Fraction arithmetic.  A Fraction is made only
-where a value is printed or a field is built from it; c() reads
-`structure`, the tensor's Fraction form.
+and _bracket(u, w) sums u_i times those images; the certificate's layers
+take [e_v, w] from e_v's own rows alone.  So what reads only spans ([g, g],
+the certificate's layers, the centers, ideal and complement checks, the
+series) does no Fraction arithmetic, and [g, g], the series and the
+certificate do no back-substitution either: they read only pivots, lengths
+and spanning rows, which forward elimination (linalg.ForwardEchelon)
+gives.  A Fraction is made only where a value is printed or a field is
+built from it; c() reads `structure`, the tensor's Fraction form.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .linalg import (
     ZERO,
     Columns,
     EchelonBasis,
+    ForwardEchelon,
     Operand,
     Q,
     SparseVector,
@@ -64,6 +68,7 @@ from .linalg import (
     _integral,
     _lcm,
     echelon_of,
+    forward_echelon,
     generic_rank,
     null_space,
     to_dense,
@@ -115,7 +120,11 @@ def common_kernel(ad: Sequence[IntTable], acting: Iterable[int]) -> list[SparseV
     e_v generate the algebra, since a centralizer is a subalgebra.  Scaling
     the rows of ad(e_v) by D_v > 0 leaves the null space unchanged, and
     null_space gives the canonical basis of the subspace, so the answer
-    does not depend on the generating set."""
+    does not depend on the generating set.  null_space eliminates the
+    columns themselves and reads each kernel vector off a column that
+    reduces to zero, so it takes no transpose and settles no echelon: the
+    vector with 1 at a free column and support on the pivot columns before
+    it is unique, so any elimination of the columns in order gives it."""
     # column a, row (v, c): D_v times the coefficient of e_c in [e_v, e_a]
     columns: list[dict[tuple[int, int], int]] = [{} for _ in range(len(ad))]
     for v in acting:
@@ -523,10 +532,11 @@ class LieAlgebra:
         h_{k+1}; hence g^k lies in h_k, and h_k, spanned by brackets of k or
         more elements, lies in g^k.  So g^k = h_k, g^K = 0, and the dims are
         those of the h_k.  Any other algebra, every non-nilpotent one
-        included, walks the ad images of each term's primitive integer rows
-        (_ad_image), which span the term as its unit rows do.  The derived
+        included, walks the ad images (_ad_image) of the integer rows of
+        each term's forward echelon, which span the term.  The derived
         series starts from [g, g], the echelon the certificate shares, and
-        brackets each later term's row pairs (_bracket).
+        brackets each later term's row pairs (_bracket).  A term's dim is
+        its forward echelon's length, the rank of its span.
         """
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
@@ -542,45 +552,53 @@ class LieAlgebra:
         terminated = self.dim == 0
         while dims[-1] > 0:
             if kind == "lower-central":
-                nxt = echelon_of(v for w in current for v in self._ad_image(w)[0].values())
+                nxt = forward_echelon(v for w in current for v in self._ad_image(w)[0].values())
             elif len(dims) == 1:
                 nxt = self._square
             else:
-                nxt = echelon_of(self._bracket(u, w)[0] for u, w in combinations(current, 2))
+                nxt = forward_echelon(self._bracket(u, w)[0] for u, w in combinations(current, 2))
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))
-            current = [nxt.primitive_row(i) for i in range(len(nxt))]
+            current = list(nxt.rows.values())
             if not nxt:
                 terminated = True
         return SeriesReport(kind, tuple(dims), terminated)
 
     @cached_property
-    def _square(self) -> EchelonBasis:
-        """[g, g] as the echelon of the nonzero brackets [e_i, e_j], i < j,
-        each as its integer row D_i * [e_i, e_j].  Shared and read-only."""
+    def _square(self) -> ForwardEchelon:
+        """[g, g] as the forward echelon of the nonzero brackets [e_i, e_j],
+        i < j, each as its integer row D_i * [e_i, e_j].  Its readers need
+        only pivots, length and spanning rows, and an echelon with distinct
+        least-key pivots has the reduced echelon's pivot set, so no row is
+        back-substituted.  Shared and read-only."""
         tables = self._int_ad[0]
-        return echelon_of(tables[i][j] for i, j in self._tensor)
+        return forward_echelon(tables[i][j] for i, j in self._tensor)
 
     def _layers(self, gens: Sequence[int]) -> list[list[dict[int, int]]] | None:
         """The nonzero layers W_1 = span{e_v : v in gens}, W_{k+1} =
         span{[e_v, w] : v in gens, w a row of W_k}, each as the rows of its
-        own echelon (W_1 as the unit vectors); None when W_{dim+1} is still
-        nonzero, which no nilpotent algebra allows.  The rows are integer:
-        each nonzero [e_v, w] is taken as the image of index v in w's
-        _ad_image, which spans the same line.  A central e_v (empty ad
-        table) has no image, and when every e_v is central none is taken."""
+        own forward echelon (W_1 as the unit vectors), whose pivots and
+        length are those of the reduced echelon of the same span; None when
+        W_{dim+1} is still nonzero, which no nilpotent algebra allows.  The
+        rows are integer: each nonzero [e_v, w] is taken as
+        sum_j w_j * D_v [e_v, e_j] from e_v's own ad table, which spans the
+        same line, for v in gens alone.  A central e_v (empty ad table) has
+        no bracket, and when every e_v is central none is taken."""
         tables = self._int_ad[0]
-        acting = {v for v in gens if tables[v]}
+        acting = [tables[v] for v in gens if tables[v]]
         layers: list[list[dict[int, int]]] = []
         layer: list[dict[int, int]] = [{v: 1} for v in gens]
         while layer:
             if len(layers) == self.dim:
                 return None
             layers.append(layer)
-            images = (self._ad_image(w)[0].items() for w in layer if acting)
-            span = echelon_of(b for image in images for v, b in image if v in acting)
-            layer = [span.primitive_row(i) for i in range(len(span))]
+            span = ForwardEchelon()
+            for w in layer:
+                for table in acting:
+                    if image := _combination(table, {j: b for j, b in w.items() if j in table}):
+                        span.add(image)
+            layer = list(span.rows.values())
         return layers
 
     @cached_property
@@ -593,21 +611,23 @@ class LieAlgebra:
         g is nilpotent (see series).  W_2, W_3, ... are brackets, inside
         [g, g], which meets span(V) = W_1 in 0: so the sum is g exactly when
         h_2 = W_2 + ... + W_K is all of [g, g], and dim h_1 = dim.  The
-        other dims are the length of one echelon after W_{K-1}, ..., W_2
-        went in, in reverse, and a final 0.  None when V is empty, the chain
+        other dims are the length of one forward echelon after W_{K-1}, ...,
+        W_2 went in, in reverse, and a final 0; that length is the rank of
+        the span, as a forward echelon has the reduced echelon's pivots, so
+        no row is back-substituted.  None when V is empty, the chain
         has not ended or the sum is short, as for every non-nilpotent
         algebra.  Only V and the dims are kept.
         """
-        pivots = set(self._square.pivots)
+        pivots = self._square.rows
         gens = tuple(i for i in range(self.dim) if i not in pivots)
         layers = self._layers(gens) if gens else None
         if layers is None:
             return None
-        total = EchelonBasis()
+        total = ForwardEchelon()
         dims = [0]
         for layer in reversed(layers[1:]):
             for row in layer:
-                total.insert(row)
+                total.add(row)
             dims.append(len(total))
         if len(total) != len(self._square):
             return None

@@ -39,6 +39,7 @@ from .linalg import (
     _integral,
     _lcm,
     echelon_of,
+    forward_echelon,
     generic_rank,
     null_space,
     to_sparse,
@@ -536,13 +537,14 @@ def _verify_complement(
 ) -> None:
     """The lifts, in basis coordinates, are independent, span L with the
     ideal, and are closed under brackets: the integer brackets of their
-    echelon's primitive rows lie in its span."""
+    echelon's primitive rows lie in its span.  The spanning test needs only
+    a rank, the length of a forward echelon of those rows and the ideal's."""
     span = echelon_of(lifts)
     if len(span) != len(lifts):
         raise InternalInvariantViolation("complement is not independent")
-    if len(echelon_of([*lifts, *ideal_rows])) != algebra.dim:
-        raise InternalInvariantViolation("complement + ideal do not span the algebra")
     rows = [span.primitive_row(i) for i in range(len(span))]
+    if len(forward_echelon([*rows, *ideal_rows])) != algebra.dim:
+        raise InternalInvariantViolation("complement + ideal do not span the algebra")
     for u, w in combinations(rows, 2):
         if not span.contains(algebra._bracket(u, w)[0]):
             raise InternalInvariantViolation("complement is not a subalgebra")

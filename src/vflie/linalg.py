@@ -1,19 +1,26 @@
 """Exact sparse linear algebra over Q.
 
-EchelonBasis is the one elimination routine: a fully reduced row set over
-sparse vectors, so span membership, residuals, coordinates and null spaces
-are all exact.  It eliminates on primitive integer rows, integer-preserving
-in the spirit of Bareiss (Math. Comp. 22, 1968), with one integer row
-update, _eliminate, and takes vectors in by layers (`_extend`, `_settle`);
-only close() holds a layer open, and every public method sees and leaves a
-settled echelon.  Every vector enters through `_residual`, one pass that
-checks each entry is rational; an integer vector, such as a bracket of
-integer rows or an integer ad-table row, is never turned into Fractions.
+Two echelon containers share one integer row update, _eliminate, on
+primitive integer rows, integer-preserving in the spirit of Bareiss (Math.
+Comp. 22, 1968), each row pivoting on its least key.  EchelonBasis is the
+fully reduced row set, so span membership, residuals and coordinates are
+exact; it takes vectors in by layers (`_extend`, `_settle`), only close()
+holds a layer open, and every public method sees and leaves a settled
+echelon.  Every vector enters it through `_residual`, one pass that checks
+each entry is rational; an integer vector, such as a bracket of integer
+rows or an integer ad-table row, is never turned into Fractions.
 `primitive_row` hands out a stored integer row itself, which callers must
 not mutate.  Given Fractions or ints, every value it returns is a
 Fraction, and a value that is not rational (a float) raises TypeError.
+ForwardEchelon does forward elimination alone, on integer vectors over
+integer keys, for readers of a span's pivots, length and spanning rows
+([g, g], the series, the nilpotency certificate): any echelon whose rows
+have distinct least-key pivots has the reduced echelon's pivot set, so
+they need no back-substitution.  null_space eliminates a matrix's
+columns on a ForwardEchelon, each tagged with its combination, and reads
+a kernel vector off each column that reduces to zero.
 
-Its keys are of two kinds.  Field coordinates are int column ids of a
+EchelonBasis keys are of two kinds.  Field coordinates are int column ids of a
 Columns table, the one map between ids and (component, monomial) keys,
 which are spelled only in this module.  close() makes one table per
 closure, the LieAlgebra it returns reads that table, and no elimination
@@ -527,35 +534,105 @@ def echelon_of(rows: Iterable[Mapping[Any, Fraction]]) -> EchelonBasis:
     """Echelon basis of the span of the given sparse rows (keys of one kind),
     inserted one at a time.  Settling them as one layer leaves the same rows
     but forward-reduces each vector on rows that are not yet reduced among
-    themselves; on a system of near full rank, such as a center's kernel,
-    those rows keep large entries that full reduction would have cleared."""
+    themselves, which keeps large entries that full reduction would have
+    cleared."""
     basis = EchelonBasis()
     for row in rows:
         basis.insert(row)
     return basis
 
 
+class ForwardEchelon:
+    """Row-echelon form of a growing span of integer vectors over keys that
+    order themselves (integer basis coordinates): forward elimination only,
+    for readers that need a span's pivots, length and spanning rows.
+
+    `rows` maps each pivot to its row, in insertion order.  A row's pivot is
+    its least key and the pivots are distinct, which is all an echelon
+    needs: the least key of a nonzero combination of rows is the least
+    pivot among them, so the pivots are the least keys of the span's
+    vectors, those of its reduced echelon, and the length is its rank.  A
+    vector is reduced (`reduce`) while its least key is a pivot, by the one
+    integer row update _eliminate with that pivot's row, whose other keys
+    are larger, so each step raises the least key; no row is reduced by a
+    later one.  Rows are primitive with a positive pivot coefficient and may
+    be a caller's own dict, so they are read and never mutated.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: Mapping[int, int]) -> Mapping[int, int]:
+        """vec less integer multiples of the rows, up to a positive scale,
+        until its least key is no pivot: zero exactly when vec is in the
+        span.  vec is not mutated; it comes back as it is when its least key
+        is no pivot."""
+        rows = self.rows
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                break
+            vec = _eliminate(vec, row, lead)
+        return vec
+
+    def append(self, residual: Mapping[int, int]) -> None:
+        """Store a nonzero reduced vector as a row, pivot its least key."""
+        lead = min(residual)
+        self.rows[lead] = _primitive(residual, lead)
+
+    def add(self, vec: Mapping[int, int]) -> bool:
+        """Add a vector with no zero entry; True when it was outside the span."""
+        residual = self.reduce(vec)
+        if residual:
+            self.append(residual)
+        return bool(residual)
+
+
+def forward_echelon(rows: Iterable[Mapping[int, int]]) -> ForwardEchelon:
+    """ForwardEchelon of the span of the given integer rows, added in order."""
+    echelon = ForwardEchelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon
+
+
 def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[SparseVector]:
     """Canonical null-space basis of the matrix with these sparse columns
     (row keys of any hashable kind): one sparse vector over the column
-    indices per free column, ascending, with 1 at that column."""
-    rows: dict[Any, SparseVector] = {}
-    for s, col in enumerate(columns):
-        for t, c in col.items():
-            rows.setdefault(t, {})[s] = c
-    ncols = len(columns)
-    basis = echelon_of(rows.values())
-    pivots = set(basis.pivots)
-    unit_rows = list(zip(basis.rows, basis.pivots))
+    indices per free column, ascending, with 1 at that column and 0 at
+    every other free column.
+
+    The columns themselves are eliminated, in order, on a ForwardEchelon,
+    each scaled to integers and tagged with its combination: row keys are
+    numbered first-seen as -1, -2, ..., so no caller's key is ever compared,
+    and column s carries its scale at key s >= 0, which sorts after every
+    row key.  A column whose row part reduces to zero lies in the span of
+    the columns before it, so it is free, and what is left, all tags, is
+    its kernel vector at once, supported on itself and the pivot columns
+    before it.  Scaled to 1 at its own column, that vector is unique, so it
+    is the one the reduced row-echelon form of the matrix gives.
+    """
+    ids: dict[Any, int] = {}
+    echelon = ForwardEchelon()
     out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = {free: Q(1)}
-        for row, pivot in unit_rows:
-            if c := row.get(free):
-                vec[pivot] = -c
-        out.append(vec)
+    for s, col in enumerate(columns):
+        ints, scale = _integral({t: c for t, c in col.items() if _rational(c, "coefficient")})
+        vec = {s: scale}
+        for t, c in ints.items():
+            k = ids.get(t)
+            if k is None:
+                k = ids[t] = -1 - len(ids)
+            vec[k] = c
+        residual = echelon.reduce(vec)
+        if min(residual) < 0:
+            echelon.append(residual)
+        else:
+            head = residual[s]
+            out.append({k: Fraction(c, head) for k, c in residual.items()})
     return out
 
 

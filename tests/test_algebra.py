@@ -39,7 +39,15 @@ from vflie import (
     VariableContext,
     VectorField,
 )
-from vflie.linalg import Columns, _integral, coordinatize, echelon_of, null_space, to_dense
+from vflie.linalg import (
+    Columns,
+    ForwardEchelon,
+    _integral,
+    coordinatize,
+    echelon_of,
+    null_space,
+    to_dense,
+)
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -920,40 +928,61 @@ def test_series_match_structure_constant_oracle(oracle_corpus):
 def test_lower_central_series_insert_count_is_pinned(monkeypatch):
     """Center-rank1 seed 5 (dim 33) takes the certificate: [g, g] once per
     nonzero pair, the layers W_2, W_3, ... of V's chain and their sum make
-    exactly 135 echelon entries (_extend, which insert and echelon_of both
-    go through), none of them empty.  The fallback ad-image loop made
-    219."""
+    exactly 135 entries into forward elimination (ForwardEchelon.add, which
+    forward_echelon goes through), none of them empty.  The fallback
+    ad-image loop made 219."""
     L = close(build(random_spec("center-rank1", 5, 5)).generators)
     inserted = []
-    real_extend = EchelonBasis._extend
+    real_add = ForwardEchelon.add
 
-    def recording_extend(self, vec):
+    def recording_add(self, vec):
         inserted.append(dict(vec))
-        return real_extend(self, vec)
+        return real_add(self, vec)
 
-    monkeypatch.setattr(EchelonBasis, "_extend", recording_extend)
+    monkeypatch.setattr(ForwardEchelon, "add", recording_add)
     report = L.series("lower-central")
     assert report.dims == (33, 30, 28, 23, 14, 0) and report.terminated_at_zero
     assert all(inserted), "an empty vector reached the echelon"
     assert len(inserted) == 135
 
 
+def test_span_only_steps_settle_no_echelon(monkeypatch):
+    """[g, g], the nilpotency certificate and the center of center-rank1
+    seed 5 (dim 33) need only spans and kernels: forward elimination and
+    null_space's column elimination, never a fully reduced echelon."""
+    L = close(build(random_spec("center-rank1", 5, 5)).generators)
+    calls = []
+    for name in ("insert", "_settle"):
+        real = getattr(EchelonBasis, name)
+        monkeypatch.setattr(EchelonBasis, name,
+                            lambda self, *a, _name=name, _real=real: calls.append(_name) or _real(self, *a))
+    assert L.dim == 33
+    L._square, L._nilpotency_certificate, L._center
+    assert L._nilpotency_certificate is not None and len(L._center) == 14
+    assert calls == []
+
+
 def test_layers_skip_central_generators(monkeypatch):
     # every e_v of an abelian algebra is central, so its chain W_1, 0 needs
-    # no bracket at all
+    # no bracket at all: _layers reads no ad table row and sums no image
     draws = [close(build(random_spec("abelian-rank2", s, 3)).generators) for s in range(13)]
     calls = []
-    real_ad_image = LieAlgebra._ad_image
+    real_combination = vflie.algebra._combination
 
-    def counting_ad_image(self, w):
-        calls.append(w)
-        return real_ad_image(self, w)
+    def counting_combination(vectors, coeffs):
+        calls.append(coeffs)
+        return real_combination(vectors, coeffs)
 
-    monkeypatch.setattr(LieAlgebra, "_ad_image", counting_ad_image)
+    monkeypatch.setattr(vflie.algebra, "_combination", counting_combination)
     for L in draws:
         assert L.is_abelian()
         assert L._nilpotency_certificate == (tuple(range(L.dim)), (L.dim, 0))
     assert calls == []
+    # in Heisenberg, chained from its whole basis, the central Dz is never
+    # bracketed: two acting e_v for each of the 3 + 1 layer rows
+    L = algebra("Dx", "Dy + x*Dz", "Dz")
+    layers = L._layers(tuple(range(L.dim)))
+    assert [len(W) for W in layers] == [3, 1] and len(calls) == (3 + 1) * 2
 
 
 # (generators, lower-central dims, derived dims, center) of the ad-image loop
@@ -1046,14 +1075,14 @@ def test_nilpotency_certificate_premises(oracle_corpus):
 
 def test_series_are_cached_per_algebra(monkeypatch):
     L = algebra(*EX_SPLIT_FAIL)
-    real_echelon_of = vflie.algebra.echelon_of
+    real_forward_echelon = vflie.algebra.forward_echelon
     calls = []
 
-    def counting_echelon_of(rows):
+    def counting_forward_echelon(rows):
         calls.append(1)
-        return real_echelon_of(rows)
+        return real_forward_echelon(rows)
 
-    monkeypatch.setattr(vflie.algebra, "echelon_of", counting_echelon_of)
+    monkeypatch.setattr(vflie.algebra, "forward_echelon", counting_forward_echelon)
     for kind in ("lower-central", "derived"):
         before = len(calls)
         first = L.series(kind)

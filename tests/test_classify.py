@@ -83,6 +83,7 @@ SHAPE_PROBES = {
 
 GOLDEN = Path(__file__).parent / "data" / "classify_golden.json"
 TEMPLATE_GOLDEN = Path(__file__).parent / "data" / "template_golden.json"
+STRUCTURE_GOLDEN = Path(__file__).parent / "data" / "structure_golden.json"
 PROJECTION_RECIPES = ("nonabelian-projection", "abelian-projection")
 
 
@@ -202,6 +203,26 @@ def template_outputs(draws) -> dict:
 
 def digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# the large-report workload's center-rank1 draws (recipe, seed, degree bound)
+LARGE_REPORT = (("center-rank1", 5, 5), ("center-rank1", 9, 6), ("center-rank1", 10, 5))
+
+
+def structure_outputs(draws) -> dict:
+    """The center coefficients, both series and the nilpotency certificate
+    of the recipe draws and the large-report algebras, keyed by algebra."""
+    algebras = [(name, L) for name, _, L in draws]
+    algebras += [(f"large/{s}/{bound}", close(build(random_spec(recipe, s, bound)).generators))
+                 for recipe, s, bound in LARGE_REPORT]
+    out = {}
+    for name, L in algebras:
+        out[name] = {
+            "center": [[str(c) for c in v] for v in L.center_coeffs()],
+            "series": [L.series(kind).to_dict() for kind in ("lower-central", "derived")],
+            "certificate": L._nilpotency_certificate,
+        }
+    return out
 
 
 # -- classify ---------------------------------------------------------------------
@@ -771,6 +792,13 @@ def test_template_and_classify_outputs_match_golden_digests(recipe_draws):
     # normal forms became one table
     got = {name: digest(doc) for name, doc in template_outputs(recipe_draws).items()}
     assert got == json.loads(TEMPLATE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_center_series_and_certificate_match_golden_digests(recipe_draws):
+    # SHA-256 of each output, recorded before span-only steps took forward
+    # elimination and null_space eliminated columns
+    got = {name: digest(doc) for name, doc in structure_outputs(recipe_draws).items()}
+    assert got == json.loads(STRUCTURE_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_template_negative_match_is_result_not_error():

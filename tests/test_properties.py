@@ -51,6 +51,7 @@ from conftest import (
     oracle_coords,
     oracle_center,
     oracle_member,
+    oracle_rank,
     oracle_row_basis,
     oracle_series_terms,
     provably_commute,
@@ -531,6 +532,18 @@ def test_integer_kernel_matches_dense_oracle(matrix, data):
     for x in kernel:
         assert all(x.values())
         assert all(sum(row[c] * a for c, a in x.items()) == 0 for row in matrix)
+    # canonical form, by dense arithmetic alone: the free columns are those in
+    # the span of the columns before them, and the kernel vector of each is 1
+    # there, 0 at every other free column and supported up to it
+    dense_columns = [[row[c] for row in matrix] for c in range(ncols)]
+    free = [c for c in range(ncols)
+            if oracle_rank(dense_columns[:c + 1]) == oracle_rank(dense_columns[:c])]
+    assert [max(x) for x in kernel] == free
+    for c, x in zip(free, kernel):
+        assert x[c] == 1 and not set(x) & set(free) - {c}
+    # row keys of kinds that do not compare, str and tuple, give the same basis
+    mixed = [{f"r{r}" if r % 2 else (r, "row"): c for r, c in col.items()} for col in columns]
+    assert null_space(mixed) == kernel
 
 
 def assert_fractions(values) -> None:
