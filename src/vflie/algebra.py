@@ -120,11 +120,10 @@ def common_kernel(ad: Sequence[IntTable], acting: Iterable[int]) -> list[SparseV
     e_v generate the algebra, since a centralizer is a subalgebra.  Scaling
     the rows of ad(e_v) by D_v > 0 leaves the null space unchanged, and
     null_space gives the canonical basis of the subspace, so the answer
-    does not depend on the generating set.  null_space eliminates the
-    columns themselves and reads each kernel vector off a column that
-    reduces to zero, so it takes no transpose and settles no echelon: the
-    vector with 1 at a free column and support on the pivot columns before
-    it is unique, so any elimination of the columns in order gives it."""
+    does not depend on the generating set: the kernel vector with 1 at a
+    free column and support on the pivot columns before it is unique, so
+    null_space reads it off the column's forward elimination, with no
+    transpose and no back-substitution."""
     # column a, row (v, c): D_v times the coefficient of e_c in [e_v, e_a]
     columns: list[dict[tuple[int, int], int]] = [{} for _ in range(len(ad))]
     for v in acting:

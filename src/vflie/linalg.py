@@ -20,9 +20,9 @@ they need no back-substitution.  null_space eliminates a matrix's
 columns on a ForwardEchelon, each tagged with its combination, and reads
 a kernel vector off each column that reduces to zero.
 
-EchelonBasis keys are of two kinds.  Field coordinates are int column ids of a
-Columns table, the one map between ids and (component, monomial) keys,
-which are spelled only in this module.  close() makes one table per
+EchelonBasis keys are of two kinds.  Field coordinates are int column ids
+of a Columns table, the one map between ids and (component, monomial)
+keys, which are spelled only in this module.  close() makes one table per
 closure, the LieAlgebra it returns reads that table, and no elimination
 step hashes a tuple.  Ids are given in first-seen order, so an echelon over
 a table (EchelonBasis(columns)) orders pivots by their (component,

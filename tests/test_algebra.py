@@ -953,9 +953,12 @@ def test_span_only_steps_settle_no_echelon(monkeypatch):
     L = close(build(random_spec("center-rank1", 5, 5)).generators)
     calls = []
     for name in ("insert", "_settle"):
-        real = getattr(EchelonBasis, name)
-        monkeypatch.setattr(EchelonBasis, name,
-                            lambda self, *a, _name=name, _real=real: calls.append(_name) or _real(self, *a))
+
+        def recording(self, *args, _name=name, _real=getattr(EchelonBasis, name)):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(EchelonBasis, name, recording)
     assert L.dim == 33
     L._square, L._nilpotency_certificate, L._center
     assert L._nilpotency_certificate is not None and len(L._center) == 14
