@@ -142,7 +142,8 @@ def _entries(tensor: Tensor) -> list[list]:
 def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
     """False when the support masks s and t (Operand.masks) prove the
     bracket zero: neither field moves a variable that the other's
-    coefficients read."""
+    coefficients read, so every term X_j * d Y_i/d var j of [X, Y] has
+    X_j = 0 or d Y_i/d var j = 0, and likewise with X and Y swapped."""
     return bool(s[0] & t[1] or t[0] & s[1])
 
 

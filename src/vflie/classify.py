@@ -31,7 +31,7 @@ from .errors import (
 )
 from .fields import VectorField
 from .linalg import (
-    ZERO,
+    ForwardEchelon,
     Q,
     SparseVector,
     _axpy,
@@ -42,9 +42,7 @@ from .linalg import (
     forward_echelon,
     generic_rank,
     null_space,
-    to_sparse,
 )
-from .ring import ExpPoly
 
 CASE_CENTER_RANK2 = "CenterRank2"
 CASE_CENTER_RANK1_DIMGE2 = "CenterRank1DimGE2"
@@ -200,46 +198,8 @@ class JordanDecomposition:
         return tuple(chain[0] for chain in self.chains)
 
     @property
-    def terminals(self) -> tuple[VectorField, ...]:
-        return tuple(chain[-1] for chain in self.chains)
-
-    @property
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(chain) for chain in self.chains)
-
-    def aligned_heads(self) -> list[tuple[ExpPoly, ...]] | None:
-        """Coefficients of each chain head along the terminal directions.
-
-        Defined when all terminals are constant fields, linearly independent,
-        and the heads lie in the terminals' pointwise span; returns, per
-        chain, one coefficient function per terminal.  Returns None when the
-        decomposition does not apply.
-        """
-        terms = self.terminals
-        n = self.operator.ctx.nvars
-        # row j is terminal j's constant components, tagged with unknown n + j:
-        # reducing a vector over components leaves minus its terminal
-        # coordinates on the tags, and nothing below n when it is in the span
-        tagged = []
-        for j, t in enumerate(terms):
-            if not all(c.is_constant for c in t.comps):
-                return None
-            tagged.append({**to_sparse([c.constant_coefficient() for c in t.comps]), n + j: Q(1)})
-        span = echelon_of(tagged)
-        if any(pivot >= n for pivot in span.pivots):
-            return None  # dependent terminals
-        result = []
-        for chain in self.chains:
-            head = chain[0].comps
-            coeffs: list[dict] = [dict() for _ in terms]
-            for mono in {m for comp in head for m in comp.term_map()}:
-                residual, _ = span.reduce(to_sparse([c.term_map().get(mono, ZERO) for c in head]))
-                if any(k < n for k in residual):
-                    return None
-                for k, c in residual.items():
-                    coeffs[k - n][mono] = -c
-            result.append(tuple(ExpPoly(n, c) for c in coeffs))
-        return result
 
     def to_dict(self) -> dict:
         return {
@@ -263,6 +223,14 @@ def jordan_chains(
     for the unit row p / h of the subspace is the integer bracket (vec, L)
     of s * op with its primitive row p: [op, p / h] = vec / (L * s * h),
     one Fraction per coordinate.
+
+    Heights j run from p down.  A kernel vector w of N^j starts a chain
+    exactly when its terminal N^(j-1) w is independent of the terminals of
+    the chains taken so far, which one forward echelon holds for every
+    height.  That is the textbook test, w outside ker N^(j-1) + C with C
+    spanned by those chains' elements at height j:
+      - w lies in ker N^(j-1) + C exactly when N^(j-1) w lies in N^(j-1) C;
+      - N^(j-1) sends each chain's element at height j to its terminal.
     """
     op = algebra._coeffs_of(operator)
     op_field = operator if isinstance(operator, VectorField) else algebra._field(op)
@@ -290,25 +258,21 @@ def jordan_chains(
             )
         powers.append([_combination(n_cols, col) for col in powers[-1]])
     p = len(powers)  # nilpotency index; p = 1 for the zero operator
-    null_spaces: dict[int, list[SparseVector]] = {0: []}
-    for j in range(1, p + 1):
-        null_spaces[j] = null_space(powers[j - 1])
 
     chains_vec: list[list[SparseVector]] = []
+    terminals = ForwardEchelon()
     for j in range(p, 0, -1):
-        # kernel of N^(j-1) plus the carried images at height j
-        taken = echelon_of(null_spaces[j - 1])
-        for chain in chains_vec:
-            taken.insert(chain[len(chain) - j])
-        for w in null_spaces[j]:
-            if taken.insert(w).independent:
+        kernel = null_space(powers[j - 1])
+        for w in kernel:
+            terminal = _combination(powers[j - 2], w) if j > 1 else w
+            if terminals.add(_integral(terminal)[0]):
                 chain = [w]
                 for _ in range(j - 1):
                     chain.append(_combination(n_cols, chain[-1]))
                 chains_vec.append(chain)
     if sum(len(c) for c in chains_vec) != m:
         raise InternalInvariantViolation("chain lengths do not sum to the subspace dimension")
-    if len(chains_vec) != len(null_spaces[1]):
+    if len(chains_vec) != len(kernel):  # the kernel of N itself, from j = 1
         raise InternalInvariantViolation("chain count differs from operator kernel dimension")
 
     rows = [span.row(r) for r in order]
@@ -434,10 +398,8 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     rows = [span.primitive_row(r) for r in order]
     # [p_s, p_t] = sum_i p_s[i] * [e_i, p_t], each [e_i, p_t] an ideal image
     for s, t in combinations(range(len(rows)), 2):
-        bracket: dict[int, int] = {}
-        for i, c in rows[s].items():
-            _axpy(bracket, images[t][0].get(i, {}), c)
-        if bracket:
+        image = images[t][0]
+        if _combination(image, {i: c for i, c in rows[s].items() if i in image}):
             raise IdealNotAbelian(
                 "split check requires an abelian ideal (linear lift system)"
             )

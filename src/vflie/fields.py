@@ -122,14 +122,10 @@ class VectorField:
     """First-order differential operator sum_i comps[i] * d/d(var i).
 
     The bracket is the row bracket (linalg.Columns.bracket) of the two
-    fields' vectors.  The masks of `support()` are computed once and kept
-    in a slot: bit j of `moves` is set when comps[j] is nonzero, and bit j
-    of `reads` when some coefficient depends on var j (a power > 0 or a
-    rate != 0).  The cache takes no part in == or hash, and the field stays
-    immutable to callers.
+    fields' vectors.
     """
 
-    __slots__ = ("ctx", "comps", "_support")
+    __slots__ = ("ctx", "comps")
 
     def __init__(self, ctx: VariableContext, comps: Sequence[ExpPoly]):
         comps = tuple(comps)
@@ -140,7 +136,6 @@ class VectorField:
                 raise ContextMismatch("component over the wrong variable count")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "_support", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("VectorField is immutable")
@@ -186,28 +181,6 @@ class VectorField:
             if c:
                 mul_add(out, c, p.diff(i))
         return _poly(p.nvars, out)
-
-    def support(self) -> tuple[int, int]:
-        """(moves, reads) bitmasks over the variables; computed once per field.
-
-        Bit i of moves is set when comps[i] is nonzero; reads is the union
-        of the monomial_reads masks of every term of every component.
-
-        [X, Y] = 0 whenever moves(X) & reads(Y) and moves(Y) & reads(X) are
-        both empty: every term X_j * d Y_i/d var j has X_j = 0 or
-        d Y_i/d var j = 0, and likewise with X and Y swapped.
-        """
-        masks = self._support
-        if masks is None:
-            moves = mask = 0
-            for i, c in enumerate(self.comps):
-                if c:
-                    moves |= 1 << i
-                    for mono in c._terms:
-                        mask |= monomial_reads(mono)
-            masks = (moves, mask)
-            object.__setattr__(self, "_support", masks)
-        return masks
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [self, other]: the row bracket (linalg.Columns.bracket)

@@ -341,8 +341,8 @@ class EchelonBasis:
 
     Invariant of the settled rows (full reduction): every settled row is
     zero at every other settled row's pivot.  So subtracting one row never
-    changes a vector's coefficient at another pivot, `reduce` may clear the
-    pivots in any order, and the sorted rows depend only on the span, not
+    changes a vector's coefficient at another pivot, `_residual` may clear
+    the pivots in any order, and the sorted rows depend only on the span, not
     on the insertion order.  It also gives coordinates for free: a vector
     in the span has, on the unit row of pivot p, its own value at p.
 
@@ -364,7 +364,7 @@ class EchelonBasis:
     identity and multistep integer-preserving Gaussian elimination", Math.
     Comp. 22 (1968): each is a primitive integer vector (content removed)
     with a positive pivot coefficient, so elimination does no rational
-    arithmetic.  `reduce` scales its input once to integers; `_extend` and
+    arithmetic.  `_residual` scales its input once to integers; `_extend` and
     `_settle` update a row with the one step other = (h/g) * other -
     (c/g) * row, g = gcd(c, h), and divide out the content once at the
     end.  `primitive_row` returns a stored integer row as it is, to be
@@ -438,12 +438,6 @@ class EchelonBasis:
         for each pivot vec hits: by full reduction, its unit row's coefficient."""
         pivot_row = self._pivot_row
         return {pivot_row[k]: c for k, c in vec.items() if c and k in pivot_row}
-
-    def reduce(self, vec: Mapping) -> tuple[dict, dict[int, Fraction]]:
-        """Fully reduce a copy of vec; returns (residual, row -> coefficient)."""
-        residual, scale = self._residual(vec)
-        coeffs = _fractions(self._coefficients(vec))
-        return {k: Fraction(c, scale) for k, c in residual.items()}, coeffs
 
     def contains(self, vec: Mapping) -> bool:
         return not self._residual(vec)[0]
@@ -709,10 +703,7 @@ def generic_rank(fields: Sequence[VectorField]) -> int:
     for f in fields:
         if f.ctx != ctx:
             raise ContextMismatch("rank of fields over different contexts")
-    moved = 0
-    for f in fields:
-        moved |= f.support()[0]
-    columns = [c for c in range(ctx.nvars) if moved >> c & 1]
+    columns = [c for c in range(ctx.nvars) if any(f.comps[c] for f in fields)]
     kept: list[VectorField] = []
     for f in fields:
         if len(kept) == len(columns):

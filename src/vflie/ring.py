@@ -256,10 +256,6 @@ class ExpPoly:
         k = -1 - index  # position in the reversed powers
         return max((powers[k] for _, powers in self._terms), default=-1)
 
-    def constant_coefficient(self) -> Fraction:
-        zeros = _ZEROS[self.nvars]
-        return self._terms.get(_new(ExpMonomial, (zeros, zeros)), Q(0))
-
     def depends_only_on(self, indices: Iterable[int]) -> bool:
         """True when every power and rate outside `indices` is zero."""
         allowed = set(indices)

@@ -172,7 +172,7 @@ def test_criterion_5_two_chain_suite():
             rank = oracle_rank(images) if images else 0
             assert len(jd.chains) == proj.kernel_dim - rank
             # the terminal vectors are independent and span that kernel
-            terminal_coeffs = [L.express(t) for t in jd.terminals]
+            terminal_coeffs = [L.express(chain[-1]) for chain in jd.chains]
             assert oracle_rank([list(t) for t in terminal_coeffs]) == len(jd.chains)
             for t in terminal_coeffs:
                 assert not any(L.bracket_coeffs(op, list(t)))

@@ -53,11 +53,9 @@ from vflie.parser import parse_expression, parse_field
 from conftest import (
     Q,
     adjoint_matrix,
-    naive_add,
+    naive_bracket,
     naive_canon,
-    naive_diff,
     naive_field_coords,
-    naive_mul,
     naive_of,
     oracle_bracket,
     oracle_center,
@@ -609,24 +607,6 @@ def test_integer_routines_match_the_oracle_on_recipe_draws(recipe_mix_draws, dat
     expected = {i: v for i in range(n) if any(v := bracket(units[i], dense_w))}
     assert {i: dense_value(v, image_scale * sw, n) for i, v in images.items()} == expected
     assert_all_int(scale, image_scale, *vec.values(), *(c for v in images.values() for c in v.values()))
-
-
-def _terms(canon: dict) -> list:
-    return [(powers, rates, coeff) for (powers, rates), coeff in canon.items()]
-
-
-def naive_bracket(u, w) -> list[dict]:
-    """[u, w] on raw term lists: component k is sum_i u_i d_i w_k - w_i d_i u_k."""
-    n = len(u.comps)
-    out = []
-    for k in range(n):
-        acc: dict = {}
-        for i in range(n):
-            plus = naive_mul(naive_of(u.comps[i]), _terms(naive_diff(naive_of(w.comps[k]), i)))
-            minus = naive_mul(naive_of(w.comps[i]), _terms(naive_diff(naive_of(u.comps[k]), i)))
-            acc = naive_add(_terms(acc), _terms(plus) + [(p, r, -c) for p, r, c in _terms(minus)])
-        out.append(acc)
-    return out
 
 
 def test_structure_tensor_matches_naive_bracket_oracle(oracle_corpus):

@@ -15,6 +15,7 @@ from vflie import (
     RECIPES,
     CoordinateChange,
     DEFAULT_CONTEXT,
+    ExpPoly,
     IdealNotAbelian,
     NotAnIdeal,
     NotInvariant,
@@ -33,7 +34,7 @@ from vflie import (
     split_check,
 )
 from vflie.classify import SUBCASE_UNDETERMINED
-from vflie.linalg import Columns
+from vflie.linalg import Columns, EchelonBasis
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -45,6 +46,7 @@ from conftest import (
     oracle_member,
     oracle_quotient,
     oracle_rank,
+    oracle_row_basis,
     oracle_series_terms,
 )
 
@@ -164,6 +166,41 @@ def split_cases(recipe_corpus) -> list[tuple]:
     return [(L, list(proj.kernel_coeffs), list(proj.kernel_basis)) for L, proj in cases]
 
 
+def aligned_heads(jd) -> list[tuple[ExpPoly, ...]] | None:
+    """Coefficients of each chain head along the terminal directions, by
+    the dense oracle: per chain, one coefficient function per terminal.
+
+    Defined when all terminals are constant fields, linearly independent,
+    and the heads lie in the terminals' pointwise span, else None.  The
+    terminals are constant, so the head's vector at each monomial m is the
+    combination of the terminals by the coefficients at m, and independent
+    terminals make those unique.
+    """
+    terminals = [chain[-1] for chain in jd.chains]
+    if not all(c.is_constant for t in terminals for c in t.comps):
+        return None
+    # row j is terminal j's constant components
+    dense = [[sum(c.term_map().values(), Q(0)) for c in t.comps] for t in terminals]
+    k = len(dense)
+    if oracle_rank(dense) != k:
+        return None  # dependent terminals
+    result = []
+    for chain in jd.chains:
+        head = chain[0].comps
+        coeffs = [ExpPoly.zero(len(head)) for _ in terminals]
+        for mono in {m for comp in head for m in comp.term_map()}:
+            # one equation per component: sum_j a_j * dense[j][i] == head_i[mono]
+            system = [[row[i] for row in dense] + [comp.term_map().get(mono, Q(0))]
+                      for i, comp in enumerate(head)]
+            for row in oracle_row_basis(system):
+                pivot = next(c for c, v in enumerate(row) if v)
+                if pivot == k:
+                    return None  # the head leaves the terminals' span
+                coeffs[pivot] += ExpPoly.monomial(mono.powers, mono.rates, row[k] / row[pivot])
+        result.append(tuple(coeffs))
+    return result
+
+
 def classify_outputs(corpus) -> dict:
     """Jordan chains and aligned heads, or split verdicts, keyed by draw."""
     out = {}
@@ -173,7 +210,7 @@ def classify_outputs(corpus) -> dict:
             out[f"{name}/split"] = split_check(L, ideal).to_dict()
             continue
         jd = jordan_chains(L, operator, ideal)
-        heads = jd.aligned_heads()
+        heads = aligned_heads(jd)
         out[f"{name}/jordan"] = jd.to_dict()
         out[f"{name}/aligned_heads"] = None if heads is None else [
             [str(c) for c in head] for head in heads
@@ -323,7 +360,7 @@ def test_jordan_two_chain_example():
             assert F("Dz").bracket(a) == b
         assert F("Dz").bracket(chain[-1]).is_zero
     # terminal vectors span the kernel of the operator on the ideal
-    assert sorted(str(t) for t in jd.terminals) == ["2*Dx", "Dy"]
+    assert sorted(str(chain[-1]) for chain in jd.chains) == ["2*Dx", "Dy"]
 
 
 def test_float_coefficient_vectors_are_type_errors():
@@ -389,7 +426,7 @@ def test_jordan_aligned_heads_degree_pattern():
     L = algebra(*TWO_CHAIN)
     proj = L.project(["z"])
     jd = jordan_chains(L, F("Dz"), list(proj.kernel_coeffs))
-    aligned = jd.aligned_heads()
+    aligned = aligned_heads(jd)
     assert aligned is not None
     by_len = sorted(zip(jd.lengths, aligned), reverse=True)
     (_, long_head), (_, short_head) = by_len
@@ -402,7 +439,7 @@ def test_jordan_aligned_heads_without_chains():
     # the zero ideal has no chains, so there is no head to align
     jd = jordan_chains(algebra(*HEISENBERG), [1, 0, 0], [[0, 0, 0]])
     assert jd.chains == ()
-    assert jd.aligned_heads() == []
+    assert aligned_heads(jd) == []
 
 
 def test_jordan_polynomial_example_three_chains():
@@ -687,8 +724,35 @@ def test_jordan_chains_against_field_bracket_oracle(recipe_corpus, denominator_i
         assert len(elements) == m
         assert oracle_rank(naive_field_coords(elements)) == m
         assert oracle_rank(naive_field_coords(elements + ideal)) == m
-        rank_n = oracle_rank(naive_field_coords([op.bracket(w) for w in ideal]))
-        assert len(jd.chains) == m - rank_n
+        # the chain-length partition: rank(N^k) - rank(N^(k+1)) chains are
+        # longer than k, the ranks those of repeated brackets of the ideal
+        images, ranks = ideal, []
+        for _ in range(max(jd.lengths) + 2):
+            ranks.append(oracle_rank(naive_field_coords(images)))
+            images = [op.bracket(w) for w in images]
+        assert ranks[0] == m and ranks[-1] == 0
+        for k in range(len(ranks) - 1):
+            assert sum(n > k for n in jd.lengths) == ranks[k] - ranks[k + 1]
+
+
+def test_jordan_chains_insert_only_the_ideal(monkeypatch, recipe_corpus):
+    # the one span test among the heads is a ForwardEchelon of chain
+    # terminals: the only EchelonBasis.insert calls are ideal_subspace's,
+    # one per ideal item
+    cases = [(L, op, list(proj.kernel_coeffs)) for _, L, op, proj in recipe_corpus if op is not None]
+    cases.append((algebra(*TWO_CHAIN), F("Dz"), list(algebra(*TWO_CHAIN).project(["z"]).kernel_coeffs)))
+    inserts = []
+    real_insert = EchelonBasis.insert
+
+    def counting_insert(self, vec):
+        inserts.append(vec)
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", counting_insert)
+    for L, op, ideal in cases:
+        inserts.clear()
+        jordan_chains(L, op, ideal)
+        assert inserts == [{i: c for i, c in enumerate(v) if c} for v in ideal]
 
 
 def test_jordan_and_split_outputs_match_golden_digests(recipe_corpus):

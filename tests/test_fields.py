@@ -68,8 +68,8 @@ def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     # the bracket differentiates no component and multiplies no term maps:
     # it is the row bracket, which calls monomial_half once per nonzero
     # half, a term m*d_i of one field and a term of the other that reads
-    # x_i, and the support cache it leaves is invisible to equality and
-    # hashing
+    # x_i, and bracketing leaves the fields' equality and hashing as they
+    # were
     calls = {"diff": 0, "mul_add": 0, "formula": 0}
     real_diff, real_mul_add, real_formula = ExpPoly.diff, vflie.fields.mul_add, monomial_half
 
@@ -94,8 +94,6 @@ def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     # and 1
     assert calls == {"diff": 0, "mul_add": 0, "formula": 10 * (4 + 3 - 1) + 2 + 1}
     assert [v.bracket(w) for w in others] == first
-    for w in (v, *others):
-        w.support()
     assert [v, *others] == fresh
     assert [hash(f) for f in (v, *others)] == hashes
     with pytest.raises(AttributeError):

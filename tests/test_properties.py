@@ -43,7 +43,8 @@ from vflie.parser import parse_expression, parse_field
 from vflie.ring import ExpMonomial
 
 from conftest import (
-    naive_add,
+    as_terms,
+    naive_bracket,
     naive_canon,
     naive_diff,
     naive_mul,
@@ -54,6 +55,7 @@ from conftest import (
     oracle_rank,
     oracle_row_basis,
     oracle_series_terms,
+    oracle_support,
     provably_commute,
 )
 
@@ -94,10 +96,6 @@ def used_polys(used: tuple[int, ...]):
     return polys(2, st.tuples(powers, st.just((Fraction(0),) * 3), coefficients))
 
 
-def as_terms(naive: dict) -> list:
-    return [(powers, rates, coeff) for (powers, rates), coeff in naive.items()]
-
-
 def assert_canonical(p: ExpPoly) -> None:
     for mono, coeff in p.term_map().items():
         assert coeff, "a zero coefficient is stored"
@@ -123,23 +121,6 @@ def test_field_text_round_trip(v):
 def test_bracket_is_bilinear_and_antisymmetric(u, v, w, a):
     assert u.bracket(v) == -v.bracket(u)
     assert (u * a + v).bracket(w) == u.bracket(w) * a + v.bracket(w)
-
-
-def naive_bracket(v: VectorField, w: VectorField) -> list[dict]:
-    """[v, w] per component as naive term dicts, by the term-list oracle:
-    component i is sum_j v_j * d w_i/d var j - w_j * d v_i/d var j."""
-    out = []
-    for i in range(3):
-        expected: dict = {}
-        for j in range(3):
-            plus = naive_mul(naive_of(v.comps[j]), as_terms(naive_diff(naive_of(w.comps[i]), j)))
-            minus = naive_mul(naive_of(w.comps[j]), as_terms(naive_diff(naive_of(v.comps[i]), j)))
-            expected = naive_add(as_terms(expected), as_terms(plus))
-            expected = naive_add(
-                as_terms(expected), [(p, r, -c) for p, r, c in as_terms(minus)]
-            )
-        out.append(expected)
-    return out
 
 
 @checks
@@ -251,23 +232,14 @@ def supported_fields(draw) -> VectorField:
     return ctx.field(comps)
 
 
-def oracle_support(v: VectorField) -> tuple[int, int]:
-    """(moves, reads) read off the naive term lists."""
-    moves = reads = 0
-    for i, comp in enumerate(v.comps):
-        terms = naive_of(comp)
-        moves |= bool(terms) << i
-        for powers, rate, _ in terms:
-            for j in range(3):
-                if powers[j] or rate[j]:
-                    reads |= 1 << j
-    return moves, reads
-
-
 @settings(checks, max_examples=150)
 @given(st.one_of(supported_fields(), fields()), supported_fields())
 def test_support_test_is_sound(u, v):
-    assert u.support() == oracle_support(u) and v.support() == oracle_support(v)
+    # an operand's support masks, which close() and the tensor test, are
+    # the oracle's, and a pair those masks prove commuting brackets to zero
+    columns = Columns(3)
+    for w in (u, v):
+        assert columns.operand(vector_of(columns, w)).masks == oracle_support(w)
     if provably_commute(u, v):
         assert u.bracket(v).is_zero and v.bracket(u).is_zero
 
@@ -394,7 +366,7 @@ def test_bracket_kernel_matches_coordinatized_bracket(u, v):
         return {(i, *key): c for i, comp in enumerate(naive_bracket(x, y)) for key, c in comp.items()}
 
     a, b = columns.operand(vector_of(columns, u)), columns.operand(vector_of(columns, v))
-    assert a.masks == u.support() and b.masks == v.support()
+    assert a.masks == oracle_support(u) and b.masks == oracle_support(v)
     for x, y, want in ((a, b, oracle(u, v)), (b, a, oracle(v, u))):
         assert keyed(columns.bracket(x, y)) == want
     (ia, sa), (ib, sb) = integer_vector(a.vec), integer_vector(b.vec)
@@ -560,16 +532,13 @@ def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
     basis = EchelonBasis()
     for row in matrix:
         basis.insert(sparse(row))
-    probe = sparse(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    scales = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
     for row in basis.rows:
         assert_fractions(row.values())
-    residual, coeffs = basis.reduce(probe)
-    assert_fractions([*residual.values(), *coeffs.values()])
+    assert_fractions(basis.express(sparse(combine(scales, basis.rows, ncols))))
     assert_fractions(basis.express(sparse(matrix[-1])))
     # a caller's ints leave the kernel as Fractions too
     numerators = [{k: c.numerator for k, c in sparse(row).items()} for row in matrix]
-    residual, coeffs = basis.reduce({k: c.numerator for k, c in probe.items()})
-    assert_fractions([*residual.values(), *coeffs.values()])
     int_basis = EchelonBasis()
     for row in numerators:
         int_basis.insert(row)

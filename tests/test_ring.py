@@ -144,7 +144,6 @@ UNREAD_IN_PACKAGE = {"rref_dense", "null_space_dense", "solve_dense"}
 # methods that no code in src/vflie calls, each with the reason it stays
 UNREAD_METHODS = {
     "LieAlgebra.bracket_coeffs": "a target of the benchmark tracer",
-    "JordanDecomposition.aligned_heads": "read by the classify golden test",
     "LieAlgebra.element": "public API",
     "LieAlgebra.center_coeffs": "public API",
     "LieAlgebra.quotient_structure": "public API",
