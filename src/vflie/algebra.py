@@ -31,8 +31,13 @@ the certificate's layers, the centers, ideal and complement checks, the
 series) does no Fraction arithmetic, and [g, g], the series and the
 certificate do no back-substitution either: they read only pivots, lengths
 and spanning rows, which forward elimination (linalg.ForwardEchelon)
-gives.  A Fraction is made only where a value is printed or a field is
-built from it; c() reads `structure`, the tensor's Fraction form.
+gives; [g, g] takes the tensor's own integer rows.  A Fraction is made only
+where a field is built or a constant is read: a basis field takes one
+Fraction(c, head) per entry of its primitive integer row, the Fraction
+unit rows are built on the first read of a combination of basis elements,
+and c() reads `structure`, the tensor's Fraction form, built on first read.
+The structure text of report() and QuotientStructure.to_dict() is written
+from the integers (_structure_text).
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ DEFAULT_CAP_DEGREE = 64
 
 IdealLike = Union[Sequence[int], Sequence[VectorField], Sequence[Sequence[Fraction]]]
 Tensor = dict[tuple[int, int], dict[int, Fraction]]  # (i, j), i < j -> nonzero coords of [e_i, e_j]
-IntTensor = dict[tuple[int, int], tuple[int, list[tuple[int, int]]]]  # as Tensor: (s, [(k, s * c)])
+# as Tensor: (s, [(k, s * c)]), s > 0 and k ascending
+IntTensor = dict[tuple[int, int], tuple[int, list[tuple[int, int]]]]
 IntTable = dict[int, dict[int, int]]  # j -> nonzero integer coords of D_v * [e_v, e_j]
 IntVector = dict[int, int]  # sparse integer basis coordinates
 
@@ -133,10 +139,17 @@ def common_kernel(ad: Sequence[IntTable], acting: Iterable[int]) -> list[SparseV
     return null_space(columns)
 
 
-def _entries(tensor: Tensor) -> list[list]:
-    """The nonzero structure constants as sorted [a, b, c, str(value)] lists."""
-    return [[a, b, c, str(coeff)] for (a, b), comps in sorted(tensor.items())
-            for c, coeff in sorted(comps.items())]
+def _structure_text(tensor: IntTensor) -> list[list]:
+    """The nonzero structure constants as sorted [a, b, k, text] lists, for
+    an integer tensor: each entry c over the pair's scale s > 0 is divided
+    by their gcd and written as n or n/d, which is str(Fraction(c, s)), so
+    no Fraction is built."""
+    out = []
+    for (a, b), (s, entries) in sorted(tensor.items()):
+        for k, c in entries:
+            g = _gcd(c, s)
+            out.append([a, b, k, str(c // g) if g == s else f"{c // g}/{s // g}"])
+    return out
 
 
 def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
@@ -282,7 +295,8 @@ class Projection:
 @dataclass(frozen=True)
 class QuotientStructure:
     """Structure constants of L/ideal on representatives e_r, r in
-    rep_indices, in integer form; `tensor`, their Fraction form, on first read."""
+    rep_indices, in integer form; `tensor`, their Fraction form, on first
+    read.  to_dict() writes the structure text from the integers."""
 
     rep_indices: tuple[int, ...]
     int_tensor: IntTensor  # indices into rep_indices
@@ -296,7 +310,10 @@ class QuotientStructure:
         return _fraction_tensor(self.int_tensor)
 
     def to_dict(self) -> dict:
-        return {"rep_indices": list(self.rep_indices), "structure": _entries(self.tensor)}
+        return {
+            "rep_indices": list(self.rep_indices),
+            "structure": _structure_text(self.int_tensor),
+        }
 
 
 class LieAlgebra:
@@ -309,24 +326,29 @@ class LieAlgebra:
     table.  Any other echelon is a TypeError.  A query field with a
     monomial the table lacks is outside the span, and a query makes no
     column.  The basis is the unit rows in pivot order, pivot order being
-    (component, monomial) key order.  The tensor brackets the primitive
-    integer rows h_a*e_a and h_b*e_b on their column ids (Columns.bracket)
-    for the pairs a < b whose support classes (Operand.masks, at most 64)
-    the support test cannot prove commuting, in ascending (a, b) order.  It
-    reads the bracket's value c at each pivot it hits (its coordinate on
-    that unit row, by full reduction) and keeps the constants c / (h_a*h_b)
-    in integers (_tensor), as [h_a*e_a, h_b*e_b] = h_a*h_b*[e_a, e_b];
-    `structure`, their Fraction form, is built on first read.  A bracket
-    outside the span raises InternalInvariantViolation at construction, and
-    the half table close() filled is emptied once the tensor is built.
-    Queries walk only the nonzero entries, through the one ad table.
+    (component, monomial) key order, each field built from its primitive
+    integer row h_a*e_a over its head h_a, one Fraction per entry, with no
+    unit row read.  The tensor brackets those rows on their column ids
+    (Columns.bracket) for the pairs a < b whose support classes
+    (Operand.masks, at most 64) the support test cannot prove commuting, in
+    ascending (a, b) order.  One reduction of each bracket
+    (EchelonBasis._residual) checks that it lies in the span and hands back
+    its value t*c, scaled to integers by t, at each pivot it hits (c being
+    its coordinate on that unit row, by full reduction); the constants
+    c / (h_a*h_b) are kept in integers (_tensor), as [h_a*e_a, h_b*e_b] =
+    h_a*h_b*[e_a, e_b].  `structure`, their Fraction form, is built on first
+    read, and report() writes the structure text from the integers.  A
+    bracket outside the span raises InternalInvariantViolation at
+    construction, and the half table close() filled is emptied once the
+    tensor is built.  Queries walk only the nonzero entries, through the
+    one ad table.
 
     Basis coordinates are sparse (index -> nonzero Fraction) throughout;
     only the public methods take or return dense lists, validated once where
     they enter (_checked), and _field is the one map back to fields.
 
     What an algebra computes once, it keeps: its unit rows in basis order,
-    `structure` and the ad table (on first read), both series, [g, g] and
+    `structure` and the ad table (each on first read), both series, [g, g] and
     the nilpotency certificate, the center's coefficients and fields, and
     per kept set the parts of a projection (its image algebra, kernel fields
     and kernel coefficients), never the Projection itself.  None of these
@@ -341,11 +363,13 @@ class LieAlgebra:
         self.ctx = ctx
         self._echelon = echelon
         self._order = echelon.order()
-        self._rows = [echelon.row(i) for i in self._order]
-        self.basis = tuple(columns.field(row, ctx) for row in self._rows)
         position = {row: k for k, row in enumerate(self._order)}
         rows = [columns.operand(echelon.primitive_row(i)) for i in self._order]
         heads = [row.vec[echelon.pivots[i]] for row, i in zip(rows, self._order)]
+        self.basis = tuple(
+            columns.field({k: Fraction(c, head) for k, c in row.vec.items()}, ctx)
+            for row, head in zip(rows, heads)
+        )
         members: dict[tuple[int, int], list[int]] = {}
         for a, row in enumerate(rows):
             members.setdefault(row.masks, []).append(a)
@@ -361,14 +385,15 @@ class LieAlgebra:
                 vec = columns.bracket(u, rows[b])
                 if not vec:
                     continue
-                residual, t = echelon._residual(vec)
+                # t * vec is integral, also over a fractional rate, and
+                # values[i] is its value at row i's pivot
+                values: dict[int, int] = {}
+                residual, t = echelon._residual(vec, values)
                 if residual:
                     raise InternalInvariantViolation(
                         "bracket of basis elements escapes the span; closure is broken"
                     )
-                # the residual's scale t makes t * vec integral, also over a fractional rate
-                coeffs = echelon._coefficients(vec).items()
-                entries = sorted((position[i], t // c.denominator * c.numerator) for i, c in coeffs)
+                entries = sorted((position[i], c) for i, c in values.items())
                 self._tensor[(a, b)] = (heads[a] * heads[b] * t, entries)
         columns.release()
         self._series: dict[str, SeriesReport] = {}
@@ -460,6 +485,11 @@ class LieAlgebra:
             (k, c), = coeffs.items()
             return self.basis[k] if c == 1 else self.basis[k] * c
         return self._echelon.columns.field(_combination(self._rows, coeffs), self.ctx)
+
+    @cached_property
+    def _rows(self) -> list[SparseVector]:
+        """The unit rows in basis order, as Fractions, built on first read."""
+        return [self._echelon.row(i) for i in self._order]
 
     def express(self, field: VectorField) -> list[Fraction]:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""
@@ -568,12 +598,12 @@ class LieAlgebra:
     @cached_property
     def _square(self) -> ForwardEchelon:
         """[g, g] as the forward echelon of the nonzero brackets [e_i, e_j],
-        i < j, each as its integer row D_i * [e_i, e_j].  Its readers need
-        only pivots, length and spanning rows, and an echelon with distinct
-        least-key pivots has the reduced echelon's pivot set, so no row is
-        back-substituted.  Shared and read-only."""
-        tables = self._int_ad[0]
-        return forward_echelon(tables[i][j] for i, j in self._tensor)
+        i < j, each as the tensor's own integer row s * [e_i, e_j], s > 0,
+        which spans the same line.  Its readers need only pivots, length and
+        spanning rows, and an echelon with distinct least-key pivots has the
+        reduced echelon's pivot set, so no row is back-substituted.  Shared
+        and read-only."""
+        return forward_echelon(dict(entries) for _, entries in self._tensor.values())
 
     def _layers(self, gens: Sequence[int]) -> list[list[dict[int, int]]] | None:
         """The nonzero layers W_1 = span{e_v : v in gens}, W_{k+1} =
@@ -582,9 +612,10 @@ class LieAlgebra:
         length are those of the reduced echelon of the same span; None when
         W_{dim+1} is still nonzero, which no nilpotent algebra allows.  The
         rows are integer: each nonzero [e_v, w] is taken as
-        sum_j w_j * D_v [e_v, e_j] from e_v's own ad table, which spans the
-        same line, for v in gens alone.  A central e_v (empty ad table) has
-        no bracket, and when every e_v is central none is taken."""
+        sum_j w_j * D_v [e_v, e_j], summed from w's entries against e_v's
+        own ad rows, which spans the same line, for v in gens alone.  A
+        central e_v (empty ad table) has no bracket, and when every e_v is
+        central none is taken."""
         tables = self._int_ad[0]
         acting = [tables[v] for v in gens if tables[v]]
         layers: list[list[dict[int, int]]] = []
@@ -596,7 +627,11 @@ class LieAlgebra:
             span = ForwardEchelon()
             for w in layer:
                 for table in acting:
-                    if image := _combination(table, {j: b for j, b in w.items() if j in table}):
+                    image: IntVector = {}
+                    for j, b in w.items():
+                        if j in table:
+                            _axpy(image, table[j], b)
+                    if image:
                         span.add(image)
             layer = list(span.rows.values())
         return layers
@@ -772,7 +807,7 @@ class LieAlgebra:
             "variables": list(self.ctx.names),
             "basis": [str(b) for b in self.basis],
             "dim": self.dim,
-            "structure": _entries(self.structure),
+            "structure": _structure_text(self._tensor),
             "nilpotent": nilpotent,
             "solvable": nilpotent or self.is_solvable(),
             "abelian": self.is_abelian(),

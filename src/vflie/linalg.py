@@ -398,7 +398,7 @@ class EchelonBasis:
         """Every row with unit pivot, in insertion order."""
         return [self.row(i) for i in range(len(self._ints))]
 
-    def _residual(self, vec: Mapping) -> tuple[dict, int]:
+    def _residual(self, vec: Mapping, values: dict | None = None) -> tuple[dict, int]:
         """(r, s): an integer residual r and scale s with
         vec - sum(coeffs[i] * row(i)) == r / s for the coefficients that
         _coefficients gives.  One pass over vec drops its zeros, checks each
@@ -406,7 +406,11 @@ class EchelonBasis:
         which takes an lcm only for a denominator or pivot head other than
         1.  At scale 1, the common case of an integer vector such as a
         bracket of integer rows, that pass has already written the integer
-        residual before elimination; any other scale rebuilds it once."""
+        residual before elimination; any other scale rebuilds it once.
+        Given a dict `values`, it also hands back what it subtracts: for
+        each row i whose pivot vec hits, values[i] = s * coeffs[i], the
+        scaled vector's value at that pivot, an int, read as the row is
+        subtracted (by full reduction no other row changes it)."""
         pivot_row, ints = self._pivot_row, self._ints
         residual: dict = {}
         hits = []
@@ -430,7 +434,10 @@ class EchelonBasis:
         if scale != 1:
             residual = {k: scale // c.denominator * c.numerator for k, c in vec.items() if c}
         for k, row in hits:
-            _axpy(residual, row, -(residual[k] // row[k]))
+            c = residual[k]
+            if values is not None:
+                values[pivot_row[k]] = c
+            _axpy(residual, row, -(c // row[k]))
         return residual, scale
 
     def _coefficients(self, vec: Mapping) -> dict[int, Any]:

@@ -425,8 +425,9 @@ class ExpPoly:
         return f"ExpPoly({self!s})"
 
 
-def format_linform(rates: Sequence[Fraction], names: Sequence[str]) -> str:
-    """Render a Q-linear form, e.g. '2*x+y-3/2*z'; compact, no spaces."""
+def format_linform(rates: Sequence[Scalar], names: Sequence[str]) -> str:
+    """Render a Q-linear form, e.g. '2*x+y-3/2*z'; compact, no spaces.  An
+    int rate is written as the equal Fraction would be."""
     out = ""
     for rate, name in zip(rates, names):
         if not rate:
@@ -441,25 +442,24 @@ def format_linform(rates: Sequence[Fraction], names: Sequence[str]) -> str:
 
 def term_text(coeff: Fraction, mono: ExpMonomial, names: Sequence[str], tail: str = "") -> tuple[bool, str]:
     """Magnitude text of one term plus its sign; `tail` appends a basis symbol.
-    The magnitude is written from the numerator and denominator, as
-    str(abs(coeff)) spells it, with no Fraction arithmetic."""
-    parts: list[str] = []
-    for name, a in zip(names, mono.powers):
+    The magnitude is written first, from the numerator and denominator, as
+    str(abs(coeff)) spells it, with no Fraction arithmetic, and left out
+    when it is 1 and anything follows.  Powers and rates are read from the
+    stored (rates, powers) tuple, reversed, with no Fraction made of a rate."""
+    num, den = coeff.numerator, coeff.denominator
+    mag = -num if num < 0 else num
+    parts = [f"{mag}/{den}"] if den != 1 else [] if mag == 1 else [str(mag)]
+    rates, powers = mono
+    for name, a in zip(names, powers[::-1]):
         if a == 1:
             parts.append(name)
         elif a > 1:
             parts.append(f"{name}^{a}")
-    if mono.has_exp:
-        parts.append(f"exp({format_linform(mono.rates, names)})")
+    if any(rates):
+        parts.append(f"exp({format_linform(rates[::-1], names)})")
     if tail:
         parts.append(tail)
-    num, den = coeff.numerator, coeff.denominator
-    mag = -num if num < 0 else num
-    if den != 1:
-        parts.insert(0, f"{mag}/{den}")
-    elif mag != 1 or not parts:
-        parts.insert(0, str(mag))
-    return num < 0, "*".join(parts)
+    return num < 0, "*".join(parts) or "1"
 
 
 def join_terms(terms: Iterable[tuple[bool, str]]) -> str:

@@ -63,6 +63,7 @@ from conftest import (
     oracle_member,
     oracle_quotient,
     oracle_rank,
+    oracle_row_basis,
     oracle_series_terms,
     provably_commute,
     rng,
@@ -235,8 +236,8 @@ def test_close_hands_over_a_fully_reduced_echelon():
 
 def test_close_brackets_the_integer_rows(monkeypatch):
     # close() and the tensor bracket the echelon's primitive integer rows on
-    # their column ids, so the unit rows are read once per basis field and
-    # for nothing else
+    # their column ids, and the basis fields are built from those rows and
+    # their heads, so no unit row is read at construction
     gens = build(random_spec("center-rank1", 7, 6)).generators
     calls = {"row": 0, "bracket": 0}
     real_row, real_bracket = EchelonBasis.row, Columns.bracket
@@ -254,7 +255,7 @@ def test_close_brackets_the_integer_rows(monkeypatch):
     monkeypatch.setattr(Columns, "bracket", counting_bracket)
     L = close(gens, cap_dim=200)
     assert L.dim == 88
-    assert calls == {"row": 88, "bracket": 351}
+    assert calls == {"row": 0, "bracket": 351}
 
 
 def test_close_fills_each_column_pair_once(monkeypatch):
@@ -834,6 +835,62 @@ def test_integer_ad_rows_are_exact():
     assert fractional, "no draw has a structure constant that is not an integer"
 
 
+def test_structure_text_is_the_fraction_text(oracle_corpus):
+    """report() and QuotientStructure.to_dict() write the structure from the
+    integer tensor: each entry c over its pair's scale s is reduced by their
+    gcd, which is str(Fraction(c, s)) entry for entry."""
+    specs = [*LARGE_REPORT_DRAWS, *((recipe, seed, 3) for recipe, seed in DENOMINATOR_DRAWS)]
+    draws = [*oracle_corpus, *(close(build(random_spec(*spec)).generators, cap_dim=200)
+                               for spec in specs)]
+    write = vflie.algebra._structure_text
+    fractional = quotients = 0
+    for L in draws:
+        want = [[a, b, k, str(Q(c, s))]
+                for (a, b), (s, entries) in sorted(L._tensor.items()) for k, c in entries]
+        assert write(L._tensor) == want == L.report()["structure"], L.dim
+        fractional += any("/" in text for *_, text in want)
+        if center := L.center_coeffs():
+            q = L.quotient_structure(center)
+            assert q.to_dict()["structure"] == [[a, b, k, str(c)] for (a, b), comps
+                                                in sorted(q.tensor.items()) for k, c in comps.items()]
+            quotients += bool(q.int_tensor)
+    assert fractional and quotients
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**4), st.integers(1, 60))
+def test_structure_text_of_drawn_entries(c, s, factor):
+    # negative entries, and entries sharing a factor with their scale
+    c, s = c * factor, s * factor
+    entries = [(0, c), (1, -c), (2, s), (3, -s)]
+    got = vflie.algebra._structure_text({(0, 1): (s, entries)})
+    assert got == [[0, 1, k, str(Q(e, s))] for k, e in entries]
+
+
+def test_report_reads_no_unit_row_and_no_fraction_tensor(monkeypatch):
+    # the basis fields come from the primitive integer rows and the report's
+    # structure from the integer tensor, so on the large-report draws neither
+    # close() nor report() reads a unit row or builds the Fraction tensor
+    calls = []
+    real_row, real_fraction_tensor = EchelonBasis.row, vflie.algebra._fraction_tensor
+
+    def counting_row(self, index):
+        calls.append("row")
+        return real_row(self, index)
+
+    def counting_fraction_tensor(tensor):
+        calls.append("fraction tensor")
+        return real_fraction_tensor(tensor)
+
+    monkeypatch.setattr(EchelonBasis, "row", counting_row)
+    monkeypatch.setattr(vflie.algebra, "_fraction_tensor", counting_fraction_tensor)
+    for spec in LARGE_REPORT_DRAWS:
+        L = close(build(random_spec(*spec)).generators, cap_dim=200)
+        assert L.report()["dim"] == L.dim >= 33
+        assert "structure" not in vars(L) and "_rows" not in vars(L)
+    assert calls == []
+
+
 def dense_structure(L: LieAlgebra) -> dict[tuple[int, int], list]:
     """(a, b) -> the dense coordinates of [b_a, b_b] for every a != b, by
     the term-list bracket and one dense elimination (oracle_coords)."""
@@ -945,27 +1002,42 @@ def test_span_only_steps_settle_no_echelon(monkeypatch):
     assert calls == []
 
 
-def test_layers_skip_central_generators(monkeypatch):
+class CountingTable(dict):
+    """An ad table that records each lookup of a row in it."""
+
+    def __init__(self, table, lookups):
+        super().__init__(table)
+        self.lookups = lookups
+
+    def __contains__(self, key):
+        self.lookups.append(key)
+        return super().__contains__(key)
+
+
+def count_ad_row_lookups(L, lookups):
+    tables, dens = L._int_ad
+    L.__dict__["_int_ad"] = ([CountingTable(t, lookups) for t in tables], dens)
+
+
+def test_layers_skip_central_generators():
     # every e_v of an abelian algebra is central, so its chain W_1, 0 needs
     # no bracket at all: _layers reads no ad table row and sums no image
     draws = [close(build(random_spec("abelian-rank2", s, 3)).generators) for s in range(13)]
-    calls = []
-    real_combination = vflie.algebra._combination
-
-    def counting_combination(vectors, coeffs):
-        calls.append(coeffs)
-        return real_combination(vectors, coeffs)
-
-    monkeypatch.setattr(vflie.algebra, "_combination", counting_combination)
+    lookups = []
     for L in draws:
+        count_ad_row_lookups(L, lookups)
         assert L.is_abelian()
         assert L._nilpotency_certificate == (tuple(range(L.dim)), (L.dim, 0))
-    assert calls == []
+    assert lookups == []
     # in Heisenberg, chained from its whole basis, the central Dz is never
-    # bracketed: two acting e_v for each of the 3 + 1 layer rows
+    # bracketed: each image is summed from the entries of its layer row
+    # against the ad rows of e_v, one lookup per entry, and the 3 + 1 layer
+    # rows have one entry each, so two acting e_v make (3 + 1) * 2 sums
     L = algebra("Dx", "Dy + x*Dz", "Dz")
+    count_ad_row_lookups(L, lookups)
     layers = L._layers(tuple(range(L.dim)))
-    assert [len(W) for W in layers] == [3, 1] and len(calls) == (3 + 1) * 2
+    assert [len(W) for W in layers] == [3, 1] and all(len(w) == 1 for W in layers for w in W)
+    assert len(lookups) == (3 + 1) * 2
 
 
 # (generators, lower-central dims, derived dims, center) of the ad-image loop
@@ -975,6 +1047,23 @@ FALLBACK = [
     (("Dx", "x*Dy", "y*Dy"), (4, 2), (4, 2, 0), []),
     (("Dx", "x*Dx", "Dz"), (3, 1), (3, 1, 0), [[Q(0), Q(0), Q(1)]]),
 ]
+
+
+def test_square_is_the_span_of_the_brackets(oracle_corpus):
+    # [g, g] is the forward echelon of the tensor's own integer rows: its
+    # length is the rank of the dense [e_i, e_j] rows that c() reads, and its
+    # pivots are the least indices of the dense oracle's row basis
+    fallback = [(algebra(*texts), derived) for texts, _, derived, _ in FALLBACK]
+    for L in [*oracle_corpus, *(L for L, _ in fallback)]:
+        n = L.dim
+        rows = [[L.c(i, j, k) for k in range(n)] for i, j in combinations(range(n), 2)]
+        rows = [row for row in rows if any(row)]
+        assert len(L._square) == oracle_rank(rows), n
+        least = sorted(next(k for k, c in enumerate(row) if c) for row in oracle_row_basis(rows))
+        assert sorted(L._square.rows) == least, n
+    # the derived series of a non-nilpotent algebra starts from [g, g]
+    for L, derived in fallback:
+        assert L.series("derived").dims == derived
 
 
 @pytest.mark.parametrize("texts, lower, derived, center", FALLBACK)
