@@ -562,11 +562,13 @@ class LieAlgebra:
         h_{k+1}; hence g^k lies in h_k, and h_k, spanned by brackets of k or
         more elements, lies in g^k.  So g^k = h_k, g^K = 0, and the dims are
         those of the h_k.  Any other algebra, every non-nilpotent one
-        included, walks the ad images (_ad_image) of the integer rows of
-        each term's forward echelon, which span the term.  The derived
-        series starts from [g, g], the echelon the certificate shares, and
-        brackets each later term's row pairs (_bracket).  A term's dim is
-        its forward echelon's length, the rank of its span.
+        included, walks the ad images (_ad_image) of the integer rows
+        that span each term.  The derived series starts from [g, g], the
+        echelon the certificate shares, and brackets each later term's row
+        pairs (_bracket).  A term's dim is its forward echelon's length,
+        the rank of its span; the rows walked or bracketed next are the
+        primitive rows of its reduced echelon (echelon_of), which have
+        fewer and smaller entries than the forward rows.
         """
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
@@ -590,7 +592,9 @@ class LieAlgebra:
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))
-            current = list(nxt.rows.values())
+            # the back-substituted rows are sparser and smaller to bracket
+            reduced = echelon_of(nxt.rows.values())
+            current = [reduced.primitive_row(i) for i in range(len(reduced))]
             if not nxt:
                 terminated = True
         return SeriesReport(kind, tuple(dims), terminated)

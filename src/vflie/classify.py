@@ -1,15 +1,21 @@
 """Decision procedures on closed nilpotent algebras.
 
 classify() sorts a nilpotent algebra by the generic rank and dimension of its
-center: abelian algebras by rank; nonabelian ones into the center-rank-2
-case, the center-rank-1 / dim >= 2 case, or the center-dimension-1 case whose
-subcase (a-d) is read off the component-dropping projection when the given
-coordinates admit it.  jordan_chains() decomposes an ad-nilpotent operator on
-an invariant subspace into its kernel-filtration chains, split_check()
-decides split extensions over abelian ideals by an exact linear system (with
-an infeasibility certificate when no complement exists), and match_template()
-checks a basis against the constructive normal forms, held as one table of
-algebra checks and component rules, in the given coordinates only.
+center: abelian algebras by rank; nonabelian ones into the center-rank-2 case,
+the center-rank-1 / dim >= 2 case, or the center-dimension-1 case.  There,
+with Z spanning the center, K = {X in L : X ^ Z = 0} is one exact null space
+(every monomial coefficient of every 2x2 minor of X and Z vanishes) and r is
+the generic rank of L; the subcase is a (r = 2, dim K = 1), b (r = 2,
+dim K > 1), c (r = 3, [g, g] not in K) or d (r = 3, [g, g] in K).  In flow-box
+coordinates Z = d/dz, where L/K is the image of the projection that drops z,
+of rank r - 1 and abelian exactly when [g, g] lies in K; no chart is computed,
+so every input gets its subcase in whatever coordinates it is given.
+jordan_chains() decomposes an ad-nilpotent operator on an invariant subspace
+into its kernel-filtration chains, split_check() decides split extensions over
+abelian ideals by an exact linear system (with an infeasibility certificate
+when no complement exists), and match_template() checks a basis against the
+constructive normal forms, held as one table of algebra checks and component
+rules, in the given coordinates only.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .errors import (
     NotInvariant,
     NotNilpotent,
     NotNilpotentOperator,
-    ProjectionHypothesisViolated,
 )
 from .fields import VectorField
 from .linalg import (
@@ -43,11 +48,11 @@ from .linalg import (
     generic_rank,
     null_space,
 )
+from .ring import mul_add
 
 CASE_CENTER_RANK2 = "CenterRank2"
 CASE_CENTER_RANK1_DIMGE2 = "CenterRank1DimGE2"
 CASE_CENTER_DIM1 = "CenterDim1"
-SUBCASE_UNDETERMINED = "undetermined-in-these-coordinates"
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +84,22 @@ class ClassificationReport:
         }
 
 
-def _constant_axis(v: VectorField) -> int | None:
-    """Index i when v = c * d/dx_i with constant c != 0, else None."""
-    axis = None
-    for i, comp in enumerate(v.comps):
-        if comp.is_zero:
-            continue
-        if not comp.is_constant:
-            return None
-        if axis is not None:
-            return None
-        axis = i
-    return axis
+def _parallel_columns(basis: Sequence[VectorField], z: VectorField) -> list[dict]:
+    """Per basis field X, the coefficients of its three 2x2 minors with z,
+    X_p z_q - X_q z_p for p < q, keyed (p, q, monomial): one column of the
+    linear map X -> X ^ z, whose null space is the parallel kernel K."""
+    negated = [-comp for comp in z.comps]
+    columns = []
+    for x in basis:
+        col = {}
+        for p, q in combinations(range(3), 2):
+            minor: dict = {}
+            mul_add(minor, x.comps[p], z.comps[q])
+            mul_add(minor, x.comps[q], negated[p])
+            for mono, c in minor.items():
+                col[p, q, mono] = c
+        columns.append(col)
+    return columns
 
 
 def classify(algebra: LieAlgebra) -> ClassificationReport:
@@ -136,40 +145,26 @@ def classify(algebra: LieAlgebra) -> ClassificationReport:
             algebra.dim, False, None, CASE_CENTER_RANK1_DIMGE2, None, dz, rz, evidence
         )
 
-    # center is one-dimensional: read the subcase off the projection that
-    # drops the center direction, when the given coordinates allow it
-    subcase = SUBCASE_UNDETERMINED
-    axis = _constant_axis(center_fields[0])
-    if axis is None:
-        evidence["undetermined_reason"] = (
-            "center is not a constant multiple of a coordinate field in these coordinates"
-        )
+    # center <Z>: K, the elements pointwise parallel to Z, is the kernel of
+    # the projection along Z, and L/K its image, of rank r - 1, abelian
+    # exactly when [g, g] lies in K
+    z = center_fields[0]
+    moved = [i for i, comp in enumerate(z.comps) if comp]
+    if len(moved) == 1 and z.comps[moved[0]].is_constant:
+        evidence["center_axis"] = algebra.ctx.names[moved[0]]
+    columns = _parallel_columns(algebra.basis, z)
+    kernel_dim = len(null_space(columns))
+    rank = generic_rank(algebra.basis)
+    if rank < 2:
+        raise InternalInvariantViolation("nonabelian algebra of generic rank below 2")
+    # a vector lies in K = ker(X -> X ^ Z) exactly when its minors vanish
+    abelian_image = not any(_combination(columns, row) for row in algebra._square.rows.values())
+    evidence.update(image_dim=algebra.dim - kernel_dim, image_rank=rank - 1,
+                    image_abelian=abelian_image, kernel_dim=kernel_dim)
+    if rank == 2:
+        subcase = "a" if kernel_dim == 1 else "b"
     else:
-        evidence["center_axis"] = algebra.ctx.names[axis]
-        kept = [i for i in range(3) if i != axis]
-        try:
-            proj = algebra.project(kept)
-        except ProjectionHypothesisViolated as exc:
-            evidence["undetermined_reason"] = str(exc)
-        else:
-            image = proj.image
-            if image.dim == 0:
-                raise InternalInvariantViolation(
-                    "nonabelian algebra with trivial projection image"
-                )
-            image_rank = generic_rank(image.basis)
-            evidence["image_dim"] = image.dim
-            evidence["image_rank"] = image_rank
-            evidence["image_abelian"] = image.is_abelian()
-            evidence["kernel_dim"] = proj.kernel_dim
-            if image_rank == 1:
-                # trivial kernel <=> no kernel element of positive degree in
-                # the translation direction (kernel elements free of it are central)
-                subcase = "a" if proj.kernel_dim == 1 else "b"
-            elif not image.is_abelian():
-                subcase = "c"
-            else:
-                subcase = "d"
+        subcase = "d" if abelian_image else "c"
     return ClassificationReport(
         algebra.dim, False, None, CASE_CENTER_DIM1, subcase, dz, rz, evidence
     )
@@ -221,8 +216,9 @@ def jordan_chains(
     Deterministic: candidate heads are drawn from the canonical null-space
     bases of the operator powers in decreasing chain length.  N's column
     for the unit row p / h of the subspace is the integer bracket (vec, L)
-    of s * op with its primitive row p: [op, p / h] = vec / (L * s * h),
-    one Fraction per coordinate.
+    of s * op with its primitive row p: [op, p / h] = vec / (L * s * h).
+    One reduction of vec (_residual) tests invariance and hands back t
+    times its coordinates, so each entry is one Fraction over L * s * h * t.
 
     Heights j run from p down.  A kernel vector w of N^j starts a chain
     exactly when its terminal N^(j-1) w is independent of the terminals of
@@ -245,10 +241,12 @@ def jordan_chains(
     for r in order:
         row = span.primitive_row(r)
         vec, scale = algebra._bracket(op, row)
-        if not span.contains(vec):
+        values: dict[int, int] = {}
+        residual, t = span._residual(vec, values)
+        if residual:
             raise NotInvariant("subspace is not invariant under the operator")
-        scale *= op_scale * row[span.pivots[r]]
-        n_cols.append({position[i]: Fraction(c, scale) for i, c in span._coefficients(vec).items()})
+        scale *= op_scale * row[span.pivots[r]] * t
+        n_cols.append({position[i]: Fraction(c, scale) for i, c in values.items()})
 
     powers = [n_cols]  # columns of N, N^2, ...; grows until N^p = 0
     while any(powers[-1]):

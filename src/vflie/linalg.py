@@ -58,7 +58,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
 from .fields import VariableContext, VectorField, monomial_half, monomial_reads
-from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational
+from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational, mul_add
 
 Key = tuple[int, ExpMonomial]
 SparseVector = dict[int, Fraction]
@@ -308,15 +308,6 @@ def _cleared(row: Mapping[Any, int], lead: Any, rows: Mapping[Any, dict[Any, int
     return _primitive(row, lead)
 
 
-def _fractions(coeffs: dict[int, Any]) -> dict[int, Fraction]:
-    """coeffs with every value that is not already a Fraction (a caller's
-    int) made one, in place."""
-    for i, c in coeffs.items():
-        if type(c) is not Fraction:
-            coeffs[i] = Fraction(c)
-    return coeffs
-
-
 @dataclass
 class InsertResult:
     independent: bool  # the vector was outside the span; its row is now rows[-1]
@@ -400,13 +391,15 @@ class EchelonBasis:
 
     def _residual(self, vec: Mapping, values: dict | None = None) -> tuple[dict, int]:
         """(r, s): an integer residual r and scale s with
-        vec - sum(coeffs[i] * row(i)) == r / s for the coefficients that
-        _coefficients gives.  One pass over vec drops its zeros, checks each
-        entry is rational, finds the pivots it hits and grows the scale,
-        which takes an lcm only for a denominator or pivot head other than
-        1.  At scale 1, the common case of an integer vector such as a
-        bracket of integer rows, that pass has already written the integer
-        residual before elimination; any other scale rebuilds it once.
+        vec - sum(coeffs[i] * row(i)) == r / s, coeffs[i] being vec's value
+        at row i's pivot, by full reduction its unit row's coefficient, so
+        that the coeffs of a vec in the span are its coordinates.  One pass
+        over vec drops its zeros, checks each entry is rational, finds the
+        pivots it hits and grows the scale, which takes an lcm only for a
+        denominator or pivot head other than 1.  At scale 1, the common
+        case of an integer vector such as a bracket of integer rows, that
+        pass has already written the integer residual before elimination;
+        any other scale rebuilds it once.
         Given a dict `values`, it also hands back what it subtracts: for
         each row i whose pivot vec hits, values[i] = s * coeffs[i], the
         scaled vector's value at that pivot, an int, read as the row is
@@ -439,12 +432,6 @@ class EchelonBasis:
                 values[pivot_row[k]] = c
             _axpy(residual, row, -(c // row[k]))
         return residual, scale
-
-    def _coefficients(self, vec: Mapping) -> dict[int, Any]:
-        """Row -> vec's value at the row's pivot (an int for an int vector)
-        for each pivot vec hits: by full reduction, its unit row's coefficient."""
-        pivot_row = self._pivot_row
-        return {pivot_row[k]: c for k, c in vec.items() if c and k in pivot_row}
 
     def contains(self, vec: Mapping) -> bool:
         return not self._residual(vec)[0]
@@ -510,10 +497,14 @@ class EchelonBasis:
 
     def express(self, vec: Mapping) -> list[Fraction]:
         """Exact coordinates of vec over the rows (insertion order)."""
-        if self._residual(vec)[0]:
+        values: dict[int, int] = {}
+        residual, scale = self._residual(vec, values)
+        if residual:
             raise NotInSpan("vector is outside the span of the basis")
-        coeffs = _fractions(self._coefficients(vec))
-        return [coeffs.get(i, ZERO) for i in range(len(self._ints))]
+        coeffs = [ZERO] * len(self._ints)
+        for i, c in values.items():
+            coeffs[i] = Fraction(c, scale)
+        return coeffs
 
     def order(self) -> list[int]:
         """Row indices sorted by pivot key (the reduced row-echelon order)."""
@@ -676,17 +667,19 @@ def solve_dense(
 
 
 def _det(entries: list[list[ExpPoly]]) -> ExpPoly:
+    """Cofactor expansion along the first row, summed into one term map
+    by mul_add, so no intermediate product or sum is built."""
     k = len(entries)
     if k == 1:
         return entries[0][0]
-    if k == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    acc = ExpPoly.zero(entries[0][0].nvars)
-    for j in range(k):
-        minor = [[row[c] for c in range(k) if c != j] for row in entries[1:]]
-        term = entries[0][j] * _det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    out: dict = {}
+    for j, head in enumerate(entries[0]):
+        if k == 2:
+            minor = entries[1][1 - j]
+        else:
+            minor = _det([[row[c] for c in range(k) if c != j] for row in entries[1:]])
+        mul_add(out, head if j % 2 == 0 else -head, minor)
+    return _poly(head.nvars, out)
 
 
 def generic_rank(fields: Sequence[VectorField]) -> int:

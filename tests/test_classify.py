@@ -17,6 +17,7 @@ from vflie import (
     DEFAULT_CONTEXT,
     ExpPoly,
     IdealNotAbelian,
+    LieAlgebra,
     NotAnIdeal,
     NotInvariant,
     NotNilpotent,
@@ -33,13 +34,17 @@ from vflie import (
     random_spec,
     split_check,
 )
-from vflie.classify import SUBCASE_UNDETERMINED
-from vflie.linalg import Columns, EchelonBasis
+from vflie.classify import _parallel_columns
+from vflie.linalg import Columns, EchelonBasis, null_space
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
     Q,
+    as_terms,
+    naive_add,
     naive_field_coords,
+    naive_mul,
+    naive_of,
     oracle_bracket,
     oracle_center,
     oracle_coords,
@@ -300,17 +305,18 @@ def test_classify_rejects_non_nilpotent():
         classify(algebra("Dx", "x*Dx"))
 
 
-def test_classify_undetermined_in_skew_coordinates():
-    # new x = x + z^2 drags the center off the coordinate axes: the case is
-    # still CenterDim1 but the subcase cannot be read off these coordinates
+def test_classify_subcase_in_skew_coordinates():
+    # new x = x + z^2 drags the center off the coordinate axes; the subcase
+    # is read off the parallel kernel, which no coordinate change moves
     change = CoordinateChange(
         ctx, (E("x + z^2"), E("y"), E("z")), (E("x - z^2"), E("y"), E("z"))
     )
     gens = [F(t).pushforward(change) for t in HEISENBERG]
     report = classify(close(gens))
-    assert report.case == "CenterDim1"
-    assert report.subcase == SUBCASE_UNDETERMINED
-    assert "undetermined_reason" in report.evidence
+    assert report.case == "CenterDim1" and report.subcase == "a"
+    assert report.evidence["kernel_dim"] == 1
+    assert report.evidence["image_rank"] == 1
+    assert "center_axis" not in report.evidence
 
 
 def test_classify_invariant_under_good_pushforward():
@@ -321,10 +327,101 @@ def test_classify_invariant_under_good_pushforward():
         base = classify(algebra(*texts))
         pushed = classify(close([F(t).pushforward(shear) for t in texts]))
         assert pushed.case == base.case
-        if base.subcase is not None and pushed.subcase != SUBCASE_UNDETERMINED:
-            assert pushed.subcase == base.subcase
+        assert pushed.subcase == base.subcase
         assert pushed.center_dim == base.center_dim
         assert pushed.center_rank == base.center_rank
+
+
+# three polynomial maps with their inverses, as (forward, inverse) texts
+POLYNOMIAL_MAPS = (
+    (("x + z", "y", "z"), ("x - z", "y", "z")),
+    (("x + z^2", "y + x", "z"), ("x - z^2", "y - x + z^2", "z")),
+    (("x", "y + x^2", "z + x*y"), ("x", "y - x^2", "z - x*y + x^3")),
+)
+
+
+@pytest.fixture(scope="module")
+def pushed_draws():
+    """Every recipe at seeds 0-5, degree bound 3, as (name, algebra,
+    classification), followed by its pushforwards under POLYNOMIAL_MAPS."""
+    changes = [
+        CoordinateChange(ctx, tuple(map(E, fwd)), tuple(map(E, inv))) for fwd, inv in POLYNOMIAL_MAPS
+    ]
+    out = []
+    for recipe in RECIPES:
+        for seed in range(6):
+            gens = build(random_spec(recipe, seed, 3)).generators
+            L = close(gens)
+            out.append((f"{recipe}/{seed}", L, classify(L)))
+            for m, change in enumerate(changes):
+                P = close([g.pushforward(change) for g in gens])
+                out.append((f"{recipe}/{seed}/map{m}", P, classify(P)))
+    return out
+
+
+def test_classify_invariant_under_polynomial_maps(pushed_draws):
+    # the draw comes first, then its pushforwards
+    per_draw = len(POLYNOMIAL_MAPS) + 1
+    for k in range(0, len(pushed_draws), per_draw):
+        name, _, base = pushed_draws[k]
+        for pushed_name, _, pushed in pushed_draws[k + 1:k + per_draw]:
+            assert (pushed.case, pushed.subcase) == (base.case, base.subcase), pushed_name
+
+
+def test_classify_rank_facts(pushed_draws):
+    for name, L, report in pushed_draws:
+        if report.abelian:
+            continue
+        rank = vflie.generic_rank(L.basis)
+        assert rank >= 2, name
+        if report.case == "CenterRank2":
+            assert rank == 3, name
+        elif report.case == "CenterRank1DimGE2":
+            assert rank == 2, name
+        else:
+            assert (report.subcase in ("a", "b")) == (rank == 2), name
+
+
+def naive_minors(x, z) -> dict:
+    """The 2x2 minors x_p z_q - x_q z_p on the naive term lists, keyed
+    (p, q, powers, rates)."""
+    out = {}
+    for p, q in combinations(range(3), 2):
+        plus = as_terms(naive_mul(naive_of(x.comps[p]), naive_of(z.comps[q])))
+        minus = as_terms(naive_mul(naive_of(x.comps[q]), naive_of(z.comps[p])))
+        diff = naive_add(plus, [(powers, rates, -c) for powers, rates, c in minus])
+        out.update({(p, q, *key): c for key, c in diff.items()})
+    return out
+
+
+def test_parallel_kernel_fields_are_wedge_free(pushed_draws):
+    # every K vector's field X has X ^ Z = 0 on the naive term lists, and
+    # dim K is the nullity of the naive minors' coefficient matrix
+    skew = 0
+    for name, L, report in pushed_draws:
+        if report.case != "CenterDim1":
+            continue
+        skew += "center_axis" not in report.evidence
+        (z,) = L.center()
+        kernel = null_space(_parallel_columns(L.basis, z))
+        assert len(kernel) == report.evidence["kernel_dim"], name
+        for vec in kernel:
+            x = L.element([vec.get(i, Q(0)) for i in range(L.dim)])
+            assert not naive_minors(x, z), name
+        minors = [naive_minors(b, z) for b in L.basis]
+        keys = sorted(set().union(*minors), key=repr)
+        matrix = [[m.get(key, Q(0)) for m in minors] for key in keys]
+        assert L.dim - oracle_rank(matrix) == len(kernel), name
+    assert skew  # some centers lie off the coordinate axes
+
+
+def test_classify_never_projects(monkeypatch, pushed_draws):
+    def project(self, kept):
+        raise AssertionError("classify called project")
+
+    monkeypatch.setattr(LieAlgebra, "project", project)
+    for name, L, report in pushed_draws:
+        assert classify(L) == report, name
 
 
 def test_classify_evidence_recomputable():

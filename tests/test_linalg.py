@@ -124,8 +124,9 @@ def test_int_inputs_give_fraction_coordinates():
     for c in coords:
         assert type(c) is Q
     # the residual and row coefficients stay int inside the kernel
-    assert basis._residual({0: 2, 3: 5}) == ({1: -1, 3: 5}, 1)
-    assert basis._coefficients({0: 2, 3: 5}) == {0: 2}
+    values: dict = {}
+    assert basis._residual({0: 2, 3: 5}, values) == ({1: -1, 3: 5}, 1)
+    assert values == {0: 2}
 
 
 def test_a_float_coefficient_is_a_type_error_naming_its_key():
