@@ -25,7 +25,8 @@ There is one ad table, built from the tensor on first read:
 integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  One
 bracket in basis coordinates reads it: _ad_image(w) gives each nonzero
 [e_i, w] as an integer vector over one scale L (the value is vector / L),
-and _bracket(u, w) sums u_i times those images; the certificate's layers
+and _bracket(u, w) sums u_i times those images (_pair_brackets takes each
+row's images once for all its pairs); the certificate's layers
 take [e_v, w] from e_v's own rows alone.  So what reads only spans ([g, g],
 the certificate's layers, the centers, ideal and complement checks, the
 series) does no Fraction arithmetic, and [g, g], the series and the
@@ -454,6 +455,15 @@ class LieAlgebra:
                 _axpy(images.setdefault(i, {}), col, factor)
         return {i: out for i, out in images.items() if out}, scale
 
+    def _pair_brackets(self, rows: Sequence[Mapping[int, int]]) -> Iterable[IntVector]:
+        """[u, w] for every pair of rows, u before w, each as an integer
+        vector of its line (scale dropped): each w's _ad_image is taken once
+        and combined with every earlier row, as _bracket would per pair."""
+        for j, w in enumerate(rows):
+            images = self._ad_image(w)[0]
+            for u in rows[:j]:
+                yield _combination(images, {i: a for i, a in u.items() if i in images})
+
     def bracket_coeffs(
         self, u: Sequence[Fraction], w: Sequence[Fraction]
     ) -> list[Fraction]:
@@ -565,10 +575,11 @@ class LieAlgebra:
         included, walks the ad images (_ad_image) of the integer rows
         that span each term.  The derived series starts from [g, g], the
         echelon the certificate shares, and brackets each later term's row
-        pairs (_bracket).  A term's dim is its forward echelon's length,
-        the rank of its span; the rows walked or bracketed next are the
-        primitive rows of its reduced echelon (echelon_of), which have
-        fewer and smaller entries than the forward rows.
+        pairs (_pair_brackets, one _ad_image per row).  A term's dim is its
+        forward echelon's length, the rank of its span; the rows walked or
+        bracketed next are the primitive rows of its reduced echelon
+        (echelon_of), which have fewer and smaller entries than the forward
+        rows.
         """
         if kind not in ("lower-central", "derived"):
             raise ValueError("kind must be 'lower-central' or 'derived'")
@@ -588,7 +599,7 @@ class LieAlgebra:
             elif len(dims) == 1:
                 nxt = self._square
             else:
-                nxt = forward_echelon(self._bracket(u, w)[0] for u, w in combinations(current, 2))
+                nxt = forward_echelon(self._pair_brackets(current))
             if len(nxt) == dims[-1]:
                 break  # stabilized above zero
             dims.append(len(nxt))

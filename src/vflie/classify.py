@@ -497,16 +497,17 @@ def _verify_complement(
 ) -> None:
     """The lifts, in basis coordinates, are independent, span L with the
     ideal, and are closed under brackets: the integer brackets of their
-    echelon's primitive rows lie in its span.  The spanning test needs only
-    a rank, the length of a forward echelon of those rows and the ideal's."""
+    echelon's primitive rows (LieAlgebra._pair_brackets) lie in its span.
+    The spanning test needs only a rank, the length of a forward echelon of
+    those rows and the ideal's."""
     span = echelon_of(lifts)
     if len(span) != len(lifts):
         raise InternalInvariantViolation("complement is not independent")
     rows = [span.primitive_row(i) for i in range(len(span))]
     if len(forward_echelon([*rows, *ideal_rows])) != algebra.dim:
         raise InternalInvariantViolation("complement + ideal do not span the algebra")
-    for u, w in combinations(rows, 2):
-        if not span.contains(algebra._bracket(u, w)[0]):
+    for vec in algebra._pair_brackets(rows):
+        if not span.contains(vec):
             raise InternalInvariantViolation("complement is not a subalgebra")
 
 

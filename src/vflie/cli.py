@@ -8,6 +8,13 @@ Reports go to stdout (text or JSON), structured errors to stderr.  Exit
 codes: 0 success, 1 domain error, 2 usage or parse error.  All randomness
 flows through --seed (default 0, never wall-clock), and JSON output is
 byte-deterministic for fixed input and configuration.
+
+JSON stdout is written by _write_json, and is byte-identical to
+json.dumps(report, indent=2).  json has no C path for `indent` before
+Python 3.13, so json.dumps would run its pure-Python encoder on every
+report; the writer escapes strings with json's own C escaper
+(encode_basestring_ascii) and joins the parts once.  The compact error
+objects on stderr keep json.dumps, which encodes them in C.
 """
 
 from __future__ import annotations
@@ -218,6 +225,53 @@ def _render_text(report: dict, indent: str = "") -> str:
     return "\n".join(line for line in lines if line)
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append to out the parts of json.dumps(value, indent=2) for a report
+    value: a dict with str keys, a list or tuple, a str, an int, a bool or
+    None.  newline is a line break plus two spaces per enclosing level, so
+    an empty container stays {} or [].  TypeError for any other type or
+    key: no float or Fraction reaches a report."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(head + _escape(key) + ": ")
+            _write_json(item, out, inner)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            out.append(head)
+            _write_json(item, out, inner)
+            head = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
@@ -230,7 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(json.dumps({"error": "UsageError", "message": str(exc)}) + "\n")
         return 2
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        out: list[str] = []
+        _write_json(report, out, "\n")
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         sys.stdout.write(_render_text(report) + "\n")
     return 0

@@ -1093,6 +1093,29 @@ def test_non_nilpotent_algebras_take_the_fallback(monkeypatch, texts, lower, der
     assert not L.is_nilpotent()
 
 
+@pytest.mark.parametrize("spec, dims, calls", [
+    (("center-rank1", 5, 5), (33, 30, 0), 30),  # not one per pair: C(30, 2) = 435
+    (("nonabelian-projection", 1, 3), (13, 10, 4, 0), 14),  # not 45 + 6 = 51
+])
+def test_derived_series_takes_each_rows_ad_image_once(monkeypatch, spec, dims, calls):
+    L = close(build(random_spec(*spec)).generators, cap_dim=200)
+    L._square  # [g, g] is read off the tensor, with no ad image
+    ad_images = []
+    real_ad_image = LieAlgebra._ad_image
+
+    def counting_ad_image(self, w):
+        ad_images.append(w)
+        return real_ad_image(self, w)
+
+    monkeypatch.setattr(LieAlgebra, "_ad_image", counting_ad_image)
+    assert L.series("derived").dims == dims
+    assert len(ad_images) == calls
+    # each row's images, combined with every earlier row, are its pair brackets
+    rows = [L._square.rows[k] for k in sorted(L._square.rows)]
+    pairs = [L._bracket(rows[i], rows[j])[0] for j in range(len(rows)) for i in range(j)]
+    assert list(L._pair_brackets(rows)) == pairs
+
+
 def test_both_center_routes_match_the_oracle(oracle_corpus):
     """common_kernel over the whole basis and over the certificate's V give
     the canonical center of the dense all-pairs oracle."""

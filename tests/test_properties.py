@@ -5,13 +5,15 @@ bracket, the row bracket on column ids (and its half table) against the
 field bracket and the term-list oracle, the integer echelon kernel and its coordinates against the dense oracles,
 run-time exactness, pushforward as a bracket homomorphism,
 closure invariance under a change of generating set, basis combinations
-(LieAlgebra.element) against term-list sums, and the series and center of
-nilpotent and non-nilpotent closures against the dense oracles.
+(LieAlgebra.element) against term-list sums, the series and center of
+nilpotent and non-nilpotent closures against the dense oracles, and the
+CLI's JSON writer against json.dumps(indent=2).
 Derandomized, so every run draws the same examples."""
 
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 from math import lcm
@@ -32,6 +34,7 @@ from vflie import (
     close,
     random_spec,
 )
+from vflie.cli import _write_json
 from vflie.linalg import (
     Columns,
     EchelonBasis,
@@ -638,3 +641,35 @@ def test_series_and_center_match_the_dense_oracles(gens):
     # the certificate holds exactly for the nilpotent closures
     assert (L._nilpotency_certificate is not None) == L.is_nilpotent()
     assert L.center_coeffs() == oracle_center(L)
+
+
+# report values: quotes, backslashes, control and non-ASCII characters (astral
+# ones included) in strings and keys, ints of any size and sign, empty and
+# nested containers
+json_strings = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028'),
+                                 st.characters()), max_size=6)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-10**300, 10**300), json_strings),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(checks, max_examples=300)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    assert "".join(out) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_what_reports_never_hold():
+    # no float or Fraction reaches a report, and every report key is a str
+    for value in (0.5, Fraction(1, 2), {1: "a"}, [{"k": {None: 0}}], {"k": object()}):
+        with pytest.raises(TypeError):
+            _write_json(value, [], "\n")
