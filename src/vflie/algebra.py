@@ -16,13 +16,13 @@ and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
 complement of [g, g], which generate g; ideal checks, split lifts, Jordan
 chains and the series of any other algebra walk only the nonzero structure
-constants (LieAlgebra._ad_image, _bracket), so a pair whose bracket is
-structurally zero is never visited.  Every center, that of a central
-quotient included, is one routine: common_kernel over the ad table and a
-generating set.
+constants (StructureConstants._ad_image, _bracket), so a pair whose
+bracket is structurally zero is never visited.  Every center, that of a
+central quotient (QuotientStructure) included, is the algebra's own
+_center: common_kernel over the ad table and a generating set.
 
-There is one ad table, built from the tensor on first read:
-integer_ad_tables, ad(e_v) as integer rows over one denominator D_v.  One
+There is one ad table, built from the tensor on first read (_int_ad):
+ad(e_v) as integer rows over one denominator D_v.  One
 bracket in basis coordinates reads it: _ad_image(w) gives each nonzero
 [e_i, w] as an integer vector over one scale L (the value is vector / L),
 and _bracket(u, w) sums u_i times those images (_pair_brackets takes each
@@ -93,29 +93,6 @@ IntTable = dict[int, dict[int, int]]  # j -> nonzero integer coords of D_v * [e_
 IntVector = dict[int, int]  # sparse integer basis coordinates
 
 
-def integer_ad_tables(tensor: IntTensor, dim: int) -> tuple[list[IntTable], list[int]]:
-    """(tables, D): for each basis index v, ad(e_v) as integer rows over one
-    positive denominator D[v], the lcm of the denominators of its structure
-    constants, so that tables[v][j][k] / D[v] is the coefficient of e_k in
-    [e_v, e_j]: the algebra's one ad table.  A pair's c / s have lcm
-    denominator d = s / gcd(s, c...)."""
-    dens = [1] * dim
-    reduced = []
-    for (i, j), (s, entries) in tensor.items():
-        g = s
-        for _, c in entries:
-            g = g if g == 1 else _gcd(c, g)
-        reduced.append((i, j, s // g, g, entries))
-        if s != g:
-            dens[i], dens[j] = _lcm(dens[i], s // g), _lcm(dens[j], s // g)
-    tables: list[IntTable] = [{} for _ in range(dim)]
-    for i, j, d, g, entries in reduced:
-        di, dj = dens[i] // d, dens[j] // d
-        tables[i][j] = {k: di * (c // g) for k, c in entries}
-        tables[j][i] = {k: -dj * (c // g) for k, c in entries}
-    return tables, dens
-
-
 def _fraction_tensor(tensor: IntTensor) -> Tensor:
     """The Fraction form of an integer tensor."""
     return {ab: {k: Fraction(c, s) for k, c in entries} for ab, (s, entries) in tensor.items()}
@@ -123,7 +100,7 @@ def _fraction_tensor(tensor: IntTensor) -> Tensor:
 
 def common_kernel(ad: Sequence[IntTable], acting: Iterable[int]) -> list[SparseVector]:
     """Canonical null-space basis, sparse, of the stacked maps ad(e_v), v in
-    acting, given as integer tables (integer_ad_tables): the center when the
+    acting, given as integer tables (_int_ad): the center when the
     e_v generate the algebra, since a centralizer is a subalgebra.  Scaling
     the rows of ad(e_v) by D_v > 0 leaves the null space unchanged, and
     null_space gives the canonical basis of the subspace, so the answer
@@ -293,119 +270,23 @@ class Projection:
         }
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
-    """Structure constants of L/ideal on representatives e_r, r in
-    rep_indices, in integer form; `tensor`, their Fraction form, on first
-    read.  to_dict() writes the structure text from the integers."""
+class StructureConstants:
+    """A Lie algebra given by its structure constants alone: dim and the
+    exact tensor in integers (_tensor), and every query that reads only
+    them.  `structure`, their Fraction form, is built on first read, and
+    queries walk only the nonzero entries, through the one ad table.
 
-    rep_indices: tuple[int, ...]
-    int_tensor: IntTensor  # indices into rep_indices
-
-    @property
-    def dim(self) -> int:
-        return len(self.rep_indices)
-
-    @cached_property
-    def tensor(self) -> Tensor:
-        return _fraction_tensor(self.int_tensor)
-
-    def to_dict(self) -> dict:
-        return {
-            "rep_indices": list(self.rep_indices),
-            "structure": _structure_text(self.int_tensor),
-        }
-
-
-class LieAlgebra:
-    """Closed algebra: canonical echelon basis plus exact structure tensor.
-
-    Built from the echelon of a bracket-closed span over a column table
-    (linalg.Columns), which it keeps as its one record of the span; every
-    field it makes (basis, _field) and every field it reads into
-    coordinates (express, contains, by Columns.find) goes through that
-    table.  Any other echelon is a TypeError.  A query field with a
-    monomial the table lacks is outside the span, and a query makes no
-    column.  The basis is the unit rows in pivot order, pivot order being
-    (component, monomial) key order, each field built from its primitive
-    integer row h_a*e_a over its head h_a, one Fraction per entry, with no
-    unit row read.  The tensor brackets those rows on their column ids
-    (Columns.bracket) for the pairs a < b whose support classes
-    (Operand.masks, at most 64) the support test cannot prove commuting, in
-    ascending (a, b) order.  One reduction of each bracket
-    (EchelonBasis._residual) checks that it lies in the span and hands back
-    its value t*c, scaled to integers by t, at each pivot it hits (c being
-    its coordinate on that unit row, by full reduction); the constants
-    c / (h_a*h_b) are kept in integers (_tensor), as [h_a*e_a, h_b*e_b] =
-    h_a*h_b*[e_a, e_b].  `structure`, their Fraction form, is built on first
-    read, and report() writes the structure text from the integers.  A
-    bracket outside the span raises InternalInvariantViolation at
-    construction, and the half table close() filled is emptied once the
-    tensor is built.  Queries walk only the nonzero entries, through the
-    one ad table.
-
-    Basis coordinates are sparse (index -> nonzero Fraction) throughout;
-    only the public methods take or return dense lists, validated once where
-    they enter (_checked), and _field is the one map back to fields.
-
-    What an algebra computes once, it keeps: its unit rows in basis order,
-    `structure` and the ad table (each on first read), both series, [g, g] and
-    the nilpotency certificate, the center's coefficients and fields, and
-    per kept set the parts of a projection (its image algebra, kernel fields
-    and kernel coefficients), never the Projection itself.  None of these
-    refers back to the algebra, so an algebra makes no reference cycle and
-    is freed by reference counting alone, not left to the cyclic collector.
+    What it computes once, it keeps: `structure` and the ad table (each on
+    first read), both series, [g, g], the nilpotency certificate and the
+    center's coefficients.
     """
 
-    def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
-        columns = echelon.columns
-        if columns is None:
-            raise TypeError("a LieAlgebra is built from an echelon over a column table")
-        self.ctx = ctx
-        self._echelon = echelon
-        self._order = echelon.order()
-        position = {row: k for k, row in enumerate(self._order)}
-        rows = [columns.operand(echelon.primitive_row(i)) for i in self._order]
-        heads = [row.vec[echelon.pivots[i]] for row, i in zip(rows, self._order)]
-        self.basis = tuple(
-            columns.field({k: Fraction(c, head) for k, c in row.vec.items()}, ctx)
-            for row, head in zip(rows, heads)
-        )
-        members: dict[tuple[int, int], list[int]] = {}
-        for a, row in enumerate(rows):
-            members.setdefault(row.masks, []).append(a)
-        # per support class, the rows of every class it may not commute with
-        partners = {
-            s: sorted(b for t, bs in members.items() if _can_fail_to_commute(s, t) for b in bs)
-            for s in members
-        }
-        self._tensor: IntTensor = {}
-        for a, u in enumerate(rows):
-            later = partners[u.masks]
-            for b in later[bisect_right(later, a):]:
-                vec = columns.bracket(u, rows[b])
-                if not vec:
-                    continue
-                # t * vec is integral, also over a fractional rate, and
-                # values[i] is its value at row i's pivot
-                values: dict[int, int] = {}
-                residual, t = echelon._residual(vec, values)
-                if residual:
-                    raise InternalInvariantViolation(
-                        "bracket of basis elements escapes the span; closure is broken"
-                    )
-                entries = sorted((position[i], c) for i, c in values.items())
-                self._tensor[(a, b)] = (heads[a] * heads[b] * t, entries)
-        columns.release()
+    def __init__(self, dim: int, tensor: IntTensor):
+        self.dim = dim
+        self._tensor = tensor
         self._series: dict[str, SeriesReport] = {}
-        # sorted kept indices -> (image, kernel fields, kernel coefficients)
-        self._projections: dict[tuple[int, ...], tuple] = {}
 
     # -- basics --------------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     @cached_property
     def structure(self) -> Tensor:
@@ -414,8 +295,26 @@ class LieAlgebra:
 
     @cached_property
     def _int_ad(self) -> tuple[list[IntTable], list[int]]:
-        """integer_ad_tables of the integer tensor, built on first read."""
-        return integer_ad_tables(self._tensor, self.dim)
+        """(tables, D), built on first read: for each basis index v, ad(e_v)
+        as integer rows over one positive denominator D[v], the lcm of the
+        denominators of its structure constants, so that tables[v][j][k] /
+        D[v] is the coefficient of e_k in [e_v, e_j]: the algebra's one ad
+        table.  A pair's c / s have lcm denominator d = s / gcd(s, c...)."""
+        dens = [1] * self.dim
+        reduced = []
+        for (i, j), (s, entries) in self._tensor.items():
+            g = s
+            for _, c in entries:
+                g = g if g == 1 else _gcd(c, g)
+            reduced.append((i, j, s // g, g, entries))
+            if s != g:
+                dens[i], dens[j] = _lcm(dens[i], s // g), _lcm(dens[j], s // g)
+        tables: list[IntTable] = [{} for _ in range(self.dim)]
+        for i, j, d, g, entries in reduced:
+            di, dj = dens[i] // d, dens[j] // d
+            tables[i][j] = {k: di * (c // g) for k, c in entries}
+            tables[j][i] = {k: -dj * (c // g) for k, c in entries}
+        return tables, dens
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         """Structure constant: coefficient of e_k in [e_i, e_j], read from
@@ -464,100 +363,13 @@ class LieAlgebra:
             for u in rows[:j]:
                 yield _combination(images, {i: a for i, a in u.items() if i in images})
 
-    def bracket_coeffs(
-        self, u: Sequence[Fraction], w: Sequence[Fraction]
-    ) -> list[Fraction]:
-        """[u, w] in basis coordinates, computed on the structure tensor.
-
-        Dense form of _bracket on u and w scaled to integers, divided by
-        the scales once; no engine code calls it, and it remains for the
-        tests and the benchmark tracer.
-        """
-        (u, su), (w, sw) = _integral(self._checked(u)), _integral(self._checked(w))
-        vec, scale = self._bracket(u, w)
-        scale *= su * sw
-        return [Fraction(vec.get(k, 0), scale) for k in range(self.dim)]
-
-    def element(self, coeffs: Sequence[Fraction]) -> VectorField:
-        """sum_k coeffs[k] * basis[k] for a sequence of one int or Fraction
-        per basis element, validated into sparse coordinates (_checked) and
-        mapped by _field."""
-        return self._field(self._checked(coeffs))
-
-    def _field(self, coeffs: Mapping[int, Fraction]) -> VectorField:
-        """sum_k coeffs[k] * basis[k] for sparse basis coordinates.
-
-        A vector with one entry c, at k, is basis[k] itself when c == 1 and
-        basis[k] * c otherwise, so no coordinates are summed; any other
-        vector is summed over the unit rows.
-        """
-        if len(coeffs) == 1:
-            (k, c), = coeffs.items()
-            return self.basis[k] if c == 1 else self.basis[k] * c
-        return self._echelon.columns.field(_combination(self._rows, coeffs), self.ctx)
-
-    @cached_property
-    def _rows(self) -> list[SparseVector]:
-        """The unit rows in basis order, as Fractions, built on first read."""
-        return [self._echelon.row(i) for i in self._order]
-
-    def express(self, field: VectorField) -> list[Fraction]:
-        """Coordinates of a field over the basis; raises NotInSpan otherwise."""
-        if field.ctx != self.ctx:
-            raise ContextMismatch("field belongs to a different context")
-        vec = self._echelon.columns.find(field)
-        if vec is None:
-            raise NotInSpan("vector is outside the span of the basis")
-        # the echelon's rows are in insertion order, the basis in pivot order
-        coeffs = self._echelon.express(vec)
-        return [coeffs[row] for row in self._order]
-
-    def contains(self, field: VectorField) -> bool:
-        if field.ctx != self.ctx:
-            raise ContextMismatch("field belongs to a different context")
-        vec = self._echelon.columns.find(field)
-        return vec is not None and self._echelon.contains(vec)
-
-    def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> SparseVector:
-        return to_sparse(self.express(v)) if isinstance(v, VectorField) else self._checked(v)
-
-    def _checked(self, coeffs: Sequence[Fraction]) -> SparseVector:
-        """coeffs as sparse coordinates: TypeError unless a sequence of ints
-        and Fractions (a float, or a dict, is not), then ValueError unless
-        one per basis element."""
-        if not isinstance(coeffs, Sequence):
-            raise TypeError(f"coefficient vector {coeffs!r} is not a sequence")
-        vec = to_sparse(coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError("coefficient vector has the wrong length")
-        return vec
-
     # -- center ---------------------------------------------------------------
-
-    def center_coeffs(self) -> list[list[Fraction]]:
-        """Canonical basis of the center in basis coordinates: common_kernel
-        of the e_v, v in V, when the nilpotency certificate holds (they
-        generate g), else of the whole basis; the route does not change the
-        answer.  Computed once, sparse; each call returns new dense lists."""
-        return [to_dense(v, self.dim) for v in self._center]
 
     @cached_property
     def _center(self) -> tuple[SparseVector, ...]:
         certificate = self._nilpotency_certificate
         acting = range(self.dim) if certificate is None else certificate[0]
         return tuple(common_kernel(self._int_ad[0], acting))
-
-    def center(self) -> list[VectorField]:
-        """The center as fields, _field of each center vector.
-
-        Computed once per algebra; each call returns a new list of the same
-        fields, so a caller may change the list it gets.
-        """
-        return list(self._center_fields)
-
-    @cached_property
-    def _center_fields(self) -> tuple[VectorField, ...]:
-        return tuple(map(self._field, self._center))
 
     # -- series and flags -------------------------------------------------------
 
@@ -692,6 +504,216 @@ class LieAlgebra:
     def is_solvable(self) -> bool:
         return self.series("derived").terminated_at_zero
 
+    # -- quotients ------------------------------------------------------------------
+
+    def _quotient_by(self, span: EchelonBasis) -> QuotientStructure:
+        """L/span on the complementary basis lines, `span` an ideal already verified."""
+        pivots = set(span.pivots)
+        reps = tuple(i for i in range(self.dim) if i not in pivots)
+        position = {rep: c for c, rep in enumerate(reps)}
+        tensor: IntTensor = {}
+        for (i, j), (s, entries) in self._tensor.items():
+            if i in position and j in position:
+                residual, scale = span._residual(dict(entries))
+                if residual:
+                    reduced = sorted((position[k], c) for k, c in residual.items())
+                    tensor[(position[i], position[j])] = (s * scale, reduced)
+        return QuotientStructure(reps, tensor)
+
+
+class QuotientStructure(StructureConstants):
+    """The structure constants of L/ideal, a full algebra that may be
+    quotiented again, on representatives e_r, r in rep_indices, whose
+    positions index its tensor.  to_dict() writes the structure text from
+    the integers."""
+
+    def __init__(self, rep_indices: tuple[int, ...], tensor: IntTensor):
+        super().__init__(len(rep_indices), tensor)
+        self.rep_indices = rep_indices
+
+    def to_dict(self) -> dict:
+        return {
+            "rep_indices": list(self.rep_indices),
+            "structure": _structure_text(self._tensor),
+        }
+
+
+class LieAlgebra(StructureConstants):
+    """Closed algebra: canonical echelon basis over its structure constants.
+
+    Built from the echelon of a bracket-closed span over a column table
+    (linalg.Columns), which it keeps as its one record of the span; every
+    field it makes (basis, _field) and every field it reads into
+    coordinates (express, contains, by Columns.find) goes through that
+    table.  Any other echelon is a TypeError.  A query field with a
+    monomial the table lacks is outside the span, and a query makes no
+    column.  The basis is the unit rows in pivot order, pivot order being
+    (component, monomial) key order, each field built from its primitive
+    integer row h_a*e_a over its head h_a, one Fraction per entry, with no
+    unit row read.  The tensor brackets those rows on their column ids
+    (Columns.bracket) for the pairs a < b whose support classes
+    (Operand.masks, at most 64) the support test cannot prove commuting, in
+    ascending (a, b) order.  One reduction of each bracket
+    (EchelonBasis._residual) checks that it lies in the span and hands back
+    its value t*c, scaled to integers by t, at each pivot it hits (c being
+    its coordinate on that unit row, by full reduction); the constants
+    c / (h_a*h_b) are kept in integers, as [h_a*e_a, h_b*e_b] =
+    h_a*h_b*[e_a, e_b], and report() writes the structure text from them.
+    A bracket outside the span raises InternalInvariantViolation at
+    construction, and the half table close() filled is emptied once the
+    tensor is built.
+
+    Basis coordinates are sparse (index -> nonzero Fraction) throughout;
+    only the public methods take or return dense lists, validated once where
+    they enter (_checked), and _field is the one map back to fields.
+
+    Beside what its base keeps, it keeps its unit rows in basis order (on
+    first read), the center's fields, and per kept set the parts of a
+    projection (its image algebra, kernel fields and kernel coefficients),
+    never the Projection itself.  None of these refers back to the algebra,
+    so an algebra makes no reference cycle and is freed by reference
+    counting alone, not left to the cyclic collector.
+    """
+
+    # bench/tracing.py wraps `series` in this class's own namespace; the
+    # base class's methods call self.series, so they reach the wrapper
+    series = StructureConstants.series
+
+    def __init__(self, ctx: VariableContext, echelon: EchelonBasis):
+        columns = echelon.columns
+        if columns is None:
+            raise TypeError("a LieAlgebra is built from an echelon over a column table")
+        self.ctx = ctx
+        self._echelon = echelon
+        self._order = echelon.order()
+        position = {row: k for k, row in enumerate(self._order)}
+        rows = [columns.operand(echelon.primitive_row(i)) for i in self._order]
+        heads = [row.vec[echelon.pivots[i]] for row, i in zip(rows, self._order)]
+        self.basis = tuple(
+            columns.field({k: Fraction(c, head) for k, c in row.vec.items()}, ctx)
+            for row, head in zip(rows, heads)
+        )
+        members: dict[tuple[int, int], list[int]] = {}
+        for a, row in enumerate(rows):
+            members.setdefault(row.masks, []).append(a)
+        # per support class, the rows of every class it may not commute with
+        partners = {
+            s: sorted(b for t, bs in members.items() if _can_fail_to_commute(s, t) for b in bs)
+            for s in members
+        }
+        tensor: IntTensor = {}
+        for a, u in enumerate(rows):
+            later = partners[u.masks]
+            for b in later[bisect_right(later, a):]:
+                vec = columns.bracket(u, rows[b])
+                if not vec:
+                    continue
+                # t * vec is integral, also over a fractional rate, and
+                # values[i] is its value at row i's pivot
+                values: dict[int, int] = {}
+                residual, t = echelon._residual(vec, values)
+                if residual:
+                    raise InternalInvariantViolation(
+                        "bracket of basis elements escapes the span; closure is broken"
+                    )
+                entries = sorted((position[i], c) for i, c in values.items())
+                tensor[(a, b)] = (heads[a] * heads[b] * t, entries)
+        columns.release()
+        super().__init__(len(self.basis), tensor)
+        # sorted kept indices -> (image, kernel fields, kernel coefficients)
+        self._projections: dict[tuple[int, ...], tuple] = {}
+
+    # -- basics --------------------------------------------------------------
+
+    def bracket_coeffs(
+        self, u: Sequence[Fraction], w: Sequence[Fraction]
+    ) -> list[Fraction]:
+        """[u, w] in basis coordinates, computed on the structure tensor.
+
+        Dense form of _bracket on u and w scaled to integers, divided by
+        the scales once; no engine code calls it, and it remains for the
+        tests and the benchmark tracer.
+        """
+        (u, su), (w, sw) = _integral(self._checked(u)), _integral(self._checked(w))
+        vec, scale = self._bracket(u, w)
+        scale *= su * sw
+        return [Fraction(vec.get(k, 0), scale) for k in range(self.dim)]
+
+    def element(self, coeffs: Sequence[Fraction]) -> VectorField:
+        """sum_k coeffs[k] * basis[k] for a sequence of one int or Fraction
+        per basis element, validated into sparse coordinates (_checked) and
+        mapped by _field."""
+        return self._field(self._checked(coeffs))
+
+    def _field(self, coeffs: Mapping[int, Fraction]) -> VectorField:
+        """sum_k coeffs[k] * basis[k] for sparse basis coordinates.
+
+        A vector with one entry c, at k, is basis[k] itself when c == 1 and
+        basis[k] * c otherwise, so no coordinates are summed; any other
+        vector is summed over the unit rows.
+        """
+        if len(coeffs) == 1:
+            (k, c), = coeffs.items()
+            return self.basis[k] if c == 1 else self.basis[k] * c
+        return self._echelon.columns.field(_combination(self._rows, coeffs), self.ctx)
+
+    @cached_property
+    def _rows(self) -> list[SparseVector]:
+        """The unit rows in basis order, as Fractions, built on first read."""
+        return [self._echelon.row(i) for i in self._order]
+
+    def express(self, field: VectorField) -> list[Fraction]:
+        """Coordinates of a field over the basis; raises NotInSpan otherwise."""
+        if field.ctx != self.ctx:
+            raise ContextMismatch("field belongs to a different context")
+        vec = self._echelon.columns.find(field)
+        if vec is None:
+            raise NotInSpan("vector is outside the span of the basis")
+        # the echelon's rows are in insertion order, the basis in pivot order
+        coeffs = self._echelon.express(vec)
+        return [coeffs[row] for row in self._order]
+
+    def contains(self, field: VectorField) -> bool:
+        if field.ctx != self.ctx:
+            raise ContextMismatch("field belongs to a different context")
+        vec = self._echelon.columns.find(field)
+        return vec is not None and self._echelon.contains(vec)
+
+    def _coeffs_of(self, v: Union[VectorField, Sequence[Fraction]]) -> SparseVector:
+        return to_sparse(self.express(v)) if isinstance(v, VectorField) else self._checked(v)
+
+    def _checked(self, coeffs: Sequence[Fraction]) -> SparseVector:
+        """coeffs as sparse coordinates: TypeError unless a sequence of ints
+        and Fractions (a float, or a dict, is not), then ValueError unless
+        one per basis element."""
+        if not isinstance(coeffs, Sequence):
+            raise TypeError(f"coefficient vector {coeffs!r} is not a sequence")
+        vec = to_sparse(coeffs)
+        if len(coeffs) != self.dim:
+            raise ValueError("coefficient vector has the wrong length")
+        return vec
+
+    # -- center ---------------------------------------------------------------
+
+    def center_coeffs(self) -> list[list[Fraction]]:
+        """Canonical basis of the center in basis coordinates: common_kernel
+        of the e_v, v in V, when the nilpotency certificate holds (they
+        generate g), else of the whole basis; the route does not change the
+        answer.  Computed once, sparse; each call returns new dense lists."""
+        return [to_dense(v, self.dim) for v in self._center]
+
+    def center(self) -> list[VectorField]:
+        """The center as fields, _field of each center vector.
+
+        Computed once per algebra; each call returns a new list of the same
+        fields, so a caller may change the list it gets.
+        """
+        return list(self._center_fields)
+
+    @cached_property
+    def _center_fields(self) -> tuple[VectorField, ...]:
+        return tuple(map(self._field, self._center))
+
     # -- projection ---------------------------------------------------------------
 
     def project(self, kept: Sequence[Union[int, str]]) -> Projection:
@@ -793,20 +815,6 @@ class LieAlgebra:
     def quotient_structure(self, ideal: IdealLike) -> QuotientStructure:
         """Structure constants of L/ideal on the complementary basis lines."""
         return self._quotient_by(self.verify_ideal(ideal))
-
-    def _quotient_by(self, span: EchelonBasis) -> QuotientStructure:
-        """quotient_structure for an ideal already verified as `span`."""
-        pivots = set(span.pivots)
-        reps = tuple(i for i in range(self.dim) if i not in pivots)
-        position = {rep: c for c, rep in enumerate(reps)}
-        tensor: IntTensor = {}
-        for (i, j), (s, entries) in self._tensor.items():
-            if i in position and j in position:
-                residual, scale = span._residual(dict(entries))
-                if residual:
-                    reduced = sorted((position[k], c) for k, c in residual.items())
-                    tensor[(position[i], position[j])] = (s * scale, reduced)
-        return QuotientStructure(reps, tensor)
 
     # -- reporting -----------------------------------------------------------------
 

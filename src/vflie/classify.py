@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence, Union
 
-from .algebra import IdealLike, LieAlgebra, common_kernel, integer_ad_tables
+from .algebra import IdealLike, LieAlgebra
 from .errors import (
     ContextMismatch,
     IdealNotAbelian,
@@ -316,7 +316,7 @@ def one_dim_ideals_mod_center(algebra: LieAlgebra) -> OneDimIdealFamily:
         raise NotNilpotent("one-dimensional-ideal analysis requires nilpotency")
     center = algebra._center
     quotient = algebra._quotient_by(echelon_of(center))
-    qcenter = common_kernel(integer_ad_tables(quotient.int_tensor, quotient.dim)[0], range(quotient.dim))
+    qcenter = quotient._center
     reps = quotient.rep_indices
     lifts = tuple(algebra._field({reps[a]: c for a, c in vec.items()}) for vec in qcenter)
     return OneDimIdealFamily(False, len(center), len(qcenter), lifts)
@@ -415,7 +415,7 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     conditions: list[tuple] = []
     for a, b in combinations(range(q), 2):
         s0, entries = algebra._tensor.get((reps[a], reps[b]), (1, ()))
-        sq, mu = quotient.int_tensor.get((a, b), (1, ()))
+        sq, mu = quotient._tensor.get((a, b), (1, ()))
         scale = _lcm(_lcm(s0, sq), image_scale)
         const = {k: scale // s0 * c for k, c in entries}
         for c, coeff in mu:

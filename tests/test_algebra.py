@@ -852,8 +852,8 @@ def test_structure_text_is_the_fraction_text(oracle_corpus):
         if center := L.center_coeffs():
             q = L.quotient_structure(center)
             assert q.to_dict()["structure"] == [[a, b, k, str(c)] for (a, b), comps
-                                                in sorted(q.tensor.items()) for k, c in comps.items()]
-            quotients += bool(q.int_tensor)
+                                                in sorted(q.structure.items()) for k, c in comps.items()]
+            quotients += bool(q._tensor)
     assert fractional and quotients
 
 
@@ -1496,7 +1496,7 @@ def test_quotient_by_whole_algebra():
 def test_heisenberg_mod_center_is_abelian():
     L = algebra(*HEISENBERG)
     q = L.quotient_structure(L.center())
-    assert q.dim == 2 and not q.tensor
+    assert q.dim == 2 and not q.structure
 
 
 def test_polynomial_example_quotient_pattern():
@@ -1505,7 +1505,7 @@ def test_polynomial_example_quotient_pattern():
     proj = L.project(["x", "y"])
     q = L.quotient_structure(list(proj.kernel_coeffs))
     assert q.dim == 3
-    assert q.tensor == {(1, 2): {0: Q(-1)}}
+    assert q.structure == {(1, 2): {0: Q(-1)}}
 
 
 def test_quotient_by_central_line_off_the_basis():
@@ -1515,12 +1515,12 @@ def test_quotient_by_central_line_off_the_basis():
     assert [str(b) for b in L.basis] == ["Dx", "Dy", "x*Dy", "Dz"]
     q = L.quotient_structure([F("Dy + Dz")])
     assert q.rep_indices == (0, 2, 3)
-    assert q.tensor == {(0, 1): {2: Q(-1)}}
+    assert q.structure == {(0, 1): {2: Q(-1)}}
     ideal = [L.express(F("Dy + Dz"))]
     for a, b in [(0, 1), (0, 2), (1, 2)]:
         unit = lambda r: [Q(int(t == q.rep_indices[r])) for t in range(L.dim)]
         lifted = L.bracket_coeffs(unit(a), unit(b))
-        for c, coeff in q.tensor.get((a, b), {}).items():
+        for c, coeff in q.structure.get((a, b), {}).items():
             lifted[q.rep_indices[c]] -= coeff
         assert oracle_member(ideal, lifted)
 
@@ -1540,7 +1540,7 @@ def test_quotients_match_the_all_pairs_oracle(oracle_corpus):
         center = L.center_coeffs()
         for ideal in ([center] if center else []) + [t for t in terms if t]:
             q = L.quotient_structure(ideal)
-            assert (q.rep_indices, q.tensor) == oracle_quotient(L, ideal), L.dim
+            assert (q.rep_indices, q.structure) == oracle_quotient(L, ideal), L.dim
 
 
 def test_report_schema():

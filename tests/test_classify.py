@@ -34,8 +34,9 @@ from vflie import (
     random_spec,
     split_check,
 )
+from vflie.algebra import StructureConstants
 from vflie.classify import _parallel_columns
-from vflie.linalg import Columns, EchelonBasis, null_space
+from vflie.linalg import Columns, EchelonBasis, echelon_of, null_space, to_dense
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -960,6 +961,99 @@ def test_center_series_and_certificate_match_golden_digests(recipe_draws):
     # elimination and null_space eliminated columns
     got = {name: digest(doc) for name, doc in structure_outputs(recipe_draws).items()}
     assert got == json.loads(STRUCTURE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_tensor_only_algebra_matches_the_structure_golden(recipe_draws):
+    # a StructureConstants built from L's integer tensor alone, with no
+    # fields, gives L's center, both series and the certificate
+    golden = json.loads(STRUCTURE_GOLDEN.read_text(encoding="utf-8"))
+    algebras = [(name, L) for name, _, L in recipe_draws]
+    algebras += [(f"large/{s}/{bound}", close(build(random_spec(recipe, s, bound)).generators))
+                 for recipe, s, bound in LARGE_REPORT]
+    assert {name for name, _ in algebras} == set(golden)
+    for name, L in algebras:
+        S = StructureConstants(L.dim, L._tensor)
+        doc = {
+            "center": [[str(c) for c in to_dense(v, S.dim)] for v in S._center],
+            "series": [S.series(kind).to_dict() for kind in ("lower-central", "derived")],
+            "certificate": S._nilpotency_certificate,
+        }
+        assert digest(doc) == golden[name], name
+
+
+def quotient_chain_dims(L) -> list[int]:
+    """dim Z_k of the upper central series as a chain of quotient centers:
+    Q_0 = L, Q_{k+1} = Q_k / Z(Q_k) until a center is zero, and
+    dim Z_k = dim L - dim Q_k."""
+    dims, q = [0], L
+    while q._center:
+        q = q._quotient_by(echelon_of(q._center))
+        dims.append(L.dim - q.dim)
+    return dims
+
+
+def oracle_upper_central_dims(L) -> list[int]:
+    """dim Z_k from L.c alone, densely: x lies in Z_{k+1} when [x, e_b] lies
+    in Z_k for every b, that is when sum_a x_a r(a, b) = 0 for every b,
+    r(a, b) being [e_a, e_b] reduced by the reduced rows of Z_k; Z_{k+1} is
+    the null space of those conditions, one vector per free column."""
+    n = L.dim
+    brackets = {(a, b): v for a in range(n) for b in range(n)
+                if any(v := [L.c(a, b, k) for k in range(n)])}
+    term: list[list[Fraction]] = []
+    dims = [0]
+    while True:
+        pivots = [next(c for c, v in enumerate(row) if v) for row in term]
+        reduced = {}
+        for ab, v in brackets.items():
+            for row, p in zip(term, pivots):
+                factor = v[p] / row[p]
+                v = [x - factor * y for x, y in zip(v, row)]
+            reduced[ab] = v
+        conditions = oracle_row_basis([[reduced.get((a, b), [0] * n)[k] for a in range(n)]
+                                       for b in range(n) for k in range(n)])
+        heads = [next(c for c, v in enumerate(row) if v) for row in conditions]
+        kernel = []
+        for free in (c for c in range(n) if c not in heads):
+            vec = [Q(int(c == free)) for c in range(n)]
+            for row, p in zip(conditions, heads):
+                vec[p] = -row[free] / row[p]
+            kernel.append(vec)
+        if len(kernel) == dims[-1]:
+            return dims
+        dims.append(len(kernel))
+        term = oracle_row_basis(kernel)
+
+
+def test_upper_central_series_as_a_chain_of_quotient_centers():
+    # a quotient is a full algebra: its own center, quotiented again
+    readme = {EX_POLY: [0, 1, 2, 4, 6, 8], EX_EXP: [0, 4, 6, 8], HEISENBERG: [0, 1, 3]}
+    draws = [(texts, algebra(*texts)) for texts in readme]
+    draws += [((recipe, seed), close(build(random_spec(recipe, seed, 3)).generators))
+              for recipe in RECIPES for seed in range(6)]
+    for name, L in draws:
+        dims = quotient_chain_dims(L)
+        assert dims == oracle_upper_central_dims(L), name
+        assert (dims[-1] == L.dim) == L.is_nilpotent(), name
+        assert name not in readme or dims == readme[name]
+
+
+def test_every_series_read_reaches_the_class_attribute_the_tracer_wraps(monkeypatch):
+    # bench/tracing.py install() replaces vars(LieAlgebra)["series"]; a
+    # base-class method that called StructureConstants.series directly
+    # would hide the series from that layer
+    calls = []
+    series = vars(LieAlgebra)["series"]
+
+    def counting(self, kind):
+        calls.append(kind)
+        return series(self, kind)
+
+    monkeypatch.setattr(LieAlgebra, "series", counting)
+    for read in (LieAlgebra.is_nilpotent, LieAlgebra.report, classify):
+        calls.clear()
+        read(algebra(*EX_POLY))
+        assert calls, read
 
 
 def test_template_negative_match_is_result_not_error():
