@@ -16,7 +16,7 @@ and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
 complement of [g, g], which generate g; ideal checks, split lifts, Jordan
 chains and the series of any other algebra walk only the nonzero structure
-constants (StructureConstants._ad_image, _bracket), so a pair whose
+constants (StructureConstants._ad_image), so a pair whose
 bracket is structurally zero is never visited.  Every center, that of a
 central quotient (QuotientStructure) included, is the algebra's own
 _center: common_kernel over the ad table and a generating set.
@@ -25,8 +25,8 @@ There is one ad table, built from the tensor on first read (_int_ad):
 ad(e_v) as integer rows over one denominator D_v.  One
 bracket in basis coordinates reads it: _ad_image(w) gives each nonzero
 [e_i, w] as an integer vector over one scale L (the value is vector / L),
-and _bracket(u, w) sums u_i times those images (_pair_brackets takes each
-row's images once for all its pairs); the certificate's layers
+and [u, w] sums u_i times those images (_pair_brackets takes each row's
+images once for all its pairs); the certificate's layers
 take [e_v, w] from e_v's own rows alone.  So what reads only spans ([g, g],
 the certificate's layers, the centers, ideal and complement checks, the
 series) does no Fraction arithmetic, and [g, g], the series and the
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 from typing import Union
 
 from .errors import (
@@ -70,9 +71,7 @@ from .linalg import (
     SparseVector,
     _axpy,
     _combination,
-    _gcd,
     _integral,
-    _lcm,
     echelon_of,
     forward_echelon,
     generic_rank,
@@ -125,7 +124,7 @@ def _structure_text(tensor: IntTensor) -> list[list]:
     out = []
     for (a, b), (s, entries) in sorted(tensor.items()):
         for k, c in entries:
-            g = _gcd(c, s)
+            g = gcd(c, s)
             out.append([a, b, k, str(c // g) if g == s else f"{c // g}/{s // g}"])
     return out
 
@@ -299,16 +298,18 @@ class StructureConstants:
         as integer rows over one positive denominator D[v], the lcm of the
         denominators of its structure constants, so that tables[v][j][k] /
         D[v] is the coefficient of e_k in [e_v, e_j]: the algebra's one ad
-        table.  A pair's c / s have lcm denominator d = s / gcd(s, c...)."""
+        table.  A pair's c / s have lcm denominator d = s / g, g being the gcd
+        of s and every c; the gcd is taken entry by entry and stops at 1,
+        so a pair of scale 1 takes none."""
         dens = [1] * self.dim
         reduced = []
         for (i, j), (s, entries) in self._tensor.items():
             g = s
             for _, c in entries:
-                g = g if g == 1 else _gcd(c, g)
+                g = g if g == 1 else gcd(c, g)
             reduced.append((i, j, s // g, g, entries))
             if s != g:
-                dens[i], dens[j] = _lcm(dens[i], s // g), _lcm(dens[j], s // g)
+                dens[i], dens[j] = lcm(dens[i], s // g), lcm(dens[j], s // g)
         tables: list[IntTable] = [{} for _ in range(self.dim)]
         for i, j, d, g, entries in reduced:
             di, dj = dens[i] // d, dens[j] // d
@@ -329,12 +330,6 @@ class StructureConstants:
             return self.structure.get((i, j), {}).get(k, ZERO)
         return -self.structure.get((j, i), {}).get(k, ZERO)
 
-    def _bracket(self, u: Mapping[int, int], w: Mapping[int, int]) -> tuple[IntVector, int]:
-        """(vec, L) with [u, w] == vec / L for integer basis coordinates u
-        and w: vec sums u_i * images[i] over w's _ad_image, of scale L."""
-        images, scale = self._ad_image(w)
-        return _combination(images, {i: a for i, a in u.items() if i in images}), scale
-
     def _ad_image(self, w: Mapping[int, int]) -> tuple[dict[int, IntVector], int]:
         """(images, L) with [e_i, w] == images[i] / L for every i whose
         bracket with w is nonzero, for integer basis coordinates w.
@@ -346,7 +341,7 @@ class StructureConstants:
         tables, dens = self._int_ad
         scale = 1
         for j in w:
-            scale = _lcm(scale, dens[j])
+            scale = lcm(scale, dens[j])
         images: dict[int, IntVector] = {}
         for j, b in w.items():
             factor = -b * (scale // dens[j])
@@ -357,7 +352,7 @@ class StructureConstants:
     def _pair_brackets(self, rows: Sequence[Mapping[int, int]]) -> Iterable[IntVector]:
         """[u, w] for every pair of rows, u before w, each as an integer
         vector of its line (scale dropped): each w's _ad_image is taken once
-        and combined with every earlier row, as _bracket would per pair."""
+        and combined with every earlier row: [u, w] sums u_i * images[i]."""
         for j, w in enumerate(rows):
             images = self._ad_image(w)[0]
             for u in rows[:j]:
@@ -568,11 +563,9 @@ class LieAlgebra(StructureConstants):
     they enter (_checked), and _field is the one map back to fields.
 
     Beside what its base keeps, it keeps its unit rows in basis order (on
-    first read), the center's fields, and per kept set the parts of a
-    projection (its image algebra, kernel fields and kernel coefficients),
-    never the Projection itself.  None of these refers back to the algebra,
-    so an algebra makes no reference cycle and is freed by reference
-    counting alone, not left to the cyclic collector.
+    first read) and the center's fields, never a Projection.  Neither
+    refers back to the algebra, so an algebra makes no reference cycle and
+    is freed by reference counting alone, not left to the cyclic collector.
     """
 
     # bench/tracing.py wraps `series` in this class's own namespace; the
@@ -620,8 +613,6 @@ class LieAlgebra(StructureConstants):
                 tensor[(a, b)] = (heads[a] * heads[b] * t, entries)
         columns.release()
         super().__init__(len(self.basis), tensor)
-        # sorted kept indices -> (image, kernel fields, kernel coefficients)
-        self._projections: dict[tuple[int, ...], tuple] = {}
 
     # -- basics --------------------------------------------------------------
 
@@ -630,12 +621,13 @@ class LieAlgebra(StructureConstants):
     ) -> list[Fraction]:
         """[u, w] in basis coordinates, computed on the structure tensor.
 
-        Dense form of _bracket on u and w scaled to integers, divided by
-        the scales once; no engine code calls it, and it remains for the
-        tests and the benchmark tracer.
+        u and w are scaled to integers, u_i * images[i] is summed over w's
+        _ad_image, and the sum is divided by the scales once; no engine
+        code calls it, and it remains for the tests and the benchmark tracer.
         """
         (u, su), (w, sw) = _integral(self._checked(u)), _integral(self._checked(w))
-        vec, scale = self._bracket(u, w)
+        images, scale = self._ad_image(w)
+        vec = _combination(images, {i: a for i, a in u.items() if i in images})
         scale *= su * sw
         return [Fraction(vec.get(k, 0), scale) for k in range(self.dim)]
 
@@ -723,10 +715,9 @@ class LieAlgebra(StructureConstants):
         kept variables (this is what makes the dropped part an abelian ideal
         and the kept part a homomorphic image).  The kept variables may be
         names or int indices (else TypeError, as for a bool), in any order.
-        The image algebra, the kernel fields and the kernel coefficients are
-        computed once per sorted kept set, and each call returns a new
-        Projection around them; a ProjectionHypothesisViolated is not kept,
-        so it is raised again on every call.
+        Each call computes the image algebra, the kernel fields and the
+        kernel coefficients anew, and returns a new Projection around them;
+        a ProjectionHypothesisViolated is raised on every call.
         """
         if bad := [k for k in kept if type(k) not in (str, int)]:
             raise TypeError(f"kept variable {bad[0]!r} is not a name or an index")
@@ -737,16 +728,12 @@ class LieAlgebra(StructureConstants):
             raise ValueError("kept variable index out of range")
         if len(indices) == self.ctx.nvars:
             raise ValueError("at least one variable must be dropped")
-        parts = self._projections.get(indices)
-        if parts is None:
-            parts = self._projections[indices] = self._projection_parts(indices)
-        return Projection(self, indices, *parts)
+        return Projection(self, indices, *self._projection_parts(indices))
 
     def _projection_parts(
         self, indices: tuple[int, ...]
     ) -> tuple["LieAlgebra", tuple[VectorField, ...], tuple[tuple[Fraction, ...], ...]]:
-        """(image, kernel fields, kernel coefficients) of project(indices):
-        what project() keeps, none of it referring back to this algebra."""
+        """(image, kernel fields, kernel coefficients) of project(indices)."""
         for b in self.basis:
             for ci, comp in enumerate(b.comps):
                 if not comp.depends_only_on(indices):

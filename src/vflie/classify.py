@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence, Union
 
 from .algebra import IdealLike, LieAlgebra
@@ -42,7 +43,6 @@ from .linalg import (
     _axpy,
     _combination,
     _integral,
-    _lcm,
     echelon_of,
     forward_echelon,
     generic_rank,
@@ -216,7 +216,8 @@ def jordan_chains(
     Deterministic: candidate heads are drawn from the canonical null-space
     bases of the operator powers in decreasing chain length.  N's column
     for the unit row p / h of the subspace is the integer bracket (vec, L)
-    of s * op with its primitive row p: [op, p / h] = vec / (L * s * h).
+    of s * op with its primitive row p, read off the one _ad_image of s * op
+    as [op, p] = -sum_i p_i [e_i, op]: [op, p / h] = vec / (L * s * h).
     One reduction of vec (_residual) tests invariance and hands back t
     times its coordinates, so each entry is one Fraction over L * s * h * t.
 
@@ -237,15 +238,16 @@ def jordan_chains(
     m = len(order)
 
     # columns of the restricted operator N over the subspace basis
+    images, ad_scale = algebra._ad_image(op)
     n_cols: list[SparseVector] = []
     for r in order:
         row = span.primitive_row(r)
-        vec, scale = algebra._bracket(op, row)
+        vec = _combination(images, {i: -c for i, c in row.items() if i in images})
         values: dict[int, int] = {}
         residual, t = span._residual(vec, values)
         if residual:
             raise NotInvariant("subspace is not invariant under the operator")
-        scale *= op_scale * row[span.pivots[r]] * t
+        scale = ad_scale * op_scale * row[span.pivots[r]] * t
         n_cols.append({position[i]: Fraction(c, scale) for i, c in values.items()})
 
     powers = [n_cols]  # columns of N, N^2, ...; grows until N^p = 0
@@ -406,7 +408,7 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     q, m = len(reps), len(rows)
     image_scale = 1
     for _, scale in images:
-        image_scale = _lcm(image_scale, scale)
+        image_scale = lcm(image_scale, scale)
 
     def u_index(a: int, t: int) -> int:
         return a * m + t
@@ -416,7 +418,7 @@ def split_check(algebra: LieAlgebra, ideal: IdealLike) -> SplitVerdict:
     for a, b in combinations(range(q), 2):
         s0, entries = algebra._tensor.get((reps[a], reps[b]), (1, ()))
         sq, mu = quotient._tensor.get((a, b), (1, ()))
-        scale = _lcm(_lcm(s0, sq), image_scale)
+        scale = lcm(s0, sq, image_scale)
         const = {k: scale // s0 * c for k, c in entries}
         for c, coeff in mu:
             _axpy(const, {reps[c]: 1}, -(scale // sq) * coeff)

@@ -36,6 +36,9 @@ a Jacobian or a product of term maps, and none touches a zero half.
 Columns.find reads a field's term maps into ids; coordinatize and its
 inverse give the public (component, monomial)-keyed form of a field.
 
+Every gcd and lcm is math.gcd or math.lcm, which take and return ints, so
+the integer steps stay exact.
+
 One sparse multiply-accumulate, _axpy, serves the integer elimination, the
 row bracket and every Fraction combination alike, and _combination sums
 scaled vectors through it.  The dense helpers (rref_dense,
@@ -54,6 +57,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
@@ -255,32 +259,17 @@ def _integral(vec: Mapping[Any, Fraction]) -> tuple[dict[Any, int], int]:
     scale = 1
     for c in vec.values():
         if c.denominator != 1:
-            scale = _lcm(scale, c.denominator)
+            scale = lcm(scale, c.denominator)
     return {k: scale // c.denominator * c.numerator for k, c in vec.items()}, scale
 
 
-def _gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two integers, by Euclid; never negative."""
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    return a if a % b == 0 else a // _gcd(a, b) * b
-
-
 def _primitive(vec: dict[Any, int], lead: Any) -> dict[Any, int]:
-    """vec divided by its content, signed so that vec[lead] is positive.  The
-    gcd starts from vec[lead], a multiple of the content, so a row whose
-    pivot coefficient is 1 skips the scan."""
+    """vec divided by its content, the gcd of its entries, signed so that
+    vec[lead] is positive.  A row whose pivot coefficient is +-1 has
+    content 1, so it skips the gcd."""
     g = abs(vec[lead])
     if g != 1:
-        for c in vec.values():
-            g = _gcd(c, g)
-            if g == 1:
-                break
+        g = gcd(*vec.values())
     if vec[lead] < 0:
         g = -g
     return vec if g == 1 else {k: c // g for k, c in vec.items()}
@@ -288,11 +277,12 @@ def _primitive(vec: dict[Any, int], lead: Any) -> dict[Any, int]:
 
 def _eliminate(dst: Mapping[Any, int], row: Mapping[Any, int], key: Any) -> dict[Any, int]:
     """The one integer row update: (h/g)*dst - (c/g)*row as a new dict, with
-    c = dst[key], h = row[key] > 0 and g = gcd(c, h).  It is zero at key
-    and, up to a positive scale, equals dst - (c/h)*row, so _primitive of it
-    is the primitive form of that difference."""
+    c = dst[key], h = row[key] > 0 and g = gcd(c, h) > 0, so dst is copied
+    unscaled when h divides c.  It is zero at key and, up to the positive
+    scale h/g, equals dst - (c/h)*row, so _primitive of it is the primitive
+    form of that difference."""
     c, h = dst[key], row[key]
-    g = 1 if h == 1 else _gcd(c, h)
+    g = gcd(c, h)
     out = dict(dst) if h == g else {k: h // g * a for k, a in dst.items()}
     _axpy(out, row, -(c // g))
     return out
@@ -395,7 +385,7 @@ class EchelonBasis:
         at row i's pivot, by full reduction its unit row's coefficient, so
         that the coeffs of a vec in the span are its coordinates.  One pass
         over vec drops its zeros, checks each entry is rational, finds the
-        pivots it hits and grows the scale, which takes an lcm only for a
+        pivots it hits and grows the scale by lcm, taken only for a
         denominator or pivot head other than 1.  At scale 1, the common
         case of an integer vector such as a bracket of integer rows, that
         pass has already written the integer residual before elimination;
@@ -417,12 +407,12 @@ class EchelonBasis:
                 raise TypeError(f"coefficient at key {k!r} is not rational: {c!r}") from None
             residual[k] = num
             if den != 1:
-                scale = _lcm(scale, den)
+                scale = lcm(scale, den)
             if k in pivot_row:
                 row = ints[pivot_row[k]]
                 head = row[k]
                 if head != 1:
-                    scale = _lcm(scale, den * (head // _gcd(num, head)))
+                    scale = lcm(scale, den * (head // gcd(num, head)))
                 hits.append((k, row))
         if scale != 1:
             residual = {k: scale // c.denominator * c.numerator for k, c in vec.items() if c}

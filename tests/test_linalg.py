@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -360,6 +362,82 @@ def test_an_echelon_keeps_only_its_integer_rows_and_pivots():
     assert basis.row(0) == {0: 1, 3: Q(-3, 8)} and basis.rows[2] == {2: 1, 3: Q(1, 4)}
     assert basis.row(0) is not basis.row(0)
     assert set(vars(basis)) == {"columns", "pivots", "_pivot_row", "_ints"}
+
+
+# -- integer row helpers -------------------------------------------------------------
+
+BIG = 2**64
+# nonzero entries, small and above 2**64, of either sign
+ENTRIES = st.one_of(st.integers(-30, 30), st.integers(-4 * BIG, 4 * BIG)).filter(bool)
+KEYS = st.integers(0, 7)
+
+
+def least_scale(values) -> int:
+    """The least s > 0 with s * v an integer for every rational v, by
+    Fraction arithmetic alone: the lcm of s and d is s times the
+    denominator of s / d."""
+    s = 1
+    for v in values:
+        s *= Fraction(s, Fraction(v).denominator).denominator
+    return s
+
+
+@st.composite
+def vectors_with_lead(draw) -> tuple[dict[int, int], int]:
+    """(vec, lead): a nonzero integer vector, often with a shared factor,
+    and one of its keys, whose entry is sometimes +-1."""
+    factor = draw(st.sampled_from([1, 2, -6, 35, BIG + 3, -3 * BIG]))
+    vec = {k: factor * c for k, c in draw(st.dictionaries(KEYS, ENTRIES, min_size=1, max_size=8)).items()}
+    lead = draw(st.sampled_from(sorted(vec)))
+    if draw(st.booleans()):
+        vec[lead] = draw(st.sampled_from([1, -1]))
+    return vec, lead
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(vectors_with_lead())
+def test_primitive_is_the_least_positive_lead_integer_multiple(drawn):
+    # vec over the gcd of its entries, signed so that vec[lead] > 0, is the
+    # least multiple of vec / vec[lead] with integer entries
+    vec, lead = drawn
+    unit = {k: Fraction(c, vec[lead]) for k, c in vec.items()}
+    s = least_scale(unit.values())
+    got = linalg._primitive(dict(vec), lead)
+    assert got == {k: s * q for k, q in unit.items()}
+    assert got[lead] > 0 and all(type(c) is int for c in got.values())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.data())
+def test_eliminate_is_a_positive_multiple_of_the_fraction_difference(data):
+    dst, key = data.draw(vectors_with_lead())
+    if data.draw(st.booleans()):  # a multiple of dst, so the difference is zero
+        m = data.draw(st.sampled_from([1, 3, BIG]))
+        row = {k: m * c if dst[key] > 0 else -m * c for k, c in dst.items()}
+    else:
+        row = data.draw(st.dictionaries(KEYS, ENTRIES, max_size=8))
+        row[key] = data.draw(st.one_of(st.just(1), st.integers(1, 4 * BIG)))
+    before = dict(dst), dict(row)
+    got = linalg._eliminate(dst, row, key)
+    assert (dst, row) == before
+    ratio = Fraction(dst[key], row[key])
+    diff = {k: v for k in dst.keys() | row.keys() if (v := dst.get(k, 0) - ratio * row.get(k, 0))}
+    assert key not in got and got.keys() == diff.keys()
+    assert all(type(c) is int for c in got.values())
+    if diff:
+        first = min(diff)
+        scale = got[first] / diff[first]
+        assert scale > 0 and all(got[k] == scale * v for k, v in diff.items())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.dictionaries(KEYS, st.builds(
+    Fraction, ENTRIES, st.one_of(st.integers(1, 12), st.integers(1, 4 * BIG), st.just(BIG)))))
+def test_integral_takes_the_least_positive_scale(vec):
+    s = least_scale(vec.values())
+    ints, scale = linalg._integral(vec)
+    assert scale == s and ints == {k: s * c for k, c in vec.items()}
+    assert all(type(c) is int for c in (scale, *ints.values()))
 
 
 # -- dense helpers ------------------------------------------------------------------

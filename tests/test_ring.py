@@ -106,11 +106,49 @@ def test_evaluate_zero():
     assert evaluate(ExpPoly.zero(3), (5, -7, Q(1, 3))) == 0.0
 
 
+# the names of math that take ints and return ints, so compute exactly
+EXACT_MATH = {"gcd", "lcm"}
+
+
+def float_sources(source: str) -> list[str]:
+    """Where a module may compute in floating point, as "line: what": a call
+    of float (by name or as an attribute), any import of math, and any name
+    taken from math other than those of EXACT_MATH."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "float":
+                found.append(f"{node.lineno}: float(")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "math":
+            found += [f"{node.lineno}: from math import {alias.name}" for alias in node.names
+                      if node.module != "math" or alias.name not in EXACT_MATH]
+    return found
+
+
+def test_float_sources_flags_every_inexact_import_and_call():
+    assert float_sources("from math import gcd, lcm\nfrom math import gcd\ngcd(4, 6)") == []
+    assert float_sources("import math") == ["1: import math"]
+    assert float_sources("import os, math as m") == ["1: import math"]
+    assert float_sources("def f():\n    import math.fsum") == ["2: import math.fsum"]
+    assert float_sources("from math import sqrt") == ["1: from math import sqrt"]
+    assert float_sources("from math import gcd, floor") == ["1: from math import floor"]
+    assert float_sources("from math import gcd as g, lcm as m") == []
+    assert float_sources("from math import *") == ["1: from math import *"]
+    assert float_sources("x = float(y)") == ["1: float("]
+    assert float_sources("def f(y):\n    return builtins.float(y) + 1") == ["2: float("]
+    # only code counts: the word in a string or a comment computes nothing
+    assert float_sources('"""a float(x) from math import sqrt"""  # float(x)') == []
+
+
 def test_package_computes_no_floats():
     # exactness guard: floating point lives in the tests only
     src = Path(__file__).resolve().parent.parent / "src" / "vflie"
-    pattern = re.compile(r"\bfloat\(|^\s*(import|from) math\b", re.MULTILINE)
-    offenders = [p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text(encoding="utf-8"))]
+    offenders = [f"{p.name}:{where}" for p in sorted(src.glob("*.py"))
+                 for where in float_sources(p.read_text(encoding="utf-8"))]
     assert offenders == []
 
 
