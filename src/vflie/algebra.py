@@ -173,7 +173,11 @@ def close(
     ClosureCapExceeded is raised past cap_dim, past cap_rounds layers, or by
     a field of degree above cap_degree; its `round` is the layer and
     `pending` the pairs of that layer not yet visited, where a pair that the
-    support test skips counts as visited.
+    support test skips counts as visited.  A vector's degree is scanned
+    (Columns.degree) only while the table's top_degree is above
+    cap_degree: no vector over the table has a higher degree, so the cap
+    fires at the same vector.  The table can pass the cap through a half
+    that cancels inside its bracket; from then on every vector is scanned.
     """
     gens = list(generators)
     if not gens:
@@ -196,9 +200,10 @@ def close(
         return ClosureCapExceeded(cap, limit, len(echelon), rounds, pending, detail)
 
     def add(vec: dict[int, Fraction]) -> None:
-        degree = columns.degree(vec)
-        if degree > cap_degree:
-            raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
+        if columns.top_degree > cap_degree:
+            degree = columns.degree(vec)
+            if degree > cap_degree:
+                raise cap_error("cap_degree", cap_degree, f" by a field of degree {degree}")
         if echelon._extend(vec) and len(echelon) > cap_dim:
             raise cap_error("cap_dim", cap_dim)
 
@@ -544,11 +549,11 @@ class LieAlgebra(StructureConstants):
     monomial the table lacks is outside the span, and a query makes no
     column.  The basis is the unit rows in pivot order, pivot order being
     (component, monomial) key order, each field built from its primitive
-    integer row h_a*e_a over its head h_a, one Fraction per entry, with no
-    unit row read.  The tensor brackets those rows on their column ids
-    (Columns.bracket) for the pairs a < b whose support classes
-    (Operand.masks, at most 64) the support test cannot prove commuting, in
-    ascending (a, b) order.  One reduction of each bracket
+    integer row h_a*e_a over its head h_a by Columns.field, in one pass of
+    one Fraction per entry, with no unit row read.  The tensor brackets
+    those rows on their column ids (Columns.bracket) for the pairs a < b
+    whose support classes (Operand.masks, at most 64) the support test
+    cannot prove commuting, in ascending (a, b) order.  One reduction of each bracket
     (EchelonBasis._residual) checks that it lies in the span and hands back
     its value t*c, scaled to integers by t, at each pivot it hits (c being
     its coordinate on that unit row, by full reduction); the constants
@@ -582,10 +587,7 @@ class LieAlgebra(StructureConstants):
         position = {row: k for k, row in enumerate(self._order)}
         rows = [columns.operand(echelon.primitive_row(i)) for i in self._order]
         heads = [row.vec[echelon.pivots[i]] for row, i in zip(rows, self._order)]
-        self.basis = tuple(
-            columns.field({k: Fraction(c, head) for k, c in row.vec.items()}, ctx)
-            for row, head in zip(rows, heads)
-        )
+        self.basis = tuple(columns.field(row.vec, ctx, head) for row, head in zip(rows, heads))
         members: dict[tuple[int, int], list[int]] = {}
         for a, row in enumerate(rows):
             members.setdefault(row.masks, []).append(a)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .algebra import IdealLike, LieAlgebra
 from .errors import (
@@ -112,7 +112,7 @@ def classify(algebra: LieAlgebra) -> ClassificationReport:
     if algebra.is_abelian():
         rank = generic_rank(algebra.basis)
         matched = [name for name in ("abelian-rank1", "abelian-rank2", "abelian-rank3")
-                   if match_template(algebra, name).matched]
+                   if next(_failures(algebra, name), None) is None]
         return ClassificationReport(
             dim=algebra.dim,
             abelian=True,
@@ -622,13 +622,24 @@ def match_template(algebra: LieAlgebra, template: str) -> TemplateMatch:
         raise ValueError(f"unknown template {template!r}; one of {', '.join(TEMPLATES)}")
     if algebra.ctx.nvars != 3:
         return TemplateMatch(template, False, ("template requires a 3-variable context",))
+    details = tuple(_failures(algebra, template))
+    return TemplateMatch(template, not details, details)
+
+
+def _failures(algebra: LieAlgebra, template: str) -> Iterator[str]:
+    """The failure texts of a known template on a 3-variable algebra, in
+    report order: the failing algebra checks, then per basis element the
+    rules it breaks.  A text is formatted only when it is reached, so a
+    caller that asks only whether the template matches stops at the
+    first."""
     names = algebra.ctx.names
     checks, rules = _NORMAL_FORMS[template]
-    details = [_ALGEBRA_CHECKS[kind](algebra, *args) for kind, *args in checks]
+    for kind, *args in checks:
+        text = _ALGEBRA_CHECKS[kind](algebra, *args)
+        if text:
+            yield text
     for b in algebra.basis:
         for rule, i, *vs in rules:
             holds, text = _COMPONENT_RULES[rule]
             if not holds(b.comps[i], vs):
-                details.append(text.format(b=b, c=names[i], vs=", ".join(names[v] for v in vs)))
-    details = [d for d in details if d]
-    return TemplateMatch(template, not details, tuple(details))
+                yield text.format(b=b, c=names[i], vs=", ".join(names[v] for v in vs))

@@ -105,7 +105,10 @@ class Columns:
 
     ids[i] maps a monomial of component i to its id, keys[id] maps back,
     degrees[id] is the monomial's total degree and reads[id] the variables
-    it reads (fields.monomial_reads).  Ids are given in the order the keys
+    it reads (fields.monomial_reads); top_degree is the largest of the
+    degrees (-1 for an empty table), so no vector over the table has a
+    higher degree, and close() scans a vector's degree only when
+    top_degree is above its cap.  Ids are given in the order the keys
     are first seen, so they do not follow the key order; an EchelonBasis
     over the table pivots on the least key, not the least id.  A vector over
     the table is a dict id -> coefficient.
@@ -123,12 +126,16 @@ class Columns:
         self.keys: list[Key] = []
         self.degrees: list[int] = []
         self.reads: list[tuple[int, ...]] = []
+        self.top_degree = -1
         self._halves: defaultdict[int, dict[int, dict[int, Any]]] = defaultdict(dict)
 
     def _new(self, i: int, mono: ExpMonomial) -> int:
         k = self.ids[i][mono] = len(self.keys)
         self.keys.append((i, mono))
-        self.degrees.append(sum(mono[1]))
+        degree = sum(mono[1])
+        self.degrees.append(degree)
+        if degree > self.top_degree:
+            self.top_degree = degree
         self.reads.append(_READ_VARS[monomial_reads(mono)])
         return k
 
@@ -202,17 +209,20 @@ class Columns:
                 out[k] = c
         return out
 
-    def field(self, row: Mapping[int, Any], ctx: VariableContext) -> VectorField:
-        """The field whose vector is row, a vector of Fractions (a unit row,
-        a combination of unit rows or a bracket of field vectors), so that
-        its coefficients keep the _poly contract."""
+    def field(self, row: Mapping[int, Any], ctx: VariableContext, head: int = 1) -> VectorField:
+        """The field whose vector is row / head, each coefficient made one
+        Fraction(c, head) in the same pass, so that it keeps the _poly
+        contract.  LieAlgebra gives a primitive integer row and its pivot
+        entry, the head, for a unit row; any other caller gives a vector of
+        Fractions (a combination of unit rows or a bracket of field
+        vectors) and head 1."""
         n = ctx.nvars
         keys = self.keys
         comps: list[dict[ExpMonomial, Any]] = [{} for _ in range(n)]
         for k, coeff in row.items():
             if coeff:
                 i, mono = keys[k]
-                comps[i][mono] = coeff
+                comps[i][mono] = Fraction(coeff, head)
         return VectorField(ctx, tuple(_poly(n, c) for c in comps))
 
     def degree(self, vec: Iterable[int]) -> int:

@@ -369,6 +369,37 @@ def test_cap_degree_is_a_closure_limit():
     assert algebra("Dx", "x^5*Dy", cap_degree=5).dim == 7
 
 
+def test_cap_degree_scans_only_past_the_tables_largest_degree(monkeypatch):
+    # the bracket is zero, as x^2 d_x(x^2*y) = 2*x^3*y cancels against
+    # -2*x*y d_y(x^2*y), but its halves put a degree-4 column in the table
+    gens = ("x^2*Dx - 2*x*y*Dy", "x^2*y*Dz")
+    scanned = []
+    degree = Columns.degree
+    monkeypatch.setattr(Columns, "degree", lambda self, vec: scanned.append(vec) or degree(self, vec))
+    L = algebra(*gens, cap_degree=3)
+    columns = L._echelon.columns
+    assert L.dim == 2 and columns.top_degree == max(columns.degrees) == 4
+    # past the cap, a later bracket, [x^2*y*Dz, z*Dz] = x^2*y*Dz, is scanned
+    assert not scanned and algebra(*gens, "z*Dz", cap_degree=3).dim == 3
+    assert [len(vec) for vec in scanned] == [1]
+    scanned.clear()
+    assert algebra(*gens, "z*Dz", cap_degree=4).dim == 3 and not scanned
+    with pytest.raises(ClosureCapExceeded) as info:
+        algebra(*gens, cap_degree=2)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_degree", 2, 1, 0, 0)
+    assert "degree 3" in str(exc)
+    # mid-layer: the third layer meets a degree-3 bracket with 3 pairs to go
+    with pytest.raises(ClosureCapExceeded) as info:
+        algebra("x*Dy", "y*Dz", "Dx", "z^2*Dx", cap_degree=2)
+    exc = info.value
+    assert (exc.cap, exc.limit, exc.dim, exc.round, exc.pending) == ("cap_degree", 2, 16, 3, 3)
+    assert str(exc) == (
+        "closure exceeded cap_degree=2 by a field of degree 3: dimension 16 reached"
+        " in bracket round 3, 3 pairs pending; raise --degree-cap to continue"
+    )
+
+
 def test_a_cap_that_is_not_an_int_is_a_type_error(monkeypatch):
     # cap_dim=2.5 ran and reported "closure exceeded cap_dim=2.5", and
     # cap_dim=True ran as 1; either is refused before any bracket

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vflie.fields
 import vflie.linalg
@@ -13,16 +15,29 @@ from vflie import (
     ContextMismatch,
     CoordinateChange,
     DEFAULT_CONTEXT,
+    ExpMonomial,
     ExpPoly,
     InvalidCoordinateChange,
     SubstitutionOutsideRing,
     VariableContext,
+    build,
+    close,
+    random_spec,
 )
 from vflie.fields import monomial_half
 from vflie.linalg import Columns
 from vflie.parser import parse_expression, parse_field
 
-from conftest import inverted, rand_field, rand_poly, rng
+from conftest import (
+    as_terms,
+    inverted,
+    naive_diff,
+    naive_mul,
+    naive_of,
+    rand_field,
+    rand_poly,
+    rng,
+)
 
 ctx = DEFAULT_CONTEXT
 
@@ -119,6 +134,55 @@ def test_monomial_half_examples():
     # a half is nonzero exactly when n reads x_i
     y, z = mono("y"), mono("z")
     assert monomial_half(0, y, z) == () and monomial_half(1, z, y) == [(z, 1)]
+
+
+POWERS = st.tuples(*[st.integers(0, 3)] * 3)
+RATES = st.tuples(*[st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))] * 3)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(m, n), each exp-free, with an exponential factor, or a product whose
+    rates cancel, exp(r.x) * exp(-r.x), which stores the shared zeros."""
+    def monomial():
+        kind = draw(st.sampled_from(("free", "exp", "cancel")))
+        powers = draw(POWERS)
+        if kind == "free":
+            return ExpMonomial(powers, (0, 0, 0))
+        rates = draw(RATES)
+        if kind == "exp":
+            return ExpMonomial(powers, rates)
+        product = ExpPoly.monomial(powers, rates) * ExpPoly.monomial((0, 0, 0), [-r for r in rates])
+        (mono,) = product.term_map()
+        assert mono[0] is vflie.ring._ZEROS[3]
+        return mono
+
+    return monomial(), monomial()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(monomial_pairs(), st.integers(0, 2))
+def test_monomial_half_is_the_naive_product(pair, i):
+    """monomial_half(i, m, n) is m d_i(n) on the naive term lists, whether
+    both monomials are exp-free (one step), one is exponential or both."""
+    m, n = pair
+    naive = naive_mul(naive_of(ExpPoly(3, {m: 1})), as_terms(naive_diff(naive_of(ExpPoly(3, {n: 1})), i)))
+    half = monomial_half(i, m, n)
+    assert isinstance(half, (list, tuple))
+    assert {(mono.powers, mono.rates): c for mono, c in half} == naive
+
+
+def test_basis_fields_are_the_fields_of_the_unit_rows():
+    """Each basis field, built in one pass from its primitive integer row
+    over the pivot head, equals Columns.field of its unit row: on recipe
+    draws and on fields with a fractional rate."""
+    draws = [build(random_spec(recipe, seed, 3)).generators
+             for recipe, seed in (("center-rank1", 3), ("nonabelian-projection", 1), ("single-chain", 5))]
+    draws.append([F("Dx"), F("Dy"), F("3*x*exp(1/2*y)*Dz - 2*y*Dx")])
+    for gens in draws:
+        L = close(gens)
+        echelon = L._echelon
+        assert L.basis == tuple(echelon.columns.field(echelon.row(i), L.ctx) for i in echelon.order())
 
 
 def test_integral_rate_sums_are_stored_as_ints():
