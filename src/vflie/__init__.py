@@ -38,8 +38,10 @@ from .fields import (
     CoordinateChange,
     VariableContext,
     VectorField,
+    coordinatize,
+    uncoordinatize,
 )
-from .linalg import EchelonBasis, coordinatize, generic_rank, uncoordinatize
+from .linalg import EchelonBasis, generic_rank
 from .parser import parse_expression, parse_field
 from .recipes import RECIPES, BuildResult, RecipeSpec, build, random_spec
 from .ring import ExpMonomial, ExpPoly

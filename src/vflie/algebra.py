@@ -3,42 +3,43 @@ of vector fields.
 
 close() generates the smallest bracket-closed subspace containing a finite
 set of fields, one generator layer (bracket depth) per round, over one
-column table (linalg.Columns) of int column ids per closure.  A LieAlgebra
+column table of int column ids per closure (fields.Columns).  A LieAlgebra
 is built from the echelon of such a span, which close() and project() hand
 over: it reads the canonical reduced row-echelon basis (ordered by pivot
 key, hence independent of generator order) and brackets it into the exact
 structure-constant tensor, kept in integers until read.  Both bracket the
 echelon's primitive integer rows on their column ids (Columns.bracket), so
 no bracket builds a field, and neither brackets a pair whose support masks
-prove it commuting.
+prove it commuting (fields._can_fail_to_commute).
+
 All queries (center, series, projections, adjoints, quotients) are exact
 and deterministic.  The lower-central series and the center of a nilpotent
 algebra are read from the brackets of a few unit vectors spanning a
 complement of [g, g], which generate g; ideal checks, split lifts, Jordan
 chains and the series of any other algebra walk only the nonzero structure
-constants (StructureConstants._ad_image), so a pair whose
-bracket is structurally zero is never visited.  Every center, that of a
-central quotient (QuotientStructure) included, is the algebra's own
-_center: common_kernel over the ad table and a generating set.
+constants (StructureConstants._ad_image), so a pair whose bracket is
+structurally zero is never visited.  Every center, that of a central
+quotient (QuotientStructure) included, is the algebra's own _center:
+common_kernel over the ad table and a generating set.
 
 There is one ad table, built from the tensor on first read (_int_ad):
-ad(e_v) as integer rows over one denominator D_v.  One
-bracket in basis coordinates reads it: _ad_image(w) gives each nonzero
-[e_i, w] as an integer vector over one scale L (the value is vector / L),
-and [u, w] sums u_i times those images (_pair_brackets takes each row's
-images once for all its pairs); the certificate's layers
-take [e_v, w] from e_v's own rows alone.  So what reads only spans ([g, g],
-the certificate's layers, the centers, ideal and complement checks, the
-series) does no Fraction arithmetic, and [g, g], the series and the
-certificate do no back-substitution either: they read only pivots, lengths
-and spanning rows, which forward elimination (linalg.ForwardEchelon)
-gives; [g, g] takes the tensor's own integer rows.  A Fraction is made only
-where a field is built or a constant is read: a basis field takes one
-Fraction(c, head) per entry of its primitive integer row, the Fraction
-unit rows are built on the first read of a combination of basis elements,
-and c() reads `structure`, the tensor's Fraction form, built on first read.
-The structure text of report() and QuotientStructure.to_dict() is written
-from the integers (_structure_text).
+ad(e_v) as integer rows over one denominator D_v.  One bracket in basis
+coordinates reads it: _ad_image(w) gives each nonzero [e_i, w] as an
+integer vector over one scale L (the value is vector / L), and [u, w] sums
+u_i times those images (_pair_brackets takes each row's images once for all
+its pairs); the certificate's layers take [e_v, w] from e_v's own rows
+alone.  So what reads only spans ([g, g], the certificate's layers, the
+centers, ideal and complement checks, the series) does no Fraction
+arithmetic, and [g, g], the series and the certificate do no
+back-substitution either: they read only pivots, lengths and spanning
+rows, which forward elimination (linalg.ForwardEchelon) gives; [g, g]
+takes the tensor's own integer rows.  A Fraction is made only where a field
+is built or a constant is read: a basis field takes one Fraction(c, head)
+per entry of its primitive integer row, a combination of basis elements
+reads the Fraction unit rows it names, and c() reads `structure`, the
+tensor's Fraction form, built on first read.  The structure text of
+report() and QuotientStructure.to_dict() is written from the integers
+(_structure_text).
 """
 
 from __future__ import annotations
@@ -60,16 +61,13 @@ from .errors import (
     NotInSpan,
     ProjectionHypothesisViolated,
 )
-from .fields import VariableContext, VectorField
+from .fields import Columns, Operand, VariableContext, VectorField, _can_fail_to_commute
 from .linalg import (
     ZERO,
-    Columns,
     EchelonBasis,
     ForwardEchelon,
-    Operand,
     Q,
     SparseVector,
-    _axpy,
     _combination,
     _integral,
     echelon_of,
@@ -79,6 +77,7 @@ from .linalg import (
     to_dense,
     to_sparse,
 )
+from .ring import _axpy
 
 DEFAULT_CAP_DIM = 64
 DEFAULT_CAP_ROUNDS = 32
@@ -127,14 +126,6 @@ def _structure_text(tensor: IntTensor) -> list[list]:
             g = gcd(c, s)
             out.append([a, b, k, str(c // g) if g == s else f"{c // g}/{s // g}"])
     return out
-
-
-def _can_fail_to_commute(s: tuple[int, int], t: tuple[int, int]) -> bool:
-    """False when the support masks s and t (Operand.masks) prove the
-    bracket zero: neither field moves a variable that the other's
-    coefficients read, so every term X_j * d Y_i/d var j of [X, Y] has
-    X_j = 0 or d Y_i/d var j = 0, and likewise with X and Y swapped."""
-    return bool(s[0] & t[1] or t[0] & s[1])
 
 
 def close(
@@ -542,7 +533,7 @@ class LieAlgebra(StructureConstants):
     """Closed algebra: canonical echelon basis over its structure constants.
 
     Built from the echelon of a bracket-closed span over a column table
-    (linalg.Columns), which it keeps as its one record of the span; every
+    (fields.Columns), which it keeps as its one record of the span; every
     field it makes (basis, _field) and every field it reads into
     coordinates (express, contains, by Columns.find) goes through that
     table.  Any other echelon is a TypeError.  A query field with a
@@ -553,11 +544,11 @@ class LieAlgebra(StructureConstants):
     one Fraction per entry, with no unit row read.  The tensor brackets
     those rows on their column ids (Columns.bracket) for the pairs a < b
     whose support classes (Operand.masks, at most 64) the support test
-    cannot prove commuting, in ascending (a, b) order.  One reduction of each bracket
-    (EchelonBasis._residual) checks that it lies in the span and hands back
-    its value t*c, scaled to integers by t, at each pivot it hits (c being
-    its coordinate on that unit row, by full reduction); the constants
-    c / (h_a*h_b) are kept in integers, as [h_a*e_a, h_b*e_b] =
+    cannot prove commuting, in ascending (a, b) order.  One reduction of
+    each bracket (EchelonBasis._residual) checks that it lies in the span
+    and hands back its value t*c, scaled to integers by t, at each pivot it
+    hits (c being its coordinate on that unit row, by full reduction); the
+    constants c / (h_a*h_b) are kept in integers, as [h_a*e_a, h_b*e_b] =
     h_a*h_b*[e_a, e_b], and report() writes the structure text from them.
     A bracket outside the span raises InternalInvariantViolation at
     construction, and the half table close() filled is emptied once the
@@ -567,10 +558,11 @@ class LieAlgebra(StructureConstants):
     only the public methods take or return dense lists, validated once where
     they enter (_checked), and _field is the one map back to fields.
 
-    Beside what its base keeps, it keeps its unit rows in basis order (on
-    first read) and the center's fields, never a Projection.  Neither
-    refers back to the algebra, so an algebra makes no reference cycle and
-    is freed by reference counting alone, not left to the cyclic collector.
+    Beside what its base keeps, it keeps the center's fields (on first
+    read), never a unit row or a Projection: _field reads the unit rows a
+    combination names anew on each call.  The fields do not refer back to
+    the algebra, so an algebra makes no reference cycle and is freed by
+    reference counting alone, not left to the cyclic collector.
     """
 
     # bench/tracing.py wraps `series` in this class's own namespace; the
@@ -644,17 +636,14 @@ class LieAlgebra(StructureConstants):
 
         A vector with one entry c, at k, is basis[k] itself when c == 1 and
         basis[k] * c otherwise, so no coordinates are summed; any other
-        vector is summed over the unit rows.
+        vector sums the unit rows that its entries name.
         """
         if len(coeffs) == 1:
             (k, c), = coeffs.items()
             return self.basis[k] if c == 1 else self.basis[k] * c
-        return self._echelon.columns.field(_combination(self._rows, coeffs), self.ctx)
-
-    @cached_property
-    def _rows(self) -> list[SparseVector]:
-        """The unit rows in basis order, as Fractions, built on first read."""
-        return [self._echelon.row(i) for i in self._order]
+        echelon, order = self._echelon, self._order
+        rows = {k: echelon.row(order[k]) for k in coeffs}
+        return echelon.columns.field(_combination(rows, coeffs), self.ctx)
 
     def express(self, field: VectorField) -> list[Fraction]:
         """Coordinates of a field over the basis; raises NotInSpan otherwise."""
@@ -730,12 +719,6 @@ class LieAlgebra(StructureConstants):
             raise ValueError("kept variable index out of range")
         if len(indices) == self.ctx.nvars:
             raise ValueError("at least one variable must be dropped")
-        return Projection(self, indices, *self._projection_parts(indices))
-
-    def _projection_parts(
-        self, indices: tuple[int, ...]
-    ) -> tuple["LieAlgebra", tuple[VectorField, ...], tuple[tuple[Fraction, ...], ...]]:
-        """(image, kernel fields, kernel coefficients) of project(indices)."""
         for b in self.basis:
             for ci, comp in enumerate(b.comps):
                 if not comp.depends_only_on(indices):
@@ -758,7 +741,8 @@ class LieAlgebra(StructureConstants):
         if image.dim + len(kernel) != self.dim:
             raise InternalInvariantViolation("projection dimension identity failed")
         kernel_fields = tuple(map(self._field, kernel))
-        return image, kernel_fields, tuple(tuple(to_dense(v, self.dim)) for v in kernel)
+        kernel_coeffs = tuple(tuple(to_dense(v, self.dim)) for v in kernel)
+        return Projection(self, indices, image, kernel_fields, kernel_coeffs)
 
     # -- ideals and quotients --------------------------------------------------------
 

@@ -40,7 +40,6 @@ from .linalg import (
     ForwardEchelon,
     Q,
     SparseVector,
-    _axpy,
     _combination,
     _integral,
     echelon_of,
@@ -48,7 +47,7 @@ from .linalg import (
     generic_rank,
     null_space,
 )
-from .ring import mul_add
+from .ring import _axpy, mul_add
 
 CASE_CENTER_RANK2 = "CenterRank2"
 CASE_CENTER_RANK1_DIMGE2 = "CenterRank1DimGE2"

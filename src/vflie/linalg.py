@@ -20,31 +20,20 @@ they need no back-substitution.  null_space eliminates a matrix's
 columns on a ForwardEchelon, each tagged with its combination, and reads
 a kernel vector off each column that reduces to zero.
 
-EchelonBasis keys are of two kinds.  Field coordinates are int column ids
-of a Columns table, the one map between ids and (component, monomial)
-keys, which are spelled only in this module.  close() makes one table per
-closure, the LieAlgebra it returns reads that table, and no elimination
-step hashes a tuple.  Ids are given in first-seen order, so an echelon over
-a table (EchelonBasis(columns)) orders pivots by their (component,
-monomial) keys: a row's pivot is its least key.  Integer basis
-coordinates, which the structure-constant layer uses, take no table and
-order themselves.  Columns.bracket is the one field bracket: close(),
-LieAlgebra and VectorField.bracket bracket rows on their ids, summing the
-nonzero halves m d_i(n) d_j of the brackets of their column fields
-(fields.monomial_half), each computed once per table, so no bracket builds
-a Jacobian or a product of term maps, and none touches a zero half.
-Columns.find reads a field's term maps into ids; coordinatize and its
-inverse give the public (component, monomial)-keyed form of a field.
+EchelonBasis keys are of two kinds: field coordinates, the int column ids
+of a column table (fields.Columns), which order as their (component,
+monomial) keys, and integer basis coordinates, which order themselves.
 
 Every gcd and lcm is math.gcd or math.lcm, which take and return ints, so
 the integer steps stay exact.
 
-One sparse multiply-accumulate, _axpy, serves the integer elimination, the
-row bracket and every Fraction combination alike, and _combination sums
-scaled vectors through it.  The dense helpers (rref_dense,
-null_space_dense, solve_dense) are thin list adapters over integer-key
-bases; no engine code calls them, and they remain for the tests and the
-benchmark tracer (bench/tracing.py).
+The one sparse multiply-accumulate, ring._axpy, serves the integer
+elimination as it serves the row bracket and every Fraction combination,
+and _combination sums scaled vectors through it.  The dense helpers
+(rref_dense, null_space_dense, solve_dense) are thin list adapters over
+integer-key bases, and solve_dense reads its solution off
+null_space_dense; no engine code calls them, and they remain for the tests
+and the benchmark tracer (bench/tracing.py).
 generic_rank decides the pointwise-span dimension of a field family by
 greedy span growth over the fraction field: a field is kept when one of at
 most three small symbolic minors over the moved columns is nonzero, so a
@@ -53,7 +42,6 @@ family of m fields costs O(m) minors.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -61,175 +49,12 @@ from math import gcd, lcm
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ContextMismatch, NotInSpan
-from .fields import VariableContext, VectorField, monomial_half, monomial_reads
-from .ring import ExpMonomial, ExpPoly, Q, _poly, _rational, mul_add
+from .fields import Columns, VectorField
+from .ring import ExpPoly, Q, _axpy, _poly, _rational, mul_add
 
-Key = tuple[int, ExpMonomial]
 SparseVector = dict[int, Fraction]
 
 ZERO = Q(0)
-_READ_VARS = tuple(tuple(j for j in range(3) if mask >> j & 1) for mask in range(8))
-
-
-def coordinatize(field: VectorField) -> dict[Key, Fraction]:
-    """Linear bijection onto sparse coordinates keyed by (component, monomial)."""
-    return {
-        (i, mono): c for i, comp in enumerate(field.comps) for mono, c in comp.term_map().items()
-    }
-
-
-def uncoordinatize(vec: Mapping[Key, Fraction], ctx: VariableContext) -> VectorField:
-    """Inverse of coordinatize."""
-    n = ctx.nvars
-    comps: list[dict[ExpMonomial, Fraction]] = [{} for _ in range(n)]
-    for (i, mono), coeff in vec.items():
-        if coeff:
-            comps[i][mono] = coeff
-    return VectorField(ctx, tuple(_poly(n, c) for c in comps))
-
-
-@dataclass
-class Operand:
-    """A vector over a column table, its (id, coefficient) terms grouped by
-    component and by each variable they read, and its support masks."""
-
-    vec: Mapping[int, Any]
-    masks: tuple[int, int]
-    comps: dict[int, list]
-    readers: dict[int, list]
-
-
-class Columns:
-    """The column table of field coordinates: the one map between
-    (component, monomial) keys and int column ids, and the one row bracket.
-
-    ids[i] maps a monomial of component i to its id, keys[id] maps back,
-    degrees[id] is the monomial's total degree and reads[id] the variables
-    it reads (fields.monomial_reads); top_degree is the largest of the
-    degrees (-1 for an empty table), so no vector over the table has a
-    higher degree, and close() scans a vector's degree only when
-    top_degree is above its cap.  Ids are given in the order the keys
-    are first seen, so they do not follow the key order; an EchelonBasis
-    over the table pivots on the least key, not the least id.  A vector over
-    the table is a dict id -> coefficient.
-
-    `bracket` brackets two operands (`operand`): [u, v] sums u[k] * v[l] *
-    half(k, l), half(k, l) the vector of m d_i(n) d_j for the columns
-    k = m d_i and l = n d_j (fields.monomial_half), over u's terms k on
-    each d_i and v's terms l that read x_i, whose halves are the nonzero
-    ones, minus the same with u and v swapped.  A half is filled on first
-    use; `release` empties the half table once the tensor is built.
-    """
-
-    def __init__(self, nvars: int) -> None:
-        self.ids: list[dict[ExpMonomial, int]] = [{} for _ in range(nvars)]
-        self.keys: list[Key] = []
-        self.degrees: list[int] = []
-        self.reads: list[tuple[int, ...]] = []
-        self.top_degree = -1
-        self._halves: defaultdict[int, dict[int, dict[int, Any]]] = defaultdict(dict)
-
-    def _new(self, i: int, mono: ExpMonomial) -> int:
-        k = self.ids[i][mono] = len(self.keys)
-        self.keys.append((i, mono))
-        degree = sum(mono[1])
-        self.degrees.append(degree)
-        if degree > self.top_degree:
-            self.top_degree = degree
-        self.reads.append(_READ_VARS[monomial_reads(mono)])
-        return k
-
-    def operand(self, vec: Mapping[int, Any]) -> Operand:
-        """vec grouped by component and by the variables its terms read, with
-        the support masks read off the non-empty groups."""
-        comps, readers, keys, reads = {}, {}, self.keys, self.reads
-        for term in vec.items():
-            comps.setdefault(keys[term[0]][0], []).append(term)
-            for j in reads[term[0]]:
-                readers.setdefault(j, []).append(term)
-        bit = (1).__lshift__  # bit(i) == 1 << i
-        return Operand(vec, (sum(map(bit, comps)), sum(map(bit, readers))), comps, readers)
-
-    def bracket(self, u: Operand, v: Operand) -> dict[int, Any]:
-        """The vector of [u, v] for operands over the table, exact zeros
-        dropped: int for int vectors over integral rates, else exact
-        Fractions.  A monomial first seen gets an id."""
-        halves = self._halves
-        out: dict[int, Any] = {}
-        for left, right, sign in ((u, v, 1), (v, u, -1)):
-            for i, terms in left.comps.items():
-                readers = right.readers.get(i)
-                if readers is None:
-                    continue
-                for k, a in terms:
-                    row = halves[k]
-                    a *= sign
-                    for l, b in readers:
-                        half = row.get(l)
-                        if half is None:
-                            half = row[l] = self._half(k, l)
-                        _axpy(out, half, a * b)
-        return out
-
-    def _half(self, k: int, l: int) -> dict[int, Any]:
-        """half(k, l), the vector of m d_i(n) d_j for columns m d_i, n d_j."""
-        (i, m), (j, n) = self.keys[k], self.keys[l]
-        ids = self.ids[j]
-        half = {}
-        for mono, coeff in monomial_half(i, m, n):
-            key = ids.get(mono)
-            half[self._new(j, mono) if key is None else key] = coeff
-        return half
-
-    def release(self) -> None:
-        """Drop the half table; a later bracket fills it again."""
-        self._halves = defaultdict(dict)
-
-    def vector(self, comps: Iterable[Mapping[ExpMonomial, Any]]) -> dict[int, Any]:
-        """The vector of the field with these per-component term maps
-        (nonzero coefficients); a monomial first seen gets an id."""
-        out = {}
-        for i, terms in enumerate(comps):
-            ids = self.ids[i]
-            for mono, c in terms.items():
-                k = ids.get(mono)
-                out[self._new(i, mono) if k is None else k] = c
-        return out
-
-    def find(self, field: VectorField) -> dict[int, Fraction] | None:
-        """The vector of a field over this table, or None when a monomial of
-        it has no id: it then lies outside the span of any rows over the
-        table.  Makes no id, so a query does not grow the table."""
-        out = {}
-        for ids, comp in zip(self.ids, field.comps):
-            for mono, c in comp._terms.items():
-                k = ids.get(mono)
-                if k is None:
-                    return None
-                out[k] = c
-        return out
-
-    def field(self, row: Mapping[int, Any], ctx: VariableContext, head: int = 1) -> VectorField:
-        """The field whose vector is row / head, each coefficient made one
-        Fraction(c, head) in the same pass, so that it keeps the _poly
-        contract.  LieAlgebra gives a primitive integer row and its pivot
-        entry, the head, for a unit row; any other caller gives a vector of
-        Fractions (a combination of unit rows or a bracket of field
-        vectors) and head 1."""
-        n = ctx.nvars
-        keys = self.keys
-        comps: list[dict[ExpMonomial, Any]] = [{} for _ in range(n)]
-        for k, coeff in row.items():
-            if coeff:
-                i, mono = keys[k]
-                comps[i][mono] = Fraction(coeff, head)
-        return VectorField(ctx, tuple(_poly(n, c) for c in comps))
-
-    def degree(self, vec: Iterable[int]) -> int:
-        """Total degree of the field with this vector: the largest over its
-        monomials, and -1 for the zero vector, as ExpPoly.degree counts it."""
-        degrees = self.degrees
-        return max((degrees[k] for k in vec), default=-1)
 
 
 def to_sparse(vec: Sequence[Fraction]) -> SparseVector:
@@ -242,17 +67,6 @@ def to_sparse(vec: Sequence[Fraction]) -> SparseVector:
 
 def to_dense(vec: Mapping[int, Fraction], n: int) -> list[Fraction]:
     return [vec.get(i, ZERO) for i in range(n)]
-
-
-def _axpy(dst: dict, src: Mapping, scale: Any) -> None:
-    """dst += scale * src, dropping exact zeros; integer rows with an int
-    scale stay int, so elimination and Fraction combinations share it."""
-    for key, coeff in src.items():
-        acc = dst.get(key, 0) + scale * coeff
-        if acc:
-            dst[key] = acc
-        else:
-            dst.pop(key, None)
 
 
 def _combination(vectors: Sequence[Mapping], coeffs: Mapping[int, Any]) -> dict:
@@ -322,13 +136,12 @@ class EchelonBasis:
     the pivot-sorted (reduced row-echelon) view.
 
     Keys are of one kind per echelon.  Without a column table they order
-    themselves (integer basis coordinates, or the (component, monomial)
-    pairs of coordinatize).  With one (`columns`, for field coordinates)
-    they are its int ids, hashed as ints, and the key order is still that
-    of their (component, monomial) keys, through columns.keys: it is read
-    at exactly three sites, the least key in `_extend`, the descending
-    sort in `_settle` and `order()`, so the pivots, rows and order are
-    those of the tuple-keyed echelon, translated.
+    themselves (integer basis coordinates).  With one (`columns`, for field
+    coordinates) they are its int ids, hashed as ints, and the key order is
+    still that of their (component, monomial) keys, through columns.keys:
+    it is read at exactly three sites, the least key in `_extend`, the
+    descending sort in `_settle` and `order()`, so the pivots, rows and
+    order are those of the tuple-keyed echelon, translated.
 
     Invariant of the settled rows (full reduction): every settled row is
     zero at every other settled row's pivot.  So subtracting one row never
@@ -643,24 +456,24 @@ def rref_dense(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction
 
 def null_space_dense(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical null-space basis: one vector per free column, ascending."""
-    columns = [{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)]
+    columns = [to_sparse([row[c] for row in matrix]) for c in range(ncols)]
     return [to_dense(vec, ncols) for vec in null_space(columns)]
 
 
 def solve_dense(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
-    """One exact solution of A x = b with free unknowns set to 0, or None."""
+    """One exact solution of A x = b with free unknowns set to 0, or None.
+    When the last column of [A | -b] is free, its canonical kernel vector
+    is that solution followed by 1; else A x = b is inconsistent."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    basis = echelon_of(to_sparse([*row, b]) for row, b in zip(matrix, rhs))
-    solution = [ZERO] * ncols
-    for row, pivot in zip(basis.rows, basis.pivots):
-        if pivot == ncols:
-            return None  # pivot in the constant column: inconsistent
-        solution[pivot] = row.get(ncols, ZERO)
-    return solution
+    augmented = [[*row, -_rational(b, "coefficient")] for row, b in zip(matrix, rhs)]
+    kernel = null_space_dense(augmented, ncols + 1)
+    if not kernel or not kernel[-1][ncols]:
+        return None
+    return kernel[-1][:ncols]
 
 
 # -- generic rank -------------------------------------------------------------

@@ -26,10 +26,11 @@ int or Fraction (a float, say), is a TypeError.  Values the ring builds itself
 construction and skip that re-validation.  Products of term maps go through
 one multiply-accumulate helper, mul_add, which ExpPoly.__mul__ and
 VectorField.apply share.  Brackets multiply no term maps: they sum the
-half formula fields.monomial_half.
+half formula fields.monomial_half.  Sparse vectors have one of their own,
+_axpy, which the row bracket and every elimination share.
 
 Contexts with one or two variables use shorter tuples; the ring code only
-cares about tuple length.
+cares about tuple length.  An ExpPoly prints over DEFAULT_NAMES.
 
 The module holds no mutable state.  Products are never truncated and the ring
 sets no degree limit of its own: close() bounds the total degree of every
@@ -40,12 +41,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 from .errors import ContextMismatch, SubstitutionOutsideRing
 
 Q = Fraction
 Scalar = Union[int, Fraction]
+
+DEFAULT_NAMES = ("x", "y", "z")
 
 # the shared rates of a monomial without an exponential factor, by nvars
 _ZEROS = tuple((0,) * n for n in range(4))
@@ -175,6 +178,17 @@ def _add_term(out: dict, mono: ExpMonomial, coeff: Fraction) -> None:
             out[mono] = acc
         else:
             del out[mono]
+
+
+def _axpy(dst: dict, src: Mapping, scale: Any) -> None:
+    """dst += scale * src, dropping exact zeros; integer rows with an int
+    scale stay int, so elimination and Fraction combinations share it."""
+    for key, coeff in src.items():
+        acc = dst.get(key, 0) + scale * coeff
+        if acc:
+            dst[key] = acc
+        else:
+            dst.pop(key, None)
 
 
 class ExpPoly:
@@ -417,8 +431,6 @@ class ExpPoly:
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        from .fields import DEFAULT_NAMES
-
         return format_poly(self, DEFAULT_NAMES[: self.nvars])
 
     def __repr__(self) -> str:

@@ -36,7 +36,8 @@ from vflie import (
 )
 from vflie.algebra import StructureConstants
 from vflie.classify import _parallel_columns
-from vflie.linalg import Columns, EchelonBasis, echelon_of, null_space, to_dense
+from vflie.fields import Columns
+from vflie.linalg import EchelonBasis, echelon_of, null_space, to_dense
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vflie.fields
-import vflie.linalg
 import vflie.ring
 from vflie import (
     ContextMismatch,
@@ -24,8 +23,7 @@ from vflie import (
     close,
     random_spec,
 )
-from vflie.fields import monomial_half
-from vflie.linalg import Columns
+from vflie.fields import Columns, monomial_half
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -101,7 +99,7 @@ def test_bracket_sums_the_monomial_formula_over_term_pairs(monkeypatch):
     monkeypatch.setattr(ExpPoly, "diff", counting("diff", real_diff))
     for module in (vflie.ring, vflie.fields):
         monkeypatch.setattr(module, "mul_add", counting("mul_add", real_mul_add))
-    monkeypatch.setattr(vflie.linalg, "monomial_half", counting("formula", real_formula))
+    monkeypatch.setattr(vflie.fields, "monomial_half", counting("formula", real_formula))
     first = [v.bracket(w) for w in others]
     # v = y*Dx + exp(y)*Dz + z*Dy makes 4 halves with each x^k*exp(y)
     # field and 3 the other way round, one of them, z*Dy with y*Dx, the

@@ -23,7 +23,8 @@ from vflie import (
     random_spec,
     uncoordinatize,
 )
-from vflie.linalg import Columns, null_space_dense, rref_dense, solve_dense, to_sparse
+from vflie.fields import Columns
+from vflie.linalg import null_space_dense, rref_dense, solve_dense, to_sparse
 from vflie.parser import parse_expression, parse_field
 
 from conftest import (
@@ -490,6 +491,16 @@ def test_solve_dense_against_oracle():
         assert (solution is not None) == consistent
         if solution is not None:
             assert [sum(a * v for a, v in zip(row, solution)) for row in A] == b
+            # free unknowns are 0: column c is free when it adds no rank
+            for c in range(cols):
+                if oracle_rank([row[: c + 1] for row in A]) == oracle_rank([row[:c] for row in A]):
+                    assert solution[c] == 0
+    for A, b in (([[Q(1), 2.0]], [Q(1)]), ([[Q(1), 0.0]], [Q(1)]), ([[Q(1)]], [1.0]), ([[Q(1)]], [0.0])):
+        with pytest.raises(TypeError, match="is not an int or Fraction"):
+            solve_dense(A, b)
+    # solve_dense reads null_space_dense, which checks a zero entry too
+    with pytest.raises(TypeError, match="coefficient 0.0 is not an int or Fraction"):
+        null_space_dense([[Q(1), 0.0]], 2)
 
 
 # -- generic rank ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import vflie.linalg
+import vflie.fields
 from vflie import (
     ClosureCapExceeded,
     DEFAULT_CONTEXT,
@@ -35,13 +35,8 @@ from vflie import (
     random_spec,
 )
 from vflie.cli import _write_json
-from vflie.linalg import (
-    Columns,
-    EchelonBasis,
-    coordinatize,
-    null_space,
-    uncoordinatize,
-)
+from vflie.fields import Columns, coordinatize, uncoordinatize
+from vflie.linalg import EchelonBasis, null_space
 from vflie.parser import parse_expression, parse_field
 from vflie.ring import ExpMonomial
 
@@ -387,7 +382,7 @@ def test_bracket_kernel_never_multiplies_by_zero(u, v):
     # zero factor
     columns = Columns(3)
     adds = []
-    real_axpy = vflie.linalg._axpy
+    real_axpy = vflie.fields._axpy
 
     def recording(dst, src, scale):
         adds.append((src, scale))
@@ -395,7 +390,7 @@ def test_bracket_kernel_never_multiplies_by_zero(u, v):
 
     a, b = vector_of(columns, u), vector_of(columns, v)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vflie.linalg, "_axpy", recording)
+        patch.setattr(vflie.fields, "_axpy", recording)
         for x, y in ((a, b), (b, a), (integer_vector(a)[0], integer_vector(b)[0])):
             columns.bracket(columns.operand(x), columns.operand(y))
     assert all(src and all(src.values()) and scale for src, scale in adds)

@@ -178,7 +178,7 @@ def test_package_imports_only_what_it_uses():
 
 
 # read only outside the package, by bench/tracing.py and the tests
-UNREAD_IN_PACKAGE = {"rref_dense", "null_space_dense", "solve_dense"}
+UNREAD_IN_PACKAGE = {"rref_dense", "solve_dense"}
 # methods that no code in src/vflie calls, each with the reason it stays
 UNREAD_METHODS = {
     "LieAlgebra.bracket_coeffs": "a target of the benchmark tracer",
@@ -228,14 +228,12 @@ def test_package_defines_only_what_it_reads():
 
 
 # the modules of src/vflie from the bottom layer up: a module-level import
-# points down this order, and only the call-time imports below point up
+# points down this order
 LAYERS = ("errors", "ring", "fields", "linalg", "parser", "recipes", "algebra", "classify",
           "__init__", "cli", "__main__")
-# (module, enclosing definition, imported module)
-CALL_TIME_IMPORTS = {
-    ("ring", "ExpPoly.__str__", "fields"),  # the default variable names
-    ("fields", "VectorField.bracket", "linalg"),  # the row bracket
-}
+# (module, enclosing definition, imported module): empty, so no function
+# imports a vflie module and every import is checked against the layers
+CALL_TIME_IMPORTS: set[tuple[str, str, str]] = set()
 
 
 def package_imports(node: ast.AST, scope: str = ""):

@@ -37,8 +37,7 @@ def test_every_tracer_target_resolves():
 def hook_calls():
     """One real call per traced target that has an after-hook, keyed by
     (module, attribute): the arguments the wrapper would pass to the hook."""
-    from vflie import DEFAULT_CONTEXT, EchelonBasis, LieAlgebra, close
-    from vflie.linalg import coordinatize
+    from vflie import DEFAULT_CONTEXT, EchelonBasis, LieAlgebra, close, coordinatize
     from vflie.parser import parse_expression, parse_field
 
     ctx = DEFAULT_CONTEXT
