@@ -227,7 +227,10 @@ class SeriesReport:
 
     kind: str  # "lower-central" | "derived"
     dims: tuple[int, ...]
-    terminated_at_zero: bool
+
+    @property
+    def terminated_at_zero(self) -> bool:
+        return self.dims[-1] == 0
 
     def to_dict(self) -> dict:
         return {
@@ -392,10 +395,9 @@ class StructureConstants:
 
     def _compute_series(self, kind: str) -> SeriesReport:
         if kind == "lower-central" and self._nilpotency_certificate is not None:
-            return SeriesReport(kind, self._nilpotency_certificate[1], True)
+            return SeriesReport(kind, self._nilpotency_certificate[1])
         dims = [self.dim]
         current: list[Mapping[int, int]] = [{i: 1} for i in range(self.dim)]
-        terminated = self.dim == 0
         while dims[-1] > 0:
             if kind == "lower-central":
                 nxt = forward_echelon(v for w in current for v in self._ad_image(w)[0].values())
@@ -409,9 +411,7 @@ class StructureConstants:
             # the back-substituted rows are sparser and smaller to bracket
             reduced = echelon_of(nxt.rows.values())
             current = [reduced.primitive_row(i) for i in range(len(reduced))]
-            if not nxt:
-                terminated = True
-        return SeriesReport(kind, tuple(dims), terminated)
+        return SeriesReport(kind, tuple(dims))
 
     @cached_property
     def _square(self) -> ForwardEchelon:

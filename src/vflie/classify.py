@@ -71,16 +71,7 @@ class ClassificationReport:
     evidence: dict
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "abelian": self.abelian,
-            "abelian_rank": self.abelian_rank,
-            "case": self.case,
-            "subcase": self.subcase,
-            "center_dim": self.center_dim,
-            "center_rank": self.center_rank,
-            "evidence": self.evidence,
-        }
+        return dict(vars(self))
 
 
 def _parallel_columns(basis: Sequence[VectorField], z: VectorField) -> list[dict]:

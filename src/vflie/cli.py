@@ -204,9 +204,7 @@ def _render_text(report: dict, indent: str = "") -> str:
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(_render_text(value, indent + "  "))
-        elif isinstance(value, list) and value and all(
-            isinstance(v, (dict, list)) for v in value
-        ):
+        elif isinstance(value, list) and value:
             lines.append(f"{indent}{key}:")
             for v in value:
                 if isinstance(v, dict):
@@ -214,12 +212,6 @@ def _render_text(report: dict, indent: str = "") -> str:
                     lines.append(_render_text(v, indent + "    "))
                 else:
                     lines.append(f"{indent}  {v}")
-        elif isinstance(value, list):
-            if not value:
-                lines.append(f"{indent}{key}: []")
-            else:
-                lines.append(f"{indent}{key}:")
-                lines.extend(f"{indent}  {v}" for v in value)
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(line for line in lines if line)

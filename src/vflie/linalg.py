@@ -197,11 +197,6 @@ class EchelonBasis:
         Read-only: it is the echelon's own row, not a copy."""
         return self._ints[index]
 
-    @property
-    def rows(self) -> list[dict]:
-        """Every row with unit pivot, in insertion order."""
-        return [self.row(i) for i in range(len(self._ints))]
-
     def _residual(self, vec: Mapping, values: dict | None = None) -> tuple[dict, int]:
         """(r, s): an integer residual r and scale s with
         vec - sum(coeffs[i] * row(i)) == r / s, coeffs[i] being vec's value
@@ -331,9 +326,6 @@ class EchelonBasis:
         keys = self.columns.keys
         return sorted(indices, key=lambda i: keys[pivots[i]], reverse=reverse)
 
-    def rows_sorted(self) -> list[dict]:
-        return [self.row(i) for i in self.order()]
-
 
 def echelon_of(rows: Iterable[Mapping[Any, Fraction]]) -> EchelonBasis:
     """Echelon basis of the span of the given sparse rows (keys of one kind),
@@ -444,18 +436,25 @@ def null_space(columns: Sequence[Mapping[Any, Fraction]]) -> list[SparseVector]:
 # -- dense adapters -------------------------------------------------------------
 
 
+def _check_width(matrix: Sequence[Sequence[Fraction]], ncols: int) -> None:
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError(f"every row must have {ncols} entries")
+
+
 def rref_dense(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a copy; returns (rows, pivot columns)."""
     if not matrix:
         return [], []
+    ncols = len(matrix[0])
+    _check_width(matrix, ncols)
     basis = echelon_of(map(to_sparse, matrix))
     order = basis.order()
-    ncols = len(matrix[0])
-    return [to_dense(row, ncols) for row in basis.rows_sorted()], [basis.pivots[i] for i in order]
+    return [to_dense(basis.row(i), ncols) for i in order], [basis.pivots[i] for i in order]
 
 
 def null_space_dense(matrix: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Canonical null-space basis: one vector per free column, ascending."""
+    _check_width(matrix, ncols)
     columns = [to_sparse([row[c] for row in matrix]) for c in range(ncols)]
     return [to_dense(vec, ncols) for vec in null_space(columns)]
 
@@ -466,6 +465,8 @@ def solve_dense(
     """One exact solution of A x = b with free unknowns set to 0, or None.
     When the last column of [A | -b] is free, its canonical kernel vector
     is that solution followed by 1; else A x = b is inconsistent."""
+    if len(rhs) != len(matrix):
+        raise ValueError("A and b must have the same number of rows")
     if not matrix:
         return []
     ncols = len(matrix[0])

@@ -57,12 +57,7 @@ class RecipeSpec:
     params: dict
 
     def to_dict(self) -> dict:
-        return {
-            "recipe": self.recipe,
-            "seed": self.seed,
-            "degree_bound": self.degree_bound,
-            "params": self.params,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

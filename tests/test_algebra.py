@@ -29,6 +29,7 @@ from vflie import (
     NotInSpan,
     ProjectionHypothesisViolated,
     RECIPES,
+    SeriesReport,
     build,
     classify,
     close,
@@ -977,6 +978,14 @@ def test_heisenberg_lower_central():
     L = algebra(*HEISENBERG)
     report = L.series("lower-central")
     assert report.dims == (3, 1, 0) and report.terminated_at_zero
+
+
+def test_series_report_reads_termination_off_its_dims():
+    assert not SeriesReport("derived", (3, 3)).terminated_at_zero
+    report = SeriesReport("lower-central", (0,))
+    assert report.terminated_at_zero
+    assert report.to_dict() == {"kind": "lower-central", "dims": [0], "terminated_at_zero": True}
+    assert list(report.to_dict()) == ["kind", "dims", "terminated_at_zero"]
 
 
 def test_abelian_series():

@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from vflie import DEFAULT_CONTEXT, LieAlgebra, close
-from vflie.cli import build_arg_parser, main
+from vflie.cli import _render_text, build_arg_parser, main
 from vflie.parser import MAX_DEPTH, parse_field
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+TEXT_GOLDEN = Path(__file__).parent / "data" / "cli_text_golden.json"
 
 EX_POLY = ["Dx", "y*Dx", "Dy + (x^2+y^2)*Dz", "(x+y)*Dz"]
 EX_EXP = ["Dx", "y*Dx + x^2*exp(y)*Dz", "x*Dz"]
@@ -356,6 +357,24 @@ def test_json_output_matches_golden_transcript():
         with redirect_stdout(out):
             assert main(case["argv"]) == 0
         assert out.getvalue() == case["stdout"], case["argv"]
+
+
+def test_text_output_matches_golden_transcript():
+    # the JSON golden's commands with --format text, plus the README's bracket
+    # and generate commands in the default format: pins the text renderer
+    for case in json.loads(TEXT_GOLDEN.read_text(encoding="utf-8")):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(case["argv"]) == 0
+        assert out.getvalue() == case["stdout"], case["argv"]
+
+
+def test_render_text_lists_and_empty_containers():
+    assert _render_text({"a": [], "b": {}, "c": 0}) == "a: []\nb:\nc: 0"
+    assert _render_text({"a": [[1, 2], [3]]}) == "a:\n  [1, 2]\n  [3]"
+    assert _render_text({"a": [{"b": 1}, {"c": [2]}, {}]}, "  ") == (
+        "  a:\n    -\n      b: 1\n    -\n      c:\n        2\n    -"
+    )
 
 
 # stdlib only: the interpreter runs without site-packages, so no pytest

@@ -197,7 +197,9 @@ def test_span_invariant_under_insertion_order():
                 forward.insert(v)
             for v in reversed(vectors):
                 backward.insert(v)
-            assert forward.rows_sorted() == backward.rows_sorted()
+            assert [forward.row(i) for i in forward.order()] == [
+                backward.row(i) for i in backward.order()
+            ]
 
 
 def test_echelon_invariants():
@@ -207,7 +209,7 @@ def test_echelon_invariants():
         basis = new_basis()
         for v in vectors:
             basis.insert(v)
-        rows = basis.rows_sorted()
+        rows = [basis.row(i) for i in basis.order()]
         pivots = [min(r, key=sort_key) for r in rows]
         assert pivots == sorted(pivots, key=sort_key)
         for i, row in enumerate(rows):
@@ -360,7 +362,7 @@ def test_an_echelon_keeps_only_its_integer_rows_and_pivots():
     basis.insert({0: 1, 2: Q(3, 2)})
     assert basis._extend({1: 2, 2: 1}) and basis._extend({2: 4, 3: 1})
     basis._settle()
-    assert basis.row(0) == {0: 1, 3: Q(-3, 8)} and basis.rows[2] == {2: 1, 3: Q(1, 4)}
+    assert basis.row(0) == {0: 1, 3: Q(-3, 8)} and basis.row(2) == {2: 1, 3: Q(1, 4)}
     assert basis.row(0) is not basis.row(0)
     assert set(vars(basis)) == {"columns", "pivots", "_pivot_row", "_ints"}
 
@@ -501,6 +503,21 @@ def test_solve_dense_against_oracle():
     # solve_dense reads null_space_dense, which checks a zero entry too
     with pytest.raises(TypeError, match="coefficient 0.0 is not an int or Fraction"):
         null_space_dense([[Q(1), 0.0]], 2)
+
+
+def test_dense_adapters_reject_a_malformed_shape():
+    # a b of the wrong length or a row of the wrong width is an error, not
+    # cut to fit the other operand
+    for A, b in (([[1], [1]], [1]), ([[1]], [1, 1]), ([], [1]), ([[1, 2], [3]], [1, 1])):
+        with pytest.raises(ValueError):
+            solve_dense(A, b)
+    for matrix, ncols in (([[1, 2, 3]], 2), ([[1]], 2), ([[1, 2], [3]], 2)):
+        with pytest.raises(ValueError):
+            null_space_dense(matrix, ncols)
+    with pytest.raises(ValueError):
+        rref_dense([[1, 2], [3]])
+    assert solve_dense([], []) == [] and rref_dense([]) == ([], [])
+    assert null_space_dense([], 2) == [[1, 0], [0, 1]]
 
 
 # -- generic rank ----------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_express_matches_oracle_in_any_insertion_order(vs, data):
         basis = EchelonBasis()
         for i in order:
             basis.insert(coordinatize(vs[i]))
-        rows = [uncoordinatize(row, ctx) for row in basis.rows]
+        rows = [uncoordinatize(basis.row(i), ctx) for i in range(len(basis))]
         assert basis.express(coordinatize(combo)) == oracle_coords(rows, [combo])[0]
 
 
@@ -492,10 +492,11 @@ def test_integer_kernel_matches_dense_oracle(matrix, data):
         basis = EchelonBasis()
         for i in order:
             basis.insert(sparse(matrix[i]))
-        assert basis.rows_sorted() == expected_rows
+        assert [basis.row(i) for i in basis.order()] == expected_rows
         for vec in (probe, combo):
             assert basis.contains(sparse(vec)) == oracle_member(matrix, vec)
-        assert combine(basis.express(sparse(combo)), basis.rows, ncols) == combo
+        rows = [basis.row(i) for i in range(len(basis))]
+        assert combine(basis.express(sparse(combo)), rows, ncols) == combo
     columns = [sparse([row[c] for row in matrix]) for c in range(ncols)]
     kernel = null_space(columns)
     assert len(kernel) == ncols - len(expected_rows)
@@ -531,9 +532,10 @@ def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
     for row in matrix:
         basis.insert(sparse(row))
     scales = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
-    for row in basis.rows:
+    rows = [basis.row(i) for i in range(len(basis))]
+    for row in rows:
         assert_fractions(row.values())
-    assert_fractions(basis.express(sparse(combine(scales, basis.rows, ncols))))
+    assert_fractions(basis.express(sparse(combine(scales, rows, ncols))))
     assert_fractions(basis.express(sparse(matrix[-1])))
     # a caller's ints leave the kernel as Fractions too
     numerators = [{k: c.numerator for k, c in sparse(row).items()} for row in matrix]
@@ -541,8 +543,8 @@ def test_kernel_returns_only_fractions_at_run_time(matrix, recipe, seed, data):
     for row in numerators:
         int_basis.insert(row)
     assert_fractions(int_basis.express(numerators[-1]))
-    for row in int_basis.rows:
-        assert_fractions(row.values())
+    for i in range(len(int_basis)):
+        assert_fractions(int_basis.row(i).values())
     for x in null_space([sparse([row[c] for row in matrix]) for c in range(ncols)]):
         assert_fractions(x.values())
     # close() brackets integer rows; none of their int coefficients may leak
