@@ -34,10 +34,10 @@ arithmetic, and [g, g], the series and the certificate do no
 back-substitution either: they read only pivots, lengths and spanning
 rows, which forward elimination (linalg.ForwardEchelon) gives; [g, g]
 takes the tensor's own integer rows.  A Fraction is made only where a field
-is built or a constant is read: a basis field takes one Fraction(c, head)
-per entry of its primitive integer row, a combination of basis elements
-reads the Fraction unit rows it names, and c() reads `structure`, the
-tensor's Fraction form, built on first read.  The structure text of
+is built or a constant is read: a basis field takes one Fraction per
+entry of its primitive integer row (Columns.field), a combination of
+basis elements reads the Fraction unit rows it names, and c() reads
+`structure`, the tensor's Fraction form, built on first read.  The structure text of
 report() and QuotientStructure.to_dict() is written from the integers
 (_structure_text).
 """

@@ -7,9 +7,11 @@ coordinatize.  A column table (Columns; close() makes one per closure)
 numbers those keys with int ids, so an echelon over it hashes ints while
 its pivots follow the keys, and it brackets rows on their ids
 (Columns.bracket, the one field bracket) by summing the nonzero halves
-m d_i(n) d_j of their column fields (monomial_half), each computed once
-per table.  The support masks of its operands let _can_fail_to_commute
-prove a pair commuting without a bracket.
+m d_i(n) d_j of their column fields, each computed once per table: by one
+lookup of a packed int sum when both columns are exp-free and packed
+(Columns.packs), else by monomial_half.  The support masks of its
+operands let _can_fail_to_commute prove a pair commuting without a
+bracket.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ def monomial_half(i: int, m: ExpMonomial, n: ExpMonomial) -> Sequence[tuple]:
 
 @dataclass(frozen=True)
 class VariableContext:
-    """Ordered list of 1 to 3 variable names, fixed for a session."""
+    """Ordered list of 1 to 3 variable names, fixed for a session.
+
+    nvars, the number of names, is stored once at construction, as a
+    plain attribute beside the one field `names`, which alone makes a
+    context's equality, hash and repr."""
 
     names: tuple[str, ...]
 
@@ -101,10 +107,7 @@ class VariableContext:
         for name in self.names:
             if not _NAME_RE.match(name) or name == "exp":
                 raise ValueError(f"invalid variable name: {name!r}")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
+        object.__setattr__(self, "nvars", len(self.names))
 
     def index(self, name: str) -> int:
         try:
@@ -145,10 +148,11 @@ class VectorField:
 
     def __init__(self, ctx: VariableContext, comps: Sequence[ExpPoly]):
         comps = tuple(comps)
-        if len(comps) != ctx.nvars:
+        n = ctx.nvars
+        if len(comps) != n:
             raise ContextMismatch("one component per variable is required")
         for c in comps:
-            if c.nvars != ctx.nvars:
+            if c.nvars != n:
                 raise ContextMismatch("component over the wrong variable count")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "comps", comps)
@@ -271,6 +275,11 @@ class CoordinateChange:
 # -- field coordinates ---------------------------------------------------------
 
 Key = tuple[int, ExpMonomial]
+# a packed column's total degree, and so each of its powers, is below
+# _PACK_LIMIT, so the powers of a product of two, below 2**32, fill their
+# 32-bit fields without a carry
+_PACK_LIMIT = 1 << 31
+_PACK_MASK = (1 << 32) - 1
 _READ_VARS = tuple(tuple(j for j in range(3) if mask >> j & 1) for mask in range(8))
 
 
@@ -322,22 +331,43 @@ class Columns:
     and v's terms l that read x_i, whose halves are the nonzero ones, minus
     the same with u and v swapped.  A half is filled on first
     use; `release` empties the half table once the tensor is built.
+
+    packs[id] is the column's exponents packed into one int, the power of
+    variable i at bit 32*i, when its monomial is exp-free (it stores the
+    shared zero rates) of total degree below 2**31, and None otherwise;
+    pack_ids[i] maps the packs of component i back to ids.  The powers of
+    a product of two packed monomials stay below 2**32, so the pack sum is
+    the product's exponents, carry-free (`_half`).  A packed column's
+    reads come from its powers in the same pass that packs them; any other
+    column's from monomial_reads.
     """
 
     def __init__(self, nvars: int) -> None:
         self.ids: list[dict[ExpMonomial, int]] = [{} for _ in range(nvars)]
         self.keys: list[Key] = []
         self.reads: list[tuple[int, ...]] = []
+        self.packs: list[int | None] = []
+        self.pack_ids: list[dict[int, int]] = [{} for _ in range(nvars)]
         self.top_degree = -1
         self._halves: defaultdict[int, dict[int, dict[int, Any]]] = defaultdict(dict)
 
     def _new(self, i: int, mono: ExpMonomial) -> int:
         k = self.ids[i][mono] = len(self.keys)
         self.keys.append((i, mono))
-        degree = sum(mono[1])
+        rates, powers = mono
+        degree = sum(powers)
         if degree > self.top_degree:
             self.top_degree = degree
-        self.reads.append(_READ_VARS[monomial_reads(mono)])
+        if degree < _PACK_LIMIT and rates is _ZEROS[len(powers)]:
+            pack = reads = 0
+            for a in powers:  # the last variable first, as stored
+                pack = pack << 32 | a
+                reads = reads << 1 | (a > 0)
+            self.pack_ids[i][pack] = k
+        else:
+            pack, reads = None, monomial_reads(mono)
+        self.reads.append(_READ_VARS[reads])
+        self.packs.append(pack)
         return k
 
     def operand(self, vec: Mapping[int, Any]) -> Operand:
@@ -373,8 +403,25 @@ class Columns:
         return out
 
     def _half(self, k: int, l: int) -> dict[int, Any]:
-        """half(k, l), the vector of m d_i(n) d_j for columns m d_i, n d_j."""
+        """half(k, l), the vector of m d_i(n) d_j for columns m d_i, n d_j.
+
+        When both columns are packed and n has the power a > 0 in x_i,
+        m d_i(n) is a * m n / x_i, whose exponents are the pack sum
+        pk + pl - 2**(32*i): if that is the pack of a column of component
+        j, the half is that column with coefficient a, and no monomial is
+        built.  Any other pair, and a product whose column is new (its
+        degree may reach 2**31, where it is not packed), takes
+        monomial_half, whose terms go through ids, so no column is made
+        twice."""
         (i, m), (j, n) = self.keys[k], self.keys[l]
+        pk, pl = self.packs[k], self.packs[l]
+        if pk is not None and pl is not None:
+            shift = 32 * i
+            a = pl >> shift & _PACK_MASK
+            if a:
+                key = self.pack_ids[j].get(pk + pl - (1 << shift))
+                if key is not None:
+                    return {key: a}
         ids = self.ids[j]
         half = {}
         for mono, coeff in monomial_half(i, m, n):
@@ -411,20 +458,27 @@ class Columns:
         return out
 
     def field(self, row: Mapping[int, Any], ctx: VariableContext, head: int = 1) -> VectorField:
-        """The field whose vector is row / head, each coefficient made one
-        Fraction(c, head) in the same pass, so that it keeps the _poly
-        contract.  LieAlgebra gives a primitive integer row and its pivot
-        entry, the head, for a unit row; any other caller gives a vector of
-        Fractions (a combination of unit rows or a bracket of field
-        vectors) and head 1."""
+        """The field whose vector is row / head, each coefficient made a
+        Fraction in the same pass, so that it keeps the _poly contract:
+        over head 1 an int entry c becomes Fraction(c) and a Fraction entry
+        is kept as it is, and over any other head c becomes
+        Fraction(c, head).  LieAlgebra gives a primitive integer row and
+        its pivot entry, the head, for a unit row (often 1); any
+        other caller gives a vector of Fractions (a combination of unit
+        rows or a bracket of field vectors) and head 1."""
         n = ctx.nvars
         keys = self.keys
+        unit = head == 1
         comps: list[dict[ExpMonomial, Any]] = [{} for _ in range(n)]
         for k, coeff in row.items():
             if coeff:
                 i, mono = keys[k]
-                comps[i][mono] = Fraction(coeff, head)
-        return VectorField(ctx, tuple(_poly(n, c) for c in comps))
+                if not unit:
+                    coeff = Fraction(coeff, head)
+                elif type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
+                comps[i][mono] = coeff
+        return VectorField(ctx, [_poly(n, c) for c in comps])
 
     def degree(self, vec: Iterable[int]) -> int:
         """Total degree of the field with this vector: the largest over its

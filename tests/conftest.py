@@ -180,6 +180,11 @@ def oracle_support(v: VectorField) -> tuple[int, int]:
     return moves, reads
 
 
+def assert_fractions(values) -> None:
+    for c in values:
+        assert type(c) is Fraction, f"{c!r} is a {type(c).__name__}, not a Fraction"
+
+
 def assert_poly_is(p: ExpPoly, naive: dict) -> None:
     got = {(m.powers, m.rates): c for m, c in p.term_map().items()}
     assert got == naive

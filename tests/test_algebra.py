@@ -429,10 +429,11 @@ def test_closure_idempotent():
 
 
 def test_closure_agrees_with_naive_fixpoint_oracle():
-    # independent oracle: recompute all pairwise brackets of the full current
-    # list every round, membership-tested with the naive dense routine; the
-    # inputs are random affine fields, one small draw of every recipe, the
-    # exponential example and exp terms with rational rates
+    # independent oracle: recompute all pairwise term-list brackets of the
+    # full current list every round, membership-tested with the naive dense
+    # routine; the inputs are random affine fields, one small draw of every
+    # recipe, the exponential example, exp terms with rational rates and a
+    # generator of a degree past 2**31
     r = rng(20240545)
     inputs = []
     for _ in range(10):
@@ -451,31 +452,48 @@ def test_closure_agrees_with_naive_fixpoint_oracle():
     inputs.append([F(t) for t in EX_EXP])
     inputs.extend([F(t) for t in texts] for texts in EXP_RATIONAL_RATES)
     for gens in inputs:
-        if all(g.is_zero for g in gens):
-            continue
-        fields = [g for g in gens if not g.is_zero]
-        kept = []
-        for f in fields:
-            coords = naive_field_coords(kept + [f])
-            if not oracle_member(coords[:-1], coords[-1]):
-                kept.append(f)
-        while True:
-            grown = False
-            for i in range(len(kept)):
-                for j in range(len(kept)):
-                    w = kept[i].bracket(kept[j])
-                    if w.is_zero:
-                        continue
-                    coords = naive_field_coords(kept + [w])
-                    if not oracle_member(coords[:-1], coords[-1]):
-                        kept.append(w)
-                        grown = True
-            if not grown:
-                break
-        L = close(gens)
-        assert L.dim == len(kept)
-        for f in kept:
-            assert L.contains(f)
+        if not all(g.is_zero for g in gens):
+            assert_closes_to_the_fixpoint(gens)
+    # a degree past 2**31, where the column table packs no column
+    assert_closes_to_the_fixpoint([F("Dy"), F(f"x^{2**31}*y*Dz")], cap_degree=2**32)
+
+
+def assert_closes_to_the_fixpoint(gens: list[VectorField], **kw) -> None:
+    """close() spans what fixpoint_oracle finds, in as many fields, and no
+    two columns of its table share a (component, monomial) key."""
+    kept = fixpoint_oracle([g for g in gens if not g.is_zero])
+    L = close(gens, **kw)
+    assert L.dim == len(kept)
+    for f in kept:
+        assert L.contains(f)
+    keys = L._echelon.columns.keys
+    assert len(set(keys)) == len(keys)
+
+
+def fixpoint_oracle(fields: list[VectorField]) -> list[VectorField]:
+    """A basis of the algebra the fields generate: all pairwise term-list
+    brackets (naive_bracket) of the current list, every round, each kept
+    when the naive dense routine finds it outside the span, until a round
+    adds nothing."""
+    kept: list[VectorField] = []
+    for f in fields:
+        coords = naive_field_coords(kept + [f])
+        if not oracle_member(coords[:-1], coords[-1]):
+            kept.append(f)
+    while True:
+        grown = False
+        for i in range(len(kept)):
+            for j in range(len(kept)):
+                comps = naive_bracket(kept[i], kept[j])
+                if not any(comps):
+                    continue
+                w = ctx.field([ExpPoly(3, {ExpMonomial(p, r): c for (p, r), c in comp.items()}) for comp in comps])
+                coords = naive_field_coords(kept + [w])
+                if not oracle_member(coords[:-1], coords[-1]):
+                    kept.append(w)
+                    grown = True
+        if not grown:
+            return kept
 
 
 @pytest.mark.parametrize("index, error, message", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from vflie.parser import parse_expression, parse_field
 
 from conftest import (
     as_terms,
+    assert_fractions,
     inverted,
     naive_diff,
     naive_mul,
@@ -135,15 +137,21 @@ def test_monomial_half_examples():
 
 
 POWERS = st.tuples(*[st.integers(0, 3)] * 3)
+# powers up to and across 2**31, the limit below which a column's degree
+# must lie for it to be packed
+WIDE_POWERS = st.tuples(*[st.sampled_from((0, 1, 2, 2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1))] * 3)
 RATES = st.tuples(*[st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))] * 3)
 
 
 @st.composite
 def monomial_pairs(draw):
-    """(m, n), each exp-free, with an exponential factor, or a product whose
-    rates cancel, exp(r.x) * exp(-r.x), which stores the shared zeros."""
+    """(m, n), each exp-free with small or wide powers, with an exponential
+    factor, or a product whose rates cancel, exp(r.x) * exp(-r.x), which
+    stores the shared zeros."""
     def monomial():
-        kind = draw(st.sampled_from(("free", "exp", "cancel")))
+        kind = draw(st.sampled_from(("free", "wide", "exp", "cancel")))
+        if kind == "wide":
+            return ExpMonomial(draw(WIDE_POWERS), (0, 0, 0))
         powers = draw(POWERS)
         if kind == "free":
             return ExpMonomial(powers, (0, 0, 0))
@@ -159,28 +167,53 @@ def monomial_pairs(draw):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(monomial_pairs(), st.integers(0, 2))
-def test_monomial_half_is_the_naive_product(pair, i):
+@given(monomial_pairs(), st.integers(0, 2), st.integers(0, 2))
+def test_monomial_half_is_the_naive_product(pair, i, j):
     """monomial_half(i, m, n) is m d_i(n) on the naive term lists, whether
-    both monomials are exp-free (one step), one is exponential or both."""
+    both monomials are exp-free (one step), one is exponential or both.
+    Columns._half of the columns m d_i and n d_j is its terms on the ids of
+    component j, whether the product column is new or found by its pack,
+    and no two columns share a key, also where a product's degree crosses
+    the pack limit 2**31; each column reads the variables of its nonzero
+    powers and rates.  Small exp-free columns of component j are made
+    first, so a pack sum that carried into the next variable would find
+    one of them."""
     m, n = pair
     naive = naive_mul(naive_of(ExpPoly(3, {m: 1})), as_terms(naive_diff(naive_of(ExpPoly(3, {n: 1})), i)))
     half = monomial_half(i, m, n)
     assert isinstance(half, (list, tuple))
     assert {(mono.powers, mono.rates): c for mono, c in half} == naive
+    columns = Columns(3)
+    columns.vector({ExpMonomial(p, (0, 0, 0)): 1 for p in product(range(3), repeat=3)} if c == j else {}
+                   for c in range(3))
+    (k,), (l,) = (columns.vector({mono: 1} if c == comp else {} for c in range(3)) for comp, mono in ((i, m), (j, n)))
+    for column, mono in ((k, m), (l, n)):
+        assert (columns.packs[column] is None) == (mono.has_exp or mono.degree >= 2**31)
+        assert columns.reads[column] == tuple(v for v in range(3) if mono.powers[v] or mono.rates[v])
+    for _ in range(2):  # the product columns are made, then found
+        got = columns._half(k, l)
+        want = {columns.ids[j][mono]: c for mono, c in half}
+        assert got == want and [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    assert len(set(columns.keys)) == len(columns.keys)
 
 
 def test_basis_fields_are_the_fields_of_the_unit_rows():
     """Each basis field, built in one pass from its primitive integer row
-    over the pivot head, equals Columns.field of its unit row: on recipe
-    draws and on fields with a fractional rate."""
-    draws = [build(random_spec(recipe, seed, 3)).generators
-             for recipe, seed in (("center-rank1", 3), ("nonabelian-projection", 1), ("single-chain", 5))]
+    over the pivot head, equals Columns.field of its unit row, and every
+    coefficient is a Fraction, also over a unit head: on recipe draws, the
+    dimension-88 one among them, and on fields with a fractional rate."""
+    draws = [build(random_spec(recipe, seed, degree)).generators
+             for recipe, seed, degree in (("center-rank1", 3, 3), ("nonabelian-projection", 1, 3),
+                                          ("single-chain", 5, 3), ("center-rank1", 7, 6))]
     draws.append([F("Dx"), F("Dy"), F("3*x*exp(1/2*y)*Dz - 2*y*Dx")])
+    dims = []
     for gens in draws:
-        L = close(gens)
+        L = close(gens, cap_dim=200)
         echelon = L._echelon
         assert L.basis == tuple(echelon.columns.field(echelon.row(i), L.ctx) for i in echelon.order())
+        assert_fractions(c for b in L.basis for comp in b.comps for c in comp.term_map().values())
+        dims.append(L.dim)
+    assert dims[3] == 88
 
 
 def test_integral_rate_sums_are_stored_as_ints():
