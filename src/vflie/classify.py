@@ -11,7 +11,9 @@ coordinates Z = d/dz, where L/K is the image of the projection that drops z,
 of rank r - 1 and abelian exactly when [g, g] lies in K; no chart is computed,
 so every input gets its subcase in whatever coordinates it is given.
 jordan_chains() decomposes an ad-nilpotent operator on an invariant subspace
-into its kernel-filtration chains, split_check() decides split extensions over
+into its kernel-filtration chains, computed in the algebra's basis
+coordinates from the powers of ad(operator) on the subspace's unit rows,
+split_check() decides split extensions over
 abelian ideals by an exact linear system (with an infeasibility certificate
 when no complement exists), and match_template() checks a basis against the
 constructive normal forms, held as one table of algebra checks and component
@@ -204,12 +206,13 @@ def jordan_chains(
     """Kernel-filtration chains of ad(operator) restricted to an invariant subspace.
 
     Deterministic: candidate heads are drawn from the canonical null-space
-    bases of the operator powers in decreasing chain length.  N's column
-    for the unit row p / h of the subspace is the integer bracket (vec, L)
-    of s * op with its primitive row p, read off the one _ad_image of s * op
-    as [op, p] = -sum_i p_i [e_i, op]: [op, p / h] = vec / (L * s * h).
-    One reduction of vec (_residual) tests invariance and hands back t
-    times its coordinates, so each entry is one Fraction over L * s * h * t.
+    bases of the operator powers in decreasing chain length.  Every vector
+    is in the algebra's basis coordinates: N is the exact map v -> [op, v]
+    = -sum_i v_i [e_i, op], read off the one _ad_image of the operator, and
+    powers[k] holds N^k of the subspace's unit rows (powers[0] the rows), so
+    N^k w = sum_t w_t powers[k][t] for w over the rows.  The rows are
+    independent, so powers[k] has the column relations, and the canonical
+    null-space basis, of N^k on the subspace.
 
     Heights j run from p down.  A kernel vector w of N^j starts a chain
     exactly when its terminal N^(j-1) w is independent of the terminals of
@@ -222,54 +225,40 @@ def jordan_chains(
     op = algebra._coeffs_of(operator)
     op_field = operator if isinstance(operator, VectorField) else algebra._field(op)
     op, op_scale = _integral(op)
-    span = algebra.ideal_subspace(ideal)
-    order = span.order()
-    position = {row: t for t, row in enumerate(order)}
-    m = len(order)
-
-    # columns of the restricted operator N over the subspace basis
     images, ad_scale = algebra._ad_image(op)
-    n_cols: list[SparseVector] = []
-    for r in order:
-        row = span.primitive_row(r)
-        vec = _combination(images, {i: -c for i, c in row.items() if i in images})
-        values: dict[int, int] = {}
-        residual, t = span._residual(vec, values)
-        if residual:
-            raise NotInvariant("subspace is not invariant under the operator")
-        scale = ad_scale * op_scale * row[span.pivots[r]] * t
-        n_cols.append({position[i]: Fraction(c, scale) for i, c in values.items()})
+    scale = -ad_scale * op_scale  # [op, e_i] = images[i] / scale
 
-    powers = [n_cols]  # columns of N, N^2, ...; grows until N^p = 0
+    def apply_n(v: SparseVector) -> SparseVector:
+        return _combination(images, {i: c / scale for i, c in v.items() if i in images})
+
+    span = algebra.ideal_subspace(ideal)
+    rows = [span.row(r) for r in span.order()]
+    m = len(rows)
+    powers = [rows, [apply_n(row) for row in rows]]  # N^k of the unit rows
+    if not all(map(span.contains, powers[1])):
+        raise NotInvariant("subspace is not invariant under the operator")
     while any(powers[-1]):
-        if len(powers) > m:
+        if len(powers) > m + 1:
             raise NotNilpotentOperator(
                 "adjoint operator is not nilpotent on the subspace"
             )
-        powers.append([_combination(n_cols, col) for col in powers[-1]])
-    p = len(powers)  # nilpotency index; p = 1 for the zero operator
+        powers.append([apply_n(col) for col in powers[-1]])
+    p = len(powers) - 1  # nilpotency index; p = 1 for the zero operator
 
     chains_vec: list[list[SparseVector]] = []
     terminals = ForwardEchelon()
     for j in range(p, 0, -1):
-        kernel = null_space(powers[j - 1])
+        kernel = null_space(powers[j])
         for w in kernel:
-            terminal = _combination(powers[j - 2], w) if j > 1 else w
-            if terminals.add(_integral(terminal)[0]):
-                chain = [w]
-                for _ in range(j - 1):
-                    chain.append(_combination(n_cols, chain[-1]))
-                chains_vec.append(chain)
-    if sum(len(c) for c in chains_vec) != m:
+            if terminals.add(_integral(_combination(powers[j - 1], w))[0]):
+                chains_vec.append([_combination(powers[k], w) for k in range(j)])
+    if sum(map(len, chains_vec)) != m:
         raise InternalInvariantViolation("chain lengths do not sum to the subspace dimension")
     if len(chains_vec) != len(kernel):  # the kernel of N itself, from j = 1
         raise InternalInvariantViolation("chain count differs from operator kernel dimension")
 
-    rows = [span.row(r) for r in order]
     ideal_fields = tuple(map(algebra._field, rows))
-    chains = tuple(
-        tuple(algebra._field(_combination(rows, v)) for v in chain) for chain in chains_vec
-    )
+    chains = tuple(tuple(map(algebra._field, chain)) for chain in chains_vec)
     return JordanDecomposition(op_field, ideal_fields, chains)
 
 

@@ -63,20 +63,18 @@ def monomial_half(i: int, m: ExpMonomial, n: ExpMonomial) -> Sequence[tuple]:
     d_i(n) = a n / x_i + r n, with a and r the power and the rate of n in
     variable i, so a half is at most a lowered-power term and a rate term of
     m n, nonzero exactly when n reads x_i.  A coefficient is an int (a
-    power) or a stored rate (an int or a Fraction).  When m and n both
-    carry the shared exp-free rates (ring._ZEROS), as a product whose
-    rates cancel does too, r is 0 and the half is the one term
-    (m n / x_i, a), made in one step."""
+    power) or a stored rate (an int or a Fraction).  The product keeps
+    the other factor's rates when one factor carries the shared exp-free
+    rates (ring._ZEROS), so an exp-free pair gives the one lowered-power
+    term.  Columns._half reads the half of two packed exp-free columns by
+    one lookup when their product column exists, and calls this for any
+    other pair."""
     (rm, pm), (rn, pn) = m, n
     k = len(pn) - 1 - i  # the position of variable i in the reversed tuples
     a, r = pn[k], rn[k]
     if not (a or r):
         return ()
     zeros = _ZEROS[len(pm)]
-    if rm is zeros and rn is zeros:
-        lowered = list(map(add, pm, pn))
-        lowered[k] -= 1
-        return [(_new(ExpMonomial, (zeros, tuple(lowered))), a)]
     rates = rm if rn is zeros else rn if rm is zeros else _stored_rates(tuple(map(add, rm, rn)))
     powers = tuple(map(add, pm, pn))
     terms = []

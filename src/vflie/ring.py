@@ -384,26 +384,21 @@ class ExpPoly:
         for i in range(n):
             repl.setdefault(i, ExpPoly.var(n, i))
 
-        def linear_coeffs(p: ExpPoly, feeding_var: int) -> list[Fraction]:
-            coeffs = [Q(0)] * n
-            for m, c in p._terms.items():
-                if m.has_exp or m.degree != 1:
-                    raise SubstitutionOutsideRing(
-                        f"replacement for variable {feeding_var} feeds an exponential "
-                        "argument but is not a homogeneous linear polynomial"
-                    )
-                j = next(k for k, a in enumerate(m.powers) if a)
-                coeffs[j] += c
-            return coeffs
-
-        result = ExpPoly.zero(n)
+        out: dict[ExpMonomial, Fraction] = {}
         power_cache: dict[tuple[int, int], ExpPoly] = {}
         for m, c in self._terms.items():
             rates = [Q(0)] * n
             for i, rate in enumerate(m.rates):
-                if rate:
-                    for j, lam in enumerate(linear_coeffs(repl[i], i)):
-                        rates[j] += rate * lam
+                if not rate:
+                    continue
+                # exp(rate * x_i) takes x_i's replacement as a linear form
+                for mono, lam in repl[i]._terms.items():
+                    if mono.has_exp or mono.degree != 1:
+                        raise SubstitutionOutsideRing(
+                            f"replacement for variable {i} feeds an exponential "
+                            "argument but is not a homogeneous linear polynomial"
+                        )
+                    rates[mono.powers.index(1)] += rate * lam
             part = ExpPoly.monomial((0,) * n, rates, c)
             for i, a in enumerate(m.powers):
                 if a:
@@ -411,8 +406,9 @@ class ExpPoly:
                     if key not in power_cache:
                         power_cache[key] = repl[i] ** a
                     part = part * power_cache[key]
-            result = result + part
-        return result
+            for mono, coeff in part._terms.items():
+                _add_term(out, mono, coeff)
+        return _poly(n, out)
 
     def restrict(self, indices: Sequence[int]) -> "ExpPoly":
         """Re-express over the subcontext `indices`; requires depends_only_on."""

@@ -575,6 +575,18 @@ def test_jordan_not_nilpotent_operator():
         jordan_chains(L, F("x*Dx"), idx)
 
 
+def test_jordan_invariance_is_tested_before_nilpotency():
+    # sl(2) as <Dx, x*Dx, x^2*Dx>: ad(x*Dx) has eigenvalues -1, 0, 1, so it
+    # is nilpotent on no nonzero invariant subspace.  A subspace that is not
+    # invariant is reported as such, whatever the operator's powers do on it.
+    L = algebra("Dx", "x^2*Dx")
+    assert L.dim == 3
+    with pytest.raises(NotInvariant):
+        jordan_chains(L, F("x*Dx"), [F("Dx + x^2*Dx")])
+    with pytest.raises(NotNilpotentOperator):
+        jordan_chains(L, F("x*Dx"), range(L.dim))
+
+
 # -- one-dimensional ideals mod center -------------------------------------------------
 
 
